@@ -169,11 +169,8 @@ def build_instance(cfg: ExperimentConfig, L: float | None = None) -> profiles.Pr
     period = float(L if L is not None else n["L"])
     family = p["family"].lower()
     if family == "xin":
-        inst = profiles.make_xin_example(p["xin_delta"], p["xin_lambda"], p["xin_mu"])
-        if L is not None and L != 1.0:
-            inst = profiles.ProblemInstance(coeff=inst.coeff, reaction=inst.reaction,
-                                            L=period)
-        return inst
+        return profiles.make_xin_example(p["xin_delta"], p["xin_lambda"], p["xin_mu"],
+                                         L=period)
     if family in ("cubic", "tabulated"):
         if p["theta_file"]:
             theta = profiles.TabulatedPeriodicCurve.from_file(p["theta_file"])

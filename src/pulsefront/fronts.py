@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .profiles import HomogenizedData, ProblemInstance, homogenized_data
-from .solver import (Field, Grid1D, SolverConfig, Stepper, build_grid,
+from .solver import (Field, Grid1D, SolverConfig, SolverError, Stepper, build_grid,
                      front_initial_datum, residual_stationary)
 
 
@@ -709,12 +709,18 @@ class ClassificationRecord:
 def classify_quenching(inst: ProblemInstance, cfg: FrontRunConfig = FrontRunConfig(),
                        budget: Budget = Budget(),
                        homog: HomogenizedData | None = None) -> ClassificationRecord:
-    """Three-way outcome of the front computation with the evidence attached."""
+    """Three-way outcome of the front computation with the evidence attached.
+
+    A solver failure becomes an Inconclusive record with reason "solver"."""
     try:
         front = compute_pulsating_front(inst, cfg, budget, homog=homog)
     except FrontNotConverged as exc:
         return ClassificationRecord(kind=INCONCLUSIVE, c=None,
                                     evidence=dict(exc.diagnostics), front=None)
+    except SolverError as exc:
+        return ClassificationRecord(kind=INCONCLUSIVE, c=None,
+                                    evidence={"reason": "solver", "message": str(exc)},
+                                    front=None)
     if front.stationary:
         return ClassificationRecord(kind=STATIONARY, c=0.0,
                                     evidence=dict(front.diagnostics), front=front)

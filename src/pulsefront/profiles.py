@@ -184,14 +184,36 @@ class ReactionProfile:
         return self.df(y, np.ones_like(np.asarray(y, dtype=float)))
 
 
-@dataclass(frozen=True)
-class _CubicF:
-    theta: Callable
+def bind_reaction(f: Callable, y) -> Callable:
+    """u -> f(y, u) with the y-dependence evaluated once at the fixed nodes y.
+
+    Reactions built here precompute theta(y) and the extension slopes and give
+    bitwise the values of f(y, u); any other callable is called as f(y, u).
+    """
+    bind = getattr(f, "bind", None)
+    if bind is not None:
+        return bind(np.asarray(y, dtype=float))
+    return lambda u: np.asarray(f(y, u), dtype=float)
+
+
+class _Bindable:
+    """f(y, u) evaluated as bind(y)(u): one formula for node-bound and direct calls."""
 
     def __call__(self, y, u):
-        u = np.asarray(u, dtype=float)
+        return self.bind(np.asarray(y, dtype=float))(u)
+
+
+@dataclass(frozen=True)
+class _CubicF(_Bindable):
+    theta: Callable
+
+    def bind(self, y):
         th = np.asarray(self.theta(y), dtype=float)
-        return u * (1.0 - u) * (u - th)
+
+        def f(u):
+            u = np.asarray(u, dtype=float)
+            return u * (1.0 - u) * (u - th)
+        return f
 
 
 @dataclass(frozen=True)
@@ -205,20 +227,27 @@ class _CubicDF:
 
 
 @dataclass(frozen=True)
-class _ExtendedF:
+class _ExtendedF(_Bindable):
     """Linear continuation of a [0,1]-reaction: slope-at-0 below, slope-at-1 above."""
 
     base_f: Callable
     base_df: Callable
 
-    def __call__(self, y, u):
-        u = np.asarray(u, dtype=float)
-        y = np.asarray(y, dtype=float)
-        uc = np.clip(u, 0.0, 1.0)
-        inner = self.base_f(y, uc)
-        lo = self.base_df(y, np.zeros_like(uc)) * u
-        hi = self.base_df(y, np.ones_like(uc)) * (u - 1.0)
-        return np.where(u < 0.0, lo, np.where(u > 1.0, hi, inner))
+    def bind(self, y):
+        inner = bind_reaction(self.base_f, y)
+        slope0 = self.base_df(y, np.zeros_like(y))
+        slope1 = self.base_df(y, np.ones_like(y))
+
+        def f(u):
+            u = np.asarray(u, dtype=float)
+            # nearly every step of a front run stays in [0, 1], where the
+            # clip and both selects are the identity
+            if u.size and 0.0 <= u.min() and u.max() <= 1.0:
+                return inner(u)
+            return np.where(u < 0.0, slope0 * u,
+                            np.where(u > 1.0, slope1 * (u - 1.0),
+                                     inner(np.clip(u, 0.0, 1.0))))
+        return f
 
 
 @dataclass(frozen=True)
@@ -304,12 +333,13 @@ def make_cubic(theta, gamma: float | None = None, delta: float | None = None,
 
 
 @dataclass(frozen=True)
-class _ScaledF:
+class _ScaledF(_Bindable):
     base: Callable
     scale: float
 
-    def __call__(self, y, u):
-        return self.scale * self.base(y, u)
+    def bind(self, y):
+        base = bind_reaction(self.base, y)
+        return lambda u: self.scale * base(u)
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +376,8 @@ class ProblemInstance:
         return self.reaction.theta(np.asarray(x, dtype=float) / self.L)
 
 
-def make_xin_example(delta: float, lam: float, mu: float) -> ProblemInstance:
-    """Oscillating-diffusivity instance a(y) = 1 + delta*lam*sin(2 pi y) at L = 1.
+def make_xin_example(delta: float, lam: float, mu: float, L: float = 1.0) -> ProblemInstance:
+    """Oscillating-diffusivity instance a(y) = 1 + delta*lam*sin(2 pi y) at period L.
 
     The reaction is mu^2 * u (1-u) (u - (1/2 - delta)); requires |delta*lam| < 1
     for positivity and delta in (0, 1/2).
@@ -358,7 +388,7 @@ def make_xin_example(delta: float, lam: float, mu: float) -> ProblemInstance:
         raise ProfileError(f"|delta*lam| = {abs(delta * lam):.3g} >= 1 breaks positivity")
     coeff = CoefficientProfile.from_curve(SineCurve(1.0, delta * lam))
     reaction = make_cubic(ConstantCurve(0.5 - delta), scale=mu * mu)
-    return ProblemInstance(coeff=coeff, reaction=reaction, L=1.0)
+    return ProblemInstance(coeff=coeff, reaction=reaction, L=L)
 
 
 # ---------------------------------------------------------------------------

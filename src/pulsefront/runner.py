@@ -8,6 +8,7 @@ traces back to the run that produced it.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -54,12 +55,14 @@ def _write(path, lines):
 
 
 def emit_profile(path, front: fr.FrontSolution, cfg: ExperimentConfig):
-    lines = [_header(cfg, f"c={_fmt(front.speed)} L={_fmt(front.diagnostics.get('L'))}"),
-             "# xi y phi"]
-    for i, xi in enumerate(front.xi):
-        for j, y in enumerate(front.y):
-            lines.append(f"{xi:.10g} {y:.10g} {front.phi[i, j]:.10g}")
-    _write(path, lines)
+    head = [_header(cfg, f"c={_fmt(front.speed)} L={_fmt(front.diagnostics.get('L'))}"),
+            "# xi y phi"]
+    xis = [f"{xi:.10g} " for xi in front.xi.tolist()]
+    ys = [f"{y:.10g} " for y in front.y.tolist()]
+    # rows are streamed to the file, one lattice row of phi at a time
+    rows = (xi + y + p for xi, row in zip(xis, front.phi)
+            for y, p in zip(ys, map("{:.10g}".format, row.tolist())))
+    _write(path, itertools.chain(head, rows))
 
 
 def emit_sup_errors(path, report: st.StabilityReport, cfg: ExperimentConfig):
@@ -209,7 +212,7 @@ def _run_quench_scan(cfg, out):
     speeds, recs = [], []
     from .profiles import make_xin_example
     for lam in lams:
-        inst = make_xin_example(delta, lam, mu)
+        inst = make_xin_example(delta, lam, mu, L=cfg["numerics"]["L"])
         rec = fr.classify_quenching(inst, rc, budget)
         recs.append(rec)
         c_level = rec.evidence.get("c_level", math.nan)

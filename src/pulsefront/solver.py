@@ -3,9 +3,13 @@
 The equation u_t = (a_L(x) u_x)_x + f_L(x, u) is discretized in flux form with
 face diffusivities evaluated analytically at cell midpoints, Dirichlet values
 pinned at both ends, implicit (backward Euler or Crank-Nicolson) diffusion and
-explicit reaction.  One tridiagonal solve advances a step.  The implicit
-Euler/explicit reaction combination is order-preserving whenever
-dt * lip_k <= 1, which the configuration enforces with margin.
+explicit reaction.  The interior of I - dt*theta*D is symmetric positive
+definite and constant, so a Stepper factors it once (LAPACK dpttrf) and each
+step is one solve against that factor (dpttrs), with the two Dirichlet
+couplings folded into the right-hand side.  The reaction is bound once to the
+node positions.  The implicit Euler/explicit reaction combination is
+order-preserving whenever dt * lip_k <= 1, which the configuration enforces
+with margin.
 """
 
 from __future__ import annotations
@@ -15,9 +19,9 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dpttrf, dpttrs
 
-from .profiles import ProblemInstance
+from .profiles import ProblemInstance, bind_reaction
 
 
 class SolverError(RuntimeError):
@@ -106,8 +110,21 @@ class SolverConfig:
             raise ValueError("stride must be >= 1")
 
 
+def solve_banded(factor, rhs: np.ndarray) -> np.ndarray:
+    """Solve against the stored tridiagonal factor (d, e) from dpttrf.
+
+    rhs may be overwritten; the solution is returned.
+    """
+    d, e = factor
+    x, info = dpttrs(d, e, rhs, overwrite_b=True)
+    if info != 0:
+        raise SolverError(f"tridiagonal solve failed (info={info})")
+    return x
+
+
 class Stepper:
-    """Precomputed matrices for repeated steps of one instance on one grid."""
+    """Factored diffusion matrix and bound reaction for repeated steps of one
+    instance on one grid."""
 
     def __init__(self, inst: ProblemInstance, grid: Grid1D, cfg: SolverConfig):
         if cfg.dt * inst.reaction.lip_k >= 0.5:
@@ -129,17 +146,19 @@ class Stepper:
         self._diff = (lower, diag, upper)
         theta_imp = 1.0 if cfg.scheme == "imex" else 0.5
         self._theta_imp = theta_imp
-        ab = np.zeros((3, n))
-        ab[0, 1:] = -cfg.dt * theta_imp * upper[:-1]
-        ab[1, :] = 1.0 - cfg.dt * theta_imp * diag
-        ab[2, :-1] = -cfg.dt * theta_imp * lower[1:]
-        # Dirichlet rows: identity
-        ab[1, 0] = 1.0
-        ab[0, 1] = 0.0
-        ab[1, -1] = 1.0
-        ab[2, -2] = 0.0
-        self._ab = ab
-        self._y_nodes = np.mod(grid.nodes / inst.L, 1.0)
+        # interior rows of I - k*D, k = dt*theta_imp: symmetric (upper[i] ==
+        # lower[i+1]) and diagonally dominant, hence positive definite
+        k = cfg.dt * theta_imp
+        off = -k * upper[1:n-2]
+        if off.size == 0:
+            off = np.zeros(1)  # the f2py wrapper rejects a zero-length e
+        d, e, info = dpttrf(1.0 - k * diag[1:n-1], off)
+        if info != 0:
+            raise SolverError(f"diffusion matrix is not positive definite (info={info})")
+        self._factor = (d, e)
+        self._couple_left = k * lower[1] * cfg.u_left
+        self._couple_right = k * upper[n-2] * cfg.u_right
+        self._reaction = bind_reaction(inst.reaction.f, np.mod(grid.nodes / inst.L, 1.0))
         self.min_seen = math.inf
         self.max_seen = -math.inf
 
@@ -152,7 +171,7 @@ class Stepper:
         return out
 
     def reaction_at(self, u: np.ndarray) -> np.ndarray:
-        return np.asarray(self.inst.reaction.f(self._y_nodes, u), dtype=float)
+        return self._reaction(u)
 
     def step_values(self, u: np.ndarray) -> np.ndarray:
         cfg = self.cfg
@@ -161,9 +180,10 @@ class Stepper:
             rhs += cfg.dt * (1.0 - self._theta_imp) * self._apply_diffusion(u)
         rhs[0] = cfg.u_left
         rhs[-1] = cfg.u_right
-        out = solve_banded((1, 1), self._ab, rhs, check_finite=False,
-                           overwrite_ab=False, overwrite_b=True)
-        return out
+        rhs[1] += self._couple_left
+        rhs[-2] += self._couple_right
+        rhs[1:-1] = solve_banded(self._factor, rhs[1:-1])
+        return rhs
 
     def run(self, u: np.ndarray, t0: float, n_steps: int,
             on_step: Callable | None = None,
@@ -174,10 +194,13 @@ class Stepper:
         every = self.cfg.stride if callback_every is None else callback_every
         for k in range(1, n_steps + 1):
             u = self.step_values(u)
-            if not np.all(np.isfinite(u)):
+            # NaN and +-inf propagate through min and max
+            lo = float(u.min())
+            hi = float(u.max())
+            if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise SolverError(f"non-finite value at step {k} (t={t0 + k * dt:.6g})")
-            self.min_seen = min(self.min_seen, float(u.min()))
-            self.max_seen = max(self.max_seen, float(u.max()))
+            self.min_seen = min(self.min_seen, lo)
+            self.max_seen = max(self.max_seen, hi)
             if on_step is not None and (k % every == 0 or k == n_steps):
                 on_step(k, t0 + k * dt, u)
         return u, t0 + n_steps * dt

@@ -4,8 +4,9 @@ import os
 import numpy as np
 import pytest
 
-from pulsefront import cli
-from pulsefront.config import ConfigError, describe_schema, parse_config
+from pulsefront import __version__, cli, runner
+from pulsefront import fronts as fr
+from pulsefront.config import ConfigError, build_instance, describe_schema, parse_config
 
 
 FRONT_CFG = """
@@ -64,6 +65,43 @@ class TestConfigParsing:
         doc = describe_schema()
         for key in ("nodes_per_period", "tol_puls", "lambda_grid", "ubar", "prefix"):
             assert key in doc
+
+
+class TestBuildInstance:
+    XIN_CFG = "[profile]\nfamily = xin\nxin_delta = 0.2\n"
+
+    def test_xin_honours_numerics_L(self):
+        cfg = parse_config(self.XIN_CFG + "[numerics]\nL = 3.0\n", "front")
+        inst = build_instance(cfg)
+        assert inst.L == 3.0
+        assert inst.a_L(0.75) == pytest.approx(1.0 + 0.2 * np.sin(0.5 * np.pi))
+
+    def test_xin_default_L(self):
+        assert build_instance(parse_config(self.XIN_CFG, "front")).L == 1.0
+
+    def test_explicit_L_overrides_key(self):
+        cfg = parse_config(self.XIN_CFG + "[numerics]\nL = 3.0\n", "front")
+        assert build_instance(cfg, L=0.5).L == 0.5
+
+
+def test_emit_profile_matches_nested_loop_formatting(tmp_path):
+    rng = np.random.default_rng(11)
+    xi = np.linspace(-7.25, 3.0, 9)
+    y = np.arange(6) / 6.0
+    phi = rng.standard_normal((xi.size, y.size)) * 10.0 ** rng.uniform(-20, 3, (xi.size, y.size))
+    phi[0, :3] = (0.0, -0.0, 1.0)
+    front = fr.FrontSolution(speed=0.25, xi=xi, y=y, phi=phi, pulsating_error=1e-7,
+                             mu1_fit=None, mu2_fit=None, stationary=False,
+                             speed_estimate=None, replica_spread=0.0,
+                             diagnostics={"L": 1.0})
+    cfg = parse_config(FRONT_CFG, "front")
+    path = tmp_path / "profile.txt"
+    runner.emit_profile(str(path), front, cfg)
+    head = (f"# pulsefront {__version__} config={cfg.config_hash} scenario=front"
+            " c=0.25 L=1\n# xi y phi\n")
+    body = "".join(f"{xi[i]:.10g} {y[j]:.10g} {phi[i, j]:.10g}\n"
+                   for i in range(xi.size) for j in range(y.size))
+    assert path.read_bytes() == (head + body).encode()
 
 
 class TestCliRuns:

@@ -176,6 +176,14 @@ class TestClassification:
         assert rec.kind == fr.INCONCLUSIVE
         assert rec.c is None
 
+    def test_solver_error_inconclusive(self, homog_inst):
+        # dt*K = 3.4 makes the Stepper raise SolverError inside the front run
+        rec = fr.classify_quenching(homog_inst, fr.FrontRunConfig(dt=1.0), fr.Budget(10.0))
+        assert rec.kind == fr.INCONCLUSIVE
+        assert rec.c is None and rec.front is None
+        assert rec.evidence["reason"] == "solver"
+        assert "dt*K" in rec.evidence["message"]
+
 
 class TestScan:
     @pytest.mark.slow
@@ -196,6 +204,13 @@ class TestScan:
                         fr.Budget(500.0))
         assert pts[0].record.kind == fr.STATIONARY
         assert pts[0].record.evidence["stationary_residual"] < 1e-6
+
+    def test_solver_failure_does_not_abort_scan(self, homog_inst):
+        pts = fr.scan_E(homog_inst.coeff, homog_inst.reaction, [0.5, 1.0],
+                        fr.FrontRunConfig(dt=1.0), fr.Budget(10.0))
+        assert [p.L for p in pts] == [0.5, 1.0]
+        assert all(p.record.kind == fr.INCONCLUSIVE for p in pts)
+        assert all(p.record.evidence["reason"] == "solver" for p in pts)
 
     def test_empty_grid(self, homog_inst):
         assert fr.scan_E(homog_inst.coeff, homog_inst.reaction, [],

@@ -188,3 +188,140 @@ def test_snapshot_roundtrip(tmp_path, inst):
     np.testing.assert_allclose(u, f.values, rtol=1e-10)
     assert meta["L"] == 1.0
     assert meta["t"] == 0.0
+
+
+def reference_step(inst, grid, cfg, u):
+    """One step through the full n-row banded matrix with identity Dirichlet rows."""
+    from scipy.linalg import solve_banded
+    n, h, af = grid.n, grid.h, grid.a_face
+    k = cfg.dt * (1.0 if cfg.scheme == "imex" else 0.5)
+    lo = np.zeros(n)
+    up = np.zeros(n)
+    lo[1:-1] = af[:-1] / h**2
+    up[1:-1] = af[1:] / h**2
+    di = -(lo + up)
+    y = np.mod(grid.nodes / inst.L, 1.0)
+    rhs = u + cfg.dt * inst.reaction.f(y, u)
+    if cfg.scheme == "cn":
+        du = di * u
+        du[1:-1] += lo[1:-1] * u[:-2] + up[1:-1] * u[2:]
+        rhs[1:-1] += cfg.dt * 0.5 * du[1:-1]
+    rhs[0], rhs[-1] = cfg.u_left, cfg.u_right
+    ab = np.zeros((3, n))
+    ab[0, 2:] = -k * up[1:-1]
+    ab[1, :] = 1.0 - k * di
+    ab[2, :-2] = -k * lo[1:-1]
+    return solve_banded((1, 1), ab, rhs)
+
+
+class TestFactoredStep:
+    @pytest.mark.parametrize("scheme", ["imex", "cn"])
+    def test_matches_full_matrix_solve(self, hetero_inst, scheme):
+        g = make(hetero_inst, 4.0)
+        # fronts.default_dt picks 0.0044 on this grid; the gap between two
+        # direct solves scales with cond(I - dt*D), about 1 + 4*dt*a_max/h^2
+        cfg = sv.SolverConfig(dt=0.005, scheme=scheme, u_left=1.0, u_right=0.0)
+        u = sv.front_initial_datum(g, "tanh").values.copy()
+        u[1:-1] += 0.05 * np.sin(7.0 * g.nodes[1:-1])  # leave [0, 1] in places
+        st = sv.Stepper(hetero_inst, g, cfg)
+        for _ in range(5):
+            ref = reference_step(hetero_inst, g, cfg, u)
+            u = st.step_values(u)
+            assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("scheme", ["imex", "cn"])
+    def test_single_interior_node(self, hetero_inst, scheme):
+        L = hetero_inst.L
+        g = sv.Grid1D(x_min=0.0, x_max=L, n=3, h=L / 2, L=L,
+                      a_face=np.asarray(hetero_inst.a_L(np.array([L / 4, 3 * L / 4]))))
+        cfg = sv.SolverConfig(dt=0.02, scheme=scheme, u_left=0.9, u_right=0.2)
+        u = np.array([0.9, 0.55, 0.2])
+        ref = reference_step(hetero_inst, g, cfg, u)
+        out = sv.Stepper(hetero_inst, g, cfg).step_values(u)
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert out[0] == 0.9 and out[-1] == 0.2
+
+
+class TestBoundReaction:
+    Y = np.mod(np.linspace(-3.0, 2.0, 401) / 0.7, 1.0)
+
+    @staticmethod
+    def _tabulated():
+        ys = np.linspace(0.0, 1.0, 16, endpoint=False)
+        return pr.TabulatedPeriodicCurve(ys, 0.4 + 0.1 * np.sin(2 * np.pi * ys))
+
+    @staticmethod
+    def _closed_form(theta, scale, extended, y, u):
+        """scale * u (1-u) (u - theta(y)), continued by its end slopes if extended."""
+        th = np.asarray(theta(y), dtype=float)
+
+        def cubic(v):
+            return scale * (v * (1.0 - v) * (v - th))
+
+        def slope(v):
+            return scale * (-3.0 * v * v + 2.0 * (1.0 + th) * v - th)
+        if not extended:
+            return cubic(u)
+        return np.where(u < 0.0, slope(np.zeros_like(u)) * u,
+                        np.where(u > 1.0, slope(np.ones_like(u)) * (u - 1.0),
+                                 cubic(np.clip(u, 0.0, 1.0))))
+
+    @pytest.mark.parametrize("kind", ["constant", "cosine", "tabulated", "xin"])
+    @pytest.mark.parametrize("extended", [False, True])
+    def test_bitwise_equal_to_closed_form(self, kind, extended):
+        if kind == "xin":
+            # the scaled cubic of make_xin_example(0.2, 1.0, 0.3), before the
+            # instance extends it
+            rx, scale = pr.make_cubic(pr.ConstantCurve(0.5 - 0.2), scale=0.3 * 0.3), 0.3 * 0.3
+        else:
+            theta = {"constant": lambda: 0.3,
+                     "cosine": lambda: pr.CosineCurve(0.45, 0.1),
+                     "tabulated": self._tabulated}[kind]()
+            rx, scale = pr.make_cubic(theta), 1.0
+        if extended:
+            rx = pr.extend_reaction(rx)
+        rng = np.random.default_rng(3)
+        bound = pr.bind_reaction(rx.f, self.Y)
+        # the first draw leaves [0, 1], the second stays inside
+        for u in (rng.uniform(-0.5, 1.5, self.Y.size), rng.uniform(0.0, 1.0, self.Y.size),
+                  np.linspace(-0.5, 1.5, self.Y.size)):
+            ref = self._closed_form(rx.theta, scale, extended, self.Y, u)
+            assert np.array_equal(bound(u), ref)
+            assert np.array_equal(rx.f(self.Y, u), ref)
+
+    def test_direct_call_broadcasts(self):
+        rx = pr.extend_reaction(pr.make_cubic(pr.CosineCurve(0.45, 0.1)))
+        y, u = np.linspace(0.0, 1.0, 5), np.linspace(-0.5, 1.5, 7)
+        out = rx.f(y[:, None], u[None, :])
+        assert out.shape == (5, 7)
+        for i in range(5):
+            assert np.array_equal(out[i], rx.f(y[i], u))
+
+    def test_plain_callable_fallback(self):
+        def f(y, u):
+            return np.sin(3.0 * y) * u * (1.0 - u)
+        u = np.linspace(-0.5, 1.5, self.Y.size)
+        assert np.array_equal(pr.bind_reaction(f, self.Y)(u), f(self.Y, u))
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("step", [1, 4])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_raises_on_the_step_it_appears(self, bad, step):
+        calls = []
+
+        def f(y, u):
+            calls.append(1)
+            out = np.zeros_like(u)
+            if len(calls) == step:
+                out[len(u) // 3] = bad
+            return out
+        rx = pr.ReactionProfile(f=f, df=f, theta=pr.ConstantCurve(0.5), gamma=0.1,
+                                delta=0.1, lip_k=1e-6, extended=True)
+        inst = pr.ProblemInstance(coeff=pr.CoefficientProfile.from_curve(
+            pr.ConstantCurve(1.0)), reaction=rx, L=1.0)
+        g = sv.build_grid(inst, 4.0, 16)
+        st = sv.Stepper(inst, g, sv.SolverConfig(dt=0.01))
+        msg = rf"non-finite value at step {step} \(t={step * 0.01:.6g}\)"
+        with pytest.raises(sv.SolverError, match=msg):
+            st.run(np.zeros(g.n), 0.0, 10)
