@@ -13,16 +13,15 @@ from .solver import (Field, Grid1D, SolverConfig, build_grid, evolve,
                      front_initial_datum, residual_stationary, step)
 from .fronts import (Budget, FrontNotConverged, FrontRunConfig, FrontSolution,
                      SpeedEstimate, classify_quenching, compute_pulsating_front,
-                     extract_profile, fit_decay_rates, measure_speed, scan_E,
+                     extract_profile, measure_speed, scan_E,
                      verify_speed_identity)
 from .homogenize import (HomogenizedFront, align_profiles, homogenization_sweep,
                          homogenized_decay_rates, solve_homogenized_front)
-from .spectral import (DecayEstimate, EigenPair, SteadyState, decay_root_mu,
+from .spectral import (EigenPair, SteadyState, decay_root_mu,
                        dirichlet_principal_eigen, find_periodic_steady_states,
                        periodic_principal_eigen, stability_limit)
 from .stability import (ComovingFrame, StabilityReport, SuperSubSolution,
-                        build_supersub, comoving_evolve,
-                        global_stability_experiment, initialv2_experiment,
+                        build_supersub, global_stability_experiment, initialv2_experiment,
                         poincare_map, poincare_spectrum)
 
 __version__ = "0.1.0"

@@ -19,7 +19,7 @@ import numpy as np
 
 from .profiles import HomogenizedData, ProblemInstance, homogenized_data
 from .solver import (Field, Grid1D, SolverConfig, SolverError, Stepper, build_grid,
-                     front_initial_datum, residual_stationary)
+                     front_initial_datum, residual_stationary, shift_window)
 
 
 class FrontNotConverged(RuntimeError):
@@ -88,7 +88,6 @@ class SnapshotSeries:
     dt_snap: float
     U: np.ndarray          # (k, n)
     grid: Grid1D
-    x_offset: float = 0.0
 
     @property
     def t1(self) -> float:
@@ -207,6 +206,12 @@ def fit_line(x: np.ndarray, y: np.ndarray):
     return c, stderr
 
 
+def _period_uncertainty(L: float, T: float, width: float, dt_snap: float) -> float:
+    """Speed uncertainty of L/T from the period-matching width and the
+    snapshot spacing."""
+    return abs(L) * (0.25 * width + 0.25 * dt_snap) / T**2
+
+
 def measure_speed(times: Sequence[float], positions: Sequence[float],
                   snaps: SnapshotSeries | None = None, L: float | None = None,
                   t_hat: float | None = None, shift: int = 1,
@@ -227,7 +232,7 @@ def measure_speed(times: Sequence[float], positions: Sequence[float],
         t_ref = snaps.t0 + 0.02 * (snaps.t1 - snaps.t0)
         T_star, _, width = min_shift_defect(snaps, t_ref, t_hat, margin_nodes, shift)
         c_period = shift * L / T_star
-        unc_period = abs(L) * (0.25 * width + 0.25 * snaps.dt_snap) / T_star**2
+        unc_period = _period_uncertainty(L, T_star, width, snaps.dt_snap)
     return SpeedEstimate(c_level=c_level, c_period=c_period,
                          unc_level=stderr + 1e-12, unc_period=unc_period,
                          window=(float(times[0]), float(times[-1])),
@@ -368,12 +373,6 @@ def fit_tail_rates(xi: np.ndarray, prof: np.ndarray, floor: float = 1e-10,
     return float(mu1), float(mu2)
 
 
-def fit_decay_rates(front: FrontSolution, floor: float = 1e-10,
-                    ceiling: float = 1e-2, min_efolds: float = 3.0):
-    """Tail rates (mu1 toward 0, mu2 toward 1) of a front's mean profile."""
-    return fit_tail_rates(front.xi, front.phi_mean(), floor, ceiling, min_efolds)
-
-
 # ---------------------------------------------------------------------------
 # scale estimates used to size grids and steps
 # ---------------------------------------------------------------------------
@@ -485,8 +484,7 @@ class _RunState:
         self.u, self.t = self.stepper.run(self.u, self.t, n_steps, on_step,
                                           callback_every=1)
         assert taken[0] == k
-        return SnapshotSeries(t0=t0, dt_snap=r * dt, U=U, grid=self.grid,
-                              x_offset=self.x_offset)
+        return SnapshotSeries(t0=t0, dt_snap=r * dt, U=U, grid=self.grid)
 
     def interface_in_grid(self):
         pos, _ = level_position(self.grid.nodes, self.u, self.run_cfg.level)
@@ -503,12 +501,7 @@ class _RunState:
         p = int(round((pos - center) / self.grid.L))
         if p == 0:
             return
-        shift = p * self.m0
-        u = self.u
-        if shift > 0:
-            u = np.concatenate([u[shift:], np.full(shift, self.cfg.u_right)])
-        else:
-            u = np.concatenate([np.full(-shift, self.cfg.u_left), u[:shift]])
+        u = shift_window(self.u, p, self.m0, self.cfg.u_left, self.cfg.u_right)
         u[0] = self.cfg.u_left
         u[-1] = self.cfg.u_right
         self.u = u
@@ -567,8 +560,7 @@ def compute_pulsating_front(inst: ProblemInstance, cfg: FrontRunConfig = FrontRu
     h = grid.h
     dt = default_dt(inst, homog, h, cfg)
     stride = max(1, int(round(0.05 / dt)))
-    solver_cfg = SolverConfig(dt=dt, scheme="imex", u_left=1.0, u_right=0.0,
-                              stride=stride)
+    solver_cfg = SolverConfig(dt=dt, u_left=1.0, u_right=0.0, stride=stride)
     state = _RunState(inst, grid, solver_cfg, cfg)
     # the defect window stays clear of the Dirichlet boundary layers
     margin_nodes = max(grid.nodes_per_period + 4, int(cfg.defect_margin_frac * grid.n))
@@ -628,9 +620,10 @@ def compute_pulsating_front(inst: ProblemInstance, cfg: FrontRunConfig = FrontRu
             keep = times >= min(transient, times[-1] - 1e-9)
             base = measure_speed(times[keep], xs[keep],
                                  multi_crossing=state.multi_crossing)
-            unc_period = abs(inst.L) * (0.25 * width + 0.25 * snaps.dt_snap) / T1**2
             est = SpeedEstimate(c_level=base.c_level, c_period=c_period,
-                                unc_level=base.unc_level, unc_period=unc_period,
+                                unc_level=base.unc_level,
+                                unc_period=_period_uncertainty(inst.L, T1, width,
+                                                               snaps.dt_snap),
                                 window=base.window, multi_crossing=base.multi_crossing)
             xi, ys, phi, spread = extract_profile(snaps, c_period, inst.L,
                                                   t_ref1, T1, margin_nodes)

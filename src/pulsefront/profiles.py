@@ -130,7 +130,6 @@ class CoefficientProfile:
     da: Callable
     a_min: float
     a_max: float
-    lip_da: float
 
     @classmethod
     def from_curve(cls, curve) -> "CoefficientProfile":
@@ -143,10 +142,8 @@ class CoefficientProfile:
         per = float(np.max(np.abs(np.asarray(curve(y + 1.0)) - vals)))
         if per > 1e-9 * max(1.0, float(np.max(np.abs(vals)))):
             raise ProfileError(f"diffusivity is not 1-periodic (defect {per:.3g})")
-        der = np.asarray(curve.deriv(y), dtype=float)
-        lip = float(np.max(np.abs(np.diff(der)))) * _N_SCAN if der.size > 1 else 0.0
         return cls(a=curve, da=curve.deriv, a_min=float(np.min(vals)),
-                   a_max=float(np.max(vals)), lip_da=lip)
+                   a_max=float(np.max(vals)))
 
     def __call__(self, y):
         return self.a(y)

@@ -2,14 +2,16 @@
 
 The equation u_t = (a_L(x) u_x)_x + f_L(x, u) is discretized in flux form with
 face diffusivities evaluated analytically at cell midpoints, Dirichlet values
-pinned at both ends, implicit (backward Euler or Crank-Nicolson) diffusion and
-explicit reaction.  The interior of I - dt*theta*D is symmetric positive
-definite and constant, so a Stepper factors it once (LAPACK dpttrf) and each
-step is one solve against that factor (dpttrs), with the two Dirichlet
-couplings folded into the right-hand side.  The reaction is bound once to the
-node positions.  The implicit Euler/explicit reaction combination is
-order-preserving whenever dt * lip_k <= 1, which the configuration enforces
-with margin.
+pinned at both ends, backward Euler diffusion and explicit reaction.  The
+flux-form operator (a u')' is built in one place, `flux_stencil` (its three
+diagonals, Dirichlet or cyclic) and `flux_apply` (its flux-difference action);
+the spectral and stability modules use the same pair.  The interior of
+I - dt*D is symmetric positive definite and constant, so a Stepper factors it
+once (`factor_spd`, LAPACK dpttrf) and each step is one solve against that
+factor (`solve_banded`, dpttrs), with the two Dirichlet couplings folded into
+the right-hand side.  The reaction is bound once to the node positions.  The
+implicit Euler/explicit reaction combination is order-preserving whenever
+dt * lip_k <= 1, which the configuration enforces with margin.
 """
 
 from __future__ import annotations
@@ -58,6 +60,52 @@ class Grid1D:
         return int(round(self.L / self.h))
 
 
+def flux_stencil(a_face: np.ndarray, h: float, periodic: bool = False):
+    """Diagonals (lower, diag, upper) of the flux-form operator (a u')'.
+
+    Row i is (a_{i-1/2} u_{i-1} - (a_{i-1/2} + a_{i+1/2}) u_i + a_{i+1/2} u_{i+1})
+    / h^2.  Dirichlet: a_face holds the n-1 faces of n nodes and rows 0 and
+    n-1 (the pinned values) are zero.  Periodic: a_face[i] is the face i+1/2
+    of node i (n faces) and lower[i], upper[i] multiply u_{i-1}, u_{i+1}
+    cyclically.
+    """
+    h2 = h**2
+    if periodic:
+        a_lo = np.roll(a_face, 1)
+        return a_lo / h2, -(a_lo + a_face) / h2, a_face / h2
+    n = len(a_face) + 1
+    lower, diag, upper = np.zeros(n), np.zeros(n), np.zeros(n)
+    lower[1:n-1] = a_face[0:n-2] / h2
+    upper[1:n-1] = a_face[1:n-1] / h2
+    diag[1:n-1] = -(a_face[0:n-2] + a_face[1:n-1]) / h2
+    return lower, diag, upper
+
+
+def flux_apply(a_face: np.ndarray, h: float, u: np.ndarray,
+               periodic: bool = False) -> np.ndarray:
+    """(a u')' in flux-difference form, at the interior nodes (Dirichlet) or at
+    every node (periodic), with the face convention of flux_stencil."""
+    if periodic:
+        return (a_face * (np.roll(u, -1) - u)
+                - np.roll(a_face, 1) * (u - np.roll(u, 1))) / h**2
+    return (a_face[1:] * (u[2:] - u[1:-1]) - a_face[:-1] * (u[1:-1] - u[:-2])) / h**2
+
+
+def shift_window(u: np.ndarray, p: int, m0: int, left: float, right: float) -> np.ndarray:
+    """The window moved p whole periods (m0 nodes each) to the right along the
+    first axis: out[i] = u[i + p*m0], the vacated end filled with left (p < 0)
+    or right (p > 0)."""
+    s = p * m0
+    out = np.empty_like(u)
+    if s >= 0:
+        out[:len(u) - s] = u[s:]
+        out[len(u) - s:] = right
+    else:
+        out[-s:] = u[:s]
+        out[:-s] = left
+    return out
+
+
 def build_grid(inst: ProblemInstance, halfwidth: float,
                nodes_per_period: int = 64, center: float = 0.0) -> Grid1D:
     """Grid of spacing L/nodes_per_period covering at least [c-W, c+W].
@@ -89,14 +137,10 @@ class Field:
             raise ValueError("field shape does not match grid")
         self.values.flags.writeable = False
 
-    def with_values(self, values: np.ndarray, t: float) -> "Field":
-        return Field(self.grid, np.array(values, dtype=float), t)
-
 
 @dataclass(frozen=True)
 class SolverConfig:
     dt: float
-    scheme: str = "imex"          # "imex" (backward Euler diffusion) or "cn"
     u_left: float = 1.0
     u_right: float = 0.0
     stride: int = 20
@@ -104,14 +148,24 @@ class SolverConfig:
     def __post_init__(self):
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
-        if self.scheme not in ("imex", "cn"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.stride < 1:
             raise ValueError("stride must be >= 1")
 
 
+def factor_spd(diag: np.ndarray, off: np.ndarray):
+    """dpttrf factor (d, e) of the symmetric positive definite tridiagonal
+    with main diagonal diag and off-diagonal off."""
+    if off.size == 0:
+        off = np.zeros(1)  # the f2py wrapper rejects a zero-length e
+    d, e, info = dpttrf(diag, off)
+    if info != 0:
+        raise SolverError(f"tridiagonal matrix is not positive definite (info={info})")
+    return d, e
+
+
 def solve_banded(factor, rhs: np.ndarray) -> np.ndarray:
-    """Solve against the stored tridiagonal factor (d, e) from dpttrf.
+    """Solve against the stored tridiagonal factor (d, e) from factor_spd; rhs
+    is one right-hand side or one per column.
 
     rhs may be overwritten; the solution is returned.
     """
@@ -134,41 +188,16 @@ class Stepper:
         self.inst = inst
         self.grid = grid
         self.cfg = cfg
-        n, h = grid.n, grid.h
-        af = grid.a_face
-        # interior flux form: (a_{i+1/2}(u_{i+1}-u_i) - a_{i-1/2}(u_i-u_{i-1})) / h^2
-        lower = np.zeros(n)
-        diag = np.zeros(n)
-        upper = np.zeros(n)
-        lower[1:n-1] = af[0:n-2] / h**2
-        upper[1:n-1] = af[1:n-1] / h**2
-        diag[1:n-1] = -(af[0:n-2] + af[1:n-1]) / h**2
-        self._diff = (lower, diag, upper)
-        theta_imp = 1.0 if cfg.scheme == "imex" else 0.5
-        self._theta_imp = theta_imp
-        # interior rows of I - k*D, k = dt*theta_imp: symmetric (upper[i] ==
-        # lower[i+1]) and diagonally dominant, hence positive definite
-        k = cfg.dt * theta_imp
-        off = -k * upper[1:n-2]
-        if off.size == 0:
-            off = np.zeros(1)  # the f2py wrapper rejects a zero-length e
-        d, e, info = dpttrf(1.0 - k * diag[1:n-1], off)
-        if info != 0:
-            raise SolverError(f"diffusion matrix is not positive definite (info={info})")
-        self._factor = (d, e)
-        self._couple_left = k * lower[1] * cfg.u_left
-        self._couple_right = k * upper[n-2] * cfg.u_right
+        n = grid.n
+        lower, diag, upper = flux_stencil(grid.a_face, grid.h)
+        # interior rows of I - dt*D: symmetric (upper[i] == lower[i+1]) and
+        # diagonally dominant, hence positive definite
+        self._factor = factor_spd(1.0 - cfg.dt * diag[1:n-1], -cfg.dt * upper[1:n-2])
+        self._couple_left = cfg.dt * lower[1] * cfg.u_left
+        self._couple_right = cfg.dt * upper[n-2] * cfg.u_right
         self._reaction = bind_reaction(inst.reaction.f, np.mod(grid.nodes / inst.L, 1.0))
         self.min_seen = math.inf
         self.max_seen = -math.inf
-
-    def _apply_diffusion(self, u: np.ndarray) -> np.ndarray:
-        lower, diag, upper = self._diff
-        out = diag * u
-        out[1:-1] += lower[1:-1] * u[:-2] + upper[1:-1] * u[2:]
-        out[0] = 0.0
-        out[-1] = 0.0
-        return out
 
     def reaction_at(self, u: np.ndarray) -> np.ndarray:
         return self._reaction(u)
@@ -176,8 +205,6 @@ class Stepper:
     def step_values(self, u: np.ndarray) -> np.ndarray:
         cfg = self.cfg
         rhs = u + cfg.dt * self.reaction_at(u)
-        if self._theta_imp != 1.0:
-            rhs += cfg.dt * (1.0 - self._theta_imp) * self._apply_diffusion(u)
         rhs[0] = cfg.u_left
         rhs[-1] = cfg.u_right
         rhs[1] += self._couple_left
@@ -235,11 +262,10 @@ def evolve(field: Field, inst: ProblemInstance, cfg: SolverConfig, t_final: floa
 
 
 def residual_stationary(field: Field, inst: ProblemInstance) -> float:
-    """Sup-norm of (a_L u')' + f_L at interior nodes, same stencil as step()."""
+    """Sup-norm of (a_L u')' + f_L at interior nodes, same stencil as the Stepper."""
     g = field.grid
     u = field.values
-    af = g.a_face
-    diff = (af[1:] * (u[2:] - u[1:-1]) - af[:-1] * (u[1:-1] - u[:-2])) / g.h**2
+    diff = flux_apply(g.a_face, g.h, u)
     y = np.mod(g.nodes[1:-1] / inst.L, 1.0)
     f = np.asarray(inst.reaction.f(y, u[1:-1]), dtype=float)
     return float(np.max(np.abs(diff + f)))
@@ -276,29 +302,3 @@ def front_initial_datum(grid: Grid1D, style: str = "tanh",
     g[-1] = 0.0
     return Field(grid, g, 0.0)
 
-
-def write_snapshot(path, field: Field, extras: dict | None = None) -> None:
-    """Dump `x u` lines with a `# t=<time> L=<period>` header."""
-    head = f"# t={field.t!r} L={field.grid.L!r}"
-    if extras:
-        head += "".join(f" {k}={v}" for k, v in extras.items())
-    with open(path, "w") as fh:
-        fh.write(head + "\n")
-        for x, u in zip(field.grid.nodes, field.values):
-            fh.write(f"{x:.12g} {u:.12g}\n")
-
-
-def read_snapshot(path):
-    """Read a snapshot dump; returns (x, u, header dict)."""
-    with open(path) as fh:
-        header = fh.readline().strip()
-    meta = {}
-    for tok in header.lstrip("#").split():
-        if "=" in tok:
-            k, v = tok.split("=", 1)
-            try:
-                meta[k] = float(v)
-            except ValueError:
-                meta[k] = v
-    data = np.loadtxt(path)
-    return data[:, 0], data[:, 1], meta

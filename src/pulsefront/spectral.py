@@ -3,8 +3,10 @@
 All eigenpairs are computed by shifted inverse power iteration: with the shift
 above the Gershgorin right edge, (shift*I - A) is an M-matrix, its inverse is
 positive, and the iteration converges to the eigenvalue with the positive
-eigenfunction.  Dirichlet problems use a banded Cholesky solve, periodic ones
-a sparse LU of the cyclic-tridiagonal matrix.
+eigenfunction.  Every operator is the flux-form stencil of
+solver.flux_stencil plus a potential; Dirichlet problems factor the shifted
+symmetric tridiagonal once (solver.factor_spd, LAPACK dpttrf) and solve with
+dpttrs, periodic ones use a sparse LU of the cyclic-tridiagonal matrix.
 """
 
 from __future__ import annotations
@@ -15,10 +17,10 @@ from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cholesky_banded, cho_solve_banded
 from scipy.sparse.linalg import splu
 
 from .profiles import ProblemInstance
+from .solver import factor_spd, flux_apply, flux_stencil, solve_banded
 
 MAX_POWER_ITER = 10_000
 RESID_TOL = 1e-10
@@ -49,16 +51,6 @@ class SteadyState:
     cls: str                   # "stable" | "unstable" | "semistable-boundary"
 
 
-@dataclass(frozen=True)
-class DecayEstimate:
-    mu1: float
-    mu2: float
-    C1: float = math.nan
-    C2: float = math.nan
-    A1: float = math.nan
-    A2: float = math.nan
-
-
 SEMISTABLE_BAND = 1e-6
 
 
@@ -79,16 +71,13 @@ def _principal_banded(diag: np.ndarray, off: np.ndarray):
     m = len(diag)
     sigma = float(np.max(diag + np.concatenate([[0.0], np.abs(off)])
                          + np.concatenate([np.abs(off), [0.0]]))) + 1.0
-    ab = np.zeros((2, m))
-    ab[0, 1:] = -off
-    ab[1, :] = sigma - diag
-    cb = cholesky_banded(ab, lower=False)
+    factor = factor_spd(sigma - diag, -off)
     v = np.ones(m)
     lam = 0.0
     opnorm = float(np.max(np.abs(diag))) + 2.0 * float(np.max(np.abs(off), initial=0.0))
     tol = max(RESID_TOL, 16.0 * np.finfo(float).eps * opnorm)
     for it in range(1, MAX_POWER_ITER + 1):
-        w = cho_solve_banded((cb, False), v)
+        w = solve_banded(factor, v)
         w /= np.max(np.abs(w))
         av = diag * w
         av[1:] += off * w[:-1]
@@ -102,10 +91,19 @@ def _principal_banded(diag: np.ndarray, off: np.ndarray):
                               f"(last residual {resid:.3g})")
 
 
+def _cyclic_matrix(main: np.ndarray, lower: np.ndarray, upper: np.ndarray):
+    """Sparse cyclic tridiagonal: lower[i] multiplies u_{i-1} (wrapping),
+    upper[i] multiplies u_{i+1}."""
+    n = len(main)
+    i = np.arange(n)
+    return sp.csc_matrix((np.concatenate([main, lower, upper]),
+                          (np.concatenate([i, i, i]),
+                           np.concatenate([i, (i - 1) % n, (i + 1) % n]))), shape=(n, n))
+
+
 def _principal_cyclic(main: np.ndarray, lower: np.ndarray, upper: np.ndarray):
     """Principal eigenpair of the cyclic tridiagonal with given diagonals.
 
-    lower[i] multiplies u_{i-1} (wrapping), upper[i] multiplies u_{i+1}.
     Off-diagonal entries must be nonnegative so the shifted matrix is an
     M-matrix and the Perron pair is reached.
     """
@@ -113,10 +111,7 @@ def _principal_cyclic(main: np.ndarray, lower: np.ndarray, upper: np.ndarray):
     if np.min(lower) < 0.0 or np.min(upper) < 0.0:
         raise ValueError("cyclic operator has negative off-diagonal entries; "
                          "refine the grid")
-    rows = np.concatenate([np.arange(n)] * 3)
-    cols = np.concatenate([np.arange(n), (np.arange(n) - 1) % n, (np.arange(n) + 1) % n])
-    vals = np.concatenate([main, lower, upper])
-    A = sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
+    A = _cyclic_matrix(main, lower, upper)
     gersh = main + lower + upper
     sigma = float(np.max(gersh)) + 1.0
     M = (sp.identity(n, format="csc") * sigma - A).tocsc()
@@ -161,10 +156,8 @@ def dirichlet_principal_eigen(inst: ProblemInstance, ubar, R: float,
     u = _as_values(ubar, x)
     q = np.asarray(inst.df_L(x, u), dtype=float)
     af = np.asarray(inst.a_L(x[:-1] + 0.5 * h), dtype=float)
-    m = n_nodes - 2
-    diag = -(af[:-1] + af[1:]) / h**2 + q[1:-1]
-    off = af[1:-1] / h**2
-    lam, psi_in, resid, it = _principal_banded(diag, off)
+    _, diag, upper = flux_stencil(af, h)
+    lam, psi_in, resid, it = _principal_banded(diag[1:-1] + q[1:-1], upper[1:-2])
     psi = np.zeros(n_nodes)
     psi[1:-1] = psi_in
     return EigenPair(value=lam, x=x, psi=psi, boundary=("dirichlet", float(R)),
@@ -181,11 +174,8 @@ def periodic_principal_eigen(inst: ProblemInstance, ubar,
     u = _as_values(ubar, x)
     q = np.asarray(inst.df_L(x, u), dtype=float)
     af = np.asarray(inst.a_L(x + 0.5 * h), dtype=float)   # face i+1/2
-    af_m = np.roll(af, 1)                                  # face i-1/2
-    main = -(af + af_m) / h**2 + q
-    upper = af / h**2
-    lower = af_m / h**2
-    lam, psi, resid, it = _principal_cyclic(main, lower, upper)
+    lower, main, upper = flux_stencil(af, h, periodic=True)
+    lam, psi, resid, it = _principal_cyclic(main + q, lower, upper)
     return EigenPair(value=lam, x=x, psi=psi, boundary=("periodic", float(L)),
                      residual=resid, iterations=it,
                      about=f"periodic L={L:g} n={n_nodes}")
@@ -249,11 +239,8 @@ class NewtonConfig:
     trivial_tol: float = 1e-4
 
 
-def _steady_residual(inst, x, h, u):
-    af = np.asarray(inst.a_L(x + 0.5 * h), dtype=float)
-    af_m = np.roll(af, 1)
-    lap = (af * (np.roll(u, -1) - u) - af_m * (u - np.roll(u, 1))) / h**2
-    return lap + np.asarray(inst.f_L(x, u), dtype=float)
+def _steady_residual(inst, x, af, h, u):
+    return flux_apply(af, h, u, periodic=True) + np.asarray(inst.f_L(x, u), dtype=float)
 
 
 def _newton_periodic(inst: ProblemInstance, u0: np.ndarray, cfg: NewtonConfig):
@@ -262,11 +249,9 @@ def _newton_periodic(inst: ProblemInstance, u0: np.ndarray, cfg: NewtonConfig):
     x = L * np.arange(n) / n
     h = L / n
     af = np.asarray(inst.a_L(x + 0.5 * h), dtype=float)
-    af_m = np.roll(af, 1)
-    rows = np.concatenate([np.arange(n)] * 3)
-    cols = np.concatenate([np.arange(n), (np.arange(n) - 1) % n, (np.arange(n) + 1) % n])
+    lower, main, upper = flux_stencil(af, h, periodic=True)
     u = np.array(u0, dtype=float)
-    F = _steady_residual(inst, x, h, u)
+    F = _steady_residual(inst, x, af, h, u)
     norm = float(np.max(np.abs(F)))
     # the flux stencil cannot resolve residuals below its rounding floor
     tol = max(cfg.tol, 8.0 * np.finfo(float).eps * float(np.max(af)) / h**2)
@@ -274,9 +259,7 @@ def _newton_periodic(inst: ProblemInstance, u0: np.ndarray, cfg: NewtonConfig):
         if norm < tol:
             return x, u, norm
         dq = np.asarray(inst.df_L(x, u), dtype=float)
-        main = -(af + af_m) / h**2 + dq
-        vals = np.concatenate([main, af_m / h**2, af / h**2])
-        J = sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
+        J = _cyclic_matrix(main + dq, lower, upper)
         try:
             delta = splu(J).solve(-F)
         except RuntimeError:
@@ -284,7 +267,7 @@ def _newton_periodic(inst: ProblemInstance, u0: np.ndarray, cfg: NewtonConfig):
         s = 1.0
         for _ in range(cfg.max_halvings):
             u_try = u + s * delta
-            F_try = _steady_residual(inst, x, h, u_try)
+            F_try = _steady_residual(inst, x, af, h, u_try)
             norm_try = float(np.max(np.abs(F_try)))
             if norm_try < norm:
                 u, F, norm = u_try, F_try, norm_try
@@ -389,7 +372,6 @@ def decay_eigenvalue(inst: ProblemInstance, c: float, mu: float,
     a = np.asarray(coeff.a(y), dtype=float)
     da = np.asarray(coeff.da(y), dtype=float)
     af = np.asarray(coeff.a(y + 0.5 * h), dtype=float)
-    af_m = np.roll(af, 1)
     if potential == "margin":
         p = np.full(n_nodes, -reaction.gamma)
     elif potential == "linearized":
@@ -407,10 +389,9 @@ def decay_eigenvalue(inst: ProblemInstance, c: float, mu: float,
         raise ValueError(f"unknown direction {direction!r}")
     # centered first derivative keeps order 2; grid chosen so the matrix stays
     # an M-matrix
-    upper = af / (L * h)**2 + adv / (2.0 * h)
-    lower = af_m / (L * h)**2 - adv / (2.0 * h)
-    main = -(af + af_m) / (L * h)**2 + zer
-    lam, _, _, _ = _principal_cyclic(main, lower, upper)
+    lower, main, upper = flux_stencil(af, L * h, periodic=True)
+    lam, _, _, _ = _principal_cyclic(main + zer, lower - adv / (2.0 * h),
+                                     upper + adv / (2.0 * h))
     return lam
 
 

@@ -3,28 +3,28 @@
 In the frame xi = x - c t the front becomes a time-periodic solution of
 v_t = (a_L(xi + c t) v_xi)_xi + c v_xi + f_L(xi + c t, v) with period
 T = L/c, and its translates V^tau(t, xi) = phi(xi + tau, (xi + c t)/L) are
-fixed points of the period map.  This module drives the frame equation, fits
-phase shifts and exponential convergence rates of front-like initial data,
-assembles the explicit super/subsolution pairs used to trap such data, and
-computes the spectrum of the linearized period map.
+fixed points of the period map.  The period map is realized without a
+transport term: the lab-frame Stepper runs one period T and the window then
+moves by exactly one period L (solver.shift_window), an exact translation
+of the L-periodic medium.  This module fits phase shifts and exponential
+convergence rates of front-like initial data, assembles the explicit
+super/subsolution pairs used to trap such data, and computes the spectrum of
+the linearized period map, whose implicit steps reuse the flux stencil and
+the factor-once tridiagonal solve of the solver.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .fronts import Budget, FrontSolution, _golden_min, fit_line, level_position
 from .profiles import ProblemInstance
-from .solver import Field, Grid1D, SolverConfig, Stepper, build_grid
-
-
-class FrameConfigError(ValueError):
-    pass
+from .solver import (Field, Grid1D, SolverConfig, Stepper, build_grid, factor_spd,
+                     flux_stencil, shift_window, solve_banded)
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ class ComovingFrame:
 
     def __post_init__(self):
         if self.front.speed == 0.0 or self.front.stationary:
-            raise FrameConfigError("co-moving frame needs a nonzero speed")
+            raise ValueError("co-moving frame needs a nonzero speed")
 
     @property
     def c(self) -> float:
@@ -54,79 +54,22 @@ class ComovingFrame:
         return self.front.interp(xi + tau, (xi + c * t) / self.inst.L)
 
 
-def comoving_evolve(frame: ComovingFrame, cfg: SolverConfig, g: np.ndarray,
-                    t_final: float, t0: float = 0.0,
-                    on_step: Callable | None = None) -> np.ndarray:
-    """IMEX stepping of the frame equation from state g at time t0.
-
-    Diffusion is implicit with coefficients frozen at mid-step, the transport
-    term c v_xi is explicit first-order upwind (CFL enforced), the reaction
-    explicit.  Returns the state at t_final.
-    """
-    inst = frame.inst
-    grid = frame.grid
-    c = frame.c
-    h = grid.h
-    dt = cfg.dt
-    if abs(c) * dt / h > 0.9:
-        raise FrameConfigError(
-            f"transport CFL |c| dt/h = {abs(c) * dt / h:.3g} > 0.9; reduce dt")
-    if dt * inst.reaction.lip_k >= 0.5:
-        raise FrameConfigError("dt too large for the explicit reaction")
-    n = grid.n
-    xi = grid.nodes
-    faces = xi[:-1] + 0.5 * h
-    u = np.array(g, dtype=float)
-    if u.shape != (n,):
-        raise ValueError("initial state must live on the frame grid")
-    n_steps = int(round((t_final - t0) / dt))
-    ab = np.zeros((3, n))
-    for k in range(1, n_steps + 1):
-        t_mid = t0 + (k - 0.5) * dt
-        af = np.asarray(inst.a_L(faces + c * t_mid), dtype=float)
-        lower = np.zeros(n)
-        upper = np.zeros(n)
-        diag = np.zeros(n)
-        lower[1:n-1] = af[0:n-2] / h**2
-        upper[1:n-1] = af[1:n-1] / h**2
-        diag[1:n-1] = -(af[0:n-2] + af[1:n-1]) / h**2
-        ab[0, 1:] = -dt * upper[:-1]
-        ab[1, :] = 1.0 - dt * diag
-        ab[2, :-1] = -dt * lower[1:]
-        ab[1, 0] = 1.0
-        ab[0, 1] = 0.0
-        ab[1, -1] = 1.0
-        ab[2, -2] = 0.0
-        adv = np.zeros(n)
-        if c > 0:
-            adv[1:-1] = c * (u[2:] - u[1:-1]) / h
-        else:
-            adv[1:-1] = c * (u[1:-1] - u[:-2]) / h
-        rhs = u + dt * (adv + np.asarray(
-            inst.f_L(xi + c * t_mid, u), dtype=float))
-        rhs[0] = cfg.u_left
-        rhs[-1] = cfg.u_right
-        u = solve_banded((1, 1), ab, rhs, check_finite=False, overwrite_b=True)
-        if not np.all(np.isfinite(u)):
-            raise RuntimeError(f"frame evolution blew up at step {k}")
-        if on_step is not None:
-            on_step(k, t0 + k * dt, u)
-    return u
-
-
 def poincare_map(frame: ComovingFrame, cfg: SolverConfig, g: np.ndarray,
-                 t0: float = 0.0) -> np.ndarray:
-    """One frame-period evolution P(g) = v(T, .; g)."""
-    return comoving_evolve(frame, cfg, g, t0 + frame.T, t0)
+                 on_step: Callable | None = None) -> np.ndarray:
+    """One frame period P(g): n lab-frame steps with n*dt = T exactly (cfg.dt
+    shortened to T/n), then the window moved one period along the front.
 
-
-def default_frame_config(frame: ComovingFrame, dt_target: float | None = None) -> SolverConfig:
-    """Step size dividing the period exactly and honoring CFL and reaction caps."""
-    h = frame.grid.h
-    caps = [0.9 * h / abs(frame.c), 0.4 / max(frame.inst.reaction.lip_k, 1e-12), 0.05]
-    dt = min(caps) if dt_target is None else min(dt_target, *caps)
-    n = max(1, int(math.ceil(frame.T / dt)))
-    return SolverConfig(dt=frame.T / n, scheme="imex", u_left=1.0, u_right=0.0, stride=10)
+    on_step(k, t, u) fires after every step k = 1..n, before the shift.
+    """
+    T = frame.T
+    n = max(1, int(math.ceil(T / cfg.dt - 1e-9)))
+    cfg = replace(cfg, dt=T / n)
+    u, _ = Stepper(frame.inst, frame.grid, cfg).run(
+        np.array(g, dtype=float), 0.0, n, on_step, callback_every=1)
+    u = shift_window(u, 1 if frame.c > 0 else -1, frame.grid.nodes_per_period,
+                      cfg.u_left, cfg.u_right)
+    u[0], u[-1] = cfg.u_left, cfg.u_right
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +110,12 @@ def check_front_like(g: np.ndarray, delta: float, n_edge_frac: float = 0.05) -> 
     return bool(np.min(g[left]) > 1.0 - delta and np.max(g[right]) < delta)
 
 
+def _experiment_dt(inst, grid, c: float) -> float:
+    """Step of the stability experiments: reaction budget, a quarter node per
+    step of front motion, and the 0.05 cap."""
+    return min(0.4 / inst.reaction.lip_k, 0.25 * grid.h / abs(c), 0.05)
+
+
 def _reference_error(front: FrontSolution, inst, x_abs, t, tau, u):
     c = front.speed
     ref = front.interp(x_abs - c * (t + tau), x_abs / inst.L)
@@ -192,10 +141,8 @@ def global_stability_experiment(inst: ProblemInstance, front: FrontSolution,
     if validate and not check_front_like(u0, delta):
         raise ValueError("initial datum violates the front-like condition "
                          "(above 1-delta left, below delta right) on this domain")
-    dt = cfg.dt
-    if dt is None:
-        dt = min(0.4 / inst.reaction.lip_k, 0.25 * grid.h / abs(c), 0.05)
-    sol_cfg = SolverConfig(dt=dt, scheme="imex", u_left=1.0, u_right=0.0, stride=100)
+    dt = _experiment_dt(inst, grid, c) if cfg.dt is None else cfg.dt
+    sol_cfg = SolverConfig(dt=dt, u_left=1.0, u_right=0.0, stride=100)
     stepper = Stepper(inst, grid, sol_cfg)
     m0 = grid.nodes_per_period
     tau_span = cfg.tau_span_periods * inst.L / abs(c)
@@ -225,11 +172,7 @@ def global_stability_experiment(inst: ProblemInstance, front: FrontSolution,
         pos, _ = level_position(grid.nodes, u, 0.5)
         if pos is not None and abs(pos - center) > max(inst.L, 0.3 * usable):
             p = int(round((pos - center) / inst.L))
-            shift = p * m0
-            if shift > 0:
-                u = np.concatenate([u[shift:], np.full(shift, sol_cfg.u_right)])
-            else:
-                u = np.concatenate([np.full(-shift, sol_cfg.u_left), u[:shift]])
+            u = shift_window(u, p, m0, sol_cfg.u_left, sol_cfg.u_right)
             u[0], u[-1] = sol_cfg.u_left, sol_cfg.u_right
             x_offset += p * inst.L
 
@@ -326,8 +269,8 @@ def initialv2_experiment(inst: ProblemInstance, front: FrontSolution,
         if not (ok_left and ok_right):
             raise ValueError("datum does not satisfy the trapped-data condition "
                              "against the intermediate states")
-    dt = min(0.4 / inst.reaction.lip_k, 0.25 * grid.h / abs(front.speed), 0.05)
-    sol_cfg = SolverConfig(dt=dt, scheme="imex", u_left=1.0, u_right=0.0, stride=100)
+    dt = _experiment_dt(inst, grid, front.speed)
+    sol_cfg = SolverConfig(dt=dt, u_left=1.0, u_right=0.0, stride=100)
     stepper = Stepper(inst, grid, sol_cfg)
     u = np.array(u0)
     t = 0.0
@@ -474,38 +417,20 @@ def linearized_period_map(inst: ProblemInstance, orbit_potentials: np.ndarray,
     exact grid shift by shift_periods * L (the frame period map).
 
     orbit_potentials[k] holds df_L(x, u_k) along the nonlinear orbit, one row
-    per time step.
+    per time step.  Each step is one backward Euler solve of all columns
+    against the interior factor of I - dt*D; the pinned boundary rows are 0.
     """
     n = grid.n
-    h = grid.h
-    af = grid.a_face
-    lower = np.zeros(n)
-    upper = np.zeros(n)
-    diag = np.zeros(n)
-    lower[1:n-1] = af[0:n-2] / h**2
-    upper[1:n-1] = af[1:n-1] / h**2
-    diag[1:n-1] = -(af[0:n-2] + af[1:n-1]) / h**2
-    ab = np.zeros((3, n))
-    ab[0, 1:] = -dt * upper[:-1]
-    ab[1, :] = 1.0 - dt * diag
-    ab[2, :-1] = -dt * lower[1:]
-    ab[1, 0] = 1.0
-    ab[0, 1] = 0.0
-    ab[1, -1] = 1.0
-    ab[2, -2] = 0.0
-    W = np.eye(n)
+    _, diag, upper = flux_stencil(grid.a_face, grid.h)
+    factor = factor_spd(1.0 - dt * diag[1:n-1], -dt * upper[1:n-2])
+    # interior rows only, in Fortran order so dpttrs solves all n columns in place
+    W = np.asfortranarray(np.eye(n)[1:-1])
     for pot in orbit_potentials:
-        W = W * (1.0 + dt * pot)[:, None]
-        W[0, :] = 0.0
-        W[-1, :] = 0.0
-        W = solve_banded((1, 1), ab, W, check_finite=False, overwrite_b=True)
-    m = shift_periods * grid.nodes_per_period
-    P = np.zeros_like(W)
-    if m >= 0:
-        P[:n - m, :] = W[m:, :]
-    else:
-        P[-m:, :] = W[:n + m, :]
-    return P
+        W *= (1.0 + dt * pot[1:-1])[:, None]
+        W = solve_banded(factor, W)
+    P = np.zeros((n, n))
+    P[1:-1] = W
+    return shift_window(P, shift_periods, grid.nodes_per_period, 0.0, 0.0)
 
 
 def poincare_spectrum(inst: ProblemInstance, front: FrontSolution,
@@ -514,11 +439,12 @@ def poincare_spectrum(inst: ProblemInstance, front: FrontSolution,
                       ess_margin: float = 0.05) -> SpectrumSummary:
     """Spectrum of the linearized time-T frame map on a coarse grid.
 
-    The map is built in the lab frame composed with the exact one-period grid
-    shift (the same operator, without transport-term discretization error).
-    Checks: an eigenvalue near 1 aligned with the profile's xi-derivative,
-    everything else inside the unit disk, and all but finitely many modes
-    below the essential radius e^{-gamma T/2} plus a margin.
+    The orbit is the production period map (poincare_map: lab-frame steps and
+    the exact one-period grid shift, with no transport-term discretization
+    error), started on the profile.  Checks: an eigenvalue near 1 aligned with
+    the profile's xi-derivative, everything else inside the unit disk, and all
+    but finitely many modes below the essential radius e^{-gamma T/2} plus a
+    margin.
     """
     if front.stationary or front.speed == 0.0:
         raise ValueError("spectrum needs a non-stationary front")
@@ -527,62 +453,54 @@ def poincare_spectrum(inst: ProblemInstance, front: FrontSolution,
     c = front.speed
     L = inst.L
     T = L / abs(c)
-    # adopt the front's own resolution; trim the extent to the node budget
+    # adopt the front's own resolution; coarsen to the node budget, and only
+    # then trim the extent, so the front's tails stay on the grid
     h_front = float(front.xi[1] - front.xi[0])
     npp = max(4, int(round(L / h_front)))
     halfwidth = 0.5 * float(front.xi[-1] - front.xi[0])
     grid = build_grid(inst, halfwidth, npp)
-    while grid.n > n_nodes and halfwidth > 2.0 * L:
-        halfwidth -= L
-        grid = build_grid(inst, halfwidth, npp)
     while grid.n > n_nodes and npp > 4:
         npp -= 1
         grid = build_grid(inst, halfwidth, npp)
-    h = grid.h
+    while grid.n > n_nodes and halfwidth > 2.0 * L:
+        halfwidth -= L
+        grid = build_grid(inst, halfwidth, npp)
     dt_caps = [0.4 / inst.reaction.lip_k, 0.02 * T]
     dt = min(dt_caps) if dt_target is None else min(dt_target, *dt_caps)
     n_steps = max(1, int(math.ceil(T / dt)))
     dt = T / n_steps
-    sol_cfg = SolverConfig(dt=dt, scheme="imex", u_left=1.0, u_right=0.0, stride=1)
-    stepper = Stepper(inst, grid, sol_cfg)
     # start on the attractor: the profile itself at t = 0
     u0 = front.interp(grid.nodes, grid.nodes / L)
     u0[0], u0[-1] = 1.0, 0.0
     pots = np.empty((n_steps, grid.n))
-    y_nodes = grid.nodes / L
-    u = u0
+    pots[0] = inst.df_L(grid.nodes, u0)
 
-    for k in range(n_steps):
-        pots[k] = np.asarray(inst.df_L(grid.nodes, u), dtype=float)
-        u = stepper.step_values(u)
-    orbit_defect = float(np.max(np.abs(
-        np.roll(u, -(1 if c > 0 else -1) * grid.nodes_per_period)[
-            grid.nodes_per_period: -grid.nodes_per_period]
-        - u0[grid.nodes_per_period: -grid.nodes_per_period])))
+    def record(k, t, u):
+        if k < n_steps:
+            pots[k] = inst.df_L(grid.nodes, u)
 
-    sgn = 1 if c > 0 else -1
-    P = linearized_period_map(inst, pots, grid, dt, sgn)
+    poincare_map(ComovingFrame(inst, front, grid), SolverConfig(dt=dt, stride=1), u0, record)
+    P = linearized_period_map(inst, pots, grid, dt, 1 if c > 0 else -1)
     vals, vecs = np.linalg.eig(P)
     order = np.argsort(-np.abs(vals))
     vals = vals[order]
     vecs = vecs[:, order]
     lead = vals[0]
     v_lead = np.real(vecs[:, 0])
-    w0 = np.gradient(u0, h)
+    w0 = np.gradient(u0, grid.h)
     cos = float(abs(np.dot(v_lead, w0)) /
                 (np.linalg.norm(v_lead) * np.linalg.norm(w0)))
     gamma = inst.reaction.gamma
     ess = math.exp(-gamma * T / 2.0)
     above = np.abs(vals) > ess + ess_margin
     flagged = tuple(complex(v) for v in vals[above])
-    summary = SpectrumSummary(
+    return SpectrumSummary(
         eigenvalues=vals[:max(n_modes, int(np.count_nonzero(above)) + 2)],
         leading=complex(lead), leading_gap=float(abs(lead - 1.0)),
         cosine_similarity=cos, second_modulus=float(np.abs(vals[1])),
         ess_radius=ess, margin=ess_margin,
         n_above_ess=int(np.count_nonzero(above)), flagged=flagged,
         T=T, n_nodes=grid.n)
-    return summary
 
 
 def linear_decay_spectrum(inst: ProblemInstance, gamma: float, T: float,

@@ -157,18 +157,6 @@ class TestConfigGuards:
         with pytest.raises(sv.SolverError):
             sv.Stepper(inst, g, cfg)
 
-    def test_bad_scheme(self):
-        with pytest.raises(ValueError):
-            sv.SolverConfig(dt=0.1, scheme="rk4")
-
-
-def test_cn_scheme_runs(inst):
-    g = make(inst)
-    cfg = sv.SolverConfig(dt=0.02, scheme="cn", u_left=1.0, u_right=0.0)
-    f0 = sv.front_initial_datum(g, "tanh")
-    out = sv.evolve(f0, inst, cfg, 1.0)
-    assert np.all(np.isfinite(out.values))
-
 
 def test_excursion_measure(inst):
     g = make(inst)
@@ -178,23 +166,11 @@ def test_excursion_measure(inst):
     assert sv.excursion(outside) == pytest.approx(0.2)
 
 
-def test_snapshot_roundtrip(tmp_path, inst):
-    g = make(inst)
-    f = sv.front_initial_datum(g, "tanh")
-    path = tmp_path / "snap.txt"
-    sv.write_snapshot(path, f)
-    x, u, meta = sv.read_snapshot(path)
-    np.testing.assert_allclose(x, g.nodes, rtol=1e-10)
-    np.testing.assert_allclose(u, f.values, rtol=1e-10)
-    assert meta["L"] == 1.0
-    assert meta["t"] == 0.0
-
-
 def reference_step(inst, grid, cfg, u):
     """One step through the full n-row banded matrix with identity Dirichlet rows."""
     from scipy.linalg import solve_banded
     n, h, af = grid.n, grid.h, grid.a_face
-    k = cfg.dt * (1.0 if cfg.scheme == "imex" else 0.5)
+    k = cfg.dt
     lo = np.zeros(n)
     up = np.zeros(n)
     lo[1:-1] = af[:-1] / h**2
@@ -202,10 +178,6 @@ def reference_step(inst, grid, cfg, u):
     di = -(lo + up)
     y = np.mod(grid.nodes / inst.L, 1.0)
     rhs = u + cfg.dt * inst.reaction.f(y, u)
-    if cfg.scheme == "cn":
-        du = di * u
-        du[1:-1] += lo[1:-1] * u[:-2] + up[1:-1] * u[2:]
-        rhs[1:-1] += cfg.dt * 0.5 * du[1:-1]
     rhs[0], rhs[-1] = cfg.u_left, cfg.u_right
     ab = np.zeros((3, n))
     ab[0, 2:] = -k * up[1:-1]
@@ -215,12 +187,11 @@ def reference_step(inst, grid, cfg, u):
 
 
 class TestFactoredStep:
-    @pytest.mark.parametrize("scheme", ["imex", "cn"])
-    def test_matches_full_matrix_solve(self, hetero_inst, scheme):
+    def test_matches_full_matrix_solve(self, hetero_inst):
         g = make(hetero_inst, 4.0)
         # fronts.default_dt picks 0.0044 on this grid; the gap between two
         # direct solves scales with cond(I - dt*D), about 1 + 4*dt*a_max/h^2
-        cfg = sv.SolverConfig(dt=0.005, scheme=scheme, u_left=1.0, u_right=0.0)
+        cfg = sv.SolverConfig(dt=0.005, u_left=1.0, u_right=0.0)
         u = sv.front_initial_datum(g, "tanh").values.copy()
         u[1:-1] += 0.05 * np.sin(7.0 * g.nodes[1:-1])  # leave [0, 1] in places
         st = sv.Stepper(hetero_inst, g, cfg)
@@ -229,17 +200,71 @@ class TestFactoredStep:
             u = st.step_values(u)
             assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    @pytest.mark.parametrize("scheme", ["imex", "cn"])
-    def test_single_interior_node(self, hetero_inst, scheme):
+    def test_single_interior_node(self, hetero_inst):
         L = hetero_inst.L
         g = sv.Grid1D(x_min=0.0, x_max=L, n=3, h=L / 2, L=L,
                       a_face=np.asarray(hetero_inst.a_L(np.array([L / 4, 3 * L / 4]))))
-        cfg = sv.SolverConfig(dt=0.02, scheme=scheme, u_left=0.9, u_right=0.2)
+        cfg = sv.SolverConfig(dt=0.02, u_left=0.9, u_right=0.2)
         u = np.array([0.9, 0.55, 0.2])
         ref = reference_step(hetero_inst, g, cfg, u)
         out = sv.Stepper(hetero_inst, g, cfg).step_values(u)
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
         assert out[0] == 0.9 and out[-1] == 0.2
+
+
+class TestFluxOperator:
+    @staticmethod
+    def _cosine_case(n):
+        # a(x) = 2 + cos x on [0, 2 pi), u = sin x: (a u')' = -2 sin x - sin 2x
+        h = 2.0 * np.pi / n
+        x = h * np.arange(n)
+        a_face = 2.0 + np.cos(x + 0.5 * h)
+        return h, a_face, np.sin(x), -2.0 * np.sin(x) - np.sin(2.0 * x)
+
+    def test_apply_is_second_order(self):
+        errs = []
+        for n in (64, 128, 256):
+            h, af, u, exact = self._cosine_case(n)
+            per = sv.flux_apply(af, h, u, periodic=True)
+            dirichlet = sv.flux_apply(af[:-1], h, u)
+            assert np.array_equal(dirichlet, per[1:-1])
+            errs.append(float(np.max(np.abs(per - exact))))
+            assert errs[-1] < 0.5 * h**2
+        assert 3.8 < errs[0] / errs[1] < 4.2 and 3.8 < errs[1] / errs[2] < 4.2
+
+    def test_stencil_rows_match_apply(self):
+        h, af, u, _ = self._cosine_case(40)
+        lo, di, up = sv.flux_stencil(af, h, periodic=True)
+        rows = lo * np.roll(u, 1) + di * u + up * np.roll(u, -1)
+        np.testing.assert_allclose(rows, sv.flux_apply(af, h, u, periodic=True),
+                                   atol=1e-12 * np.max(np.abs(di)))
+
+    def test_dirichlet_rows_equal_periodic_rows_away_from_wrap(self):
+        h, af, _, _ = self._cosine_case(40)
+        dl, dd, du = sv.flux_stencil(af[:-1], h)
+        pl, pd, pu = sv.flux_stencil(af, h, periodic=True)
+        for d, p in ((dl, pl), (dd, pd), (du, pu)):
+            assert np.array_equal(d[1:-1], p[1:-1])
+            assert d[0] == 0.0 and d[-1] == 0.0
+
+    def test_factored_solve_matches_dense(self):
+        rng = np.random.default_rng(5)
+        h, af, _, _ = self._cosine_case(50)
+        _, diag, upper = sv.flux_stencil(af[:-1], h)
+        dt = 0.01
+        main, off = 1.0 - dt * diag[1:-1], -dt * upper[1:-2]
+        dense = np.diag(main) + np.diag(off, 1) + np.diag(off, -1)
+        factor = sv.factor_spd(main, off)
+        b = rng.standard_normal((main.size, 3))
+        expect = np.linalg.solve(dense, b)
+        np.testing.assert_allclose(sv.solve_banded(factor, b[:, 0].copy()), expect[:, 0],
+                                   rtol=0, atol=1e-12 * np.max(np.abs(expect)))
+        np.testing.assert_allclose(sv.solve_banded(factor, np.asfortranarray(b)), expect,
+                                   rtol=0, atol=1e-12 * np.max(np.abs(expect)))
+
+    def test_indefinite_matrix_rejected(self):
+        with pytest.raises(sv.SolverError):
+            sv.factor_spd(np.array([1.0, -1.0, 1.0]), np.array([0.5, 0.5]))
 
 
 class TestBoundReaction:
