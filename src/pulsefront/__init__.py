@@ -10,7 +10,7 @@ from .profiles import (CoefficientProfile, ConstantCurve, CosineCurve,
                        harmonic_mean, homogenized_data, make_cubic,
                        make_xin_example, validate_hypotheses)
 from .solver import (Field, Grid1D, SolverConfig, build_grid, evolve,
-                     front_initial_datum, residual_stationary, step)
+                     front_initial_datum, residual_stationary)
 from .fronts import (Budget, FrontNotConverged, FrontRunConfig, FrontSolution,
                      SpeedEstimate, classify_quenching, compute_pulsating_front,
                      extract_profile, measure_speed, scan_E,

@@ -2,15 +2,16 @@
 the small-period convergence sweep.
 
 The limit problem is a_H phi'' + c phi' + fbar(phi) = 0 with phi(-inf) = 1,
-phi(+inf) = 0.  The solver leaves the state 1 along its unstable direction and
-bisects on c between overshoot (phi dips below 0) and turnback (phi' changes
-sign before reaching 0).  If fbar has several interior zeros the trajectory
-can instead converge to one of them, in which case there is no 0-1 connection
-and the solve reports it rather than forcing an answer.
+phi(+inf) = 0.  Brent's method finds c where the orbits leaving the saddles 1
+and 0 meet the section phi = 1/2 with equal slopes (Beyn, IMA J. Numer. Anal.
+10 (1990)).  If fbar has several interior zeros the orbit from 1 can instead
+settle on one of them, in which case there is no 0-1 connection and the solve
+reports it rather than forcing an answer.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -18,10 +19,12 @@ from typing import Sequence
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
+from scipy.optimize import brentq
 
 from .profiles import HomogenizedData, ProblemInstance
-from .fronts import (Budget, FrontRunConfig, FrontSolution, _golden_min,
-                     compute_pulsating_front, fit_line)
+from .fronts import (Budget, FrontNotConverged, FrontRunConfig, FrontSolution,
+                     _golden_min, compute_pulsating_front, fit_line)
+from .solver import SolverError
 
 
 class NoConnection(RuntimeError):
@@ -79,7 +82,7 @@ def homogenized_decay_rates(front: HomogenizedFront, homog: HomogenizedData):
 
 
 def _tail_fit(front: HomogenizedFront, floor: float = 1e-6, ceiling: float = 1e-3):
-    # below ~1e-7 the trajectory feels the finite bisection bracket, so the
+    # below ~1e-7 the trajectory feels the error of c0 (up to tol_c), so the
     # fit windows stay above that
     xi = front.xi
     phi = front.phi
@@ -100,34 +103,34 @@ def _is_odd_symmetric(homog: HomogenizedData, tol: float = 1e-11) -> bool:
     return bool(dev <= tol + 1e-9 * scale)
 
 
-def _shoot_once(homog: HomogenizedData, c: float, eps: float, xi_max: float):
-    """Integrate from (1 - eps, -eps*l2) and classify the trajectory."""
+def _saddle_orbit(homog: HomogenizedData, c: float, eps: float, xi_max: float,
+                  level: float, from_one: bool = True):
+    """Orbit leaving 1 forward (or 0 backward) in xi along its unstable (stable)
+    direction, stopped where phi crosses `level` or phi' vanishes (turnback)."""
     a = homog.a_h
-    l2 = (-c + math.sqrt(c * c - 4.0 * a * homog.slope1)) / (2.0 * a)
+    fbar = homog.fbar.scalar
+    l1, l2 = characteristic_rates(a, c, homog.slope0, homog.slope1)
+    start, end = ([1.0 - eps, -eps * l2], xi_max) if from_one else ([eps, -eps * l1], -xi_max)
 
     def rhs(xi, s):
-        return [s[1], -(c * s[1] + float(homog.fbar(s[0]))) / a]
+        return [s[1], -(c * s[1] + fbar(s[0])) / a]
 
-    def ev_overshoot(xi, s):
-        return s[0] + 1e-6
-    ev_overshoot.terminal = True
-    ev_overshoot.direction = -1.0
+    def crossing(xi, s):
+        return s[0] - level
+    crossing.terminal = True
 
-    def ev_turnback(xi, s):
+    def turnback(xi, s):
         return s[1]
-    ev_turnback.terminal = True
-    ev_turnback.direction = 1.0
+    turnback.terminal = True
 
-    sol = solve_ivp(rhs, (0.0, xi_max), [1.0 - eps, -eps * l2],
-                    events=(ev_overshoot, ev_turnback), rtol=1e-10, atol=1e-12,
-                    dense_output=True, max_step=xi_max)
-    overshoot = len(sol.t_events[0]) > 0
-    return overshoot, sol
+    return solve_ivp(rhs, (0.0, end), start, events=(crossing, turnback),
+                     rtol=1e-10, atol=1e-12, dense_output=True, max_step=xi_max)
 
 
 def solve_homogenized_front(homog: HomogenizedData, tol_c: float = 1e-10,
                             eps: float = 1e-6) -> HomogenizedFront:
-    """Front (phi0, c0) of the averaged equation by bisection on the speed.
+    """Front (phi0, c0) of the averaged equation by Brent's method on the
+    section mismatch of the two saddle orbits.
 
     Preconditions: fbar'(0) < 0, fbar'(1) < 0 and at least one interior zero.
     The profile is normalized by phi0(0) = 1/2; repeated solves with the same
@@ -145,30 +148,27 @@ def solve_homogenized_front(homog: HomogenizedData, tol_c: float = 1e-10,
     if _is_odd_symmetric(homog) and abs(homog.i_fbar) < 1e-12:
         return _symmetric_front(homog, eps)
 
+    @functools.cache                  # brentq evaluates the bracket ends again
+    def mismatch(c):
+        # slope phi' where the orbit from 1, minus the one from 0, first meets
+        # phi = 1/2; an orbit that turns back or settles before counts as 0
+        sols = [_saddle_orbit(homog, c, eps, xi_max, 0.5, one) for one in (True, False)]
+        p1, p0 = (float(s.y_events[0][0][1]) if len(s.t_events[0]) else 0.0 for s in sols)
+        return p1 - p0
+
     lo, hi = -c_max, c_max
-    ok = False
     for _ in range(4):
-        over_lo, _ = _shoot_once(homog, lo, eps, xi_max)
-        over_hi, _ = _shoot_once(homog, hi, eps, xi_max)
-        if over_lo and not over_hi:
-            ok = True
+        if mismatch(lo) * mismatch(hi) < 0.0:
             break
         lo *= 2.0
         hi *= 2.0
-    if not ok:
+    else:
         raise BracketError(
-            f"no overshoot/turnback sign change on [{lo/2:.3g}, {hi/2:.3g}]; "
+            f"no sign change of the section mismatch on [{lo/2:.3g}, {hi/2:.3g}]; "
             "a 0-1 connection may not exist for this averaged reaction")
-    while hi - lo > tol_c:
-        mid = 0.5 * (lo + hi)
-        over, _ = _shoot_once(homog, mid, eps, xi_max)
-        if over:
-            lo = mid
-        else:
-            hi = mid
-    c0 = 0.5 * (lo + hi)
-    _, sol = _shoot_once(homog, c0, eps, xi_max)
-    return _assemble_front(homog, c0, sol, eps, bracket=hi - lo)
+    c0 = brentq(mismatch, lo, hi, xtol=tol_c)
+    sol = _saddle_orbit(homog, c0, eps, xi_max, -1e-6)
+    return _assemble_front(homog, c0, sol, eps, bracket=tol_c)
 
 
 def _assemble_front(homog: HomogenizedData, c0: float, sol, eps: float,
@@ -191,7 +191,6 @@ def _assemble_front(homog: HomogenizedData, c0: float, sol, eps: float,
     # normalize phi(0) = 1/2
     i_half = int(np.argmin(np.abs(phi - 0.5)))
     spl = CubicSpline(ts, phi - 0.5)
-    from scipy.optimize import brentq
     lo = max(0, i_half - 5)
     hi = min(len(ts) - 1, i_half + 5)
     try:
@@ -263,16 +262,34 @@ def align_profiles(xi: np.ndarray, y: np.ndarray, phi: np.ndarray,
     pos_0, _ = level_position(xi0, base, 0.5)
     guess = (pos_l - pos_0) if (pos_l is not None and pos_0 is not None) else 0.0
 
-    def gap2(s):
-        shifted = np.empty_like(phi)
-        for j in range(phi.shape[1]):
-            shifted[:, j] = np.interp(xi0 + s, xi0, phi[:, j],
-                                      left=phi[0, j], right=phi[-1, j])
-        d = shifted - base[:, None]
-        return float(np.mean(np.trapezoid(d * d, x=xi0, axis=0)))
-
-    s_star, g2 = _golden_min(gap2, guess - search, guess + search, tol=1e-8)
+    s_star, g2 = _golden_min(_lattice_gap2(xi0, phi, base), guess - search,
+                             guess + search, tol=1e-8)
     return float(s_star), float(math.sqrt(max(g2, 0.0)))
+
+
+def _lattice_gap2(xi: np.ndarray, phi: np.ndarray, base: np.ndarray):
+    """s -> mean over y of the integral of (phi(xi + s, y) - base(xi))^2, bitwise
+    equal to np.interp per column with end fills, by one gather of rows per s."""
+    n = len(xi)
+    slopes = np.diff(phi, axis=0)
+    slopes /= np.diff(xi)[:, None]
+    buf = np.empty(phi.shape)
+    rows = np.empty(phi.shape)
+
+    def gap2(s):
+        x = xi + s
+        j = np.searchsorted(xi, x, "right") - 1
+        js = np.clip(j, 0, n - 2)
+        dx = x - xi[js]
+        dx[(j < 0) | (j > n - 2)] = 0.0        # fills and the right end: node value
+        d = np.take(slopes, js, axis=0, out=buf, mode="clip")
+        d *= dx[:, None]
+        d += np.take(phi, np.clip(j, 0, n - 1), axis=0, out=rows, mode="clip")
+        d -= base[:, None]
+        d *= d
+        return float(np.mean(np.trapezoid(d, x=xi, axis=0)))
+
+    return gap2
 
 
 @dataclass(frozen=True)
@@ -301,8 +318,9 @@ def homogenization_sweep(coeff, reaction, L_list: Sequence[float],
     """Fronts along a decreasing L list compared with the homogenized limit.
 
     Returns (records, front0).  Refuses symmetric reactions with c0 = 0; that
-    regime is the stationary branch of the period scan.  Per-L failures are
-    recorded as None entries.
+    regime is the stationary branch of the period scan.  Per-L numerical
+    failures (FrontNotConverged, SolverError, ValueError) are recorded as
+    (L, exc) entries; any other exception propagates.
     """
     from .profiles import homogenized_data as _hd
     if homog is None:
@@ -319,7 +337,7 @@ def homogenization_sweep(coeff, reaction, L_list: Sequence[float],
         inst = ProblemInstance(coeff=coeff, reaction=reaction, L=L)
         try:
             front = compute_pulsating_front(inst, cfg, budget, homog=homog)
-        except Exception as exc:          # per-L failures recorded, sweep continues
+        except (FrontNotConverged, SolverError, ValueError) as exc:
             records.append((L, exc))
             continue
         shift, gap = align_profiles(front.xi, front.y, front.phi, front0)

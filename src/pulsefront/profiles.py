@@ -17,6 +17,7 @@ the reaction, its integral over [0, 1], and the periodic corrector chi solving
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable
 
@@ -529,7 +530,8 @@ class FbarCurve:
         self.slope0 = float(slope0)
         self.slope1 = float(slope1)
         self._spline = CubicSpline(self.u_grid, self.values)
-        self._dspline = self._spline.derivative()
+        self._knots = self.u_grid.tolist()
+        self._coefs = self._spline.c.T.tolist()
 
     def __call__(self, u):
         u = np.asarray(u, dtype=float)
@@ -537,10 +539,17 @@ class FbarCurve:
         return np.where(u < 0.0, self.slope0 * u,
                         np.where(u > 1.0, self.slope1 * (u - 1.0), inner))
 
-    def deriv(self, u):
-        u = np.asarray(u, dtype=float)
-        inner = self._dspline(np.clip(u, 0.0, 1.0))
-        return np.where(u < 0.0, self.slope0, np.where(u > 1.0, self.slope1, inner))
+    def scalar(self, u: float) -> float:
+        """fbar at one float, bitwise equal to float(self(u)): PPoly's interval
+        rule and power sum in pure Python, for scalar callers like solve_ivp."""
+        if u < 0.0:
+            return self.slope0 * u
+        if u > 1.0:
+            return self.slope1 * (u - 1.0)
+        i = min(bisect_right(self._knots, u), len(self._coefs)) - 1
+        c3, c2, c1, c0 = self._coefs[i]
+        s = u - self._knots[i]
+        return 0.0 + c0 + c1 * s + c2 * (s * s) + c3 * (s * s * s)
 
     def zeros_inside(self) -> tuple:
         """Simple zeros of fbar strictly inside (0, 1)."""
@@ -610,9 +619,6 @@ class HomogenizedData:
     i_fbar: float
     theta_bar: tuple
     chi: CorrectorCurve
-
-    def fbar_prime(self, u):
-        return self.fbar.deriv(u)
 
     @property
     def slope0(self) -> float:

@@ -233,15 +233,6 @@ class Stepper:
         return u, t0 + n_steps * dt
 
 
-def step(field: Field, inst: ProblemInstance, cfg: SolverConfig) -> Field:
-    """One time step; diffusion implicit, reaction explicit on the extended f."""
-    st = Stepper(inst, field.grid, cfg)
-    u = st.step_values(np.array(field.values, dtype=float))
-    if not np.all(np.isfinite(u)):
-        raise SolverError(f"non-finite value produced at t={field.t + cfg.dt:.6g}")
-    return Field(field.grid, u, field.t + cfg.dt)
-
-
 def evolve(field: Field, inst: ProblemInstance, cfg: SolverConfig, t_final: float,
            callbacks: Sequence[Callable] = ()) -> Field:
     """Step repeatedly until t_final; callbacks(field) fire at the stride."""

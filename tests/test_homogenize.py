@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import pulsefront.fronts as fr
 import pulsefront.homogenize as hg
 import pulsefront.profiles as pr
 
@@ -9,6 +10,18 @@ def homog_for(theta=0.3, a_mean=1.0, a_amp=0.0):
     curve = pr.CosineCurve(a_mean, a_amp) if a_amp else pr.ConstantCurve(a_mean)
     coeff = pr.CoefficientProfile.from_curve(curve)
     return pr.homogenized_data(coeff, pr.make_cubic(theta))
+
+
+def quintic_homog(zeros):
+    # fbar = u (1 - u) (u - z1) (u - z2) (u - z3): three interior zeros
+    f = -np.polynomial.Polynomial.fromroots((0.0, 1.0) + tuple(zeros))
+    u = np.linspace(0.0, 1.0, 513)
+    fbar = pr.FbarCurve(u, f(u), f.deriv()(0.0), f.deriv()(1.0))
+    coeff = pr.CoefficientProfile.from_curve(pr.ConstantCurve(1.0))
+    return pr.HomogenizedData(a_h=1.0, a_h_rel_error=0.0, fbar=fbar,
+                              i_fbar=float(f.integ()(1.0) - f.integ()(0.0)),
+                              theta_bar=fbar.zeros_inside(),
+                              chi=pr.corrector_chi(coeff, 1.0))
 
 
 class TestShooting:
@@ -53,6 +66,28 @@ class TestShooting:
         front = hg.solve_homogenized_front(homog_for(0.7))
         assert front.c0 == pytest.approx(-0.4 / np.sqrt(2.0), abs=1e-8)
 
+    @pytest.mark.parametrize("theta, mean_theta, scale, a_curve, a_h", [
+        (0.25, 0.25, 1.0, pr.ConstantCurve(1.0), 1.0),
+        (0.7, 0.7, 1.0, pr.ConstantCurve(1.0), 1.0),
+        (pr.CosineCurve(0.35, 0.1), 0.35, 1.0, pr.ConstantCurve(1.0), 1.0),
+        (0.3, 0.3, 2.0, pr.ConstantCurve(1.0), 1.0),
+        (0.3, 0.3, 1.0, pr.CosineCurve(2.0, 1.0), np.sqrt(3.0)),
+    ])
+    def test_cubic_family_closed_form_speed(self, theta, mean_theta, scale, a_curve, a_h):
+        # fbar = scale u (1 - u) (u - <theta>) exactly
+        hd = pr.homogenized_data(pr.CoefficientProfile.from_curve(a_curve),
+                                 pr.make_cubic(theta, scale=scale))
+        exact = np.sqrt(scale * a_h / 2.0) * (1.0 - 2.0 * mean_theta)
+        assert abs(hg.solve_homogenized_front(hd).c0 - exact) < 1e-9
+
+    def test_quintic_settling_on_interior_zero_has_no_connection(self):
+        with pytest.raises(hg.NoConnection):
+            hg.solve_homogenized_front(quintic_homog((0.15, 0.45, 0.8)))
+
+    def test_quintic_connection_speed(self):
+        front = hg.solve_homogenized_front(quintic_homog((0.2, 0.5, 0.7)))
+        assert front.c0 == pytest.approx(0.0319634478, abs=1e-9)
+
 
 class TestDecayRates:
     def test_rate_at_zero_speed(self):
@@ -73,7 +108,44 @@ class TestDecayRates:
         assert l2 == pytest.approx((-0.2828 + np.sqrt(0.2828**2 + 2.8)) / 2, rel=1e-12)
 
 
+def interp_gap2(xi, phi, base):
+    # reference: np.interp column by column
+    def gap2(s):
+        shifted = np.empty_like(phi)
+        for j in range(phi.shape[1]):
+            shifted[:, j] = np.interp(xi + s, xi, phi[:, j],
+                                      left=phi[0, j], right=phi[-1, j])
+        d = shifted - base[:, None]
+        return float(np.mean(np.trapezoid(d * d, x=xi, axis=0)))
+    return gap2
+
+
 class TestAlignment:
+    @pytest.fixture(scope="class")
+    def lattice(self):
+        front = hg.solve_homogenized_front(homog_for(0.3))
+        xi = np.linspace(-20, 20, 801)
+        y = np.arange(16) / 16
+        noise = 1e-4 * np.random.default_rng(3).standard_normal((len(xi), len(y)))
+        phi = front(xi[:, None] - 0.9 - 0.1 * np.cos(2 * np.pi * y)[None, :]) + noise
+        return front, xi, y, phi
+
+    def test_gap_bitwise_equals_per_column_interp(self, lattice):
+        front, xi, _, phi = lattice
+        base = front(xi)
+        fast, slow = hg._lattice_gap2(xi, phi, base), interp_gap2(xi, phi, base)
+        h = xi[1] - xi[0]
+        shifts = (-100.0, 100.0, -45.0, 45.0, h, -h, 0.0, 1e-9, -1e-9,
+                  *np.random.default_rng(4).uniform(-45.0, 45.0, 40))
+        for s in shifts:
+            assert fast(s) == slow(s), s
+
+    def test_alignment_equals_per_column_interp(self, lattice, monkeypatch):
+        front, xi, y, phi = lattice
+        fast = hg.align_profiles(xi, y, phi, front)
+        monkeypatch.setattr(hg, "_lattice_gap2", interp_gap2)
+        assert fast == hg.align_profiles(xi, y, phi, front)
+
     def test_identity(self):
         front = hg.solve_homogenized_front(homog_for(0.3))
         xi = np.linspace(-20, 20, 801)
@@ -115,6 +187,34 @@ class TestSweepGuards:
         front0 = hg.solve_homogenized_front(hd)
         with pytest.raises(ValueError):
             hg.homogenization_sweep(coeff, rx, [0.2, 0.4], homog=hd, front0=front0)
+
+
+class TestSweepFailures:
+    @pytest.fixture(scope="class")
+    def cubic(self):
+        coeff = pr.CoefficientProfile.from_curve(pr.ConstantCurve(1.0))
+        rx = pr.make_cubic(0.3)
+        hd = pr.homogenized_data(coeff, rx)
+        return coeff, rx, hd, hg.solve_homogenized_front(hd)
+
+    def test_numerical_failure_recorded(self, cubic, monkeypatch):
+        coeff, rx, hd, front0 = cubic
+
+        def not_converged(*args, **kwargs):
+            raise fr.FrontNotConverged("budget spent", {})
+        monkeypatch.setattr(hg, "compute_pulsating_front", not_converged)
+        records, _ = hg.homogenization_sweep(coeff, rx, [0.4, 0.2], homog=hd, front0=front0)
+        assert [L for L, _ in records] == [0.4, 0.2]
+        assert all(isinstance(exc, fr.FrontNotConverged) for _, exc in records)
+
+    def test_programming_error_propagates(self, cubic, monkeypatch):
+        coeff, rx, hd, front0 = cubic
+
+        def broken(*args, **kwargs):
+            raise TypeError("bad call")
+        monkeypatch.setattr(hg, "compute_pulsating_front", broken)
+        with pytest.raises(TypeError):
+            hg.homogenization_sweep(coeff, rx, [0.4, 0.2], homog=hd, front0=front0)
 
 
 def test_homogeneous_instance_sweep_matches_everywhere():

@@ -124,6 +124,14 @@ class TestHarmonicMean:
 
 
 class TestFbar:
+    def test_scalar_bitwise_equals_array_call(self):
+        fbar, _ = pr.fbar_and_integral(pr.make_cubic(pr.CosineCurve(0.35, 0.1), scale=2.0))
+        u = np.concatenate([np.random.default_rng(5).uniform(-0.1, 1.1, 20000),
+                            fbar.u_grid, [0.0, 1.0, -0.0]])
+        fast = np.array([fbar.scalar(float(x)) for x in u])
+        slow = np.array([float(fbar(x)) for x in u])
+        assert np.array_equal(fast.view(np.uint64), slow.view(np.uint64))
+
     def test_symmetric_integral_zero(self):
         _, i_fbar = pr.fbar_and_integral(pr.make_cubic(0.5))
         assert i_fbar == pytest.approx(0.0, abs=1e-14)
@@ -254,6 +262,8 @@ class TestTabulated:
         curve = pr.TabulatedPeriodicCurve.from_file(path)
         yy = np.linspace(0, 1, 257)
         np.testing.assert_allclose(curve(yy), 2.0 + np.cos(2 * np.pi * yy), atol=2e-6)
+        np.testing.assert_allclose(curve.deriv(yy), -2 * np.pi * np.sin(2 * np.pi * yy),
+                                   atol=1e-4)
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "a.txt"
