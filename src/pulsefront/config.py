@@ -69,7 +69,6 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "tol_stat": ("1e-6", float, "stationary-branch residual tolerance"),
         "stat_window": ("100.0", float, "pinning detection window (time units)"),
         "budget": ("600.0", float, "maximum simulated time per run"),
-        "quad_n": ("2048", int, "quadrature intervals for cell averages"),
     },
     "run": {
         "L_grid": ("0.5 1.0 2.0", _parse_floats, "periods for scan-e (increasing)"),

@@ -12,14 +12,23 @@ snapshots by reading u at t = (x - xi)/c on nodes x whose cell coordinate is y.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .profiles import HomogenizedData, ProblemInstance, homogenized_data
 from .solver import (Field, Grid1D, SolverConfig, SolverError, Stepper, build_grid,
-                     front_initial_datum, residual_stationary, shift_window)
+                     choose_dt, excursion, front_initial_datum, residual_stationary,
+                     shift_window)
+
+SETTLE_TIME = 10.0          # evolution chunk between checks
+TRANSIENT_PERIODS = 20.0    # no capture before 20 L/|c| ...
+TRANSIENT_MIN = 50.0        # ... nor before t = 50
+STAT_DISP_FRAC = 0.1        # pinned: displacement below 0.1 h over stat_window
+CAPTURE_SNAPSHOTS = 192     # snapshots per capture window
+RECENTER_FRAC = 0.15        # interface drift allowance, times the halfwidth
+DEFECT_MARGIN_FRAC = 0.15   # per-side exclusion of the defect window
 
 
 class FrontNotConverged(RuntimeError):
@@ -40,22 +49,11 @@ class FrontRunConfig:
     nodes_per_period: int = 64
     tail_floor: float = 1e-8
     halfwidth: float | None = None       # override the decay-based domain size
-    dt: float | None = None              # override the derived time step
-    dt_cap: float = 0.05
-    accuracy_cfl: float = 0.25           # target |c| dt <= accuracy_cfl * h
-    reaction_budget: float = 0.4         # dt <= reaction_budget / lip_k
+    dt: float | None = None              # override solver.choose_dt
     tol_puls: float = 1e-3
     tol_stat: float = 1e-6
     stat_window: float = 100.0
-    stat_disp_frac: float = 0.1          # displacement threshold, units of h
-    transient_factor: float = 20.0       # times L/|c|
-    transient_min: float = 50.0
-    settle_time: float = 10.0
-    capture_snapshots: int = 192
-    level: float = 0.5
     initial_style: str = "tanh"          # step | ramp | tanh
-    recenter_frac: float = 0.15          # interface drift allowance, x halfwidth
-    defect_margin_frac: float = 0.15     # per-side exclusion of the defect window
 
 
 # ---------------------------------------------------------------------------
@@ -213,28 +211,16 @@ def _period_uncertainty(L: float, T: float, width: float, dt_snap: float) -> flo
 
 
 def measure_speed(times: Sequence[float], positions: Sequence[float],
-                  snaps: SnapshotSeries | None = None, L: float | None = None,
-                  t_hat: float | None = None, shift: int = 1,
-                  margin_nodes: int = 8, multi_crossing: bool = False,
-                  min_samples: int = 20) -> SpeedEstimate:
-    """Speed from the level trajectory, plus period matching when snapshots of
-    a capture window are supplied (t_hat > 0 is the period guess L/|c|)."""
+                  multi_crossing: bool = False, min_samples: int = 20) -> SpeedEstimate:
+    """Speed from the level trajectory; the period-matching estimate is added
+    by the front run from its capture window."""
     times = np.asarray(times, dtype=float)
     positions = np.asarray(positions, dtype=float)
     if len(times) < min_samples:
         raise ValueError(f"need at least {min_samples} level samples, got {len(times)}")
     c_level, stderr = fit_line(times, positions)
-    c_period = None
-    unc_period = None
-    if snaps is not None:
-        if L is None or t_hat is None:
-            raise ValueError("period matching needs L and a period guess t_hat")
-        t_ref = snaps.t0 + 0.02 * (snaps.t1 - snaps.t0)
-        T_star, _, width = min_shift_defect(snaps, t_ref, t_hat, margin_nodes, shift)
-        c_period = shift * L / T_star
-        unc_period = _period_uncertainty(L, T_star, width, snaps.dt_snap)
-    return SpeedEstimate(c_level=c_level, c_period=c_period,
-                         unc_level=stderr + 1e-12, unc_period=unc_period,
+    return SpeedEstimate(c_level=c_level, c_period=None,
+                         unc_level=stderr + 1e-12, unc_period=None,
                          window=(float(times[0]), float(times[-1])),
                          multi_crossing=multi_crossing)
 
@@ -416,17 +402,6 @@ def default_halfwidth(homog: HomogenizedData, cfg: FrontRunConfig) -> float:
     return float(min(max(w, 8.0), 150.0))
 
 
-def default_dt(inst: ProblemInstance, homog: HomogenizedData, h: float,
-               cfg: FrontRunConfig) -> float:
-    if cfg.dt is not None:
-        return cfg.dt
-    dt = cfg.reaction_budget / max(inst.reaction.lip_k, 1e-12)
-    c_est = speed_scale(homog)
-    if c_est > 0:
-        dt = min(dt, cfg.accuracy_cfl * h / c_est)
-    return float(min(dt, cfg.dt_cap))
-
-
 # ---------------------------------------------------------------------------
 # the long-time evolution driver
 # ---------------------------------------------------------------------------
@@ -434,13 +409,11 @@ def default_dt(inst: ProblemInstance, homog: HomogenizedData, h: float,
 class _RunState:
     """Mutable bookkeeping for one front run (fixed grid, shifting window)."""
 
-    def __init__(self, inst, grid, solver_cfg, run_cfg):
-        self.inst = inst
+    def __init__(self, inst, grid, solver_cfg, initial_style):
         self.grid = grid
         self.cfg = solver_cfg
-        self.run_cfg = run_cfg
         self.stepper = Stepper(inst, grid, solver_cfg)
-        f0 = front_initial_datum(grid, run_cfg.initial_style,
+        f0 = front_initial_datum(grid, initial_style,
                                  interface=0.5 * (grid.x_min + grid.x_max))
         self.u = np.array(f0.values)
         self.t = 0.0
@@ -449,9 +422,11 @@ class _RunState:
         self.level_x: list[float] = []
         self.multi_crossing = False
         self.m0 = grid.nodes_per_period
+        # the level is recorded about every 0.05 time units
+        self.level_every = max(1, int(round(0.05 / solver_cfg.dt)))
 
     def record_level(self, t, u):
-        pos, ncross = level_position(self.grid.nodes, u, self.run_cfg.level)
+        pos, ncross = level_position(self.grid.nodes, u)
         if pos is not None:
             self.level_t.append(t)
             self.level_x.append(pos + self.x_offset)
@@ -462,12 +437,12 @@ class _RunState:
         n_steps = max(1, int(round(duration / self.cfg.dt)))
         self.u, self.t = self.stepper.run(
             self.u, self.t, n_steps,
-            on_step=lambda k, t, u: self.record_level(t, u))
+            on_step=lambda k, t, u: self.record_level(t, u),
+            callback_every=self.level_every)
 
     def capture(self, span: float) -> SnapshotSeries:
         dt = self.cfg.dt
-        n_target = self.run_cfg.capture_snapshots
-        r = max(1, int(round(span / (n_target * dt))))
+        r = max(1, int(round(span / (CAPTURE_SNAPSHOTS * dt))))
         k = int(math.ceil(span / (r * dt)))
         n_steps = r * k
         U = np.empty((k + 1, self.grid.n))
@@ -481,13 +456,12 @@ class _RunState:
                 U[taken[0]] = u
             self.record_level(t, u)
 
-        self.u, self.t = self.stepper.run(self.u, self.t, n_steps, on_step,
-                                          callback_every=1)
+        self.u, self.t = self.stepper.run(self.u, self.t, n_steps, on_step)
         assert taken[0] == k
         return SnapshotSeries(t0=t0, dt_snap=r * dt, U=U, grid=self.grid)
 
     def interface_in_grid(self):
-        pos, _ = level_position(self.grid.nodes, self.u, self.run_cfg.level)
+        pos, _ = level_position(self.grid.nodes, self.u)
         return pos
 
     def recenter(self):
@@ -496,7 +470,7 @@ class _RunState:
             return
         center = 0.5 * (self.grid.x_min + self.grid.x_max)
         halfwidth = 0.5 * (self.grid.x_max - self.grid.x_min)
-        if abs(pos - center) < max(self.grid.L, self.run_cfg.recenter_frac * halfwidth):
+        if abs(pos - center) < max(self.grid.L, RECENTER_FRAC * halfwidth):
             return
         p = int(round((pos - center) / self.grid.L))
         if p == 0:
@@ -533,9 +507,9 @@ class _RunState:
 
 
 def _front_from_lattice(speed, xi, ys, phi, defect, stationary, est, spread,
-                        diagnostics, level=0.5):
+                        diagnostics):
     prof = phi.mean(axis=1)
-    pos, _ = level_position(xi, prof, level)
+    pos, _ = level_position(xi, prof)
     xi = xi - (pos if pos is not None else 0.0)
     mu1 = mu2 = None
     try:
@@ -558,24 +532,24 @@ def compute_pulsating_front(inst: ProblemInstance, cfg: FrontRunConfig = FrontRu
     halfwidth = default_halfwidth(homog, cfg)
     grid = build_grid(inst, halfwidth, cfg.nodes_per_period)
     h = grid.h
-    dt = default_dt(inst, homog, h, cfg)
-    stride = max(1, int(round(0.05 / dt)))
-    solver_cfg = SolverConfig(dt=dt, u_left=1.0, u_right=0.0, stride=stride)
-    state = _RunState(inst, grid, solver_cfg, cfg)
+    dt = cfg.dt
+    if dt is None:
+        dt = choose_dt(inst.reaction.lip_k, h, speed_scale(homog))
+    solver_cfg = SolverConfig(dt=dt, u_left=1.0, u_right=0.0)
+    state = _RunState(inst, grid, solver_cfg, cfg.initial_style)
     # the defect window stays clear of the Dirichlet boundary layers
-    margin_nodes = max(grid.nodes_per_period + 4, int(cfg.defect_margin_frac * grid.n))
+    margin_nodes = max(grid.nodes_per_period + 4, int(DEFECT_MARGIN_FRAC * grid.n))
     c_floor = h / (10.0 * cfg.stat_window)
     last_defect = None
     diagnostics: dict = {"L": inst.L, "h": h, "dt": dt, "halfwidth": halfwidth,
                          "n_nodes": grid.n}
 
     while state.t < budget.t_max:
-        state.advance(min(cfg.settle_time, budget.t_max - state.t))
+        state.advance(min(SETTLE_TIME, budget.t_max - state.t))
         state.recenter()
-        c_hat, _ = state.recent_speed(max(2.0 * cfg.settle_time, 20.0))
+        c_hat, _ = state.recent_speed(max(2.0 * SETTLE_TIME, 20.0))
         disp = state.displacement(cfg.stat_window)
-        if disp is not None and disp < cfg.stat_disp_frac * h \
-                and state.t >= cfg.transient_min:
+        if disp is not None and disp < STAT_DISP_FRAC * h and state.t >= TRANSIENT_MIN:
             resid = residual_stationary(state.field(), inst)
             diagnostics["stationary_residual"] = resid
             diagnostics["displacement"] = disp
@@ -591,10 +565,10 @@ def compute_pulsating_front(inst: ProblemInstance, cfg: FrontRunConfig = FrontRu
                 prof = state.u[margin:-margin]
                 phi = np.repeat(prof[:, None], m, axis=1)
                 return _front_from_lattice(0.0, xi, np.arange(m) / m, phi, resid,
-                                           True, est, 0.0, diagnostics, cfg.level)
+                                           True, est, 0.0, diagnostics)
         if c_hat is None or abs(c_hat) < c_floor:
             continue
-        transient = max(cfg.transient_factor * inst.L / abs(c_hat), cfg.transient_min)
+        transient = max(TRANSIENT_PERIODS * inst.L / abs(c_hat), TRANSIENT_MIN)
         if state.t < transient:
             continue
         t_hat = inst.L / abs(c_hat)
@@ -620,28 +594,30 @@ def compute_pulsating_front(inst: ProblemInstance, cfg: FrontRunConfig = FrontRu
             keep = times >= min(transient, times[-1] - 1e-9)
             base = measure_speed(times[keep], xs[keep],
                                  multi_crossing=state.multi_crossing)
-            est = SpeedEstimate(c_level=base.c_level, c_period=c_period,
-                                unc_level=base.unc_level,
-                                unc_period=_period_uncertainty(inst.L, T1, width,
-                                                               snaps.dt_snap),
-                                window=base.window, multi_crossing=base.multi_crossing)
-            xi, ys, phi, spread = extract_profile(snaps, c_period, inst.L,
-                                                  t_ref1, T1, margin_nodes)
+            est = replace(base, c_period=c_period,
+                          unc_period=_period_uncertainty(inst.L, T1, width, snaps.dt_snap))
+            try:
+                xi, ys, phi, spread = extract_profile(snaps, c_period, inst.L,
+                                                      t_ref1, T1, margin_nodes)
+            except ValueError as exc:
+                diagnostics.update(t_final=state.t, reason="coverage", message=str(exc))
+                raise FrontNotConverged(f"profile extraction failed at t={state.t:.4g}: "
+                                        f"{exc}", diagnostics) from exc
             diagnostics["t_final"] = state.t
-            diagnostics["excursion"] = max(0.0, -0.1 - state.stepper.min_seen,
-                                           state.stepper.max_seen - 1.1)
+            diagnostics["excursion"] = excursion(state.stepper.min_seen,
+                                                 state.stepper.max_seen)
             diagnostics["range_seen"] = (state.stepper.min_seen,
                                          state.stepper.max_seen)
             diagnostics["time_monotonicity_defect"] = snaps.time_monotonicity_defect()
             diagnostics["xi_monotonicity_defect"] = (
                 float(max(0.0, np.max(np.diff(phi, axis=0)))) if phi.shape[0] > 1 else 0.0)
             return _front_from_lattice(c_period, xi, ys, phi, defect, False, est,
-                                       spread, diagnostics, cfg.level)
+                                       spread, diagnostics)
         last_defect = defect
 
     diagnostics["t_final"] = state.t
     diagnostics["last_defect"] = last_defect
-    c_hat, _ = state.recent_speed(max(2.0 * cfg.settle_time, 20.0))
+    c_hat, _ = state.recent_speed(max(2.0 * SETTLE_TIME, 20.0))
     diagnostics["c_hat"] = c_hat
     if "stationary_residual" not in diagnostics:
         diagnostics["stationary_residual"] = residual_stationary(state.field(), inst)

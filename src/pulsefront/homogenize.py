@@ -149,11 +149,15 @@ def solve_homogenized_front(homog: HomogenizedData, tol_c: float = 1e-10,
         return _symmetric_front(homog, eps)
 
     @functools.cache                  # brentq evaluates the bracket ends again
-    def mismatch(c):
-        # slope phi' where the orbit from 1, minus the one from 0, first meets
+    def slopes(c):
+        # slopes phi' (p1, p0) where the orbits from 1 and from 0 first meet
         # phi = 1/2; an orbit that turns back or settles before counts as 0
         sols = [_saddle_orbit(homog, c, eps, xi_max, 0.5, one) for one in (True, False)]
-        p1, p0 = (float(s.y_events[0][0][1]) if len(s.t_events[0]) else 0.0 for s in sols)
+        return tuple(float(s.y_events[0][0][1]) if len(s.t_events[0]) else 0.0
+                     for s in sols)
+
+    def mismatch(c):
+        p1, p0 = slopes(c)
         return p1 - p0
 
     lo, hi = -c_max, c_max
@@ -167,6 +171,11 @@ def solve_homogenized_front(homog: HomogenizedData, tol_c: float = 1e-10,
             f"no sign change of the section mismatch on [{lo/2:.3g}, {hi/2:.3g}]; "
             "a 0-1 connection may not exist for this averaged reaction")
     c0 = brentq(mismatch, lo, hi, xtol=tol_c)
+    if slopes(c0) == (0.0, 0.0):
+        raise NoConnection(
+            f"neither saddle orbit reaches phi = 1/2 at c = {c0:.6g}: the zero "
+            "mismatch there is no connection, the orbits settle on interior zeros "
+            "of the averaged reaction")
     sol = _saddle_orbit(homog, c0, eps, xi_max, -1e-6)
     return _assemble_front(homog, c0, sol, eps, bracket=tol_c)
 

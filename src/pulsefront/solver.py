@@ -11,14 +11,15 @@ once (`factor_spd`, LAPACK dpttrf) and each step is one solve against that
 factor (`solve_banded`, dpttrs), with the two Dirichlet couplings folded into
 the right-hand side.  The reaction is bound once to the node positions.  The
 implicit Euler/explicit reaction combination is order-preserving whenever
-dt * lip_k <= 1, which the configuration enforces with margin.
+dt * lip_k <= 1, which the configuration enforces with margin.  `choose_dt`
+is the one step rule.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
@@ -26,8 +27,22 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 from .profiles import ProblemInstance, bind_reaction
 
 
+REACTION_BUDGET = 0.4     # dt <= 0.4 / K: explicit reaction budget, inside dt*K < 0.5
+ACCURACY_CFL = 0.25       # |c| dt <= ACCURACY_CFL * h: a quarter node of front motion
+DT_CAP = 0.05
+
+
 class SolverError(RuntimeError):
     pass
+
+
+def choose_dt(lip_k: float, h: float, c: float) -> float:
+    """Time step for a front of speed about c on spacing h: the reaction
+    budget, the accuracy limit on front motion per step (c != 0) and the cap."""
+    dt = REACTION_BUDGET / max(lip_k, 1e-12)
+    if c != 0.0:
+        dt = min(dt, ACCURACY_CFL * h / abs(c))
+    return float(min(dt, DT_CAP))
 
 
 @dataclass(frozen=True)
@@ -143,13 +158,10 @@ class SolverConfig:
     dt: float
     u_left: float = 1.0
     u_right: float = 0.0
-    stride: int = 20
 
     def __post_init__(self):
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
-        if self.stride < 1:
-            raise ValueError("stride must be >= 1")
 
 
 def factor_spd(diag: np.ndarray, off: np.ndarray):
@@ -214,11 +226,10 @@ class Stepper:
 
     def run(self, u: np.ndarray, t0: float, n_steps: int,
             on_step: Callable | None = None,
-            callback_every: int | None = None) -> tuple[np.ndarray, float]:
+            callback_every: int = 1) -> tuple[np.ndarray, float]:
         """Advance n_steps; on_step(k, t, u) fires every callback_every steps
-        (default: the configuration stride) and on the final step."""
+        and on the final step."""
         dt = self.cfg.dt
-        every = self.cfg.stride if callback_every is None else callback_every
         for k in range(1, n_steps + 1):
             u = self.step_values(u)
             # NaN and +-inf propagate through min and max
@@ -228,27 +239,19 @@ class Stepper:
                 raise SolverError(f"non-finite value at step {k} (t={t0 + k * dt:.6g})")
             self.min_seen = min(self.min_seen, lo)
             self.max_seen = max(self.max_seen, hi)
-            if on_step is not None and (k % every == 0 or k == n_steps):
+            if on_step is not None and (k % callback_every == 0 or k == n_steps):
                 on_step(k, t0 + k * dt, u)
         return u, t0 + n_steps * dt
 
 
-def evolve(field: Field, inst: ProblemInstance, cfg: SolverConfig, t_final: float,
-           callbacks: Sequence[Callable] = ()) -> Field:
-    """Step repeatedly until t_final; callbacks(field) fire at the stride."""
+def evolve(field: Field, inst: ProblemInstance, cfg: SolverConfig,
+           t_final: float) -> Field:
+    """Step repeatedly until t_final."""
     if t_final < field.t:
         raise ValueError("t_final must not precede the field time")
     n_steps = int(round((t_final - field.t) / cfg.dt))
-    st = Stepper(inst, field.grid, cfg)
-
-    def on_step(k, t, u):
-        if callbacks:
-            snap = Field(field.grid, u.copy(), t)
-            for cb in callbacks:
-                cb(snap)
-
-    u, t = st.run(np.array(field.values, dtype=float), field.t, n_steps,
-                  on_step if callbacks else None)
+    u, t = Stepper(inst, field.grid, cfg).run(np.array(field.values, dtype=float),
+                                              field.t, n_steps)
     return Field(field.grid, u, t)
 
 
@@ -262,10 +265,10 @@ def residual_stationary(field: Field, inst: ProblemInstance) -> float:
     return float(np.max(np.abs(diff + f)))
 
 
-def excursion(field: Field, lo: float = -0.1, hi: float = 1.1) -> float:
-    """How far the field leaves [lo, hi]; 0.0 when it stays inside."""
-    v = field.values
-    return float(max(0.0, lo - v.min(), v.max() - hi))
+def excursion(v_min: float, v_max: float) -> float:
+    """How far an observed value range [v_min, v_max] leaves [-0.1, 1.1]; 0.0
+    when it stays inside."""
+    return float(max(0.0, -0.1 - v_min, v_max - 1.1))
 
 
 def front_initial_datum(grid: Grid1D, style: str = "tanh",

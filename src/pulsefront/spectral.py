@@ -24,6 +24,13 @@ from .solver import factor_spd, flux_apply, flux_stencil, solve_banded
 
 MAX_POWER_ITER = 10_000
 RESID_TOL = 1e-10
+# damped Newton for periodic steady states
+NEWTON_NODES = 256
+NEWTON_TOL = 1e-11
+NEWTON_MAX_ITER = 60
+NEWTON_MAX_HALVINGS = 30
+DEDUPE_FACTOR = 10.0        # roots closer than this many residuals are one state
+TRIVIAL_TOL = 1e-4          # states within this of 0 or 1 are trivial
 
 
 class EigenIterationError(RuntimeError):
@@ -229,23 +236,13 @@ def stability_limit(inst: ProblemInstance, ubar, R_list: Sequence[float],
 # periodic steady states by damped Newton
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NewtonConfig:
-    n_nodes: int = 256
-    tol: float = 1e-11
-    max_iter: int = 60
-    max_halvings: int = 30
-    dedupe_factor: float = 10.0
-    trivial_tol: float = 1e-4
-
-
 def _steady_residual(inst, x, af, h, u):
     return flux_apply(af, h, u, periodic=True) + np.asarray(inst.f_L(x, u), dtype=float)
 
 
-def _newton_periodic(inst: ProblemInstance, u0: np.ndarray, cfg: NewtonConfig):
+def _newton_periodic(inst: ProblemInstance, u0: np.ndarray):
     L = inst.L
-    n = cfg.n_nodes
+    n = NEWTON_NODES
     x = L * np.arange(n) / n
     h = L / n
     af = np.asarray(inst.a_L(x + 0.5 * h), dtype=float)
@@ -254,8 +251,8 @@ def _newton_periodic(inst: ProblemInstance, u0: np.ndarray, cfg: NewtonConfig):
     F = _steady_residual(inst, x, af, h, u)
     norm = float(np.max(np.abs(F)))
     # the flux stencil cannot resolve residuals below its rounding floor
-    tol = max(cfg.tol, 8.0 * np.finfo(float).eps * float(np.max(af)) / h**2)
-    for _ in range(cfg.max_iter):
+    tol = max(NEWTON_TOL, 8.0 * np.finfo(float).eps * float(np.max(af)) / h**2)
+    for _ in range(NEWTON_MAX_ITER):
         if norm < tol:
             return x, u, norm
         dq = np.asarray(inst.df_L(x, u), dtype=float)
@@ -265,7 +262,7 @@ def _newton_periodic(inst: ProblemInstance, u0: np.ndarray, cfg: NewtonConfig):
         except RuntimeError:
             return None
         s = 1.0
-        for _ in range(cfg.max_halvings):
+        for _ in range(NEWTON_MAX_HALVINGS):
             u_try = u + s * delta
             F_try = _steady_residual(inst, x, af, h, u_try)
             norm_try = float(np.max(np.abs(F_try)))
@@ -288,8 +285,8 @@ def _shift_distance(u1: np.ndarray, u2: np.ndarray) -> float:
     return best
 
 
-def find_periodic_steady_states(inst: ProblemInstance, seeds: Sequence | None = None,
-                                cfg: NewtonConfig = NewtonConfig()) -> list[SteadyState]:
+def find_periodic_steady_states(inst: ProblemInstance,
+                                seeds: Sequence | None = None) -> list[SteadyState]:
     """Damped Newton on the L-periodic steady problem from a fixed seed set.
 
     Seeds always include the interior zeros of the averaged reaction as
@@ -298,7 +295,7 @@ def find_periodic_steady_states(inst: ProblemInstance, seeds: Sequence | None = 
     to period shifts, states touching 0 or 1 are dropped as trivial, and each
     survivor is classified by its periodic principal eigenvalue.
     """
-    n = cfg.n_nodes
+    n = NEWTON_NODES
     x = inst.L * np.arange(n) / n
     seed_vecs: list[np.ndarray] = []
 
@@ -326,15 +323,15 @@ def find_periodic_steady_states(inst: ProblemInstance, seeds: Sequence | None = 
 
     found: list[tuple[np.ndarray, float]] = []
     for s in seed_vecs:
-        res = _newton_periodic(inst, s, cfg)
+        res = _newton_periodic(inst, s)
         if res is None:
             continue
         xg, u, norm = res
-        if u.min() < cfg.trivial_tol or u.max() > 1.0 - cfg.trivial_tol:
+        if u.min() < TRIVIAL_TOL or u.max() > 1.0 - TRIVIAL_TOL:
             continue
         if not (u.min() > 0.0 and u.max() < 1.0):
             continue
-        if any(_shift_distance(u, v) <= cfg.dedupe_factor * max(cfg.tol, norm, vn)
+        if any(_shift_distance(u, v) <= DEDUPE_FACTOR * max(NEWTON_TOL, norm, vn)
                for v, vn in found):
             continue
         found.append((u, norm))

@@ -23,8 +23,17 @@ import numpy as np
 
 from .fronts import Budget, FrontSolution, _golden_min, fit_line, level_position
 from .profiles import ProblemInstance
-from .solver import (Field, Grid1D, SolverConfig, Stepper, build_grid, factor_spd,
-                     flux_stencil, shift_window, solve_banded)
+from .solver import (REACTION_BUDGET, Field, Grid1D, SolverConfig, Stepper, build_grid,
+                     choose_dt, factor_spd, flux_stencil, shift_window, solve_banded)
+
+PROBE_DT = 1.0              # time between phase fits
+TAU_SPAN_PERIODS = 5.0      # golden-section window, units of L/|c|
+TAU_SETTLE_FACTOR = 1.0     # stabilization threshold, units of h/|c|
+FIT_FLOOR = 1e-11
+FIT_CEILING = 5e-2
+MIN_FIT_POINTS = 8
+N_MODES = 12                # eigenvalues kept in a SpectrumSummary, at least
+ESS_MARGIN = 0.05           # tolerance above the essential radius
 
 
 @dataclass(frozen=True)
@@ -87,17 +96,6 @@ class StabilityReport:
     spectrum: tuple = ()
 
 
-@dataclass(frozen=True)
-class StabilityRunConfig:
-    probe_dt: float = 1.0
-    tau_span_periods: float = 5.0     # golden-section window, units of L/|c|
-    tau_settle_factor: float = 1.0    # stabilization threshold, units h/|c|
-    fit_floor: float = 1e-11
-    fit_ceiling: float = 5e-2
-    min_fit_points: int = 8
-    dt: float | None = None
-
-
 def _edge_zones(n: int, frac: float = 0.05):
     k = max(3, int(frac * n))
     return slice(0, k), slice(n - k, n)
@@ -110,12 +108,6 @@ def check_front_like(g: np.ndarray, delta: float, n_edge_frac: float = 0.05) -> 
     return bool(np.min(g[left]) > 1.0 - delta and np.max(g[right]) < delta)
 
 
-def _experiment_dt(inst, grid, c: float) -> float:
-    """Step of the stability experiments: reaction budget, a quarter node per
-    step of front motion, and the 0.05 cap."""
-    return min(0.4 / inst.reaction.lip_k, 0.25 * grid.h / abs(c), 0.05)
-
-
 def _reference_error(front: FrontSolution, inst, x_abs, t, tau, u):
     c = front.speed
     ref = front.interp(x_abs - c * (t + tau), x_abs / inst.L)
@@ -124,7 +116,6 @@ def _reference_error(front: FrontSolution, inst, x_abs, t, tau, u):
 
 def global_stability_experiment(inst: ProblemInstance, front: FrontSolution,
                                 g, budget: Budget = Budget(200.0),
-                                cfg: StabilityRunConfig = StabilityRunConfig(),
                                 validate: bool = True) -> StabilityReport:
     """Track sup_x |u(t, .) - U(t + tau, .)| for a front-like datum g.
 
@@ -141,19 +132,19 @@ def global_stability_experiment(inst: ProblemInstance, front: FrontSolution,
     if validate and not check_front_like(u0, delta):
         raise ValueError("initial datum violates the front-like condition "
                          "(above 1-delta left, below delta right) on this domain")
-    dt = _experiment_dt(inst, grid, c) if cfg.dt is None else cfg.dt
-    sol_cfg = SolverConfig(dt=dt, u_left=1.0, u_right=0.0, stride=100)
+    dt = choose_dt(inst.reaction.lip_k, grid.h, c)
+    sol_cfg = SolverConfig(dt=dt, u_left=1.0, u_right=0.0)
     stepper = Stepper(inst, grid, sol_cfg)
     m0 = grid.nodes_per_period
-    tau_span = cfg.tau_span_periods * inst.L / abs(c)
-    tau_tol = cfg.tau_settle_factor * grid.h / abs(c)
+    tau_span = TAU_SPAN_PERIODS * inst.L / abs(c)
+    tau_tol = TAU_SETTLE_FACTOR * grid.h / abs(c)
 
     u = np.array(u0)
     t = 0.0
     x_offset = 0.0
     tau_hat = 0.0
     probes: list[tuple[float, float, float]] = []   # (t, tau, sup_err)
-    steps_per_probe = max(1, int(round(cfg.probe_dt / dt)))
+    steps_per_probe = max(1, int(round(PROBE_DT / dt)))
     n_probes = int(budget.t_max / (steps_per_probe * dt))
     center = 0.5 * (grid.x_min + grid.x_max)
     usable = 0.5 * (grid.x_max - grid.x_min)
@@ -182,7 +173,7 @@ def global_stability_experiment(inst: ProblemInstance, front: FrontSolution,
     diagnostics = {"n_probes": len(probes), "dt": dt, "h": grid.h,
                    "tau_tol": tau_tol}
     # stabilization: last third of the record must hold tau within tolerance
-    k_tail = max(cfg.min_fit_points, len(probes) // 3)
+    k_tail = max(MIN_FIT_POINTS, len(probes) // 3)
     tau_var = float(np.max(taus[-k_tail:]) - np.min(taus[-k_tail:]))
     diagnostics["tau_variation"] = tau_var
     stabilized = tau_var < tau_tol
@@ -195,17 +186,17 @@ def global_stability_experiment(inst: ProblemInstance, front: FrontSolution,
         settle_idx = np.nonzero(np.abs(taus - tau_g) < tau_tol)[0]
         i0 = int(settle_idx[0]) if len(settle_idx) else len(taus) - k_tail
         floor = float(np.min(errs))
-        thresh = max(8.0 * floor, cfg.fit_floor)
+        thresh = max(8.0 * floor, FIT_FLOOR)
         diagnostics["floor"] = floor
         tw, ew = [], []
         for t_i, e_i in zip(ts[i0:], errs[i0:]):
             if e_i <= thresh:
                 break
-            if e_i < cfg.fit_ceiling:
+            if e_i < FIT_CEILING:
                 tw.append(t_i)
                 ew.append(e_i)
         diagnostics["fit_points"] = len(tw)
-        if len(tw) >= cfg.min_fit_points and ew[0] / ew[-1] > math.e:
+        if len(tw) >= MIN_FIT_POINTS and ew[0] / ew[-1] > math.e:
             slope, stderr = fit_line(np.asarray(tw), np.log(np.asarray(ew)))
             mu_fit = -slope
             diagnostics["fit_stderr"] = stderr
@@ -242,8 +233,7 @@ def _experiment_grid_and_datum(inst, front, g):
 
 def initialv2_experiment(inst: ProblemInstance, front: FrontSolution,
                          states: Sequence, g,
-                         budget: Budget = Budget(300.0),
-                         cfg: StabilityRunConfig = StabilityRunConfig()) -> StabilityReport:
+                         budget: Budget = Budget(300.0)) -> StabilityReport:
     """Front-like convergence for data trapped between intermediate states.
 
     All intermediate periodic steady states must be unstable; the datum g
@@ -269,9 +259,8 @@ def initialv2_experiment(inst: ProblemInstance, front: FrontSolution,
         if not (ok_left and ok_right):
             raise ValueError("datum does not satisfy the trapped-data condition "
                              "against the intermediate states")
-    dt = _experiment_dt(inst, grid, front.speed)
-    sol_cfg = SolverConfig(dt=dt, u_left=1.0, u_right=0.0, stride=100)
-    stepper = Stepper(inst, grid, sol_cfg)
+    dt = choose_dt(inst.reaction.lip_k, grid.h, front.speed)
+    stepper = Stepper(inst, grid, SolverConfig(dt=dt, u_left=1.0, u_right=0.0))
     u = np.array(u0)
     t = 0.0
     chunk = max(1, int(round(1.0 / dt)))
@@ -288,8 +277,7 @@ def initialv2_experiment(inst: ProblemInstance, front: FrontSolution,
                                             "front-like condition",
                                             "t_final": t})
     rep = global_stability_experiment(inst, front, u,
-                                      budget=Budget(budget.t_max - t),
-                                      cfg=cfg, validate=False)
+                                      budget=Budget(budget.t_max - t), validate=False)
     diags = dict(rep.diagnostics)
     diags["t_frontlike"] = t_frontlike
     return StabilityReport(tau_g=rep.tau_g, mu_fit=rep.mu_fit, accepted=rep.accepted,
@@ -434,9 +422,7 @@ def linearized_period_map(inst: ProblemInstance, orbit_potentials: np.ndarray,
 
 
 def poincare_spectrum(inst: ProblemInstance, front: FrontSolution,
-                      n_modes: int = 12, n_nodes: int = 400,
-                      dt_target: float | None = None,
-                      ess_margin: float = 0.05) -> SpectrumSummary:
+                      n_nodes: int = 400) -> SpectrumSummary:
     """Spectrum of the linearized time-T frame map on a coarse grid.
 
     The orbit is the production period map (poincare_map: lab-frame steps and
@@ -465,8 +451,11 @@ def poincare_spectrum(inst: ProblemInstance, front: FrontSolution,
     while grid.n > n_nodes and halfwidth > 2.0 * L:
         halfwidth -= L
         grid = build_grid(inst, halfwidth, npp)
-    dt_caps = [0.4 / inst.reaction.lip_k, 0.02 * T]
-    dt = min(dt_caps) if dt_target is None else min(dt_target, *dt_caps)
+    # its own step rule, not solver.choose_dt: the reaction budget and at
+    # least 50 whole steps per period T.  On this coarse grid (down to 8
+    # nodes/period) choose_dt's 0.05 cap and h/(4|c|) limit give a different
+    # dt, hence a different orbit and spectrum (acceptance 11).
+    dt = min(REACTION_BUDGET / inst.reaction.lip_k, 0.02 * T)
     n_steps = max(1, int(math.ceil(T / dt)))
     dt = T / n_steps
     # start on the attractor: the profile itself at t = 0
@@ -479,7 +468,7 @@ def poincare_spectrum(inst: ProblemInstance, front: FrontSolution,
         if k < n_steps:
             pots[k] = inst.df_L(grid.nodes, u)
 
-    poincare_map(ComovingFrame(inst, front, grid), SolverConfig(dt=dt, stride=1), u0, record)
+    poincare_map(ComovingFrame(inst, front, grid), SolverConfig(dt=dt), u0, record)
     P = linearized_period_map(inst, pots, grid, dt, 1 if c > 0 else -1)
     vals, vecs = np.linalg.eig(P)
     order = np.argsort(-np.abs(vals))
@@ -492,25 +481,26 @@ def poincare_spectrum(inst: ProblemInstance, front: FrontSolution,
                 (np.linalg.norm(v_lead) * np.linalg.norm(w0)))
     gamma = inst.reaction.gamma
     ess = math.exp(-gamma * T / 2.0)
-    above = np.abs(vals) > ess + ess_margin
+    above = np.abs(vals) > ess + ESS_MARGIN
     flagged = tuple(complex(v) for v in vals[above])
     return SpectrumSummary(
-        eigenvalues=vals[:max(n_modes, int(np.count_nonzero(above)) + 2)],
+        eigenvalues=vals[:max(N_MODES, int(np.count_nonzero(above)) + 2)],
         leading=complex(lead), leading_gap=float(abs(lead - 1.0)),
         cosine_similarity=cos, second_modulus=float(np.abs(vals[1])),
-        ess_radius=ess, margin=ess_margin,
+        ess_radius=ess, margin=ESS_MARGIN,
         n_above_ess=int(np.count_nonzero(above)), flagged=flagged,
         T=T, n_nodes=grid.n)
 
 
 def linear_decay_spectrum(inst: ProblemInstance, gamma: float, T: float,
-                          n_nodes: int = 200, halfwidth: float = 10.0,
-                          dt_target: float = 0.02) -> np.ndarray:
+                          n_nodes: int = 200) -> np.ndarray:
     """Spectrum of the period map when the reaction is the pure decay -gamma u
-    (flat reference orbit, no shift): all moduli fall below e^{-gamma T}."""
+    (flat reference orbit, no shift) on [-10, 10]: all moduli fall below
+    e^{-gamma T}."""
+    halfwidth = 10.0
     grid = build_grid(inst, halfwidth, max(8, (n_nodes - 1) //
                                            max(2, int(2 * halfwidth / inst.L))))
-    n_steps = max(1, int(math.ceil(T / dt_target)))
+    n_steps = max(1, int(math.ceil(T / 0.02)))
     dt = T / n_steps
     pots = np.full((n_steps, grid.n), -gamma)
     P = linearized_period_map(inst, pots, grid, dt, 0)

@@ -44,6 +44,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="typo_key"):
             parse_config(FRONT_CFG + "typo_key = 3\n", "front")
 
+    def test_unread_quad_n_key_rejected(self):
+        # the quadrature size is fixed in profiles; a settable key would be ignored
+        with pytest.raises(ConfigError, match="quad_n"):
+            parse_config("[numerics]\nquad_n = 512\n", "front")
+
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError, match="mystery"):
             parse_config(FRONT_CFG + "\n[mystery]\nx = 1\n", "front")

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import pulsefront.fronts as fr
 import pulsefront.profiles as pr
 import pulsefront.solver as sv
+import pulsefront.stability as st
 
 
 @pytest.fixture(scope="module")
@@ -158,12 +160,40 @@ class TestConfigGuards:
             sv.Stepper(inst, g, cfg)
 
 
-def test_excursion_measure(inst):
-    g = make(inst)
-    inside = sv.Field(g, np.full(g.n, 0.5), 0.0)
-    assert sv.excursion(inside) == 0.0
-    outside = sv.Field(g, np.full(g.n, 1.3), 0.0)
-    assert sv.excursion(outside) == pytest.approx(0.2)
+def test_excursion_measure():
+    assert sv.excursion(0.0, 1.0) == 0.0
+    assert sv.excursion(-0.1, 1.1) == 0.0
+    assert sv.excursion(0.5, 1.3) == pytest.approx(0.2)
+    assert sv.excursion(-0.25, 1.2) == pytest.approx(0.15)
+
+
+class TestChooseDt:
+    def test_reaction_budget_binds(self):
+        assert sv.choose_dt(10.0, 1.0, 0.1) == 0.4 / 10.0
+
+    def test_accuracy_limit_binds(self):
+        h = 1.0 / 64
+        assert sv.choose_dt(3.4, h, 0.3) == 0.25 * h / 0.3
+        assert sv.choose_dt(3.4, h, -0.3) == sv.choose_dt(3.4, h, 0.3)
+
+    def test_fixed_cap_binds(self):
+        # the theta = 0.3 cubic (K = 3.4) on a coarse grid
+        assert sv.choose_dt(3.4, 1.0, 0.1) == 0.05
+
+    def test_zero_speed_has_no_accuracy_limit(self):
+        assert sv.choose_dt(10.0, 1e-3, 0.0) == 0.4 / 10.0
+        assert sv.choose_dt(0.0, 1e-3, 0.0) == 0.05
+
+    def test_reference_front_dt_unchanged(self, homog_front):
+        # the accuracy limit at the speed estimate, as before the rule moved
+        assert homog_front.diagnostics["dt"].hex() == "0x1.7e3f56c653133p-7"
+
+    def test_stability_experiment_dt_unchanged(self, homog_inst, homog_front):
+        L = homog_inst.L
+        rep = st.global_stability_experiment(
+            homog_inst, homog_front, lambda x: homog_front.interp(x - 3.0 * L, x / L),
+            fr.Budget(3.0))
+        assert rep.diagnostics["dt"].hex() == "0x1.c50e62b29c635p-7"
 
 
 def reference_step(inst, grid, cfg, u):
@@ -189,7 +219,7 @@ def reference_step(inst, grid, cfg, u):
 class TestFactoredStep:
     def test_matches_full_matrix_solve(self, hetero_inst):
         g = make(hetero_inst, 4.0)
-        # fronts.default_dt picks 0.0044 on this grid; the gap between two
+        # solver.choose_dt picks 0.0044 on this grid; the gap between two
         # direct solves scales with cond(I - dt*D), about 1 + 4*dt*a_max/h^2
         cfg = sv.SolverConfig(dt=0.005, u_left=1.0, u_right=0.0)
         u = sv.front_initial_datum(g, "tanh").values.copy()
