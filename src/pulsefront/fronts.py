@@ -61,21 +61,17 @@ class FrontRunConfig:
 # ---------------------------------------------------------------------------
 
 def level_position(x: np.ndarray, u: np.ndarray, level: float = 0.5):
-    """Outermost crossing of the level (largest x with u >= level).
-
-    Returns (position, n_crossings) with sub-grid linear interpolation, or
-    (None, 0) when the level is not attained.
-    """
-    above = u >= level
-    if not above.any() or above.all():
-        return None, 0
-    n_cross = int(np.count_nonzero(np.diff(above.astype(int)) != 0))
-    i = int(np.max(np.nonzero(above)[0]))
+    """Outermost crossing of the level (largest x with u >= level), with
+    sub-grid linear interpolation, or None when the level is not attained."""
+    above = np.flatnonzero(u >= level)
+    if above.size == 0 or above.size == len(u):
+        return None
+    i = int(above[-1])
     if i == len(u) - 1:
-        return float(x[-1]), n_cross
+        return float(x[-1])
     u0, u1 = u[i], u[i + 1]
     frac = (u0 - level) / (u0 - u1) if u0 != u1 else 0.0
-    return float(x[i] + frac * (x[i + 1] - x[i])), n_cross
+    return float(x[i] + frac * (x[i + 1] - x[i]))
 
 
 @dataclass
@@ -173,7 +169,6 @@ class SpeedEstimate:
     unc_level: float
     unc_period: float | None
     window: tuple
-    multi_crossing: bool = False
 
     @property
     def uncertainty(self) -> float:
@@ -181,12 +176,6 @@ class SpeedEstimate:
         if self.unc_period is not None:
             u += self.unc_period
         return u
-
-    @property
-    def consistent(self) -> bool:
-        if self.c_period is None:
-            return True
-        return abs(self.c_level - self.c_period) <= max(self.uncertainty, 1e-12)
 
 
 def fit_line(x: np.ndarray, y: np.ndarray):
@@ -211,7 +200,7 @@ def _period_uncertainty(L: float, T: float, width: float, dt_snap: float) -> flo
 
 
 def measure_speed(times: Sequence[float], positions: Sequence[float],
-                  multi_crossing: bool = False, min_samples: int = 20) -> SpeedEstimate:
+                  min_samples: int = 20) -> SpeedEstimate:
     """Speed from the level trajectory; the period-matching estimate is added
     by the front run from its capture window."""
     times = np.asarray(times, dtype=float)
@@ -221,8 +210,7 @@ def measure_speed(times: Sequence[float], positions: Sequence[float],
     c_level, stderr = fit_line(times, positions)
     return SpeedEstimate(c_level=c_level, c_period=None,
                          unc_level=stderr + 1e-12, unc_period=None,
-                         window=(float(times[0]), float(times[-1])),
-                         multi_crossing=multi_crossing)
+                         window=(float(times[0]), float(times[-1])))
 
 
 # ---------------------------------------------------------------------------
@@ -246,22 +234,35 @@ class FrontSolution:
     def phi_mean(self) -> np.ndarray:
         return self.phi.mean(axis=1)
 
-    def interp(self, xi, y):
-        """Bilinear interpolation of the lattice, periodic in y, clamped in xi."""
-        xi = np.asarray(xi, dtype=float)
+    def bind(self, y):
+        """xi -> interp(xi, y) with the y-half of the bilinear weights and the
+        column offsets computed once for the fixed y; each call gathers from
+        the flattened lattice at i*m + j."""
         y = np.mod(np.asarray(y, dtype=float), 1.0)
-        h = self.xi[1] - self.xi[0]
-        s = np.clip((xi - self.xi[0]) / h, 0.0, len(self.xi) - 1 - 1e-12)
-        i = s.astype(int)
-        wi = s - i
         m = len(self.y)
         sy = y * m
         j = np.minimum(sy.astype(int), m - 1)
         wj = sy - j
-        jp = (j + 1) % m
-        p = self.phi
-        return ((1 - wi) * ((1 - wj) * p[i, j] + wj * p[i, jp])
-                + wi * ((1 - wj) * p[i + 1, j] + wj * p[i + 1, jp]))
+        vj = 1 - wj
+        dj = (j + 1) % m - j
+        xi0 = self.xi[0]
+        h = self.xi[1] - xi0
+        top = len(self.xi) - 1 - 1e-12
+        flat = self.phi.ravel()
+
+        def phi_at(xi):
+            s = np.clip((np.asarray(xi, dtype=float) - xi0) / h, 0.0, top)
+            i = s.astype(int)
+            wi = s - i
+            k = i * m + j
+            k1 = k + m
+            return ((1 - wi) * (vj * flat.take(k) + wj * flat.take(k + dj))
+                    + wi * (vj * flat.take(k1) + wj * flat.take(k1 + dj)))
+        return phi_at
+
+    def interp(self, xi, y):
+        """Bilinear interpolation of the lattice, periodic in y, clamped in xi."""
+        return self.bind(y)(xi)
 
 
 def extract_profile(snaps: SnapshotSeries, c: float, L: float,
@@ -420,18 +421,15 @@ class _RunState:
         self.x_offset = 0.0
         self.level_t: list[float] = []
         self.level_x: list[float] = []
-        self.multi_crossing = False
         self.m0 = grid.nodes_per_period
         # the level is recorded about every 0.05 time units
         self.level_every = max(1, int(round(0.05 / solver_cfg.dt)))
 
     def record_level(self, t, u):
-        pos, ncross = level_position(self.grid.nodes, u)
+        pos = level_position(self.grid.nodes, u)
         if pos is not None:
             self.level_t.append(t)
             self.level_x.append(pos + self.x_offset)
-            if ncross > 1:
-                self.multi_crossing = True
 
     def advance(self, duration: float):
         n_steps = max(1, int(round(duration / self.cfg.dt)))
@@ -460,12 +458,8 @@ class _RunState:
         assert taken[0] == k
         return SnapshotSeries(t0=t0, dt_snap=r * dt, U=U, grid=self.grid)
 
-    def interface_in_grid(self):
-        pos, _ = level_position(self.grid.nodes, self.u)
-        return pos
-
     def recenter(self):
-        pos = self.interface_in_grid()
+        pos = level_position(self.grid.nodes, self.u)
         if pos is None:
             return
         center = 0.5 * (self.grid.x_min + self.grid.x_max)
@@ -509,7 +503,7 @@ class _RunState:
 def _front_from_lattice(speed, xi, ys, phi, defect, stationary, est, spread,
                         diagnostics):
     prof = phi.mean(axis=1)
-    pos, _ = level_position(xi, prof)
+    pos = level_position(xi, prof)
     xi = xi - (pos if pos is not None else 0.0)
     mu1 = mu2 = None
     try:
@@ -557,8 +551,7 @@ def compute_pulsating_front(inst: ProblemInstance, cfg: FrontRunConfig = FrontRu
             if resid < cfg.tol_stat:
                 est = None
                 if len(state.level_t) >= 20:
-                    est = measure_speed(state.level_t[-200:], state.level_x[-200:],
-                                        multi_crossing=state.multi_crossing)
+                    est = measure_speed(state.level_t[-200:], state.level_x[-200:])
                 m = grid.nodes_per_period
                 margin = m + 4
                 xi = grid.nodes[margin:-margin]
@@ -592,8 +585,7 @@ def compute_pulsating_front(inst: ProblemInstance, cfg: FrontRunConfig = FrontRu
             times = np.asarray(state.level_t)
             xs = np.asarray(state.level_x)
             keep = times >= min(transient, times[-1] - 1e-9)
-            base = measure_speed(times[keep], xs[keep],
-                                 multi_crossing=state.multi_crossing)
+            base = measure_speed(times[keep], xs[keep])
             est = replace(base, c_period=c_period,
                           unc_period=_period_uncertainty(inst.L, T1, width, snaps.dt_snap))
             try:

@@ -265,10 +265,10 @@ def align_profiles(xi: np.ndarray, y: np.ndarray, phi: np.ndarray,
     phi_mean = phi.mean(axis=1)
     # initial guess from the half-levels
     from .fronts import level_position
-    pos_l, _ = level_position(xi, phi_mean, 0.5)
+    pos_l = level_position(xi, phi_mean, 0.5)
     xi0 = np.asarray(xi, dtype=float)
     base = np.asarray(phi0(xi0), dtype=float)
-    pos_0, _ = level_position(xi0, base, 0.5)
+    pos_0 = level_position(xi0, base, 0.5)
     guess = (pos_l - pos_0) if (pos_l is not None and pos_0 is not None) else 0.0
 
     s_star, g2 = _golden_min(_lattice_gap2(xi0, phi, base), guess - search,

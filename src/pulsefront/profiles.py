@@ -187,11 +187,13 @@ def bind_reaction(f: Callable, y) -> Callable:
 
     Reactions built here precompute theta(y) and the extension slopes and give
     bitwise the values of f(y, u); any other callable is called as f(y, u).
+    The bound callable also takes u_range = (u.min(), u.max()) from a caller
+    that already has it, which spares the linear extension its own scan.
     """
     bind = getattr(f, "bind", None)
     if bind is not None:
         return bind(np.asarray(y, dtype=float))
-    return lambda u: np.asarray(f(y, u), dtype=float)
+    return lambda u, u_range=None: np.asarray(f(y, u), dtype=float)
 
 
 class _Bindable:
@@ -208,7 +210,7 @@ class _CubicF(_Bindable):
     def bind(self, y):
         th = np.asarray(self.theta(y), dtype=float)
 
-        def f(u):
+        def f(u, u_range=None):
             u = np.asarray(u, dtype=float)
             return u * (1.0 - u) * (u - th)
         return f
@@ -236,11 +238,13 @@ class _ExtendedF(_Bindable):
         slope0 = self.base_df(y, np.zeros_like(y))
         slope1 = self.base_df(y, np.ones_like(y))
 
-        def f(u):
+        def f(u, u_range=None):
             u = np.asarray(u, dtype=float)
+            if u_range is None and u.size:
+                u_range = (u.min(), u.max())
             # nearly every step of a front run stays in [0, 1], where the
             # clip and both selects are the identity
-            if u.size and 0.0 <= u.min() and u.max() <= 1.0:
+            if u_range is not None and 0.0 <= u_range[0] and u_range[1] <= 1.0:
                 return inner(u)
             return np.where(u < 0.0, slope0 * u,
                             np.where(u > 1.0, slope1 * (u - 1.0),
@@ -337,7 +341,7 @@ class _ScaledF(_Bindable):
 
     def bind(self, y):
         base = bind_reaction(self.base, y)
-        return lambda u: self.scale * base(u)
+        return lambda u, u_range=None: self.scale * base(u, u_range)
 
 
 # ---------------------------------------------------------------------------

@@ -24,10 +24,6 @@ from . import spectral as spx
 from . import stability as st
 
 
-class RunFailure(RuntimeError):
-    """A numerical failure that should surface as a nonzero exit."""
-
-
 @dataclass
 class RunResult:
     summary_lines: list

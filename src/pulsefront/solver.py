@@ -211,12 +211,13 @@ class Stepper:
         self.min_seen = math.inf
         self.max_seen = -math.inf
 
-    def reaction_at(self, u: np.ndarray) -> np.ndarray:
-        return self._reaction(u)
+    def reaction_at(self, u: np.ndarray, u_range=None) -> np.ndarray:
+        return self._reaction(u, u_range)
 
-    def step_values(self, u: np.ndarray) -> np.ndarray:
+    def step_values(self, u: np.ndarray, u_range=None) -> np.ndarray:
+        """One step from u; u_range is (u.min(), u.max()) when known."""
         cfg = self.cfg
-        rhs = u + cfg.dt * self.reaction_at(u)
+        rhs = u + cfg.dt * self.reaction_at(u, u_range)
         rhs[0] = cfg.u_left
         rhs[-1] = cfg.u_right
         rhs[1] += self._couple_left
@@ -230,8 +231,11 @@ class Stepper:
         """Advance n_steps; on_step(k, t, u) fires every callback_every steps
         and on the final step."""
         dt = self.cfg.dt
+        # the range of each step's result is taken once and serves both the
+        # checks below and the next step's reaction
+        lo, hi = float(u.min()), float(u.max())
         for k in range(1, n_steps + 1):
-            u = self.step_values(u)
+            u = self.step_values(u, (lo, hi))
             # NaN and +-inf propagate through min and max
             lo = float(u.min())
             hi = float(u.max())

@@ -108,12 +108,6 @@ def check_front_like(g: np.ndarray, delta: float, n_edge_frac: float = 0.05) -> 
     return bool(np.min(g[left]) > 1.0 - delta and np.max(g[right]) < delta)
 
 
-def _reference_error(front: FrontSolution, inst, x_abs, t, tau, u):
-    c = front.speed
-    ref = front.interp(x_abs - c * (t + tau), x_abs / inst.L)
-    return float(np.max(np.abs(u - ref)))
-
-
 def global_stability_experiment(inst: ProblemInstance, front: FrontSolution,
                                 g, budget: Budget = Budget(200.0),
                                 validate: bool = True) -> StabilityReport:
@@ -148,24 +142,29 @@ def global_stability_experiment(inst: ProblemInstance, front: FrontSolution,
     n_probes = int(budget.t_max / (steps_per_probe * dt))
     center = 0.5 * (grid.x_min + grid.x_max)
     usable = 0.5 * (grid.x_max - grid.x_min)
+    # the reference is bound to the window's cell coordinates, which change
+    # only when the window moves
+    x_abs = grid.nodes + x_offset
+    ref = front.bind(x_abs / inst.L)
 
     for _ in range(n_probes):
         u, t = stepper.run(u, t, steps_per_probe)
-        x_abs = grid.nodes + x_offset
 
         def err(tau):
-            return _reference_error(front, inst, x_abs, t, tau, u)
+            return float(np.max(np.abs(u - ref(x_abs - c * (t + tau)))))
 
         tau_hat, e = _golden_min(err, tau_hat - tau_span, tau_hat + tau_span,
                                  tol=min(tau_tol * 0.1, 1e-4))
         probes.append((t, tau_hat, e))
         # keep the interface well inside the window
-        pos, _ = level_position(grid.nodes, u, 0.5)
+        pos = level_position(grid.nodes, u, 0.5)
         if pos is not None and abs(pos - center) > max(inst.L, 0.3 * usable):
             p = int(round((pos - center) / inst.L))
             u = shift_window(u, p, m0, sol_cfg.u_left, sol_cfg.u_right)
             u[0], u[-1] = sol_cfg.u_left, sol_cfg.u_right
             x_offset += p * inst.L
+            x_abs = grid.nodes + x_offset
+            ref = front.bind(x_abs / inst.L)
 
     ts = np.array([p[0] for p in probes])
     taus = np.array([p[1] for p in probes])

@@ -22,20 +22,27 @@ class TestLevelPosition:
     def test_monotone_profile(self):
         x = np.linspace(-5, 5, 201)
         u = 1.0 / (1.0 + np.exp(x / 0.7))
-        pos, ncross = fr.level_position(x, u, 0.5)
-        assert pos == pytest.approx(0.0, abs=1e-6)
-        assert ncross == 1
+        assert fr.level_position(x, u, 0.5) == pytest.approx(0.0, abs=1e-6)
 
     def test_outermost_of_multiple(self):
+        # crossings near 3, 4 and 6: the largest x with u >= level wins, with
+        # the sub-grid interpolation on its cell
         x = np.linspace(0, 10, 401)
         u = np.where(x < 3, 1.0, np.where(x < 4, 0.2, np.where(x < 6, 0.8, 0.0)))
-        pos, ncross = fr.level_position(x, u, 0.5)
-        assert ncross > 1
-        assert 5.9 < pos < 6.1
+        i = int(np.max(np.nonzero(u >= 0.5)[0]))
+        expected = x[i] + (u[i] - 0.5) / (u[i] - u[i + 1]) * (x[i + 1] - x[i])
+        assert fr.level_position(x, u, 0.5) == expected
+        assert 5.9 < expected < 6.1
+
+    def test_last_node_above(self):
+        x = np.linspace(0, 1, 11)
+        u = np.linspace(0, 1, 11)
+        assert fr.level_position(x, u, 0.5) == 1.0
 
     def test_flat_has_none(self):
         x = np.linspace(0, 1, 11)
-        assert fr.level_position(x, np.zeros(11))[0] is None
+        assert fr.level_position(x, np.zeros(11)) is None
+        assert fr.level_position(x, np.ones(11)) is None
 
 
 class TestMeasureSpeed:

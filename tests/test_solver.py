@@ -359,6 +359,38 @@ class TestBoundReaction:
         assert np.array_equal(pr.bind_reaction(f, self.Y)(u), f(self.Y, u))
 
 
+class TestCarriedRange:
+    def test_out_of_range_branch_matches_unbound_f(self, hetero_inst):
+        # Stepper.run hands each step's (min, max) to the next reaction; a
+        # datum outside [0, 1] must still take the linear extension
+        g = make(hetero_inst, 4.0)
+        cfg = sv.SolverConfig(dt=0.005, u_left=1.0, u_right=0.0)
+        u0 = sv.front_initial_datum(g, "tanh").values.copy()
+        u0[1:-1] += 0.3 * np.sin(7.0 * g.nodes[1:-1])
+        assert u0.min() < 0.0 and u0.max() > 1.0
+        y = np.mod(g.nodes / hetero_inst.L, 1.0)
+        stepper = sv.Stepper(hetero_inst, g, cfg)
+        bound = stepper._reaction
+        ranges = []
+
+        def checked(u, u_range=None):
+            assert u_range == (u.min(), u.max())
+            ranges.append(u_range)
+            out = bound(u, u_range)
+            assert np.array_equal(out, hetero_inst.reaction.f(y, u))
+            return out
+
+        stepper._reaction = checked
+        out, _ = stepper.run(u0, 0.0, 40)
+        assert len(ranges) == 40
+        assert ranges[-1][0] < 0.0 or ranges[-1][1] > 1.0
+        # steps whose reaction takes its own range
+        plain, u = sv.Stepper(hetero_inst, g, cfg), u0
+        for _ in range(40):
+            u = plain.step_values(u)
+        assert np.array_equal(out, u)
+
+
 class TestNonFinite:
     @pytest.mark.parametrize("step", [1, 4])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hyp
 
 import pulsefront.fronts as fr
 import pulsefront.profiles as pr
@@ -251,3 +252,86 @@ class TestSpectrum:
 
         rep = st.global_stability_experiment(inst, front, g, fr.Budget(100.0))
         assert rep.mu_fit <= 1.3 * gap_rate
+
+
+def interp_reference(front, xi, y):
+    """The bilinear lattice interpolation written with 2-D fancy indexing."""
+    xi = np.asarray(xi, dtype=float)
+    y = np.mod(np.asarray(y, dtype=float), 1.0)
+    h = front.xi[1] - front.xi[0]
+    s = np.clip((xi - front.xi[0]) / h, 0.0, len(front.xi) - 1 - 1e-12)
+    i = s.astype(int)
+    wi = s - i
+    m = len(front.y)
+    sy = y * m
+    j = np.minimum(sy.astype(int), m - 1)
+    wj = sy - j
+    jp = (j + 1) % m
+    p = front.phi
+    return ((1 - wi) * ((1 - wj) * p[i, j] + wj * p[i, jp])
+            + wi * ((1 - wj) * p[i + 1, j] + wj * p[i + 1, jp]))
+
+
+def same_bits(a, b):
+    a = np.atleast_1d(np.asarray(a, dtype=np.float64))
+    b = np.atleast_1d(np.asarray(b, dtype=np.float64))
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+class TestBoundFront:
+    # a lattice with genuine y-dependence: xi in [-5, 5], 8 columns in y
+    LATTICE = fr.FrontSolution(
+        speed=0.3, xi=np.linspace(-5.0, 5.0, 41), y=np.arange(8) / 8,
+        phi=np.random.default_rng(11).uniform(0.0, 1.0, (41, 8)),
+        pulsating_error=0.0, mu1_fit=None, mu2_fit=None, stationary=False,
+        speed_estimate=None, replica_spread=0.0, diagnostics={})
+    # past both clamped ends of xi and across the periodic wrap of y, with the
+    # end nodes, 1 - ulp and the exact period ends among the drawn values
+    XI = hyp.one_of(hyp.floats(-8.0, 8.0), hyp.sampled_from([-5.0, 5.0, 4.999999999999]))
+    Y = hyp.one_of(hyp.floats(-3.0, 3.0),
+                   hyp.sampled_from([0.0, -0.0, 1.0, -1.0, 1.0 - 2**-53, -2**-60, 2.0]))
+
+    @given(XI, Y)
+    @settings(max_examples=300, deadline=None)
+    def test_scalar_bitwise(self, xi, y):
+        front = self.LATTICE
+        out = front.bind(y)(xi)
+        assert same_bits(out, front.interp(xi, y))
+        assert same_bits(out, interp_reference(front, xi, y))
+
+    @given(hyp.lists(XI, min_size=1, max_size=12), hyp.lists(Y, min_size=1, max_size=12))
+    @settings(max_examples=150, deadline=None)
+    def test_broadcast_bitwise(self, xis, ys):
+        front = self.LATTICE
+        xi, y = np.array(xis), np.array(ys)
+        cases = [(xi[:, None], y[None, :]), (xi, y[0]), (xi[0], y)]
+        if len(xis) == len(ys):
+            cases.append((xi, y))
+        for a, b in cases:
+            out = front.bind(b)(a)
+            assert same_bits(out, front.interp(a, b))
+            assert same_bits(out, interp_reference(front, a, b))
+
+    @pytest.mark.parametrize("datum", ["shifted", "step"])
+    def test_experiment_equals_per_call_interp(self, inst, front, datum, monkeypatch):
+        L = inst.L
+        g = {"shifted": lambda x: front.interp(x - 3.0 * L, x / L),
+             "step": lambda x: np.where(x < 0.0, 1.0, 0.0)}[datum]
+        bound_at = set()
+        bind = fr.FrontSolution.bind
+
+        def recorded(self, y):
+            bound_at.add(float(np.ravel(y)[0]))
+            return bind(self, y)
+
+        monkeypatch.setattr(fr.FrontSolution, "bind", recorded)
+        fast = st.global_stability_experiment(inst, front, g, fr.Budget(60.0))
+        # the window moved, so the reference was bound again at a new offset
+        assert len(bound_at) > 1
+        # every trial phase evaluates the fancy-indexed interpolation afresh
+        monkeypatch.setattr(fr.FrontSolution, "bind",
+                            lambda self, y: lambda xi: interp_reference(self, xi, y))
+        slow = st.global_stability_experiment(inst, front, g, fr.Budget(60.0))
+        assert (fast.tau_g, fast.mu_fit, fast.sup_errors) == \
+            (slow.tau_g, slow.mu_fit, slow.sup_errors)
+        assert fast == slow
