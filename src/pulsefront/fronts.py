@@ -601,8 +601,6 @@ def compute_pulsating_front(inst: ProblemInstance, cfg: FrontRunConfig = FrontRu
             diagnostics["range_seen"] = (state.stepper.min_seen,
                                          state.stepper.max_seen)
             diagnostics["time_monotonicity_defect"] = snaps.time_monotonicity_defect()
-            diagnostics["xi_monotonicity_defect"] = (
-                float(max(0.0, np.max(np.diff(phi, axis=0)))) if phi.shape[0] > 1 else 0.0)
             return _front_from_lattice(c_period, xi, ys, phi, defect, False, est,
                                        spread, diagnostics)
         last_defect = defect

@@ -466,22 +466,6 @@ def validate_hypotheses(reaction: ReactionProfile, n_samples: int = 128,
     return ValidationReport(violations=tuple(out), n_y=len(ys), n_u=len(us))
 
 
-def locate_theta(reaction_f: Callable, y: float, delta: float) -> float:
-    """Find the sign change of f(y, .) in (delta, 1-delta) by bisection."""
-    lo, hi = delta, 1.0 - delta
-    flo = float(reaction_f(np.asarray(y), np.asarray(lo)))
-    fhi = float(reaction_f(np.asarray(y), np.asarray(hi)))
-    if not (flo < 0.0 < fhi):
-        raise ProfileError(f"no sign change of f({y}, .) inside ({lo}, {hi})")
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if float(reaction_f(np.asarray(y), np.asarray(mid))) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 # ---------------------------------------------------------------------------
 # quadrature and averaged quantities
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ is the one step rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -55,6 +55,7 @@ class Grid1D:
     h: float
     L: float
     a_face: np.ndarray  # diffusivity at the n-1 cell midpoints
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 3:
@@ -65,10 +66,9 @@ class Grid1D:
         if abs(periods - round(periods)) > 1e-9:
             raise ValueError("domain extent must be an integer multiple of L")
         self.a_face.flags.writeable = False
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return self.x_min + self.h * np.arange(self.n)
+        nodes = self.x_min + self.h * np.arange(self.n)
+        nodes.flags.writeable = False
+        object.__setattr__(self, "nodes", nodes)
 
     @property
     def nodes_per_period(self) -> int:

@@ -1,12 +1,14 @@
 """Principal eigenvalues, periodic steady states, and exponential decay roots.
 
-All eigenpairs are computed by shifted inverse power iteration: with the shift
-above the Gershgorin right edge, (shift*I - A) is an M-matrix, its inverse is
-positive, and the iteration converges to the eigenvalue with the positive
-eigenfunction.  Every operator is the flux-form stencil of
-solver.flux_stencil plus a potential; Dirichlet problems factor the shifted
-symmetric tridiagonal once (solver.factor_spd, LAPACK dpttrf) and solve with
-dpttrs, periodic ones use a sparse LU of the cyclic-tridiagonal matrix.
+Every operator is the flux-form stencil of solver.flux_stencil plus a
+potential.  Dirichlet problems are symmetric tridiagonal with positive
+off-diagonals, so their largest eigenvalue is the principal one and its
+eigenvector has one sign; LAPACK's tridiagonal eigensolver (bisection plus
+inverse iteration, scipy.linalg.eigh_tridiagonal) computes that single pair
+in O(n).  Periodic problems (cyclic and, for decay rates, nonsymmetric) use
+shifted inverse power iteration on a sparse LU: with the shift above the
+Gershgorin right edge, (shift*I - A) is an M-matrix, its inverse is positive,
+and the iteration converges to the eigenvalue with the positive eigenfunction.
 """
 
 from __future__ import annotations
@@ -17,10 +19,11 @@ from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.linalg import splu
 
 from .profiles import ProblemInstance
-from .solver import factor_spd, flux_apply, flux_stencil, solve_banded
+from .solver import flux_apply, flux_stencil
 
 MAX_POWER_ITER = 10_000
 RESID_TOL = 1e-10
@@ -70,32 +73,22 @@ def classify_lambda(lam: float, band: float = SEMISTABLE_BAND) -> str:
 
 
 # ---------------------------------------------------------------------------
-# inverse power iteration cores
+# principal eigenpair cores
 # ---------------------------------------------------------------------------
 
 def _principal_banded(diag: np.ndarray, off: np.ndarray):
-    """Largest eigenpair of the symmetric tridiagonal (diag, off)."""
+    """Largest eigenpair of the symmetric tridiagonal (diag, off): LAPACK
+    bisection (dstebz) for the value, inverse iteration (dstein) for the
+    vector.  Returns (value, |psi| with max 1, max|T psi - value psi|, 0)."""
     m = len(diag)
-    sigma = float(np.max(diag + np.concatenate([[0.0], np.abs(off)])
-                         + np.concatenate([np.abs(off), [0.0]]))) + 1.0
-    factor = factor_spd(sigma - diag, -off)
-    v = np.ones(m)
-    lam = 0.0
-    opnorm = float(np.max(np.abs(diag))) + 2.0 * float(np.max(np.abs(off), initial=0.0))
-    tol = max(RESID_TOL, 16.0 * np.finfo(float).eps * opnorm)
-    for it in range(1, MAX_POWER_ITER + 1):
-        w = solve_banded(factor, v)
-        w /= np.max(np.abs(w))
-        av = diag * w
-        av[1:] += off * w[:-1]
-        av[:-1] += off * w[1:]
-        lam = float(np.dot(w, av) / np.dot(w, w))
-        resid = float(np.max(np.abs(av - lam * w)))
-        v = w
-        if resid <= tol:
-            return lam, np.abs(v) / np.max(np.abs(v)), resid, it
-    raise EigenIterationError(f"no convergence in {MAX_POWER_ITER} iterations "
-                              f"(last residual {resid:.3g})")
+    vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(m - 1, m - 1))
+    lam = float(vals[0])
+    psi = np.abs(vecs[:, 0])
+    psi /= np.max(psi)
+    tpsi = diag * psi
+    tpsi[1:] += off * psi[:-1]
+    tpsi[:-1] += off * psi[1:]
+    return lam, psi, float(np.max(np.abs(tpsi - lam * psi))), 0
 
 
 def _cyclic_matrix(main: np.ndarray, lower: np.ndarray, upper: np.ndarray):

@@ -489,18 +489,3 @@ def poincare_spectrum(inst: ProblemInstance, front: FrontSolution,
         ess_radius=ess, margin=ESS_MARGIN,
         n_above_ess=int(np.count_nonzero(above)), flagged=flagged,
         T=T, n_nodes=grid.n)
-
-
-def linear_decay_spectrum(inst: ProblemInstance, gamma: float, T: float,
-                          n_nodes: int = 200) -> np.ndarray:
-    """Spectrum of the period map when the reaction is the pure decay -gamma u
-    (flat reference orbit, no shift) on [-10, 10]: all moduli fall below
-    e^{-gamma T}."""
-    halfwidth = 10.0
-    grid = build_grid(inst, halfwidth, max(8, (n_nodes - 1) //
-                                           max(2, int(2 * halfwidth / inst.L))))
-    n_steps = max(1, int(math.ceil(T / 0.02)))
-    dt = T / n_steps
-    pots = np.full((n_steps, grid.n), -gamma)
-    P = linearized_period_map(inst, pots, grid, dt, 0)
-    return np.sort(np.abs(np.linalg.eigvals(P)))[::-1]

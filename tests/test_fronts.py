@@ -6,18 +6,6 @@ import pulsefront.profiles as pr
 from pulsefront.solver import build_grid
 
 
-@pytest.fixture(scope="module")
-def homog_inst():
-    coeff = pr.CoefficientProfile.from_curve(pr.ConstantCurve(1.0))
-    return pr.ProblemInstance(coeff=coeff, reaction=pr.make_cubic(0.3), L=1.0)
-
-
-@pytest.fixture(scope="module")
-def homog_front(homog_inst):
-    return fr.compute_pulsating_front(homog_inst, fr.FrontRunConfig(),
-                                      fr.Budget(300.0))
-
-
 class TestLevelPosition:
     def test_monotone_profile(self):
         x = np.linspace(-5, 5, 201)

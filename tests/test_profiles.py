@@ -13,6 +13,20 @@ def cos_coeff(mean=2.0, amp=1.0):
     return pr.CoefficientProfile.from_curve(pr.CosineCurve(mean, amp))
 
 
+def locate_theta(reaction_f, y, delta):
+    """The sign change of f(y, .) in (delta, 1-delta), by bisection."""
+    lo, hi = delta, 1.0 - delta
+    assert float(reaction_f(np.asarray(y), np.asarray(lo))) < 0.0 \
+        < float(reaction_f(np.asarray(y), np.asarray(hi)))
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if float(reaction_f(np.asarray(y), np.asarray(mid))) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 class TestValidateHypotheses:
     def test_cubic_passes(self):
         rx = pr.make_cubic(0.3, gamma=0.05, delta=0.05)
@@ -274,7 +288,7 @@ class TestTabulated:
 
     def test_locate_theta_bisection(self):
         rx = pr.make_cubic(pr.CosineCurve(0.45, 0.1))
-        th = pr.locate_theta(rx.f, 0.2, rx.delta)
+        th = locate_theta(rx.f, 0.2, rx.delta)
         assert th == pytest.approx(float(rx.theta(np.asarray(0.2))), abs=1e-10)
 
 

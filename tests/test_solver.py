@@ -35,6 +35,13 @@ class TestGrid:
         mids = g.nodes[:-1] + g.h / 2
         np.testing.assert_allclose(g.a_face, hetero_inst.a_L(mids), atol=1e-14)
 
+    def test_nodes_stored_read_only(self, hetero_inst):
+        g = make(hetero_inst)
+        assert g.nodes is g.nodes
+        assert np.array_equal(g.nodes, g.x_min + g.h * np.arange(g.n))
+        with pytest.raises(ValueError):
+            g.nodes[0] = 0.0
+
 
 class TestFixedPoints:
     def test_zero_stays_zero(self, inst):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hyp
+from scipy.linalg import solve_banded
 
 import pulsefront.profiles as pr
 import pulsefront.spectral as sp
@@ -49,6 +51,70 @@ class TestDirichlet:
         inst = make_inst()
         with pytest.raises(ValueError):
             sp.dirichlet_principal_eigen(inst, ZERO, 1.0, n_nodes=32)
+
+
+def power_iteration_reference(diag, off, max_iter=10_000):
+    """Shifted inverse power iteration, shift above the Gershgorin edge: the
+    Dirichlet eigensolver this module used before LAPACK's tridiagonal one."""
+    sigma = float(np.max(diag + np.concatenate([[0.0], np.abs(off)])
+                         + np.concatenate([np.abs(off), [0.0]]))) + 1.0
+    ab = np.zeros((3, len(diag)))
+    ab[0, 1:] = ab[2, :-1] = -off
+    ab[1] = sigma - diag
+    opnorm = float(np.max(np.abs(diag))) + 2.0 * float(np.max(np.abs(off)))
+    tol = max(1e-10, 16.0 * np.finfo(float).eps * opnorm)
+    v = np.ones(len(diag))
+    for _ in range(max_iter):
+        w = solve_banded((1, 1), ab, v)
+        w /= np.max(np.abs(w))
+        av = diag * w
+        av[1:] += off * w[:-1]
+        av[:-1] += off * w[1:]
+        lam = float(np.dot(w, av) / np.dot(w, w))
+        v = w
+        if np.max(np.abs(av - lam * w)) <= tol:
+            return lam
+    raise AssertionError("reference power iteration did not converge")
+
+
+class TestPrincipalBanded:
+    @given(hyp.integers(1, 40).flatmap(lambda m: hyp.tuples(
+        hyp.lists(hyp.floats(-10.0, 10.0), min_size=m, max_size=m),
+        hyp.lists(hyp.floats(0.5, 10.0), min_size=m - 1, max_size=m - 1))))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_dense_largest_eigenpair(self, diags):
+        diag, off = np.array(diags[0]), np.array(diags[1])
+        T = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+        norm = float(np.max(np.sum(np.abs(T), axis=1)))
+        lam, psi, resid, it = sp._principal_banded(diag, off)
+        assert lam == pytest.approx(np.linalg.eigvalsh(T).max(), abs=1e-12 * norm)
+        assert np.all(psi > 0.0) and np.max(psi) == 1.0
+        # the reported residual is the returned pair's own, not an estimate
+        tpsi = diag * psi
+        tpsi[1:] += off * psi[:-1]
+        tpsi[:-1] += off * psi[1:]
+        assert resid == float(np.max(np.abs(tpsi - lam * psi)))
+        assert np.max(np.abs(T @ psi - lam * psi)) <= 1e-12 * norm
+        assert it == 0
+
+    @pytest.mark.parametrize("state", ["zero", "theta"])
+    def test_agrees_with_power_iteration(self, state, monkeypatch):
+        # R = 16 at 128 nodes per unit: 4,095 interior nodes
+        inst = make_inst(0.3, a_amp=1.0)
+        ubar = {"zero": ZERO, "theta": lambda x: np.asarray(inst.theta_L(x))}[state]
+        seen = []
+        core = sp._principal_banded
+
+        def recorded(diag, off):
+            seen.append((diag, off))
+            return core(diag, off)
+
+        monkeypatch.setattr(sp, "_principal_banded", recorded)
+        pair = sp.dirichlet_principal_eigen(inst, ubar, 16.0, n_nodes=4097)
+        (diag, off), = seen
+        assert len(diag) == 4095
+        assert pair.iterations == 0
+        assert pair.value == pytest.approx(power_iteration_reference(diag, off), abs=1e-10)
 
 
 class TestPeriodic:

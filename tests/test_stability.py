@@ -5,33 +5,35 @@ import pytest
 from hypothesis import given, settings, strategies as hyp
 
 import pulsefront.fronts as fr
-import pulsefront.profiles as pr
 import pulsefront.spectral as spx
 import pulsefront.stability as st
 from pulsefront.solver import SolverConfig, Stepper, build_grid, shift_window
 
 
 @pytest.fixture(scope="module")
-def inst():
-    coeff = pr.CoefficientProfile.from_curve(pr.ConstantCurve(1.0))
-    return pr.ProblemInstance(coeff=coeff, reaction=pr.make_cubic(0.3), L=1.0)
-
-
-@pytest.fixture(scope="module")
-def front(inst):
-    return fr.compute_pulsating_front(inst, fr.FrontRunConfig(), fr.Budget(300.0))
-
-
-@pytest.fixture(scope="module")
-def frame(inst, front):
-    grid = build_grid(inst, 22.0, 64)
-    return st.ComovingFrame(inst=inst, front=front, grid=grid)
+def frame(homog_inst, homog_front):
+    grid = build_grid(homog_inst, 22.0, 64)
+    return st.ComovingFrame(inst=homog_inst, front=homog_front, grid=grid)
 
 
 @pytest.fixture(scope="module")
 def frame_cfg(frame):
     # poincare_map shortens the step to T/n
     return SolverConfig(dt=0.05)
+
+
+def linear_decay_spectrum(inst, gamma, T, n_nodes=200):
+    """Spectrum of the period map when the reaction is the pure decay -gamma u
+    (flat reference orbit, no shift) on [-10, 10]: all moduli fall below
+    e^{-gamma T}."""
+    halfwidth = 10.0
+    grid = build_grid(inst, halfwidth, max(8, (n_nodes - 1) //
+                                           max(2, int(2 * halfwidth / inst.L))))
+    n_steps = max(1, int(math.ceil(T / 0.02)))
+    dt = T / n_steps
+    pots = np.full((n_steps, grid.n), -gamma)
+    P = st.linearized_period_map(inst, pots, grid, dt, 0)
+    return np.sort(np.abs(np.linalg.eigvals(P)))[::-1]
 
 
 def datum_from_translate(frame, tau):
@@ -42,8 +44,8 @@ def datum_from_translate(frame, tau):
 
 
 class TestFrame:
-    def test_period(self, frame, front, inst):
-        assert frame.T == pytest.approx(inst.L / abs(front.speed))
+    def test_period(self, frame, homog_front, homog_inst):
+        assert frame.T == pytest.approx(homog_inst.L / abs(homog_front.speed))
 
     def test_translates_are_ordered(self, frame):
         xi = frame.grid.nodes
@@ -52,9 +54,9 @@ class TestFrame:
         core = np.abs(xi) < 15.0
         assert np.all(v1[core] >= v2[core])
 
-    def test_fixed_point_family(self, frame, frame_cfg, inst):
+    def test_fixed_point_family(self, frame, frame_cfg, homog_inst):
         for tau in (-2.0, -1.0, 0.0, 1.0, 2.0):
-            g = datum_from_translate(frame, tau * inst.L)
+            g = datum_from_translate(frame, tau * homog_inst.L)
             out = st.poincare_map(frame, frame_cfg, g)
             assert np.max(np.abs(out - g)) < 1e-3
 
@@ -71,7 +73,7 @@ class TestFrame:
         p2 = st.poincare_map(frame, frame_cfg, g2)
         assert np.min(p2 - p1) >= -1e-10
 
-    def test_double_map_equals_two_periods(self, inst, frame, frame_cfg):
+    def test_double_map_equals_two_periods(self, homog_inst, frame, frame_cfg):
         # two maps against 2n steps and one shift by two periods: they differ
         # only by the tail values (about 1e-7 here) that the first shift
         # replaces at the window's edge, and that difference decays inward
@@ -79,26 +81,26 @@ class TestFrame:
         a = st.poincare_map(frame, frame_cfg, st.poincare_map(frame, frame_cfg, g))
         n = math.ceil(frame.T / frame_cfg.dt - 1e-9)
         cfg = SolverConfig(dt=frame.T / n)
-        b, _ = Stepper(inst, frame.grid, cfg).run(g.copy(), 0.0, 2 * n)
+        b, _ = Stepper(homog_inst, frame.grid, cfg).run(g.copy(), 0.0, 2 * n)
         b = shift_window(b, 2, frame.grid.nodes_per_period, 1.0, 0.0)
         core = np.abs(frame.grid.nodes) < 10.0
         assert np.max(np.abs(a[core] - b[core])) < 1e-11
 
-    def test_linearization_matches_difference_quotient(self, inst, coarse):
-        grid = build_grid(inst, 8.0, 12)
-        frame = st.ComovingFrame(inst=inst, front=coarse, grid=grid)
+    def test_linearization_matches_difference_quotient(self, homog_inst, coarse):
+        grid = build_grid(homog_inst, 8.0, 12)
+        frame = st.ComovingFrame(inst=homog_inst, front=coarse, grid=grid)
         n = math.ceil(frame.T / 0.05)
         cfg = SolverConfig(dt=frame.T / n)
         u0 = datum_from_translate(frame, 0.0)
         pots = np.empty((n, grid.n))
-        pots[0] = inst.df_L(grid.nodes, u0)
+        pots[0] = homog_inst.df_L(grid.nodes, u0)
 
         def record(k, t, u):
             if k < n:
-                pots[k] = inst.df_L(grid.nodes, u)
+                pots[k] = homog_inst.df_L(grid.nodes, u)
 
         base = st.poincare_map(frame, cfg, u0, record)
-        P = st.linearized_period_map(inst, pots, grid, cfg.dt, 1)
+        P = st.linearized_period_map(homog_inst, pots, grid, cfg.dt, 1)
         x = grid.nodes
         v = np.exp(-((x - 1.0) / 2.0) ** 2)
         v[0] = v[-1] = 0.0
@@ -110,97 +112,97 @@ class TestFrame:
 
 
 class TestSuperSub:
-    def test_super_defect_nonnegative(self, inst, front):
-        ss = st.build_supersub(inst, "super", front.speed)
+    def test_super_defect_nonnegative(self, homog_inst, homog_front):
+        ss = st.build_supersub(homog_inst, "super", homog_front.speed)
         assert ss.defect_min >= -1e-8
 
-    def test_sub_defect_nonpositive(self, inst, front):
-        ss = st.build_supersub(inst, "sub", front.speed)
+    def test_sub_defect_nonpositive(self, homog_inst, homog_front):
+        ss = st.build_supersub(homog_inst, "sub", homog_front.speed)
         assert ss.defect_max <= 1e-8
 
-    def test_interface_value_at_origin(self, inst, front):
-        ss = st.build_supersub(inst, "super", front.speed)
+    def test_interface_value_at_origin(self, homog_inst, homog_front):
+        ss = st.build_supersub(homog_inst, "super", homog_front.speed)
         assert float(ss.w(0.0, 0.0)) == pytest.approx(1.0, abs=1e-12)
-        delta = inst.reaction.delta
+        delta = homog_inst.reaction.delta
         xi = np.linspace(-30.0, 0.0, 61)
         assert np.all(ss.w(0.0, xi) >= 1.0 - 1e-12)
 
-    def test_long_time_shape(self, inst, front):
-        ss = st.build_supersub(inst, "super", front.speed)
+    def test_long_time_shape(self, homog_inst, homog_front):
+        ss = st.build_supersub(homog_inst, "super", homog_front.speed)
         t = 200.0
         xi = np.linspace(-5, 5, 21)
         eta = st._eta(xi + ss.c_pm * t)
         assert np.max(np.abs(ss.w(t, xi) - eta)) < 1e-10
 
-    def test_squeeze_at_time_zero(self, inst, front):
-        delta = inst.reaction.delta
+    def test_squeeze_at_time_zero(self, homog_inst, homog_front):
+        delta = homog_inst.reaction.delta
         xi = np.linspace(-40, 40, 4001)
-        g = np.clip(front.interp(xi, xi / inst.L), 0.0, 1.0)
-        sup = st.build_supersub(inst, "super", front.speed)
-        sub = st.build_supersub(inst, "sub", front.speed)
+        g = np.clip(homog_front.interp(xi, xi / homog_inst.L), 0.0, 1.0)
+        sup = st.build_supersub(homog_inst, "super", homog_front.speed)
+        sub = st.build_supersub(homog_inst, "sub", homog_front.speed)
         s_plus = xi[np.max(np.nonzero(g > delta)[0])]
         s_minus = xi[np.min(np.nonzero(g < 1.0 - delta)[0])]
         assert np.all(g <= sup.w(0.0, xi - s_plus) + 1e-12)
         assert np.all(g >= sub.w(0.0, xi - s_minus) - 1e-12)
 
-    def test_small_K_rejected(self, inst, front):
+    def test_small_K_rejected(self, homog_inst, homog_front):
         with pytest.raises(ValueError):
-            st.build_supersub(inst, "super", front.speed, K=0.01)
+            st.build_supersub(homog_inst, "super", homog_front.speed, K=0.01)
 
 
 class TestGlobalStability:
-    def test_exact_translate_floor(self, inst, front):
-        L = inst.L
+    def test_exact_translate_floor(self, homog_inst, homog_front):
+        L = homog_inst.L
         shift = 3.0 * L
 
         def g(x):
-            return front.interp(x - shift, x / L)
+            return homog_front.interp(x - shift, x / L)
 
-        rep = st.global_stability_experiment(inst, front, g, fr.Budget(60.0))
+        rep = st.global_stability_experiment(homog_inst, homog_front, g, fr.Budget(60.0))
         assert rep.accepted
         assert rep.final_error < 1e-4
-        assert rep.tau_g == pytest.approx(shift / front.speed, abs=0.02)
+        assert rep.tau_g == pytest.approx(shift / homog_front.speed, abs=0.02)
 
-    def test_perturbed_front_positive_rate(self, inst, front):
+    def test_perturbed_front_positive_rate(self, homog_inst, homog_front):
         def g(x):
             bump = 0.05 * np.exp(-((x - 2.0) / 1.5) ** 2)
-            return np.clip(front.interp(x, x / inst.L) + bump, 0.0, 1.0)
+            return np.clip(homog_front.interp(x, x / homog_inst.L) + bump, 0.0, 1.0)
 
-        rep = st.global_stability_experiment(inst, front, g, fr.Budget(100.0))
+        rep = st.global_stability_experiment(homog_inst, homog_front, g, fr.Budget(100.0))
         assert rep.accepted
         assert np.isfinite(rep.mu_fit) and rep.mu_fit > 0
         assert rep.final_error < 1e-4
 
-    def test_violating_datum_rejected(self, inst, front):
+    def test_violating_datum_rejected(self, homog_inst, homog_front):
         def g(x):
             return np.where(x < 0, 0.5, 0.0)   # liminf at -inf too small
 
         with pytest.raises(ValueError):
-            st.global_stability_experiment(inst, front, g, fr.Budget(10.0))
+            st.global_stability_experiment(homog_inst, homog_front, g, fr.Budget(10.0))
 
 
 class TestInitialv2:
-    def test_trapped_datum_accepted(self, inst, front):
-        states = spx.find_periodic_steady_states(inst)
+    def test_trapped_datum_accepted(self, homog_inst, homog_front):
+        states = spx.find_periodic_steady_states(homog_inst)
 
         def g(x):
             return 0.45 - 0.40 / (1.0 + np.exp(-x / 0.8))
 
-        rep = st.initialv2_experiment(inst, front, states, g, fr.Budget(220.0))
+        rep = st.initialv2_experiment(homog_inst, homog_front, states, g, fr.Budget(220.0))
         assert rep.accepted
         assert rep.mu_fit > 0
         assert rep.diagnostics["t_frontlike"] < 50.0
 
-    def test_datum_below_state_rejected(self, inst, front):
-        states = spx.find_periodic_steady_states(inst)
+    def test_datum_below_state_rejected(self, homog_inst, homog_front):
+        states = spx.find_periodic_steady_states(homog_inst)
 
         def g(x):
             return 0.25 - 0.2 / (1.0 + np.exp(-x))
 
         with pytest.raises(ValueError):
-            st.initialv2_experiment(inst, front, states, g, fr.Budget(10.0))
+            st.initialv2_experiment(homog_inst, homog_front, states, g, fr.Budget(10.0))
 
-    def test_non_unstable_state_rejected(self, inst, front):
+    def test_non_unstable_state_rejected(self, homog_inst, homog_front):
         fake = spx.SteadyState(x=np.arange(4.0), u=np.full(4, 0.3), residual=0.0,
                                lambda1=-0.1, eigen=None, cls="stable")
 
@@ -208,49 +210,49 @@ class TestInitialv2:
             return np.where(x < 0, 0.9, 0.1)
 
         with pytest.raises(ValueError):
-            st.initialv2_experiment(inst, front, [fake], g, fr.Budget(10.0))
+            st.initialv2_experiment(homog_inst, homog_front, [fake], g, fr.Budget(10.0))
 
 
 @pytest.fixture(scope="module")
-def coarse(inst):
+def coarse(homog_inst):
     cfg = fr.FrontRunConfig(nodes_per_period=12, halfwidth=16.0, tol_puls=2e-4)
-    return fr.compute_pulsating_front(inst, cfg, fr.Budget(400.0))
+    return fr.compute_pulsating_front(homog_inst, cfg, fr.Budget(400.0))
 
 
 class TestSpectrum:
-    def test_unit_eigenvalue_and_direction(self, inst, coarse, front):
+    def test_unit_eigenvalue_and_direction(self, homog_inst, coarse, homog_front):
         # the coarse front fits the node budget as is; the 64-node/period
         # front is coarsened before its extent is trimmed
-        for fr_ in (coarse, front):
-            spec = st.poincare_spectrum(inst, fr_, n_nodes=400)
+        for fr_ in (coarse, homog_front):
+            spec = st.poincare_spectrum(homog_inst, fr_, n_nodes=400)
             assert spec.n_nodes <= 400
             assert spec.leading_gap < 1e-2
             assert spec.cosine_similarity > 0.99
 
-    def test_contraction_below_leading(self, inst, coarse):
-        spec = st.poincare_spectrum(inst, coarse, n_nodes=400)
+    def test_contraction_below_leading(self, homog_inst, coarse):
+        spec = st.poincare_spectrum(homog_inst, coarse, n_nodes=400)
         assert spec.second_modulus < 1.0
         assert spec.n_above_ess < 10
         assert len(spec.flagged) == spec.n_above_ess
 
-    def test_linear_decay_bound(self, inst):
+    def test_linear_decay_bound(self, homog_inst):
         gamma = 0.25
         T = 3.5
-        mods = st.linear_decay_spectrum(inst, gamma, T, n_nodes=150)
+        mods = linear_decay_spectrum(homog_inst, gamma, T, n_nodes=150)
         assert mods[0] <= math.exp(-gamma * T) * (1.0 + 0.05)
 
     @pytest.mark.slow
-    def test_fitted_rate_within_spectral_gap_bound(self, inst, front, coarse):
+    def test_fitted_rate_within_spectral_gap_bound(self, homog_inst, homog_front, coarse):
         # the observed convergence rate cannot beat the linearized gap by
         # more than the allowed slack
-        spec = st.poincare_spectrum(inst, coarse, n_nodes=400)
+        spec = st.poincare_spectrum(homog_inst, coarse, n_nodes=400)
         gap_rate = -math.log(spec.second_modulus) / spec.T
 
         def g(x):
             bump = 0.05 * np.exp(-((x - 2.0) / 1.5) ** 2)
-            return np.clip(front.interp(x, x / inst.L) + bump, 0.0, 1.0)
+            return np.clip(homog_front.interp(x, x / homog_inst.L) + bump, 0.0, 1.0)
 
-        rep = st.global_stability_experiment(inst, front, g, fr.Budget(100.0))
+        rep = st.global_stability_experiment(homog_inst, homog_front, g, fr.Budget(100.0))
         assert rep.mu_fit <= 1.3 * gap_rate
 
 
@@ -313,9 +315,9 @@ class TestBoundFront:
             assert same_bits(out, interp_reference(front, a, b))
 
     @pytest.mark.parametrize("datum", ["shifted", "step"])
-    def test_experiment_equals_per_call_interp(self, inst, front, datum, monkeypatch):
-        L = inst.L
-        g = {"shifted": lambda x: front.interp(x - 3.0 * L, x / L),
+    def test_experiment_equals_per_call_interp(self, homog_inst, homog_front, datum, monkeypatch):
+        L = homog_inst.L
+        g = {"shifted": lambda x: homog_front.interp(x - 3.0 * L, x / L),
              "step": lambda x: np.where(x < 0.0, 1.0, 0.0)}[datum]
         bound_at = set()
         bind = fr.FrontSolution.bind
@@ -325,13 +327,13 @@ class TestBoundFront:
             return bind(self, y)
 
         monkeypatch.setattr(fr.FrontSolution, "bind", recorded)
-        fast = st.global_stability_experiment(inst, front, g, fr.Budget(60.0))
+        fast = st.global_stability_experiment(homog_inst, homog_front, g, fr.Budget(60.0))
         # the window moved, so the reference was bound again at a new offset
         assert len(bound_at) > 1
         # every trial phase evaluates the fancy-indexed interpolation afresh
         monkeypatch.setattr(fr.FrontSolution, "bind",
                             lambda self, y: lambda xi: interp_reference(self, xi, y))
-        slow = st.global_stability_experiment(inst, front, g, fr.Budget(60.0))
+        slow = st.global_stability_experiment(homog_inst, homog_front, g, fr.Budget(60.0))
         assert (fast.tau_g, fast.mu_fit, fast.sup_errors) == \
             (slow.tau_g, slow.mu_fit, slow.sup_errors)
         assert fast == slow
