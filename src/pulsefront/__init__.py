@@ -9,8 +9,8 @@ from .profiles import (CoefficientProfile, ConstantCurve, CosineCurve,
                        corrector_chi, extend_reaction, fbar_and_integral,
                        harmonic_mean, homogenized_data, make_cubic,
                        make_xin_example, validate_hypotheses)
-from .solver import (Field, Grid1D, SolverConfig, build_grid, evolve,
-                     front_initial_datum, residual_stationary)
+from .solver import (Grid1D, SolverConfig, Window, build_grid, front_initial_datum,
+                     residual_stationary)
 from .fronts import (Budget, FrontNotConverged, FrontRunConfig, FrontSolution,
                      SpeedEstimate, classify_quenching, compute_pulsating_front,
                      extract_profile, measure_speed, scan_E,
@@ -20,8 +20,8 @@ from .homogenize import (HomogenizedFront, align_profiles, homogenization_sweep,
 from .spectral import (EigenPair, SteadyState, decay_root_mu,
                        dirichlet_principal_eigen, find_periodic_steady_states,
                        periodic_principal_eigen, stability_limit)
-from .stability import (ComovingFrame, StabilityReport, SuperSubSolution,
-                        build_supersub, global_stability_experiment, initialv2_experiment,
+from .stability import (StabilityReport, SuperSubSolution, build_supersub,
+                        global_stability_experiment, initialv2_experiment,
                         poincare_map, poincare_spectrum)
 
 __version__ = "0.1.0"

@@ -76,7 +76,6 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "lambda_grid": ("0 1 2 3 4", _parse_floats, "oscillation amplitudes for quench-scan"),
         "ubar": ("zero", str, "linearization state: zero | one | theta | const:<v>"),
         "R_list": ("2 4 8 16", _parse_floats, "truncation radii for the eigenvalue trace"),
-        "n_nodes": ("1024", int, "nodes for single eigenvalue solves"),
         "direction": ("right", str, "decay branch: right (state 0) | left (state 1)"),
         "potential": ("margin", str, "decay operator potential: margin | linearized"),
         "c": ("0.0", float, "frame speed for the decay solve"),

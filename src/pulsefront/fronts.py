@@ -17,10 +17,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .profiles import HomogenizedData, ProblemInstance, homogenized_data
-from .solver import (Field, Grid1D, SolverConfig, SolverError, Stepper, build_grid,
-                     choose_dt, excursion, front_initial_datum, residual_stationary,
-                     shift_window)
+from .profiles import (HomogenizedData, ProblemInstance, characteristic_rates,
+                       homogenized_data)
+from .solver import (Grid1D, SolverConfig, SolverError, Stepper, Window, build_grid,
+                     choose_dt, excursion, front_initial_datum, residual_stationary)
 
 SETTLE_TIME = 10.0          # evolution chunk between checks
 TRANSIENT_PERIODS = 20.0    # no capture before 20 L/|c| ...
@@ -168,7 +168,6 @@ class SpeedEstimate:
     c_period: float | None
     unc_level: float
     unc_period: float | None
-    window: tuple
 
     @property
     def uncertainty(self) -> float:
@@ -209,8 +208,7 @@ def measure_speed(times: Sequence[float], positions: Sequence[float],
         raise ValueError(f"need at least {min_samples} level samples, got {len(times)}")
     c_level, stderr = fit_line(times, positions)
     return SpeedEstimate(c_level=c_level, c_period=None,
-                         unc_level=stderr + 1e-12, unc_period=None,
-                         window=(float(times[0]), float(times[-1])))
+                         unc_level=stderr + 1e-12, unc_period=None)
 
 
 # ---------------------------------------------------------------------------
@@ -387,12 +385,8 @@ def decay_scale(homog: HomogenizedData, c_est: float) -> float:
     decays at the +c characteristic root of the state 0, the tail toward 1 at
     the -c root of the state 1.
     """
-    a = homog.a_h
     c = math.copysign(abs(c_est), homog.i_fbar) if homog.i_fbar != 0.0 else 0.0
-    q0, q1 = -homog.slope0, -homog.slope1
-    mu1 = (c + math.sqrt(c * c + 4.0 * a * q0)) / (2.0 * a)
-    mu2 = (-c + math.sqrt(c * c + 4.0 * a * q1)) / (2.0 * a)
-    return 0.9 * min(mu1, mu2)
+    return 0.9 * min(characteristic_rates(homog.a_h, c, homog.slope0, homog.slope1))
 
 
 def default_halfwidth(homog: HomogenizedData, cfg: FrontRunConfig) -> float:
@@ -407,21 +401,14 @@ def default_halfwidth(homog: HomogenizedData, cfg: FrontRunConfig) -> float:
 # the long-time evolution driver
 # ---------------------------------------------------------------------------
 
-class _RunState:
-    """Mutable bookkeeping for one front run (fixed grid, shifting window)."""
+class _RunState(Window):
+    """A front run's window with its level record and capture windows."""
 
     def __init__(self, inst, grid, solver_cfg, initial_style):
-        self.grid = grid
-        self.cfg = solver_cfg
-        self.stepper = Stepper(inst, grid, solver_cfg)
-        f0 = front_initial_datum(grid, initial_style,
-                                 interface=0.5 * (grid.x_min + grid.x_max))
-        self.u = np.array(f0.values)
-        self.t = 0.0
-        self.x_offset = 0.0
+        super().__init__(Stepper(inst, grid, solver_cfg), front_initial_datum(
+            grid, initial_style, interface=0.5 * (grid.x_min + grid.x_max)))
         self.level_t: list[float] = []
         self.level_x: list[float] = []
-        self.m0 = grid.nodes_per_period
         # the level is recorded about every 0.05 time units
         self.level_every = max(1, int(round(0.05 / solver_cfg.dt)))
 
@@ -432,48 +419,24 @@ class _RunState:
             self.level_x.append(pos + self.x_offset)
 
     def advance(self, duration: float):
-        n_steps = max(1, int(round(duration / self.cfg.dt)))
-        self.u, self.t = self.stepper.run(
-            self.u, self.t, n_steps,
-            on_step=lambda k, t, u: self.record_level(t, u),
-            callback_every=self.level_every)
+        n_steps = max(1, int(round(duration / self.stepper.cfg.dt)))
+        self.run(n_steps, lambda k, t, u: self.record_level(t, u), self.level_every)
 
     def capture(self, span: float) -> SnapshotSeries:
-        dt = self.cfg.dt
+        dt = self.stepper.cfg.dt
         r = max(1, int(round(span / (CAPTURE_SNAPSHOTS * dt))))
         k = int(math.ceil(span / (r * dt)))
-        n_steps = r * k
         U = np.empty((k + 1, self.grid.n))
         U[0] = self.u
         t0 = self.t
-        taken = [0]
 
         def on_step(step_k, t, u):
             if step_k % r == 0:
-                taken[0] += 1
-                U[taken[0]] = u
+                U[step_k // r] = u
             self.record_level(t, u)
 
-        self.u, self.t = self.stepper.run(self.u, self.t, n_steps, on_step)
-        assert taken[0] == k
+        self.run(r * k, on_step)
         return SnapshotSeries(t0=t0, dt_snap=r * dt, U=U, grid=self.grid)
-
-    def recenter(self):
-        pos = level_position(self.grid.nodes, self.u)
-        if pos is None:
-            return
-        center = 0.5 * (self.grid.x_min + self.grid.x_max)
-        halfwidth = 0.5 * (self.grid.x_max - self.grid.x_min)
-        if abs(pos - center) < max(self.grid.L, RECENTER_FRAC * halfwidth):
-            return
-        p = int(round((pos - center) / self.grid.L))
-        if p == 0:
-            return
-        u = shift_window(self.u, p, self.m0, self.cfg.u_left, self.cfg.u_right)
-        u[0] = self.cfg.u_left
-        u[-1] = self.cfg.u_right
-        self.u = u
-        self.x_offset += p * self.grid.L
 
     def recent_speed(self, window: float):
         t = np.asarray(self.level_t)
@@ -495,9 +458,6 @@ class _RunState:
             return None
         xx = x[keep]
         return float(xx.max() - xx.min())
-
-    def field(self) -> Field:
-        return Field(self.grid, self.u.copy(), self.t)
 
 
 def _front_from_lattice(speed, xi, ys, phi, defect, stationary, est, spread,
@@ -540,11 +500,11 @@ def compute_pulsating_front(inst: ProblemInstance, cfg: FrontRunConfig = FrontRu
 
     while state.t < budget.t_max:
         state.advance(min(SETTLE_TIME, budget.t_max - state.t))
-        state.recenter()
+        state.recenter(level_position(grid.nodes, state.u), RECENTER_FRAC)
         c_hat, _ = state.recent_speed(max(2.0 * SETTLE_TIME, 20.0))
         disp = state.displacement(cfg.stat_window)
         if disp is not None and disp < STAT_DISP_FRAC * h and state.t >= TRANSIENT_MIN:
-            resid = residual_stationary(state.field(), inst)
+            resid = residual_stationary(grid, state.u, inst)
             diagnostics["stationary_residual"] = resid
             diagnostics["displacement"] = disp
             diagnostics["t_final"] = state.t
@@ -610,7 +570,7 @@ def compute_pulsating_front(inst: ProblemInstance, cfg: FrontRunConfig = FrontRu
     c_hat, _ = state.recent_speed(max(2.0 * SETTLE_TIME, 20.0))
     diagnostics["c_hat"] = c_hat
     if "stationary_residual" not in diagnostics:
-        diagnostics["stationary_residual"] = residual_stationary(state.field(), inst)
+        diagnostics["stationary_residual"] = residual_stationary(grid, state.u, inst)
     raise FrontNotConverged(
         f"budget t_max={budget.t_max} exhausted at t={state.t:.4g} without meeting "
         "the pulsating or stationary criterion", diagnostics)
@@ -737,12 +697,4 @@ def scan_E(coeff, reaction, L_grid: Sequence[float],
     else:
         points = [_scan_one(j) for j in jobs]
     points.sort(key=lambda p: p.L)
-    prev_c = None
-    for p in points:
-        if p.record.kind == PROPAGATING:
-            if prev_c is not None:
-                p.record.evidence["speed_jump"] = abs(p.record.c - prev_c)
-            prev_c = p.record.c
-        else:
-            prev_c = None
     return points

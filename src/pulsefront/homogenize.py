@@ -21,9 +21,9 @@ from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
-from .profiles import HomogenizedData, ProblemInstance
+from .profiles import HomogenizedData, ProblemInstance, characteristic_rates
 from .fronts import (Budget, FrontNotConverged, FrontRunConfig, FrontSolution,
-                     _golden_min, compute_pulsating_front, fit_line)
+                     _golden_min, compute_pulsating_front, fit_tail_rates)
 from .solver import SolverError
 
 
@@ -57,43 +57,17 @@ class HomogenizedFront:
                         np.where(xi > self.xi[-1], right, inner))
 
 
-def characteristic_rates(a_h: float, c0: float, slope0: float, slope1: float):
-    """Closed-form tail exponents of the limit front.
-
-    lambda1 (decay toward 0, right tail) and lambda2 (toward 1, left tail) are
-    the positive characteristic roots at the two stable states.
-    """
-    if not (slope0 < 0.0 and slope1 < 0.0):
-        raise ValueError("both end slopes must be negative")
-    l1 = (c0 + math.sqrt(c0 * c0 - 4.0 * a_h * slope0)) / (2.0 * a_h)
-    l2 = (-c0 + math.sqrt(c0 * c0 - 4.0 * a_h * slope1)) / (2.0 * a_h)
-    return l1, l2
-
-
 def homogenized_decay_rates(front: HomogenizedFront, homog: HomogenizedData):
     """Characteristic-root exponents cross-checked against tail fits."""
     l1, l2 = characteristic_rates(homog.a_h, front.c0, homog.slope0, homog.slope1)
-    fit1, fit2 = _tail_fit(front)
+    # below ~1e-7 the trajectory feels the error of c0 (up to tol_c), so the
+    # fit windows stay above that
+    fit1, fit2 = fit_tail_rates(front.xi, front.phi, floor=1e-6, ceiling=1e-3)
     gap = max(abs(fit1 - l1) / l1, abs(fit2 - l2) / l2)
     if gap > 0.02:
         raise RuntimeError(
             f"tail fits deviate {gap:.1%} (> 2%) from the characteristic roots")
     return l1, l2
-
-
-def _tail_fit(front: HomogenizedFront, floor: float = 1e-6, ceiling: float = 1e-3):
-    # below ~1e-7 the trajectory feels the error of c0 (up to tol_c), so the
-    # fit windows stay above that
-    xi = front.xi
-    phi = front.phi
-    out = []
-    for vals, sign in ((phi, -1.0), (1.0 - phi, 1.0)):
-        mask = (vals > floor) & (vals < ceiling)
-        if np.count_nonzero(mask) < 5:
-            mask = (vals > floor) & (vals < 1e-2)
-        slope, _ = fit_line(xi[mask], np.log(vals[mask]))
-        out.append(sign * slope)
-    return out
 
 
 def _is_odd_symmetric(homog: HomogenizedData, tol: float = 1e-11) -> bool:

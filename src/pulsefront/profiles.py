@@ -17,6 +17,7 @@ the reaction, its integral over [0, 1], and the periodic corrector chi solving
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable
@@ -470,6 +471,9 @@ def validate_hypotheses(reaction: ReactionProfile, n_samples: int = 128,
 # quadrature and averaged quantities
 # ---------------------------------------------------------------------------
 
+QUAD_N = 2048      # Simpson intervals per period for the averaged quantities
+
+
 def _simpson(values: np.ndarray, h: float, axis: int = -1) -> np.ndarray:
     """Composite Simpson rule on a uniform grid with an even interval count."""
     n = values.shape[axis] - 1
@@ -494,16 +498,14 @@ class QuadratureValue(float):
         return obj
 
 
-def harmonic_mean(coeff: CoefficientProfile, quad_n: int = 2048) -> QuadratureValue:
+def harmonic_mean(coeff: CoefficientProfile) -> QuadratureValue:
     """(integral of 1/a over one period)^-1 with a Richardson error estimate."""
-    if quad_n % 2 != 0:
-        quad_n += 1
-    y = np.linspace(0.0, 1.0, quad_n + 1)
+    y = np.linspace(0.0, 1.0, QUAD_N + 1)
     vals = np.asarray(coeff.a(y), dtype=float)
     if np.min(vals) <= 0.0:
         raise ProfileError("diffusivity sampled non-positive in harmonic_mean")
-    inv_full = _simpson(1.0 / vals, 1.0 / quad_n)
-    inv_half = _simpson(1.0 / vals[::2], 2.0 / quad_n)
+    inv_full = _simpson(1.0 / vals, 1.0 / QUAD_N)
+    inv_half = _simpson(1.0 / vals[::2], 2.0 / QUAD_N)
     a_h = 1.0 / inv_full
     rel = abs(inv_full - inv_half) / (15.0 * abs(inv_full))
     return QuadratureValue(a_h, rel)
@@ -553,10 +555,9 @@ class FbarCurve:
         return tuple(r for r in roots if 1e-12 < r < 1.0 - 1e-12)
 
 
-def fbar_and_integral(reaction: ReactionProfile, quad_n: int = 2048):
-    """Return (fbar curve, integral of fbar over [0, 1]) by Simpson quadrature."""
-    if quad_n % 2 != 0:
-        quad_n += 1
+def fbar_and_integral(reaction: ReactionProfile, quad_n: int = QUAD_N):
+    """Return (fbar curve, integral of fbar over [0, 1]) by Simpson quadrature
+    with an even number quad_n of intervals in y."""
     y = np.linspace(0.0, 1.0, quad_n + 1)
     nu = 512
     u = np.linspace(0.0, 1.0, nu + 1)
@@ -572,16 +573,13 @@ def fbar_and_integral(reaction: ReactionProfile, quad_n: int = 2048):
 class CorrectorCurve:
     """Periodic corrector chi with chi(0) = 0 and chi'(y) = a_H / a(y) - 1."""
 
-    def __init__(self, coeff: CoefficientProfile, a_h: float, quad_n: int = 2048):
-        if quad_n % 2 != 0:
-            quad_n += 1
+    def __init__(self, coeff: CoefficientProfile, a_h: float):
         self._coeff = coeff
         self._a_h = float(a_h)
-        y = np.linspace(0.0, 1.0, quad_n + 1)
+        y = np.linspace(0.0, 1.0, QUAD_N + 1)
         dchi = self._a_h / np.asarray(coeff.a(y), dtype=float) - 1.0
         from scipy.integrate import cumulative_simpson
         chi = np.concatenate([[0.0], cumulative_simpson(dchi, x=y)])
-        self.period_defect = float(chi[-1])
         chi = chi - chi[-1] * y  # remove the tiny quadrature drift so chi is 1-periodic
         self._spline = CubicSpline(y, chi, bc_type="periodic")
 
@@ -592,9 +590,9 @@ class CorrectorCurve:
         return self._a_h / np.asarray(self._coeff.a(y), dtype=float) - 1.0
 
 
-def corrector_chi(coeff: CoefficientProfile, a_h: float, quad_n: int = 2048) -> CorrectorCurve:
+def corrector_chi(coeff: CoefficientProfile, a_h: float) -> CorrectorCurve:
     """Solve the cell problem (a (chi' + 1))' = 0: chi'(y) = a_H/a(y) - 1."""
-    return CorrectorCurve(coeff, a_h, quad_n)
+    return CorrectorCurve(coeff, a_h)
 
 
 @dataclass(frozen=True)
@@ -617,12 +615,25 @@ class HomogenizedData:
         return self.fbar.slope1
 
 
-def homogenized_data(coeff: CoefficientProfile, reaction: ReactionProfile,
-                     quad_n: int = 2048) -> HomogenizedData:
-    a_h = harmonic_mean(coeff, quad_n)
-    fbar, i_fbar = fbar_and_integral(reaction, quad_n)
+def homogenized_data(coeff: CoefficientProfile, reaction: ReactionProfile) -> HomogenizedData:
+    a_h = harmonic_mean(coeff)
+    fbar, i_fbar = fbar_and_integral(reaction)
     if not (fbar.slope0 < 0.0 and fbar.slope1 < 0.0):
         raise ProfileError("averaged reaction must have negative slopes at 0 and 1")
-    chi = corrector_chi(coeff, float(a_h), quad_n)
+    chi = corrector_chi(coeff, float(a_h))
     return HomogenizedData(a_h=float(a_h), a_h_rel_error=a_h.rel_error, fbar=fbar,
                            i_fbar=i_fbar, theta_bar=fbar.zeros_inside(), chi=chi)
+
+
+def characteristic_rates(a_h: float, c: float, slope0: float, slope1: float):
+    """Tail exponents of a front of speed c for a_H phi'' + c phi' + fbar(phi) = 0.
+
+    lambda1 (decay toward 0, right tail) and lambda2 (toward 1, left tail) are
+    the positive characteristic roots at the two stable states, whose fbar
+    slopes slope0 and slope1 are negative.
+    """
+    if not (slope0 < 0.0 and slope1 < 0.0):
+        raise ValueError("both end slopes must be negative")
+    l1 = (c + math.sqrt(c * c - 4.0 * a_h * slope0)) / (2.0 * a_h)
+    l2 = (-c + math.sqrt(c * c - 4.0 * a_h * slope1)) / (2.0 * a_h)
+    return l1, l2

@@ -12,7 +12,7 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -211,13 +211,7 @@ def _run_quench_scan(cfg, out):
         inst = make_xin_example(delta, lam, mu, L=cfg["numerics"]["L"])
         rec = fr.classify_quenching(inst, rc, budget)
         recs.append(rec)
-        c_level = rec.evidence.get("c_level", math.nan)
-        unc = rec.evidence.get("uncertainty", math.nan)
-        defect = rec.front.pulsating_error if rec.front is not None else math.nan
-        resid = rec.evidence.get("stationary_residual", math.nan)
-        rows.append(f"{lam:.10g},{rec.kind},{_fmt(c_level)},"
-                    f"{_fmt(rec.c if rec.c is not None else math.nan)},{_fmt(unc)},"
-                    f"{_fmt(defect)},{_fmt(resid)}")
+        rows.append(fr.SweepPoint(L=lam, record=rec).csv_row())
         lines.append(f"quench: lambda={_fmt(lam)} {rec.kind} c={_fmt(rec.c)}")
         if rec.kind == fr.INCONCLUSIVE:
             failures.append(f"lambda={_fmt(lam)} inconclusive")
@@ -235,9 +229,8 @@ def _run_quench_scan(cfg, out):
     lines.append("quench: pinning evidence at lambda = "
                  + (", ".join(pinned) if pinned else "none"))
     prefix = os.path.join(out, cfg["output"]["prefix"])
-    emit_csv(prefix + "_quench.csv",
-             "lambda,classification,c_level,c_period,uncertainty,"
-             "pulsating_defect,stationary_residual", rows, cfg)
+    emit_csv(prefix + "_quench.csv", "lambda" + fr.SWEEP_CSV_HEADER.removeprefix("L"),
+             rows, cfg)
     return RunResult(lines, [prefix + "_quench.csv"], failures)
 
 
@@ -263,11 +256,7 @@ def _run_stability(cfg, out):
     if cfg["run"]["spectrum"]:
         spec = st.poincare_spectrum(inst, front,
                                     n_nodes=cfg["run"]["spectrum_nodes"])
-        rep = st.StabilityReport(tau_g=rep.tau_g, mu_fit=rep.mu_fit,
-                                 accepted=rep.accepted, sup_errors=rep.sup_errors,
-                                 final_error=rep.final_error,
-                                 diagnostics=rep.diagnostics,
-                                 spectrum=tuple(spec.eigenvalues))
+        rep = replace(rep, spectrum=tuple(spec.eigenvalues))
     prefix = os.path.join(out, cfg["output"]["prefix"])
     with open(prefix + "_stability.json", "w") as fh:
         json.dump(_report_json(rep), fh, indent=1)

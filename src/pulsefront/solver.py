@@ -12,7 +12,10 @@ factor (`solve_banded`, dpttrs), with the two Dirichlet couplings folded into
 the right-hand side.  The reaction is bound once to the node positions.  The
 implicit Euler/explicit reaction combination is order-preserving whenever
 dt * lip_k <= 1, which the configuration enforces with margin.  `choose_dt`
-is the one step rule.
+is the one step rule.  A `Window` owns one lab-frame run (its Stepper, state,
+time and x_offset) and is the one place the window slides: by whole periods
+(`shift_window`), an exact translation of the L-periodic medium.  The front
+runs, the stability experiments and the period map all run on it.
 """
 
 from __future__ import annotations
@@ -142,18 +145,6 @@ def build_grid(inst: ProblemInstance, halfwidth: float,
 
 
 @dataclass(frozen=True)
-class Field:
-    grid: Grid1D
-    values: np.ndarray
-    t: float
-
-    def __post_init__(self):
-        if self.values.shape != (self.grid.n,):
-            raise ValueError("field shape does not match grid")
-        self.values.flags.writeable = False
-
-
-@dataclass(frozen=True)
 class SolverConfig:
     dt: float
     u_left: float = 1.0
@@ -248,21 +239,46 @@ class Stepper:
         return u, t0 + n_steps * dt
 
 
-def evolve(field: Field, inst: ProblemInstance, cfg: SolverConfig,
-           t_final: float) -> Field:
-    """Step repeatedly until t_final."""
-    if t_final < field.t:
-        raise ValueError("t_final must not precede the field time")
-    n_steps = int(round((t_final - field.t) / cfg.dt))
-    u, t = Stepper(inst, field.grid, cfg).run(np.array(field.values, dtype=float),
-                                              field.t, n_steps)
-    return Field(field.grid, u, t)
+class Window:
+    """One lab-frame run on a window of whole periods that slides with the
+    front: the Stepper, the state u at time t, and x_offset, the lab distance
+    the window has moved (lab position = grid.nodes + x_offset)."""
+
+    def __init__(self, stepper: Stepper, u: np.ndarray):
+        self.stepper = stepper
+        self.grid = stepper.grid
+        self.u = np.array(u, dtype=float)
+        self.t = 0.0
+        self.x_offset = 0.0
+
+    def run(self, n_steps: int, on_step: Callable | None = None, every: int = 1):
+        self.u, self.t = self.stepper.run(self.u, self.t, n_steps, on_step, every)
+
+    def slide(self, p: int):
+        """Move the window p whole periods to the right (the state p periods
+        to the left), an exact translation of the L-periodic medium; both ends
+        stay pinned."""
+        cfg = self.stepper.cfg
+        u = shift_window(self.u, p, self.grid.nodes_per_period, cfg.u_left, cfg.u_right)
+        u[0], u[-1] = cfg.u_left, cfg.u_right
+        self.u = u
+        self.x_offset += p * self.grid.L
+
+    def recenter(self, pos: float | None, frac: float) -> int:
+        """Slide by the whole periods nearest the drift of the interface at pos
+        (window coordinates) from the center, once the drift reaches
+        max(L, frac * halfwidth); returns the periods slid (0 if none)."""
+        g = self.grid
+        center = 0.5 * (g.x_min + g.x_max)
+        if pos is None or abs(pos - center) < max(g.L, frac * 0.5 * (g.x_max - g.x_min)):
+            return 0
+        p = int(round((pos - center) / g.L))
+        self.slide(p)
+        return p
 
 
-def residual_stationary(field: Field, inst: ProblemInstance) -> float:
+def residual_stationary(g: Grid1D, u: np.ndarray, inst: ProblemInstance) -> float:
     """Sup-norm of (a_L u')' + f_L at interior nodes, same stencil as the Stepper."""
-    g = field.grid
-    u = field.values
     diff = flux_apply(g.a_face, g.h, u)
     y = np.mod(g.nodes[1:-1] / inst.L, 1.0)
     f = np.asarray(inst.reaction.f(y, u[1:-1]), dtype=float)
@@ -276,7 +292,7 @@ def excursion(v_min: float, v_max: float) -> float:
 
 
 def front_initial_datum(grid: Grid1D, style: str = "tanh",
-                        interface: float = 0.0, width: float | None = None) -> Field:
+                        interface: float = 0.0, width: float | None = None) -> np.ndarray:
     """Monotone front-like datum: 1 left of the interface, 0 right of it."""
     if not (grid.x_min < interface < grid.x_max):
         raise ValueError("interface must lie inside the grid")
@@ -298,5 +314,5 @@ def front_initial_datum(grid: Grid1D, style: str = "tanh",
     g = np.minimum.accumulate(g)  # enforce nonincreasing node-to-node
     g[0] = 1.0
     g[-1] = 0.0
-    return Field(grid, g, 0.0)
+    return g
 

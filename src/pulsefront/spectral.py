@@ -45,10 +45,8 @@ class EigenPair:
     value: float
     x: np.ndarray
     psi: np.ndarray
-    boundary: tuple            # ("dirichlet", R) or ("periodic", L)
     residual: float
     iterations: int
-    about: str = ""
 
 
 @dataclass(frozen=True)
@@ -160,9 +158,7 @@ def dirichlet_principal_eigen(inst: ProblemInstance, ubar, R: float,
     lam, psi_in, resid, it = _principal_banded(diag[1:-1] + q[1:-1], upper[1:-2])
     psi = np.zeros(n_nodes)
     psi[1:-1] = psi_in
-    return EigenPair(value=lam, x=x, psi=psi, boundary=("dirichlet", float(R)),
-                     residual=resid, iterations=it,
-                     about=f"dirichlet R={R:g} n={n_nodes}")
+    return EigenPair(value=lam, x=x, psi=psi, residual=resid, iterations=it)
 
 
 def periodic_principal_eigen(inst: ProblemInstance, ubar,
@@ -176,9 +172,7 @@ def periodic_principal_eigen(inst: ProblemInstance, ubar,
     af = np.asarray(inst.a_L(x + 0.5 * h), dtype=float)   # face i+1/2
     lower, main, upper = flux_stencil(af, h, periodic=True)
     lam, psi, resid, it = _principal_cyclic(main + q, lower, upper)
-    return EigenPair(value=lam, x=x, psi=psi, boundary=("periodic", float(L)),
-                     residual=resid, iterations=it,
-                     about=f"periodic L={L:g} n={n_nodes}")
+    return EigenPair(value=lam, x=x, psi=psi, residual=resid, iterations=it)
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,17 @@
-"""Co-moving-frame experiments around a computed pulsating front.
+"""Stability experiments around a computed pulsating front.
 
 In the frame xi = x - c t the front becomes a time-periodic solution of
 v_t = (a_L(xi + c t) v_xi)_xi + c v_xi + f_L(xi + c t, v) with period
-T = L/c, and its translates V^tau(t, xi) = phi(xi + tau, (xi + c t)/L) are
-fixed points of the period map.  The period map is realized without a
-transport term: the lab-frame Stepper runs one period T and the window then
-moves by exactly one period L (solver.shift_window), an exact translation
-of the L-periodic medium.  This module fits phase shifts and exponential
-convergence rates of front-like initial data, assembles the explicit
-super/subsolution pairs used to trap such data, and computes the spectrum of
-the linearized period map, whose implicit steps reuse the flux stencil and
-the factor-once tridiagonal solve of the solver.
+T = L/|c|, and its translates phi(xi + tau, (xi + c t)/L) are fixed points of
+the period map.  Every evolution here is a lab-frame run on a solver.Window:
+the phase/rate experiments slide it by whole periods to keep the interface
+inside it, and the period map is one period T of lab-frame steps followed by
+a slide of exactly one period L, an exact translation of the L-periodic
+medium, so no transport term is discretized.  This module fits phase shifts
+and exponential convergence rates of front-like initial data, assembles the
+explicit super/subsolution pairs used to trap such data, and computes the
+spectrum of the linearized period map, whose implicit steps reuse the flux
+stencil and the factor-once tridiagonal solve of the solver.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .fronts import Budget, FrontSolution, _golden_min, fit_line, level_position
 from .profiles import ProblemInstance
-from .solver import (REACTION_BUDGET, Field, Grid1D, SolverConfig, Stepper, build_grid,
+from .solver import (REACTION_BUDGET, Grid1D, SolverConfig, Stepper, Window, build_grid,
                      choose_dt, factor_spd, flux_stencil, shift_window, solve_banded)
 
 PROBE_DT = 1.0              # time between phase fits
@@ -34,51 +35,25 @@ FIT_CEILING = 5e-2
 MIN_FIT_POINTS = 8
 N_MODES = 12                # eigenvalues kept in a SpectrumSummary, at least
 ESS_MARGIN = 0.05           # tolerance above the essential radius
+RECENTER_FRAC = 0.3         # interface drift allowance, times the halfwidth
 
 
-@dataclass(frozen=True)
-class ComovingFrame:
-    """Front data in the frame moving with speed c; T = L/c is the period."""
+def poincare_map(inst: ProblemInstance, grid: Grid1D, c: float, cfg: SolverConfig,
+                 g: np.ndarray, on_step: Callable | None = None) -> np.ndarray:
+    """One frame period P(g) of a front of speed c: n lab-frame steps with
+    n*dt = T = L/|c| exactly (cfg.dt shortened to T/n), then the window slid
+    one period along the front.
 
-    inst: ProblemInstance
-    front: FrontSolution
-    grid: Grid1D
-
-    def __post_init__(self):
-        if self.front.speed == 0.0 or self.front.stationary:
-            raise ValueError("co-moving frame needs a nonzero speed")
-
-    @property
-    def c(self) -> float:
-        return self.front.speed
-
-    @property
-    def T(self) -> float:
-        return self.inst.L / abs(self.front.speed)
-
-    def V(self, tau: float, t: float, xi) -> np.ndarray:
-        """Translate family V^tau(t, xi) = phi(xi + tau, (xi + c t)/L)."""
-        xi = np.asarray(xi, dtype=float)
-        c = self.front.speed
-        return self.front.interp(xi + tau, (xi + c * t) / self.inst.L)
-
-
-def poincare_map(frame: ComovingFrame, cfg: SolverConfig, g: np.ndarray,
-                 on_step: Callable | None = None) -> np.ndarray:
-    """One frame period P(g): n lab-frame steps with n*dt = T exactly (cfg.dt
-    shortened to T/n), then the window moved one period along the front.
-
-    on_step(k, t, u) fires after every step k = 1..n, before the shift.
+    on_step(k, t, u) fires after every step k = 1..n, before the slide.
     """
-    T = frame.T
+    if c == 0.0:
+        raise ValueError("the period map needs a nonzero speed")
+    T = inst.L / abs(c)
     n = max(1, int(math.ceil(T / cfg.dt - 1e-9)))
-    cfg = replace(cfg, dt=T / n)
-    u, _ = Stepper(frame.inst, frame.grid, cfg).run(
-        np.array(g, dtype=float), 0.0, n, on_step, callback_every=1)
-    u = shift_window(u, 1 if frame.c > 0 else -1, frame.grid.nodes_per_period,
-                      cfg.u_left, cfg.u_right)
-    u[0], u[-1] = cfg.u_left, cfg.u_right
-    return u
+    win = Window(Stepper(inst, grid, replace(cfg, dt=T / n)), g)
+    win.run(n, on_step)
+    win.slide(1 if c > 0 else -1)
+    return win.u
 
 
 # ---------------------------------------------------------------------------
@@ -127,28 +102,22 @@ def global_stability_experiment(inst: ProblemInstance, front: FrontSolution,
         raise ValueError("initial datum violates the front-like condition "
                          "(above 1-delta left, below delta right) on this domain")
     dt = choose_dt(inst.reaction.lip_k, grid.h, c)
-    sol_cfg = SolverConfig(dt=dt, u_left=1.0, u_right=0.0)
-    stepper = Stepper(inst, grid, sol_cfg)
-    m0 = grid.nodes_per_period
+    win = Window(Stepper(inst, grid, SolverConfig(dt=dt, u_left=1.0, u_right=0.0)), u0)
     tau_span = TAU_SPAN_PERIODS * inst.L / abs(c)
     tau_tol = TAU_SETTLE_FACTOR * grid.h / abs(c)
 
-    u = np.array(u0)
-    t = 0.0
-    x_offset = 0.0
     tau_hat = 0.0
     probes: list[tuple[float, float, float]] = []   # (t, tau, sup_err)
     steps_per_probe = max(1, int(round(PROBE_DT / dt)))
     n_probes = int(budget.t_max / (steps_per_probe * dt))
-    center = 0.5 * (grid.x_min + grid.x_max)
-    usable = 0.5 * (grid.x_max - grid.x_min)
     # the reference is bound to the window's cell coordinates, which change
     # only when the window moves
-    x_abs = grid.nodes + x_offset
+    x_abs = grid.nodes + win.x_offset
     ref = front.bind(x_abs / inst.L)
 
     for _ in range(n_probes):
-        u, t = stepper.run(u, t, steps_per_probe)
+        win.run(steps_per_probe)
+        u, t = win.u, win.t
 
         def err(tau):
             return float(np.max(np.abs(u - ref(x_abs - c * (t + tau)))))
@@ -157,13 +126,8 @@ def global_stability_experiment(inst: ProblemInstance, front: FrontSolution,
                                  tol=min(tau_tol * 0.1, 1e-4))
         probes.append((t, tau_hat, e))
         # keep the interface well inside the window
-        pos = level_position(grid.nodes, u, 0.5)
-        if pos is not None and abs(pos - center) > max(inst.L, 0.3 * usable):
-            p = int(round((pos - center) / inst.L))
-            u = shift_window(u, p, m0, sol_cfg.u_left, sol_cfg.u_right)
-            u[0], u[-1] = sol_cfg.u_left, sol_cfg.u_right
-            x_offset += p * inst.L
-            x_abs = grid.nodes + x_offset
+        if win.recenter(level_position(grid.nodes, u, 0.5), RECENTER_FRAC):
+            x_abs = grid.nodes + win.x_offset
             ref = front.bind(x_abs / inst.L)
 
     ts = np.array([p[0] for p in probes])
@@ -217,10 +181,6 @@ def _experiment_grid_and_datum(inst, front, g):
     halfwidth = max(0.55 * span, 10.0)
     grid = build_grid(inst, halfwidth, max(
         64, int(round(inst.L / (front.xi[1] - front.xi[0])))))
-    if isinstance(g, Field):
-        if g.grid.n == grid.n:
-            return grid, np.array(g.values)
-        return grid, np.interp(grid.nodes, g.grid.nodes, g.values)
     if callable(g):
         return grid, np.asarray(g(grid.nodes), dtype=float)
     arr = np.asarray(g, dtype=float)
@@ -259,29 +219,21 @@ def initialv2_experiment(inst: ProblemInstance, front: FrontSolution,
             raise ValueError("datum does not satisfy the trapped-data condition "
                              "against the intermediate states")
     dt = choose_dt(inst.reaction.lip_k, grid.h, front.speed)
-    stepper = Stepper(inst, grid, SolverConfig(dt=dt, u_left=1.0, u_right=0.0))
-    u = np.array(u0)
-    t = 0.0
+    win = Window(Stepper(inst, grid, SolverConfig(dt=dt, u_left=1.0, u_right=0.0)), u0)
     chunk = max(1, int(round(1.0 / dt)))
-    t_frontlike = None
-    while t < 0.5 * budget.t_max:
-        if check_front_like(u, delta):
-            t_frontlike = t
+    while win.t < 0.5 * budget.t_max:
+        if check_front_like(win.u, delta):
             break
-        u, t = stepper.run(u, t, chunk)
-    if t_frontlike is None:
+        win.run(chunk)
+    else:
         return StabilityReport(tau_g=math.nan, mu_fit=math.nan, accepted=False,
                                sup_errors=(), final_error=math.nan,
                                diagnostics={"reason": "never reached the "
                                             "front-like condition",
-                                            "t_final": t})
-    rep = global_stability_experiment(inst, front, u,
-                                      budget=Budget(budget.t_max - t), validate=False)
-    diags = dict(rep.diagnostics)
-    diags["t_frontlike"] = t_frontlike
-    return StabilityReport(tau_g=rep.tau_g, mu_fit=rep.mu_fit, accepted=rep.accepted,
-                           sup_errors=rep.sup_errors, final_error=rep.final_error,
-                           diagnostics=diags, spectrum=rep.spectrum)
+                                            "t_final": win.t})
+    rep = global_stability_experiment(inst, front, win.u,
+                                      budget=Budget(budget.t_max - win.t), validate=False)
+    return replace(rep, diagnostics={**rep.diagnostics, "t_frontlike": win.t})
 
 
 def _state_on(state, x, inst):
@@ -467,7 +419,7 @@ def poincare_spectrum(inst: ProblemInstance, front: FrontSolution,
         if k < n_steps:
             pots[k] = inst.df_L(grid.nodes, u)
 
-    poincare_map(ComovingFrame(inst, front, grid), SolverConfig(dt=dt), u0, record)
+    poincare_map(inst, grid, c, SolverConfig(dt=dt), u0, record)
     P = linearized_period_map(inst, pots, grid, dt, 1 if c > 0 else -1)
     vals, vecs = np.linalg.eig(P)
     order = np.argsort(-np.abs(vals))

@@ -44,10 +44,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="typo_key"):
             parse_config(FRONT_CFG + "typo_key = 3\n", "front")
 
-    def test_unread_quad_n_key_rejected(self):
-        # the quadrature size is fixed in profiles; a settable key would be ignored
-        with pytest.raises(ConfigError, match="quad_n"):
-            parse_config("[numerics]\nquad_n = 512\n", "front")
+    # the quadrature size is fixed in profiles and no solve reads a node count
+    # from [run]; a settable key would be ignored
+    @pytest.mark.parametrize("section,key", [("numerics", "quad_n"), ("run", "n_nodes")])
+    def test_unread_quad_n_key_rejected(self, section, key):
+        with pytest.raises(ConfigError, match=key):
+            parse_config(f"[{section}]\n{key} = 512\n", "front")
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError, match="mystery"):

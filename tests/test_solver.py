@@ -23,6 +23,13 @@ def make(inst, halfwidth=8.0, npp=64):
     return sv.build_grid(inst, halfwidth, npp)
 
 
+def evolve(inst, g, cfg, u, t_final):
+    """u stepped from t = 0 to t_final."""
+    out, _ = sv.Stepper(inst, g, cfg).run(np.array(u, dtype=float), 0.0,
+                                          int(round(t_final / cfg.dt)))
+    return out
+
+
 class TestGrid:
     def test_extent_is_whole_periods(self, hetero_inst):
         g = make(hetero_inst, 5.3)
@@ -47,17 +54,15 @@ class TestFixedPoints:
     def test_zero_stays_zero(self, inst):
         g = make(inst)
         cfg = sv.SolverConfig(dt=0.05, u_left=0.0, u_right=0.0)
-        f = sv.Field(g, np.zeros(g.n), 0.0)
-        out = sv.evolve(f, inst, cfg, 2.0)
-        assert np.max(np.abs(out.values)) == 0.0
+        out = evolve(inst, g, cfg, np.zeros(g.n), 2.0)
+        assert np.max(np.abs(out)) == 0.0
 
     def test_one_stays_one(self, inst):
         g = make(inst)
         cfg = sv.SolverConfig(dt=0.05, u_left=1.0, u_right=1.0)
-        f = sv.Field(g, np.ones(g.n), 0.0)
-        out = sv.evolve(f, inst, cfg, 2.0)
+        out = evolve(inst, g, cfg, np.ones(g.n), 2.0)
         # round-off of the banded solves, amplified by cond(I - dt A)
-        assert np.max(np.abs(out.values - 1.0)) < 5e-12
+        assert np.max(np.abs(out - 1.0)) < 5e-12
 
 
 def test_pure_diffusion_mass_conservation():
@@ -72,22 +77,20 @@ def test_pure_diffusion_mass_conservation():
     g = sv.build_grid(inst, 12.0, 64)
     u0 = np.exp(-g.nodes**2)
     cfg = sv.SolverConfig(dt=0.01, u_left=0.0, u_right=0.0)
-    f = sv.Field(g, u0, 0.0)
     mass0 = np.sum(u0) * g.h
-    out = sv.evolve(f, inst, cfg, 100 * cfg.dt)
-    mass1 = np.sum(out.values) * g.h
+    out = evolve(inst, g, cfg, u0, 100 * cfg.dt)
+    mass1 = np.sum(out) * g.h
     assert abs(mass1 - mass0) < 1e-10
 
 
 class TestResidualStationary:
     def test_zero_state(self, inst):
         g = make(inst)
-        assert sv.residual_stationary(sv.Field(g, np.zeros(g.n), 0.0), inst) == 0.0
+        assert sv.residual_stationary(g, np.zeros(g.n), inst) == 0.0
 
     def test_constant_theta_state(self, inst):
         g = make(inst)
-        f = sv.Field(g, np.full(g.n, 0.3), 0.0)
-        assert sv.residual_stationary(f, inst) < 1e-15
+        assert sv.residual_stationary(g, np.full(g.n, 0.3), inst) < 1e-15
 
     def test_exact_steady_front_order_two(self):
         # the symmetric cubic's standing front: residual O(h^2), < 1e-3 at h=0.01
@@ -97,7 +100,7 @@ class TestResidualStationary:
         for npp in (100, 200):
             g = sv.build_grid(inst, 10.0, npp)
             u = 1.0 / (1.0 + np.exp(g.nodes / np.sqrt(2.0)))
-            resids.append(sv.residual_stationary(sv.Field(g, u, 0.0), inst))
+            resids.append(sv.residual_stationary(g, u, inst))
         assert resids[0] < 1e-3
         ratio = resids[0] / resids[1]
         assert 3.5 < ratio < 4.5
@@ -108,9 +111,11 @@ class TestDeterminism:
         g = make(inst)
         cfg = sv.SolverConfig(dt=0.02, u_left=1.0, u_right=0.0)
         f0 = sv.front_initial_datum(g, "tanh")
-        a = sv.evolve(sv.evolve(f0, inst, cfg, 1.0), inst, cfg, 2.5)
-        b = sv.evolve(f0, inst, cfg, 2.5)
-        assert np.array_equal(a.values, b.values)
+        stepper = sv.Stepper(inst, g, cfg)
+        a, t = stepper.run(f0.copy(), 0.0, 50)
+        a, _ = stepper.run(a, t, 75)
+        b, _ = stepper.run(f0.copy(), 0.0, 125)
+        assert np.array_equal(a, b)
 
 
 class TestComparison:
@@ -132,10 +137,45 @@ class TestComparison:
     def test_front_run_stays_in_unit_interval(self, inst):
         g = make(inst, 10.0)
         cfg = sv.SolverConfig(dt=0.05, u_left=1.0, u_right=0.0)
-        f0 = sv.front_initial_datum(g, "tanh")
-        out = sv.evolve(f0, inst, cfg, 10.0)
-        assert out.values.min() >= -1e-12
-        assert out.values.max() <= 1.0 + 1e-12
+        out = evolve(inst, g, cfg, sv.front_initial_datum(g, "tanh"), 10.0)
+        assert out.min() >= -1e-12
+        assert out.max() <= 1.0 + 1e-12
+
+
+class TestWindow:
+    @pytest.mark.parametrize("drift_periods,slid", [(5.3, 5), (-4.6, -5)])
+    def test_recenter_keeps_lab_position(self, hetero_inst, drift_periods, slid):
+        g = make(hetero_inst)
+        L = hetero_inst.L
+        center = 0.5 * (g.x_min + g.x_max)
+        slack = max(L, 0.15 * 0.5 * (g.x_max - g.x_min))
+        u0 = sv.front_initial_datum(g, "tanh", interface=center + drift_periods * L)
+        win = sv.Window(sv.Stepper(hetero_inst, g, sv.SolverConfig(dt=0.005)), u0)
+        win.run(20)
+        pos = fr.level_position(g.nodes, win.u)
+        assert abs(pos - center) >= slack
+        assert win.recenter(pos, 0.15) == slid
+        moved = fr.level_position(g.nodes, win.u)
+        assert win.x_offset == slid * L
+        assert abs(win.x_offset + moved - pos) < 1e-12
+        assert abs(moved - center) < slack
+        assert win.recenter(moved, 0.15) == 0
+        assert win.x_offset == slid * L
+
+    @pytest.mark.parametrize("p", [2, -3])
+    def test_slide_pins_both_ends(self, hetero_inst, p):
+        g = make(hetero_inst, 4.0)
+        cfg = sv.SolverConfig(dt=0.005, u_left=0.9, u_right=0.2)
+        u0 = np.random.default_rng(3).random(g.n)
+        win = sv.Window(sv.Stepper(hetero_inst, g, cfg), u0)
+        win.slide(p)
+        idx = np.arange(g.n) + p * g.nodes_per_period
+        inside = (idx >= 0) & (idx < g.n)
+        expect = np.full(g.n, cfg.u_right if p > 0 else cfg.u_left)
+        expect[inside] = u0[idx[inside]]
+        expect[0], expect[-1] = cfg.u_left, cfg.u_right
+        np.testing.assert_array_equal(win.u, expect)
+        assert win.x_offset == p * g.L and win.t == 0.0
 
 
 class TestInitialDatum:
@@ -143,14 +183,14 @@ class TestInitialDatum:
     def test_monotone_and_endpoints(self, inst, style):
         g = make(inst)
         f = sv.front_initial_datum(g, style)
-        assert f.values[0] == 1.0
-        assert f.values[-1] == 0.0
-        assert np.all(np.diff(f.values) <= 0.0)
+        assert f[0] == 1.0
+        assert f[-1] == 0.0
+        assert np.all(np.diff(f) <= 0.0)
 
     def test_tanh_midpoint(self, inst):
         g = make(inst)
         f = sv.front_initial_datum(g, "tanh", interface=g.nodes[g.n // 2])
-        mid = np.interp(g.nodes[g.n // 2], g.nodes, f.values)
+        mid = np.interp(g.nodes[g.n // 2], g.nodes, f)
         assert mid == pytest.approx(0.5, abs=1e-12)
 
     def test_interface_outside_grid_rejected(self, inst):
@@ -229,7 +269,7 @@ class TestFactoredStep:
         # solver.choose_dt picks 0.0044 on this grid; the gap between two
         # direct solves scales with cond(I - dt*D), about 1 + 4*dt*a_max/h^2
         cfg = sv.SolverConfig(dt=0.005, u_left=1.0, u_right=0.0)
-        u = sv.front_initial_datum(g, "tanh").values.copy()
+        u = sv.front_initial_datum(g, "tanh")
         u[1:-1] += 0.05 * np.sin(7.0 * g.nodes[1:-1])  # leave [0, 1] in places
         st = sv.Stepper(hetero_inst, g, cfg)
         for _ in range(5):
@@ -372,7 +412,7 @@ class TestCarriedRange:
         # datum outside [0, 1] must still take the linear extension
         g = make(hetero_inst, 4.0)
         cfg = sv.SolverConfig(dt=0.005, u_left=1.0, u_right=0.0)
-        u0 = sv.front_initial_datum(g, "tanh").values.copy()
+        u0 = sv.front_initial_datum(g, "tanh")
         u0[1:-1] += 0.3 * np.sin(7.0 * g.nodes[1:-1])
         assert u0.min() < 0.0 and u0.max() > 1.0
         y = np.mod(g.nodes / hetero_inst.L, 1.0)

@@ -11,13 +11,12 @@ from pulsefront.solver import SolverConfig, Stepper, build_grid, shift_window
 
 
 @pytest.fixture(scope="module")
-def frame(homog_inst, homog_front):
-    grid = build_grid(homog_inst, 22.0, 64)
-    return st.ComovingFrame(inst=homog_inst, front=homog_front, grid=grid)
+def grid(homog_inst):
+    return build_grid(homog_inst, 22.0, 64)
 
 
 @pytest.fixture(scope="module")
-def frame_cfg(frame):
+def frame_cfg():
     # poincare_map shortens the step to T/n
     return SolverConfig(dt=0.05)
 
@@ -36,62 +35,77 @@ def linear_decay_spectrum(inst, gamma, T, n_nodes=200):
     return np.sort(np.abs(np.linalg.eigvals(P)))[::-1]
 
 
-def datum_from_translate(frame, tau):
-    g = frame.V(tau, 0.0, frame.grid.nodes)
-    g = np.asarray(g, dtype=float)
+def translate(front, L, tau, x):
+    """The front's translate phi(x + tau, x/L) at t = 0 with pinned ends."""
+    g = front.interp(x + tau, x / L)
     g[0], g[-1] = 1.0, 0.0
     return g
 
 
 class TestFrame:
-    def test_period(self, frame, homog_front, homog_inst):
-        assert frame.T == pytest.approx(homog_inst.L / abs(homog_front.speed))
+    def test_period(self, homog_inst, homog_front, grid, frame_cfg):
+        # the steps of one map cover exactly T = L/|c|
+        ts = []
+        st.poincare_map(homog_inst, grid, homog_front.speed, frame_cfg,
+                        translate(homog_front, homog_inst.L, 0.0, grid.nodes),
+                        lambda k, t, u: ts.append(t))
+        T = homog_inst.L / abs(homog_front.speed)
+        assert len(ts) == math.ceil(T / frame_cfg.dt - 1e-9)
+        assert ts[-1] == pytest.approx(T, rel=1e-12)
 
-    def test_translates_are_ordered(self, frame):
-        xi = frame.grid.nodes
-        v1 = frame.V(-1.0, 0.0, xi)
-        v2 = frame.V(1.0, 0.0, xi)
+    def test_translates_are_ordered(self, homog_inst, homog_front, grid):
+        xi = grid.nodes
+        v1 = homog_front.interp(xi - 1.0, xi / homog_inst.L)
+        v2 = homog_front.interp(xi + 1.0, xi / homog_inst.L)
         core = np.abs(xi) < 15.0
         assert np.all(v1[core] >= v2[core])
 
-    def test_fixed_point_family(self, frame, frame_cfg, homog_inst):
+    def test_fixed_point_family(self, homog_front, grid, frame_cfg, homog_inst):
         for tau in (-2.0, -1.0, 0.0, 1.0, 2.0):
-            g = datum_from_translate(frame, tau * homog_inst.L)
-            out = st.poincare_map(frame, frame_cfg, g)
+            g = translate(homog_front, homog_inst.L, tau * homog_inst.L, grid.nodes)
+            out = st.poincare_map(homog_inst, grid, homog_front.speed, frame_cfg, g)
             assert np.max(np.abs(out - g)) < 1e-3
 
-    def test_zero_stays_zero(self, frame, frame_cfg):
+    def test_zero_stays_zero(self, homog_inst, homog_front, grid, frame_cfg):
         cfg = SolverConfig(dt=frame_cfg.dt, u_left=0.0, u_right=0.0)
-        out = st.poincare_map(frame, cfg, np.zeros(frame.grid.n))
+        out = st.poincare_map(homog_inst, grid, homog_front.speed, cfg, np.zeros(grid.n))
         assert np.max(np.abs(out)) < 1e-14
 
-    def test_poincare_monotone(self, frame, frame_cfg):
-        g1 = datum_from_translate(frame, 1.0)   # lower translate
-        g2 = datum_from_translate(frame, -1.0)
+    def test_zero_speed_rejected(self, homog_inst, grid, frame_cfg):
+        with pytest.raises(ValueError, match="nonzero speed"):
+            st.poincare_map(homog_inst, grid, 0.0, frame_cfg, np.zeros(grid.n))
+
+    def test_poincare_monotone(self, homog_inst, homog_front, grid, frame_cfg):
+        g1 = translate(homog_front, homog_inst.L, 1.0, grid.nodes)   # lower translate
+        g2 = translate(homog_front, homog_inst.L, -1.0, grid.nodes)
         assert np.all(g2 >= g1)
-        p1 = st.poincare_map(frame, frame_cfg, g1)
-        p2 = st.poincare_map(frame, frame_cfg, g2)
+        c = homog_front.speed
+        p1 = st.poincare_map(homog_inst, grid, c, frame_cfg, g1)
+        p2 = st.poincare_map(homog_inst, grid, c, frame_cfg, g2)
         assert np.min(p2 - p1) >= -1e-10
 
-    def test_double_map_equals_two_periods(self, homog_inst, frame, frame_cfg):
+    def test_double_map_equals_two_periods(self, homog_inst, homog_front, grid, frame_cfg):
         # two maps against 2n steps and one shift by two periods: they differ
         # only by the tail values (about 1e-7 here) that the first shift
         # replaces at the window's edge, and that difference decays inward
-        g = datum_from_translate(frame, 0.5)
-        a = st.poincare_map(frame, frame_cfg, st.poincare_map(frame, frame_cfg, g))
-        n = math.ceil(frame.T / frame_cfg.dt - 1e-9)
-        cfg = SolverConfig(dt=frame.T / n)
-        b, _ = Stepper(homog_inst, frame.grid, cfg).run(g.copy(), 0.0, 2 * n)
-        b = shift_window(b, 2, frame.grid.nodes_per_period, 1.0, 0.0)
-        core = np.abs(frame.grid.nodes) < 10.0
+        c = homog_front.speed
+        g = translate(homog_front, homog_inst.L, 0.5, grid.nodes)
+        a = st.poincare_map(homog_inst, grid, c, frame_cfg,
+                            st.poincare_map(homog_inst, grid, c, frame_cfg, g))
+        T = homog_inst.L / abs(c)
+        n = math.ceil(T / frame_cfg.dt - 1e-9)
+        cfg = SolverConfig(dt=T / n)
+        b, _ = Stepper(homog_inst, grid, cfg).run(g.copy(), 0.0, 2 * n)
+        b = shift_window(b, 2, grid.nodes_per_period, 1.0, 0.0)
+        core = np.abs(grid.nodes) < 10.0
         assert np.max(np.abs(a[core] - b[core])) < 1e-11
 
     def test_linearization_matches_difference_quotient(self, homog_inst, coarse):
         grid = build_grid(homog_inst, 8.0, 12)
-        frame = st.ComovingFrame(inst=homog_inst, front=coarse, grid=grid)
-        n = math.ceil(frame.T / 0.05)
-        cfg = SolverConfig(dt=frame.T / n)
-        u0 = datum_from_translate(frame, 0.0)
+        c = coarse.speed
+        n = math.ceil(homog_inst.L / abs(c) / 0.05)
+        cfg = SolverConfig(dt=homog_inst.L / abs(c) / n)
+        u0 = translate(coarse, homog_inst.L, 0.0, grid.nodes)
         pots = np.empty((n, grid.n))
         pots[0] = homog_inst.df_L(grid.nodes, u0)
 
@@ -99,13 +113,13 @@ class TestFrame:
             if k < n:
                 pots[k] = homog_inst.df_L(grid.nodes, u)
 
-        base = st.poincare_map(frame, cfg, u0, record)
+        base = st.poincare_map(homog_inst, grid, c, cfg, u0, record)
         P = st.linearized_period_map(homog_inst, pots, grid, cfg.dt, 1)
         x = grid.nodes
         v = np.exp(-((x - 1.0) / 2.0) ** 2)
         v[0] = v[-1] = 0.0
         eps = 1e-6
-        quotient = (st.poincare_map(frame, cfg, u0 + eps * v) - base) / eps
+        quotient = (st.poincare_map(homog_inst, grid, c, cfg, u0 + eps * v) - base) / eps
         # the map pins its end values, the linearization keeps row 0 of the shift
         inner = slice(1, -1)
         assert np.max(np.abs(P[inner] @ v - quotient[inner])) < 1e-5 * np.max(np.abs(P @ v))
