@@ -31,8 +31,17 @@ RECENTER_FRAC = 0.15        # interface drift allowance, times the halfwidth
 DEFECT_MARGIN_FRAC = 0.15   # per-side exclusion of the defect window
 
 
+# The closed set of failure reasons.  A FrontNotConverged or an Inconclusive
+# record carries one under diagnostics["reason"] ("budget", "coverage",
+# "solver"), as does a stability report that never became front-like
+# ("not-front-like"); homogenize.NoConnection carries "no-connection".
+REASONS = frozenset({"budget", "coverage", "solver", "no-connection", "not-front-like"})
+
+
 class FrontNotConverged(RuntimeError):
-    """Budget exhausted with neither the pulsating nor the stationary criterion met."""
+    """Budget exhausted with neither the pulsating nor the stationary criterion
+    met (reason "budget"), or the converged orbit's profile could not be
+    extracted (reason "coverage")."""
 
     def __init__(self, message: str, diagnostics: dict):
         super().__init__(message)
@@ -233,9 +242,11 @@ class FrontSolution:
         return self.phi.mean(axis=1)
 
     def bind(self, y):
-        """xi -> interp(xi, y) with the y-half of the bilinear weights and the
-        column offsets computed once for the fixed y; each call gathers from
-        the flattened lattice at i*m + j."""
+        """xi -> interp(xi, y) for a fixed y of any shape that broadcasts
+        against xi: the y-half of the bilinear weights and the column offsets
+        are computed once, and each call gathers four lattice values from the
+        flattened lattice at i*m + j.  on_cells does the y-half once more
+        completely for the cells of a window grid."""
         y = np.mod(np.asarray(y, dtype=float), 1.0)
         m = len(self.y)
         sy = y * m
@@ -256,6 +267,48 @@ class FrontSolution:
             k1 = k + m
             return ((1 - wi) * (vj * flat.take(k) + wj * flat.take(k + dj))
                     + wi * (vj * flat.take(k1) + wj * flat.take(k1 + dj)))
+        return phi_at
+
+    def on_cells(self, M: int, n: int):
+        """xi -> phi(xi, y_q) on the n nodes of a window grid with M nodes per
+        period, node q at the exact cell coordinate y_q = (q mod M)/M.
+
+        The lattice is resampled once at y = r/M, r = 0..M-1, with bind's
+        y-half formula (it is phi itself when M equals the column count), so
+        each call does only the xi half: two gathers, at row i and row i + 1
+        of the resampled lattice, and one in-place blend.  Bitwise equal to
+        interp(xi, (arange(n) % M)/M).  The result is a fresh array the caller
+        may overwrite.
+        """
+        m = len(self.y)
+        if M == m:
+            cells = self.phi
+        else:
+            sy = np.arange(M) / M * m
+            j = np.minimum(sy.astype(int), m - 1)
+            wj = sy - j
+            cells = (1 - wj) * self.phi[:, j] + wj * self.phi[:, (j + 1) % m]
+        flat = np.ascontiguousarray(cells).ravel()
+        below, above = flat, flat[M:]
+        cols = np.arange(n) % M
+        xi0 = self.xi[0]
+        h = self.xi[1] - xi0
+        top = len(self.xi) - 1 - 1e-12
+
+        def phi_at(xi):
+            s = np.subtract(xi, xi0)
+            s /= h
+            np.maximum(s, 0.0, out=s)
+            np.minimum(s, top, out=s)
+            k = s.astype(int)
+            s -= k                       # s is now the xi weight wi
+            k *= M
+            k += cols
+            out = below.take(k)
+            out *= 1 - s
+            s *= above.take(k)
+            out += s
+            return out
         return phi_at
 
     def interp(self, xi, y):
@@ -565,6 +618,7 @@ def compute_pulsating_front(inst: ProblemInstance, cfg: FrontRunConfig = FrontRu
                                        spread, diagnostics)
         last_defect = defect
 
+    diagnostics["reason"] = "budget"
     diagnostics["t_final"] = state.t
     diagnostics["last_defect"] = last_defect
     c_hat, _ = state.recent_speed(max(2.0 * SETTLE_TIME, 20.0))

@@ -30,6 +30,8 @@ from .solver import SolverError
 class NoConnection(RuntimeError):
     """The trajectory settles on an interior zero: no 0-1 front exists."""
 
+    reason = "no-connection"
+
 
 class BracketError(RuntimeError):
     """No sign change of the shooting functional over the allowed c range."""

@@ -8,7 +8,6 @@ traces back to the run that produced it.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
@@ -51,14 +50,14 @@ def _write(path, lines):
 
 
 def emit_profile(path, front: fr.FrontSolution, cfg: ExperimentConfig):
-    head = [_header(cfg, f"c={_fmt(front.speed)} L={_fmt(front.diagnostics.get('L'))}"),
-            "# xi y phi"]
-    xis = [f"{xi:.10g} " for xi in front.xi.tolist()]
-    ys = [f"{y:.10g} " for y in front.y.tolist()]
-    # rows are streamed to the file, one lattice row of phi at a time
-    rows = (xi + y + p for xi, row in zip(xis, front.phi)
-            for y, p in zip(ys, map("{:.10g}".format, row.tolist())))
-    _write(path, itertools.chain(head, rows))
+    head = _header(cfg, f"c={_fmt(front.speed)} L={_fmt(front.diagnostics.get('L'))}")
+    tails = [f"{y:.10g} %.10g\n" for y in front.y.tolist()]
+    with open(path, "w") as fh:
+        fh.write(head + "\n# xi y phi\n")
+        # one % format per lattice row of phi, streamed one row at a time
+        for xi, row in zip(front.xi.tolist(), front.phi):
+            x = f"{xi:.10g} "
+            fh.write((x + x.join(tails)) % tuple(row.tolist()))
 
 
 def emit_sup_errors(path, report: st.StabilityReport, cfg: ExperimentConfig):

@@ -84,8 +84,7 @@ def check_front_like(g: np.ndarray, delta: float, n_edge_frac: float = 0.05) -> 
 
 
 def global_stability_experiment(inst: ProblemInstance, front: FrontSolution,
-                                g, budget: Budget = Budget(200.0),
-                                validate: bool = True) -> StabilityReport:
+                                g, budget: Budget = Budget(200.0)) -> StabilityReport:
     """Track sup_x |u(t, .) - U(t + tau, .)| for a front-like datum g.
 
     The phase tau is re-fit at every probe by golden-section; once it
@@ -93,42 +92,66 @@ def global_stability_experiment(inst: ProblemInstance, front: FrontSolution,
     exponential rate.  Reports are 'not accepted' (with diagnostics) when tau
     never settles or the fitted rate is not positive.
     """
-    if front.stationary or front.speed == 0.0:
-        raise ValueError("stability experiments need a non-stationary front")
-    c = front.speed
-    grid, u0 = _experiment_grid_and_datum(inst, front, g)
-    delta = inst.reaction.delta
-    if validate and not check_front_like(u0, delta):
+    win = _experiment_window(inst, front, g)
+    if not check_front_like(win.u, inst.reaction.delta):
         raise ValueError("initial datum violates the front-like condition "
                          "(above 1-delta left, below delta right) on this domain")
-    dt = choose_dt(inst.reaction.lip_k, grid.h, c)
-    win = Window(Stepper(inst, grid, SolverConfig(dt=dt, u_left=1.0, u_right=0.0)), u0)
-    tau_span = TAU_SPAN_PERIODS * inst.L / abs(c)
+    return _track_phase(front, win, budget.t_max)
+
+
+def _experiment_window(inst: ProblemInstance, front: FrontSolution, g) -> Window:
+    """The experiment's run: g realized on a front-sized grid at the front's
+    resolution, stepped at solver.choose_dt for the front's speed."""
+    if front.stationary or front.speed == 0.0:
+        raise ValueError("stability experiments need a non-stationary front")
+    span = float(front.xi[-1] - front.xi[0])
+    halfwidth = max(0.55 * span, 10.0)
+    grid = build_grid(inst, halfwidth, max(
+        64, int(round(inst.L / (front.xi[1] - front.xi[0])))))
+    if callable(g):
+        u0 = np.asarray(g(grid.nodes), dtype=float)
+    else:
+        u0 = np.asarray(g, dtype=float)
+        if u0.shape != (grid.n,):
+            raise ValueError("array datum must match the experiment grid; pass a "
+                             "callable for automatic sampling")
+    dt = choose_dt(inst.reaction.lip_k, grid.h, front.speed)
+    return Window(Stepper(inst, grid, SolverConfig(dt=dt, u_left=1.0, u_right=0.0)), u0)
+
+
+def _track_phase(front: FrontSolution, win: Window, t_span: float) -> StabilityReport:
+    """The phase/rate record of the run on win over t_span, probe times
+    counted on the window's clock."""
+    grid = win.grid
+    c = front.speed
+    dt = win.stepper.cfg.dt
+    tau_span = TAU_SPAN_PERIODS * grid.L / abs(c)
     tau_tol = TAU_SETTLE_FACTOR * grid.h / abs(c)
 
     tau_hat = 0.0
     probes: list[tuple[float, float, float]] = []   # (t, tau, sup_err)
     steps_per_probe = max(1, int(round(PROBE_DT / dt)))
-    n_probes = int(budget.t_max / (steps_per_probe * dt))
-    # the reference is bound to the window's cell coordinates, which change
-    # only when the window moves
-    x_abs = grid.nodes + win.x_offset
-    ref = front.bind(x_abs / inst.L)
+    n_probes = int(t_span / (steps_per_probe * dt))
+    # a whole-period slide keeps node q in cell q mod M, so the reference
+    # stays bound to the same cells however far the window moves
+    ref = front.on_cells(grid.nodes_per_period, grid.n)
 
     for _ in range(n_probes):
         win.run(steps_per_probe)
         u, t = win.u, win.t
+        x_abs = grid.nodes + win.x_offset
 
         def err(tau):
-            return float(np.max(np.abs(u - ref(x_abs - c * (t + tau)))))
+            d = ref(x_abs - c * (t + tau))
+            np.subtract(u, d, out=d)
+            np.abs(d, out=d)
+            return float(d.max())
 
         tau_hat, e = _golden_min(err, tau_hat - tau_span, tau_hat + tau_span,
                                  tol=min(tau_tol * 0.1, 1e-4))
         probes.append((t, tau_hat, e))
         # keep the interface well inside the window
-        if win.recenter(level_position(grid.nodes, u, 0.5), RECENTER_FRAC):
-            x_abs = grid.nodes + win.x_offset
-            ref = front.bind(x_abs / inst.L)
+        win.recenter(level_position(grid.nodes, u, 0.5), RECENTER_FRAC)
 
     ts = np.array([p[0] for p in probes])
     taus = np.array([p[1] for p in probes])
@@ -175,21 +198,6 @@ def global_stability_experiment(inst: ProblemInstance, front: FrontSolution,
                            final_error=float(errs[-1]), diagnostics=diagnostics)
 
 
-def _experiment_grid_and_datum(inst, front, g):
-    """Build the experiment grid (front-sized) and realize g on it."""
-    span = float(front.xi[-1] - front.xi[0])
-    halfwidth = max(0.55 * span, 10.0)
-    grid = build_grid(inst, halfwidth, max(
-        64, int(round(inst.L / (front.xi[1] - front.xi[0])))))
-    if callable(g):
-        return grid, np.asarray(g(grid.nodes), dtype=float)
-    arr = np.asarray(g, dtype=float)
-    if arr.shape != (grid.n,):
-        raise ValueError("array datum must match the experiment grid; pass a "
-                         "callable for automatic sampling")
-    return grid, arr
-
-
 def initialv2_experiment(inst: ProblemInstance, front: FrontSolution,
                          states: Sequence, g,
                          budget: Budget = Budget(300.0)) -> StabilityReport:
@@ -200,17 +208,14 @@ def initialv2_experiment(inst: ProblemInstance, front: FrontSolution,
     The solution is evolved until it is genuinely front-like, then handed to
     the phase/rate experiment.
     """
-    if front.stationary or front.speed == 0.0:
-        raise ValueError("needs a non-stationary front")
     for s in states:
         if s.cls != "unstable":
             raise ValueError("an intermediate steady state is not unstable; "
                              "the trapped-data route does not apply")
-    grid, u0 = _experiment_grid_and_datum(inst, front, g)
-    delta = inst.reaction.delta
+    win = _experiment_window(inst, front, g)
     if states:
-        left, right = _edge_zones(grid.n)
-        x = grid.nodes
+        left, right = _edge_zones(win.grid.n)
+        x, u0 = win.grid.nodes, win.u
         ok_left = any(np.min(u0[left] - np.asarray(
             _state_on(s, x[left], inst))) > 0.0 for s in states)
         ok_right = any(np.max(u0[right] - np.asarray(
@@ -218,22 +223,22 @@ def initialv2_experiment(inst: ProblemInstance, front: FrontSolution,
         if not (ok_left and ok_right):
             raise ValueError("datum does not satisfy the trapped-data condition "
                              "against the intermediate states")
-    dt = choose_dt(inst.reaction.lip_k, grid.h, front.speed)
-    win = Window(Stepper(inst, grid, SolverConfig(dt=dt, u_left=1.0, u_right=0.0)), u0)
-    chunk = max(1, int(round(1.0 / dt)))
+    chunk = max(1, int(round(1.0 / win.stepper.cfg.dt)))
     while win.t < 0.5 * budget.t_max:
-        if check_front_like(win.u, delta):
+        if check_front_like(win.u, inst.reaction.delta):
             break
         win.run(chunk)
     else:
         return StabilityReport(tau_g=math.nan, mu_fit=math.nan, accepted=False,
                                sup_errors=(), final_error=math.nan,
-                               diagnostics={"reason": "never reached the "
+                               diagnostics={"reason": "not-front-like",
+                                            "message": "never reached the "
                                             "front-like condition",
                                             "t_final": win.t})
-    rep = global_stability_experiment(inst, front, win.u,
-                                      budget=Budget(budget.t_max - win.t), validate=False)
-    return replace(rep, diagnostics={**rep.diagnostics, "t_frontlike": win.t})
+    # the phase record's clock starts at the hand-off
+    t_frontlike, win.t = win.t, 0.0
+    rep = _track_phase(front, win, budget.t_max - t_frontlike)
+    return replace(rep, diagnostics={**rep.diagnostics, "t_frontlike": t_frontlike})
 
 
 def _state_on(state, x, inst):

@@ -111,6 +111,8 @@ class TestComputeFront:
             fr.compute_pulsating_front(homog_inst, fr.FrontRunConfig(),
                                        fr.Budget(2.0))
         assert "t_final" in err.value.diagnostics
+        assert err.value.diagnostics["reason"] == "budget"
+        assert err.value.diagnostics["reason"] in fr.REASONS
 
 
 class TestDecayFits:
@@ -172,6 +174,7 @@ class TestClassification:
         rec = fr.classify_quenching(homog_inst, fr.FrontRunConfig(), fr.Budget(1.0))
         assert rec.kind == fr.INCONCLUSIVE
         assert rec.c is None
+        assert rec.evidence["reason"] == "budget"
 
     def test_solver_error_inconclusive(self, homog_inst):
         # dt*K = 3.4 makes the Stepper raise SolverError inside the front run
@@ -179,6 +182,7 @@ class TestClassification:
         assert rec.kind == fr.INCONCLUSIVE
         assert rec.c is None and rec.front is None
         assert rec.evidence["reason"] == "solver"
+        assert rec.evidence["reason"] in fr.REASONS
         assert "dt*K" in rec.evidence["message"]
 
 

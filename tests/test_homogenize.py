@@ -82,8 +82,10 @@ class TestShooting:
 
     def test_quintic_settling_on_interior_zero_has_no_connection(self):
         # the mismatch vanishes only because neither orbit reaches phi = 1/2
-        with pytest.raises(hg.NoConnection, match="neither saddle orbit reaches phi = 1/2"):
+        with pytest.raises(hg.NoConnection, match="neither saddle orbit reaches phi = 1/2") as err:
             hg.solve_homogenized_front(quintic_homog((0.15, 0.45, 0.8)))
+        assert err.value.reason == "no-connection"
+        assert err.value.reason in fr.REASONS
 
     def test_quintic_connection_speed(self):
         front = hg.solve_homogenized_front(quintic_homog((0.2, 0.5, 0.7)))

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as hyp
 import pulsefront.fronts as fr
 import pulsefront.spectral as spx
 import pulsefront.stability as st
-from pulsefront.solver import SolverConfig, Stepper, build_grid, shift_window
+from pulsefront.solver import SolverConfig, Stepper, Window, build_grid, shift_window
 
 
 @pytest.fixture(scope="module")
@@ -216,6 +216,14 @@ class TestInitialv2:
         with pytest.raises(ValueError):
             st.initialv2_experiment(homog_inst, homog_front, states, g, fr.Budget(10.0))
 
+    def test_never_front_like_reason(self, homog_inst, homog_front):
+        # a flat datum at 1/2 is nowhere near front-like within half the budget
+        rep = st.initialv2_experiment(homog_inst, homog_front, [],
+                                      lambda x: np.full_like(x, 0.5), fr.Budget(4.0))
+        assert not rep.accepted
+        assert rep.diagnostics["reason"] == "not-front-like"
+        assert rep.diagnostics["reason"] in fr.REASONS
+
     def test_non_unstable_state_rejected(self, homog_inst, homog_front):
         fake = spx.SteadyState(x=np.arange(4.0), u=np.full(4, 0.3), residual=0.0,
                                lambda1=-0.1, eigen=None, cls="stable")
@@ -328,26 +336,47 @@ class TestBoundFront:
             assert same_bits(out, front.interp(a, b))
             assert same_bits(out, interp_reference(front, a, b))
 
+    @given(hyp.lists(XI, min_size=1, max_size=40), hyp.sampled_from([4, 8, 16]))
+    @settings(max_examples=150, deadline=None)
+    def test_on_cells_bitwise(self, xis, M):
+        # fewer, as many and more cells per period than lattice columns
+        front = self.LATTICE
+        xi = np.array(xis)
+        y = (np.arange(xi.size) % M) / M
+        out = front.on_cells(M, xi.size)(xi)
+        assert same_bits(out, interp_reference(front, xi, y))
+        assert same_bits(out, front.interp(xi, y))
+
     @pytest.mark.parametrize("datum", ["shifted", "step"])
     def test_experiment_equals_per_call_interp(self, homog_inst, homog_front, datum, monkeypatch):
         L = homog_inst.L
         g = {"shifted": lambda x: homog_front.interp(x - 3.0 * L, x / L),
              "step": lambda x: np.where(x < 0.0, 1.0, 0.0)}[datum]
-        bound_at = set()
-        bind = fr.FrontSolution.bind
-
-        def recorded(self, y):
-            bound_at.add(float(np.ravel(y)[0]))
-            return bind(self, y)
-
-        monkeypatch.setattr(fr.FrontSolution, "bind", recorded)
         fast = st.global_stability_experiment(homog_inst, homog_front, g, fr.Budget(60.0))
-        # the window moved, so the reference was bound again at a new offset
-        assert len(bound_at) > 1
         # every trial phase evaluates the fancy-indexed interpolation afresh
-        monkeypatch.setattr(fr.FrontSolution, "bind",
-                            lambda self, y: lambda xi: interp_reference(self, xi, y))
+        monkeypatch.setattr(fr.FrontSolution, "on_cells", lambda self, M, n: lambda xi:
+                            interp_reference(self, xi, (np.arange(n) % M) / M))
         slow = st.global_stability_experiment(homog_inst, homog_front, g, fr.Budget(60.0))
         assert (fast.tau_g, fast.mu_fit, fast.sup_errors) == \
             (slow.tau_g, slow.mu_fit, slow.sup_errors)
         assert fast == slow
+
+    def test_window_cells_are_lab_cells(self, homog_inst, homog_front, monkeypatch):
+        # the reference stays on the window's cells (q mod M)/M; at L = 1 they
+        # are exactly the lab cell coordinates at every offset the window visits
+        offsets = [0.0]
+        slide = Window.slide
+
+        def recorded(self, p):
+            slide(self, p)
+            offsets.append(self.x_offset)
+
+        monkeypatch.setattr(Window, "slide", recorded)
+        st.global_stability_experiment(homog_inst, homog_front,
+                                       lambda x: np.where(x < 0.0, 1.0, 0.0), fr.Budget(60.0))
+        assert len(set(offsets)) > 1
+        grid = st._experiment_window(homog_inst, homog_front, np.zeros_like).grid
+        M, L = grid.nodes_per_period, homog_inst.L
+        cells = (np.arange(grid.n) % M) / M
+        for x_offset in offsets:
+            assert same_bits(cells, np.mod((grid.nodes + x_offset) / L, 1.0))
