@@ -42,7 +42,6 @@ def _parse_optional(s: str):
 SCHEMA: dict[str, dict[str, tuple]] = {
     "experiment": {
         "workers": ("1", int, "worker processes for sweeps (1 = bit-reproducible baseline)"),
-        "deterministic": ("true", _parse_bool, "must stay true; the pipeline is seed-free"),
     },
     "profile": {
         "family": ("cubic", str, "cubic | xin | tabulated"),
@@ -66,8 +65,6 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "halfwidth": ("auto", _parse_optional, "domain half-extent; auto sizes it from decay rates"),
         "tail_floor": ("1e-8", float, "target tail depth of extracted profiles"),
         "tol_puls": ("1e-3", float, "acceptance tolerance on the pulsating defect"),
-        "tol_stat": ("1e-6", float, "stationary-branch residual tolerance"),
-        "stat_window": ("100.0", float, "pinning detection window (time units)"),
         "budget": ("600.0", float, "maximum simulated time per run"),
     },
     "run": {
@@ -134,8 +131,6 @@ def parse_config(text: str, scenario: str) -> ExperimentConfig:
             except Exception as exc:
                 raise ConfigError(f"bad value for [{section}] {key} = {raw!r}: {exc}") from exc
         values[section] = out
-    if not values["experiment"]["deterministic"]:
-        raise ConfigError("deterministic=false is not supported; runs are seed-free")
     digest = hashlib.sha256(text.encode()).hexdigest()[:12]
     return ExperimentConfig(scenario=scenario, values=values, config_hash=digest,
                             raw_text=text)
@@ -161,10 +156,9 @@ def describe_schema() -> str:
 # realizing profile blocks
 # ---------------------------------------------------------------------------
 
-def build_instance(cfg: ExperimentConfig, L: float | None = None) -> profiles.ProblemInstance:
+def build_instance(cfg: ExperimentConfig) -> profiles.ProblemInstance:
     p = cfg["profile"]
-    n = cfg["numerics"]
-    period = float(L if L is not None else n["L"])
+    period = float(cfg["numerics"]["L"])
     family = p["family"].lower()
     if family == "xin":
         return profiles.make_xin_example(p["xin_delta"], p["xin_lambda"], p["xin_mu"],
@@ -194,6 +188,5 @@ def build_run_config(cfg: ExperimentConfig):
     n = cfg["numerics"]
     rc = FrontRunConfig(nodes_per_period=n["nodes_per_period"],
                         tail_floor=n["tail_floor"], halfwidth=n["halfwidth"],
-                        dt=n["dt"], tol_puls=n["tol_puls"], tol_stat=n["tol_stat"],
-                        stat_window=n["stat_window"])
+                        dt=n["dt"], tol_puls=n["tol_puls"])
     return rc, Budget(n["budget"])

@@ -25,7 +25,10 @@ from .solver import (Grid1D, SolverConfig, SolverError, Stepper, Window, build_g
 SETTLE_TIME = 10.0          # evolution chunk between checks
 TRANSIENT_PERIODS = 20.0    # no capture before 20 L/|c| ...
 TRANSIENT_MIN = 50.0        # ... nor before t = 50
-STAT_DISP_FRAC = 0.1        # pinned: displacement below 0.1 h over stat_window
+STAT_WINDOW = 100.0         # pinning detection window
+STAT_DISP_FRAC = 0.1        # pinned: displacement below 0.1 h over STAT_WINDOW
+MIN_LEVEL_SAMPLES = 20      # level samples behind a level-speed fit
+MIN_TAIL_EFOLDS = 3.0       # depth a tail fit must span
 CAPTURE_SNAPSHOTS = 192     # snapshots per capture window
 RECENTER_FRAC = 0.15        # interface drift allowance, times the halfwidth
 DEFECT_MARGIN_FRAC = 0.15   # per-side exclusion of the defect window
@@ -60,8 +63,6 @@ class FrontRunConfig:
     halfwidth: float | None = None       # override the decay-based domain size
     dt: float | None = None              # override solver.choose_dt
     tol_puls: float = 1e-3
-    tol_stat: float = 1e-6
-    stat_window: float = 100.0
     initial_style: str = "tanh"          # step | ramp | tanh
 
 
@@ -69,17 +70,17 @@ class FrontRunConfig:
 # measurement helpers
 # ---------------------------------------------------------------------------
 
-def level_position(x: np.ndarray, u: np.ndarray, level: float = 0.5):
-    """Outermost crossing of the level (largest x with u >= level), with
+def level_position(x: np.ndarray, u: np.ndarray):
+    """Outermost crossing of the half-level (largest x with u >= 1/2), with
     sub-grid linear interpolation, or None when the level is not attained."""
-    above = np.flatnonzero(u >= level)
+    above = np.flatnonzero(u >= 0.5)
     if above.size == 0 or above.size == len(u):
         return None
     i = int(above[-1])
     if i == len(u) - 1:
         return float(x[-1])
     u0, u1 = u[i], u[i + 1]
-    frac = (u0 - level) / (u0 - u1) if u0 != u1 else 0.0
+    frac = (u0 - 0.5) / (u0 - u1) if u0 != u1 else 0.0
     return float(x[i] + frac * (x[i + 1] - x[i]))
 
 
@@ -125,14 +126,13 @@ class SnapshotSeries:
         return float(max(0.0, -float(d.min())))
 
 
-def _golden_min(f: Callable[[float], float], lo: float, hi: float,
-                tol: float, max_iter: int = 200):
+def _golden_min(f: Callable[[float], float], lo: float, hi: float, tol: float):
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(max_iter):
+    for _ in range(200):
         if b - a < tol:
             break
         if fc < fd:
@@ -148,14 +148,14 @@ def _golden_min(f: Callable[[float], float], lo: float, hi: float,
 
 
 def min_shift_defect(snaps: SnapshotSeries, t_ref: float, t_hat: float,
-                     margin_nodes: int, shift: int = 1, rel_range: float = 0.25):
+                     margin_nodes: int, shift: int = 1):
     """Minimize the pulsating defect over the time period T near t_hat > 0.
 
     Returns (T*, defect*, T-width over which the defect stays below twice the
     minimum), the last being a crude timing uncertainty.
     """
-    t_lo = (1.0 - rel_range) * t_hat
-    t_hi = min((1.0 + rel_range) * t_hat, snaps.t1 - t_ref)
+    t_lo = 0.75 * t_hat
+    t_hi = min(1.25 * t_hat, snaps.t1 - t_ref)
     if t_hi <= t_lo:
         raise ValueError("capture window too short for period matching")
     ts = np.linspace(t_lo, t_hi, 61)
@@ -207,14 +207,13 @@ def _period_uncertainty(L: float, T: float, width: float, dt_snap: float) -> flo
     return abs(L) * (0.25 * width + 0.25 * dt_snap) / T**2
 
 
-def measure_speed(times: Sequence[float], positions: Sequence[float],
-                  min_samples: int = 20) -> SpeedEstimate:
+def measure_speed(times: Sequence[float], positions: Sequence[float]) -> SpeedEstimate:
     """Speed from the level trajectory; the period-matching estimate is added
     by the front run from its capture window."""
     times = np.asarray(times, dtype=float)
     positions = np.asarray(positions, dtype=float)
-    if len(times) < min_samples:
-        raise ValueError(f"need at least {min_samples} level samples, got {len(times)}")
+    if len(times) < MIN_LEVEL_SAMPLES:
+        raise ValueError(f"need at least {MIN_LEVEL_SAMPLES} level samples, got {len(times)}")
     c_level, stderr = fit_line(times, positions)
     return SpeedEstimate(c_level=c_level, c_period=None,
                          unc_level=stderr + 1e-12, unc_period=None)
@@ -238,42 +237,11 @@ class FrontSolution:
     replica_spread: float
     diagnostics: dict
 
-    def phi_mean(self) -> np.ndarray:
-        return self.phi.mean(axis=1)
-
-    def bind(self, y):
-        """xi -> interp(xi, y) for a fixed y of any shape that broadcasts
-        against xi: the y-half of the bilinear weights and the column offsets
-        are computed once, and each call gathers four lattice values from the
-        flattened lattice at i*m + j.  on_cells does the y-half once more
-        completely for the cells of a window grid."""
-        y = np.mod(np.asarray(y, dtype=float), 1.0)
-        m = len(self.y)
-        sy = y * m
-        j = np.minimum(sy.astype(int), m - 1)
-        wj = sy - j
-        vj = 1 - wj
-        dj = (j + 1) % m - j
-        xi0 = self.xi[0]
-        h = self.xi[1] - xi0
-        top = len(self.xi) - 1 - 1e-12
-        flat = self.phi.ravel()
-
-        def phi_at(xi):
-            s = np.clip((np.asarray(xi, dtype=float) - xi0) / h, 0.0, top)
-            i = s.astype(int)
-            wi = s - i
-            k = i * m + j
-            k1 = k + m
-            return ((1 - wi) * (vj * flat.take(k) + wj * flat.take(k + dj))
-                    + wi * (vj * flat.take(k1) + wj * flat.take(k1 + dj)))
-        return phi_at
-
     def on_cells(self, M: int, n: int):
         """xi -> phi(xi, y_q) on the n nodes of a window grid with M nodes per
         period, node q at the exact cell coordinate y_q = (q mod M)/M.
 
-        The lattice is resampled once at y = r/M, r = 0..M-1, with bind's
+        The lattice is resampled once at y = r/M, r = 0..M-1, with interp's
         y-half formula (it is phi itself when M equals the column count), so
         each call does only the xi half: two gathers, at row i and row i + 1
         of the resampled lattice, and one in-place blend.  Bitwise equal to
@@ -312,12 +280,30 @@ class FrontSolution:
         return phi_at
 
     def interp(self, xi, y):
-        """Bilinear interpolation of the lattice, periodic in y, clamped in xi."""
-        return self.bind(y)(xi)
+        """Bilinear interpolation of the lattice, periodic in y, clamped in xi;
+        xi and y broadcast, and the four lattice values are gathered from the
+        flattened lattice at i*m + j."""
+        y = np.mod(np.asarray(y, dtype=float), 1.0)
+        m = len(self.y)
+        sy = y * m
+        j = np.minimum(sy.astype(int), m - 1)
+        wj = sy - j
+        vj = 1 - wj
+        dj = (j + 1) % m - j
+        xi0 = self.xi[0]
+        s = np.clip((np.asarray(xi, dtype=float) - xi0) / (self.xi[1] - xi0),
+                    0.0, len(self.xi) - 1 - 1e-12)
+        i = s.astype(int)
+        wi = s - i
+        flat = self.phi.ravel()
+        k = i * m + j
+        k1 = k + m
+        return ((1 - wi) * (vj * flat.take(k) + wj * flat.take(k + dj))
+                + wi * (vj * flat.take(k1) + wj * flat.take(k1 + dj)))
 
 
-def extract_profile(snaps: SnapshotSeries, c: float, L: float,
-                    t_start: float, period: float, margin_nodes: int = 8):
+def extract_profile(snaps: SnapshotSeries, c: float, t_start: float, period: float,
+                    margin_nodes: int = 8):
     """Rebuild phi(xi, y) from snapshots spanning at least one time period.
 
     Returns (xi, y, phi, replica_spread).  Replicas of the same (xi, y) seen
@@ -391,7 +377,7 @@ def extract_profile(snaps: SnapshotSeries, c: float, L: float,
 
 
 def fit_tail_rates(xi: np.ndarray, prof: np.ndarray, floor: float = 1e-10,
-                   ceiling: float = 1e-2, min_efolds: float = 3.0):
+                   ceiling: float = 1e-2):
     """Log-linear decay rates of a front profile toward 0 (right) and 1 (left)."""
     out = []
     for vals, sign in ((prof, -1.0), (1.0 - prof, +1.0)):
@@ -399,9 +385,9 @@ def fit_tail_rates(xi: np.ndarray, prof: np.ndarray, floor: float = 1e-10,
         if np.count_nonzero(mask) < 5:
             raise ValueError("tail too short for a decay fit; enlarge the xi window")
         lv = np.log(vals[mask])
-        if lv.max() - lv.min() < min_efolds:
+        if lv.max() - lv.min() < MIN_TAIL_EFOLDS:
             raise ValueError(
-                f"tail spans only {lv.max() - lv.min():.2f} e-foldings (< {min_efolds}); "
+                f"tail spans only {lv.max() - lv.min():.2f} e-foldings (< {MIN_TAIL_EFOLDS}); "
                 "enlarge the xi window")
         slope, _ = fit_line(xi[mask], lv)
         out.append(sign * slope)
@@ -546,7 +532,7 @@ def compute_pulsating_front(inst: ProblemInstance, cfg: FrontRunConfig = FrontRu
     state = _RunState(inst, grid, solver_cfg, cfg.initial_style)
     # the defect window stays clear of the Dirichlet boundary layers
     margin_nodes = max(grid.nodes_per_period + 4, int(DEFECT_MARGIN_FRAC * grid.n))
-    c_floor = h / (10.0 * cfg.stat_window)
+    c_floor = h / (10.0 * STAT_WINDOW)
     last_defect = None
     diagnostics: dict = {"L": inst.L, "h": h, "dt": dt, "halfwidth": halfwidth,
                          "n_nodes": grid.n}
@@ -555,15 +541,15 @@ def compute_pulsating_front(inst: ProblemInstance, cfg: FrontRunConfig = FrontRu
         state.advance(min(SETTLE_TIME, budget.t_max - state.t))
         state.recenter(level_position(grid.nodes, state.u), RECENTER_FRAC)
         c_hat, _ = state.recent_speed(max(2.0 * SETTLE_TIME, 20.0))
-        disp = state.displacement(cfg.stat_window)
+        disp = state.displacement(STAT_WINDOW)
         if disp is not None and disp < STAT_DISP_FRAC * h and state.t >= TRANSIENT_MIN:
             resid = residual_stationary(grid, state.u, inst)
             diagnostics["stationary_residual"] = resid
             diagnostics["displacement"] = disp
             diagnostics["t_final"] = state.t
-            if resid < cfg.tol_stat:
+            if resid < 1e-6:        # stationary-branch residual tolerance
                 est = None
-                if len(state.level_t) >= 20:
+                if len(state.level_t) >= MIN_LEVEL_SAMPLES:
                     est = measure_speed(state.level_t[-200:], state.level_x[-200:])
                 m = grid.nodes_per_period
                 margin = m + 4
@@ -602,8 +588,8 @@ def compute_pulsating_front(inst: ProblemInstance, cfg: FrontRunConfig = FrontRu
             est = replace(base, c_period=c_period,
                           unc_period=_period_uncertainty(inst.L, T1, width, snaps.dt_snap))
             try:
-                xi, ys, phi, spread = extract_profile(snaps, c_period, inst.L,
-                                                      t_ref1, T1, margin_nodes)
+                xi, ys, phi, spread = extract_profile(snaps, c_period, t_ref1, T1,
+                                                      margin_nodes)
             except ValueError as exc:
                 diagnostics.update(t_final=state.t, reason="coverage", message=str(exc))
                 raise FrontNotConverged(f"profile extraction failed at t={state.t:.4g}: "
@@ -643,8 +629,7 @@ class IdentityReport:
     reaction_integral: float
 
 
-def verify_speed_identity(front: FrontSolution, homog: HomogenizedData,
-                          d_floor: float = 1e-8) -> IdentityReport:
+def verify_speed_identity(front: FrontSolution, homog: HomogenizedData) -> IdentityReport:
     """Check c * integral of (d_xi phi)^2 over xi and y = integral of fbar.
 
     Returns the speed implied by the identity and the relative mismatch.
@@ -654,7 +639,7 @@ def verify_speed_identity(front: FrontSolution, homog: HomogenizedData,
     h = float(front.xi[1] - front.xi[0])
     dphi = np.gradient(front.phi, h, axis=0)
     d = float(np.trapezoid(np.mean(dphi**2, axis=1), dx=h))
-    if d < d_floor:
+    if d < 1e-8:
         raise ValueError("gradient integral below floor; profile not converged")
     c_id = homog.i_fbar / d
     mismatch = abs(c_id - front.speed) / abs(front.speed)

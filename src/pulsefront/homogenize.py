@@ -26,6 +26,9 @@ from .fronts import (Budget, FrontNotConverged, FrontRunConfig, FrontSolution,
                      _golden_min, compute_pulsating_front, fit_tail_rates)
 from .solver import SolverError
 
+SADDLE_EPS = 1e-6       # shooting starts this far from the saddles 0 and 1
+ALIGN_SEARCH = 6.0      # profile alignment searches the shift within this of its guess
+
 
 class NoConnection(RuntimeError):
     """The trajectory settles on an interior zero: no 0-1 front exists."""
@@ -46,7 +49,6 @@ class HomogenizedFront:
     lambda2: float
     A1: float
     A2: float
-    shoot_residual: float
     _spline: CubicSpline
 
     def __call__(self, xi):
@@ -62,8 +64,8 @@ class HomogenizedFront:
 def homogenized_decay_rates(front: HomogenizedFront, homog: HomogenizedData):
     """Characteristic-root exponents cross-checked against tail fits."""
     l1, l2 = characteristic_rates(homog.a_h, front.c0, homog.slope0, homog.slope1)
-    # below ~1e-7 the trajectory feels the error of c0 (up to tol_c), so the
-    # fit windows stay above that
+    # below ~1e-7 the trajectory feels the error of c0 (up to brentq's xtol,
+    # 1e-10), so the fit windows stay above that
     fit1, fit2 = fit_tail_rates(front.xi, front.phi, floor=1e-6, ceiling=1e-3)
     gap = max(abs(fit1 - l1) / l1, abs(fit2 - l2) / l2)
     if gap > 0.02:
@@ -72,20 +74,21 @@ def homogenized_decay_rates(front: HomogenizedFront, homog: HomogenizedData):
     return l1, l2
 
 
-def _is_odd_symmetric(homog: HomogenizedData, tol: float = 1e-11) -> bool:
+def _is_odd_symmetric(homog: HomogenizedData) -> bool:
     u = np.linspace(0.0, 1.0, 513)
     dev = np.max(np.abs(homog.fbar(u) + homog.fbar(1.0 - u)))
     scale = max(np.max(np.abs(homog.fbar(u))), 1e-30)
-    return bool(dev <= tol + 1e-9 * scale)
+    return bool(dev <= 1e-11 + 1e-9 * scale)
 
 
-def _saddle_orbit(homog: HomogenizedData, c: float, eps: float, xi_max: float,
-                  level: float, from_one: bool = True):
+def _saddle_orbit(homog: HomogenizedData, c: float, xi_max: float, level: float,
+                  from_one: bool = True):
     """Orbit leaving 1 forward (or 0 backward) in xi along its unstable (stable)
     direction, stopped where phi crosses `level` or phi' vanishes (turnback)."""
     a = homog.a_h
     fbar = homog.fbar.scalar
     l1, l2 = characteristic_rates(a, c, homog.slope0, homog.slope1)
+    eps = SADDLE_EPS
     start, end = ([1.0 - eps, -eps * l2], xi_max) if from_one else ([eps, -eps * l1], -xi_max)
 
     def rhs(xi, s):
@@ -103,14 +106,13 @@ def _saddle_orbit(homog: HomogenizedData, c: float, eps: float, xi_max: float,
                      rtol=1e-10, atol=1e-12, dense_output=True, max_step=xi_max)
 
 
-def solve_homogenized_front(homog: HomogenizedData, tol_c: float = 1e-10,
-                            eps: float = 1e-6) -> HomogenizedFront:
+def solve_homogenized_front(homog: HomogenizedData) -> HomogenizedFront:
     """Front (phi0, c0) of the averaged equation by Brent's method on the
     section mismatch of the two saddle orbits.
 
     Preconditions: fbar'(0) < 0, fbar'(1) < 0 and at least one interior zero.
-    The profile is normalized by phi0(0) = 1/2; repeated solves with the same
-    tolerances are bitwise identical.
+    The profile is normalized by phi0(0) = 1/2; repeated solves are bitwise
+    identical.
     """
     if not (homog.slope0 < 0.0 and homog.slope1 < 0.0):
         raise ValueError("need fbar'(0) < 0 and fbar'(1) < 0")
@@ -122,13 +124,13 @@ def solve_homogenized_front(homog: HomogenizedData, tol_c: float = 1e-10,
     xi_max = 400.0 / math.sqrt(min(-homog.slope0, -homog.slope1) / a)
 
     if _is_odd_symmetric(homog) and abs(homog.i_fbar) < 1e-12:
-        return _symmetric_front(homog, eps)
+        return _symmetric_front(homog)
 
     @functools.cache                  # brentq evaluates the bracket ends again
     def slopes(c):
         # slopes phi' (p1, p0) where the orbits from 1 and from 0 first meet
         # phi = 1/2; an orbit that turns back or settles before counts as 0
-        sols = [_saddle_orbit(homog, c, eps, xi_max, 0.5, one) for one in (True, False)]
+        sols = [_saddle_orbit(homog, c, xi_max, 0.5, one) for one in (True, False)]
         return tuple(float(s.y_events[0][0][1]) if len(s.t_events[0]) else 0.0
                      for s in sols)
 
@@ -146,18 +148,17 @@ def solve_homogenized_front(homog: HomogenizedData, tol_c: float = 1e-10,
         raise BracketError(
             f"no sign change of the section mismatch on [{lo/2:.3g}, {hi/2:.3g}]; "
             "a 0-1 connection may not exist for this averaged reaction")
-    c0 = brentq(mismatch, lo, hi, xtol=tol_c)
+    c0 = brentq(mismatch, lo, hi, xtol=1e-10)
     if slopes(c0) == (0.0, 0.0):
         raise NoConnection(
             f"neither saddle orbit reaches phi = 1/2 at c = {c0:.6g}: the zero "
             "mismatch there is no connection, the orbits settle on interior zeros "
             "of the averaged reaction")
-    sol = _saddle_orbit(homog, c0, eps, xi_max, -1e-6)
-    return _assemble_front(homog, c0, sol, eps, bracket=tol_c)
+    sol = _saddle_orbit(homog, c0, xi_max, -1e-6)
+    return _assemble_front(homog, c0, sol)
 
 
-def _assemble_front(homog: HomogenizedData, c0: float, sol, eps: float,
-                    bracket: float) -> HomogenizedFront:
+def _assemble_front(homog: HomogenizedData, c0: float, sol) -> HomogenizedFront:
     l1, l2 = characteristic_rates(homog.a_h, c0, homog.slope0, homog.slope1)
     # keep the trajectory while it still heads monotonically from 1 to 0
     t_end = sol.t[-1]
@@ -185,13 +186,11 @@ def _assemble_front(homog: HomogenizedData, c0: float, sol, eps: float,
     xi = ts - shift
     A1 = float(phi[-1] * math.exp(l1 * xi[-1]))
     A2 = float((1.0 - phi[0]) * math.exp(-l2 * xi[0]))
-    resid = max(float(abs(phi[-1])), float(bracket))
     return HomogenizedFront(c0=c0, xi=xi, phi=phi, lambda1=l1, lambda2=l2,
-                            A1=A1, A2=A2, shoot_residual=resid,
-                            _spline=CubicSpline(xi, phi))
+                            A1=A1, A2=A2, _spline=CubicSpline(xi, phi))
 
 
-def _symmetric_front(homog: HomogenizedData, eps: float) -> HomogenizedFront:
+def _symmetric_front(homog: HomogenizedData) -> HomogenizedFront:
     """Stationary profile when fbar is odd about 1/2: quadrature of the
     first-order reduction a_H (phi')^2 / 2 = int_phi^1 fbar."""
     a = homog.a_h
@@ -217,38 +216,36 @@ def _symmetric_front(homog: HomogenizedData, eps: float) -> HomogenizedFront:
     xi_l = np.linspace(sol_l.t[-1], 0.0, n)
     phi_r = sol_r.sol(xi_r)[0]
     phi_l = sol_l.sol(xi_l)[0]
-    keep_r = (phi_r > eps) & (phi_r < 1.0)
-    keep_l = (phi_l < 1.0 - eps) & (phi_l > 0.0)
+    keep_r = (phi_r > SADDLE_EPS) & (phi_r < 1.0)
+    keep_l = (phi_l < 1.0 - SADDLE_EPS) & (phi_l > 0.0)
     xi = np.concatenate([xi_l[keep_l][:-1], xi_r[keep_r]])
     phi = np.concatenate([phi_l[keep_l][:-1], phi_r[keep_r]])
     l1, l2 = characteristic_rates(a, 0.0, homog.slope0, homog.slope1)
     A1 = float(phi[-1] * math.exp(l1 * xi[-1]))
     A2 = float((1.0 - phi[0]) * math.exp(-l2 * xi[0]))
     return HomogenizedFront(c0=0.0, xi=xi, phi=phi, lambda1=l1, lambda2=l2,
-                            A1=A1, A2=A2, shoot_residual=float(phi[-1]),
-                            _spline=CubicSpline(xi, phi))
+                            A1=A1, A2=A2, _spline=CubicSpline(xi, phi))
 
 
 # ---------------------------------------------------------------------------
 # profile alignment and the L -> 0 sweep
 # ---------------------------------------------------------------------------
 
-def align_profiles(xi: np.ndarray, y: np.ndarray, phi: np.ndarray,
-                   phi0, search: float = 6.0):
+def align_profiles(xi: np.ndarray, y: np.ndarray, phi: np.ndarray, phi0):
     """Shift s* minimizing the mean-square lattice gap between phi(xi + s, y)
     and phi0(xi), and the gap at s*.  Golden-section around a level-matching
     first guess."""
     phi_mean = phi.mean(axis=1)
     # initial guess from the half-levels
     from .fronts import level_position
-    pos_l = level_position(xi, phi_mean, 0.5)
+    pos_l = level_position(xi, phi_mean)
     xi0 = np.asarray(xi, dtype=float)
     base = np.asarray(phi0(xi0), dtype=float)
-    pos_0 = level_position(xi0, base, 0.5)
+    pos_0 = level_position(xi0, base)
     guess = (pos_l - pos_0) if (pos_l is not None and pos_0 is not None) else 0.0
 
-    s_star, g2 = _golden_min(_lattice_gap2(xi0, phi, base), guess - search,
-                             guess + search, tol=1e-8)
+    s_star, g2 = _golden_min(_lattice_gap2(xi0, phi, base), guess - ALIGN_SEARCH,
+                             guess + ALIGN_SEARCH, tol=1e-8)
     return float(s_star), float(math.sqrt(max(g2, 0.0)))
 
 

@@ -47,21 +47,19 @@ class ConstantCurve:
 
 @dataclass(frozen=True)
 class CosineCurve:
-    """mean + amp * cos(2*pi*freq*y + phase)."""
+    """mean + amp * cos(2*pi*y)."""
 
     mean: float
     amp: float
-    freq: int = 1
-    phase: float = 0.0
 
     def __call__(self, y):
         y = np.asarray(y, dtype=float)
-        return self.mean + self.amp * np.cos(2.0 * np.pi * self.freq * y + self.phase)
+        return self.mean + self.amp * np.cos(2.0 * np.pi * y)
 
     def deriv(self, y):
         y = np.asarray(y, dtype=float)
-        w = 2.0 * np.pi * self.freq
-        return -self.amp * w * np.sin(w * y + self.phase)
+        w = 2.0 * np.pi
+        return -self.amp * w * np.sin(w * y)
 
 
 @dataclass(frozen=True)
@@ -90,8 +88,6 @@ class TabulatedPeriodicCurve:
             raise ProfileError("tabulated curve needs >= 4 (y, value) samples")
         if not (np.all(np.diff(y) > 0) and y[0] >= 0.0 and y[-1] < 1.0):
             raise ProfileError("tabulated sample positions must increase inside [0, 1)")
-        self.y = y
-        self.values = values
         # close the period so the spline sees matching endpoint values
         yy = np.concatenate([y, [y[0] + 1.0]])
         vv = np.concatenate([values, [values[0]]])
@@ -146,9 +142,6 @@ class CoefficientProfile:
             raise ProfileError(f"diffusivity is not 1-periodic (defect {per:.3g})")
         return cls(a=curve, da=curve.deriv, a_min=float(np.min(vals)),
                    a_max=float(np.max(vals)))
-
-    def __call__(self, y):
-        return self.a(y)
 
 
 # ---------------------------------------------------------------------------
@@ -418,12 +411,11 @@ class ValidationReport:
         return len(self.violations) == 0
 
 
-def validate_hypotheses(reaction: ReactionProfile, n_samples: int = 128,
-                        max_report: int = 64) -> ValidationReport:
+def validate_hypotheses(reaction: ReactionProfile, n_samples: int = 128) -> ValidationReport:
     """Check the bistable sign pattern and the stability margins on a grid.
 
     ``n_samples`` is the resolution per unit in each of y and u (>= 16).  The
-    report lists every violation found (capped at ``max_report``); an empty
+    report lists every violation found (capped at 64); an empty
     list means PASS.  Non-finite sampler output rejects the profile outright.
     """
     if n_samples < 16:
@@ -439,7 +431,7 @@ def validate_hypotheses(reaction: ReactionProfile, n_samples: int = 128,
     out: list[Violation] = []
 
     def add(kind, y, u, value, detail):
-        if len(out) < max_report:
+        if len(out) < 64:
             out.append(Violation(kind, float(y), float(u), float(value), detail))
 
     ztol = 1e-10 * max(1.0, float(np.max(np.abs(F))))
@@ -487,19 +479,9 @@ def _simpson(values: np.ndarray, h: float, axis: int = -1) -> np.ndarray:
     return np.sum(values * w.reshape(shape), axis=axis) * (h / 3.0)
 
 
-class QuadratureValue(float):
-    """A float carrying a relative quadrature error estimate."""
-
-    rel_error: float
-
-    def __new__(cls, value: float, rel_error: float):
-        obj = super().__new__(cls, value)
-        obj.rel_error = rel_error
-        return obj
-
-
-def harmonic_mean(coeff: CoefficientProfile) -> QuadratureValue:
-    """(integral of 1/a over one period)^-1 with a Richardson error estimate."""
+def harmonic_mean(coeff: CoefficientProfile) -> tuple[float, float]:
+    """(integral of 1/a over one period)^-1 and its relative Richardson error
+    estimate."""
     y = np.linspace(0.0, 1.0, QUAD_N + 1)
     vals = np.asarray(coeff.a(y), dtype=float)
     if np.min(vals) <= 0.0:
@@ -508,7 +490,7 @@ def harmonic_mean(coeff: CoefficientProfile) -> QuadratureValue:
     inv_half = _simpson(1.0 / vals[::2], 2.0 / QUAD_N)
     a_h = 1.0 / inv_full
     rel = abs(inv_full - inv_half) / (15.0 * abs(inv_full))
-    return QuadratureValue(a_h, rel)
+    return float(a_h), float(rel)
 
 
 class FbarCurve:
@@ -616,12 +598,12 @@ class HomogenizedData:
 
 
 def homogenized_data(coeff: CoefficientProfile, reaction: ReactionProfile) -> HomogenizedData:
-    a_h = harmonic_mean(coeff)
+    a_h, a_h_rel_error = harmonic_mean(coeff)
     fbar, i_fbar = fbar_and_integral(reaction)
     if not (fbar.slope0 < 0.0 and fbar.slope1 < 0.0):
         raise ProfileError("averaged reaction must have negative slopes at 0 and 1")
-    chi = corrector_chi(coeff, float(a_h))
-    return HomogenizedData(a_h=float(a_h), a_h_rel_error=a_h.rel_error, fbar=fbar,
+    chi = corrector_chi(coeff, a_h)
+    return HomogenizedData(a_h=a_h, a_h_rel_error=a_h_rel_error, fbar=fbar,
                            i_fbar=i_fbar, theta_bar=fbar.zeros_inside(), chi=chi)
 
 

@@ -125,8 +125,8 @@ def shift_window(u: np.ndarray, p: int, m0: int, left: float, right: float) -> n
 
 
 def build_grid(inst: ProblemInstance, halfwidth: float,
-               nodes_per_period: int = 64, center: float = 0.0) -> Grid1D:
-    """Grid of spacing L/nodes_per_period covering at least [c-W, c+W].
+               nodes_per_period: int = 64) -> Grid1D:
+    """Grid of spacing L/nodes_per_period covering at least [-W, W].
 
     The extent is rounded up to whole periods and the left edge placed on an
     integer multiple of L so node index mod nodes_per_period fixes the cell
@@ -135,9 +135,8 @@ def build_grid(inst: ProblemInstance, halfwidth: float,
     L = inst.L
     h = L / nodes_per_period
     m = max(1, int(math.ceil(halfwidth / L)))
-    k0 = int(math.floor(center / L))
-    x_min = (k0 - m) * L
-    x_max = (k0 + 1 + m) * L
+    x_min = -m * L
+    x_max = (1 + m) * L
     n = int(round((x_max - x_min) / h)) + 1
     mids = x_min + h * (np.arange(n - 1) + 0.5)
     a_face = np.asarray(inst.a_L(mids), dtype=float)
@@ -195,7 +194,7 @@ class Stepper:
         lower, diag, upper = flux_stencil(grid.a_face, grid.h)
         # interior rows of I - dt*D: symmetric (upper[i] == lower[i+1]) and
         # diagonally dominant, hence positive definite
-        self._factor = factor_spd(1.0 - cfg.dt * diag[1:n-1], -cfg.dt * upper[1:n-2])
+        self.factor = factor_spd(1.0 - cfg.dt * diag[1:n-1], -cfg.dt * upper[1:n-2])
         self._couple_left = cfg.dt * lower[1] * cfg.u_left
         self._couple_right = cfg.dt * upper[n-2] * cfg.u_right
         self._reaction = bind_reaction(inst.reaction.f, np.mod(grid.nodes / inst.L, 1.0))
@@ -213,7 +212,7 @@ class Stepper:
         rhs[-1] = cfg.u_right
         rhs[1] += self._couple_left
         rhs[-2] += self._couple_right
-        rhs[1:-1] = solve_banded(self._factor, rhs[1:-1])
+        rhs[1:-1] = solve_banded(self.factor, rhs[1:-1])
         return rhs
 
     def run(self, u: np.ndarray, t0: float, n_steps: int,
@@ -292,14 +291,13 @@ def excursion(v_min: float, v_max: float) -> float:
 
 
 def front_initial_datum(grid: Grid1D, style: str = "tanh",
-                        interface: float = 0.0, width: float | None = None) -> np.ndarray:
-    """Monotone front-like datum: 1 left of the interface, 0 right of it."""
+                        interface: float = 0.0) -> np.ndarray:
+    """Monotone front-like datum: 1 left of the interface, 0 right of it, over
+    a transition width of 8h (ramp, tanh)."""
     if not (grid.x_min < interface < grid.x_max):
         raise ValueError("interface must lie inside the grid")
     x = grid.nodes
-    if width is None:
-        width = 8.0 * grid.h
-    width = max(width, 4.0 * grid.h)
+    width = 8.0 * grid.h
     if style == "step":
         g = np.where(x <= interface, 1.0, 0.0)
         # soften over 4h so the transition is resolved

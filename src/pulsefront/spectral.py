@@ -55,17 +55,16 @@ class SteadyState:
     u: np.ndarray
     residual: float
     lambda1: float
-    eigen: EigenPair
     cls: str                   # "stable" | "unstable" | "semistable-boundary"
 
 
 SEMISTABLE_BAND = 1e-6
 
 
-def classify_lambda(lam: float, band: float = SEMISTABLE_BAND) -> str:
-    if lam > band:
+def classify_lambda(lam: float) -> str:
+    if lam > SEMISTABLE_BAND:
         return "unstable"
-    if lam < -band:
+    if lam < -SEMISTABLE_BAND:
         return "stable"
     return "semistable-boundary"
 
@@ -184,19 +183,18 @@ class StabilityLimit:
     cls: str
 
 
-def stability_limit(inst: ProblemInstance, ubar, R_list: Sequence[float],
-                    n_per_unit: int = 128, periodic_nodes: int = 512,
-                    mono_slack: float = 1e-10) -> StabilityLimit:
-    """Dirichlet principal eigenvalues on nested [-R, R], shared lattice.
+def stability_limit(inst: ProblemInstance, ubar, R_list: Sequence[float]) -> StabilityLimit:
+    """Dirichlet principal eigenvalues on nested [-R, R], shared lattice of
+    128 nodes per unit length.
 
-    The trace must be increasing (within slack); for an L-periodic state the
+    The trace must be increasing (within 1e-10); for an L-periodic state the
     terminal value is compared against the periodic eigenvalue, which is the
     R -> infinity limit.
     """
     Rs = sorted(float(R) for R in R_list)
     if len(Rs) < 2:
         raise ValueError("need at least two radii")
-    h = 1.0 / n_per_unit
+    h = 1.0 / 128
     lams = []
     for R in Rs:
         nn = 2 * int(round(R / h)) + 1
@@ -204,13 +202,13 @@ def stability_limit(inst: ProblemInstance, ubar, R_list: Sequence[float],
                                         n_nodes=nn).value
         lams.append(lam)
     diffs = np.diff(lams)
-    if np.any(diffs < -mono_slack):
+    if np.any(diffs < -1e-10):
         raise EigenIterationError(
             f"Dirichlet eigenvalue trace is not increasing in R: {lams}")
     per_val = None
     gap = None
     try:
-        per_val = periodic_principal_eigen(inst, ubar, periodic_nodes).value
+        per_val = periodic_principal_eigen(inst, ubar).value
         gap = abs(lams[-1] - per_val)
     except (ValueError, TypeError):
         pass
@@ -327,7 +325,7 @@ def find_periodic_steady_states(inst: ProblemInstance,
     for u, norm in found:
         pair = periodic_principal_eigen(inst, u, n_nodes=n)
         states.append(SteadyState(x=x, u=u, residual=norm, lambda1=pair.value,
-                                  eigen=pair, cls=classify_lambda(pair.value)))
+                                  cls=classify_lambda(pair.value)))
     states.sort(key=lambda s: float(np.mean(s.u)))
     return states
 
@@ -380,16 +378,14 @@ def decay_eigenvalue(inst: ProblemInstance, c: float, mu: float,
 
 
 def decay_root_mu(inst: ProblemInstance, c: float, direction: str = "right",
-                  potential: str = "margin", mu_max: float = 50.0,
-                  bisect_tol: float = 1e-12, n_nodes: int | None = None) -> float:
+                  potential: str = "margin", mu_max: float = 50.0) -> float:
     """Rate mu1 > 0 with vanishing principal eigenvalue of the tail operator.
 
     lambda1(0) < 0 by the stability margins and lambda1 grows quadratically,
     so a sign change is bracketed by scanning and then bisected.
     """
-    if n_nodes is None:
-        n_nodes = max(128, int(math.ceil(
-            6.0 * inst.L * mu_max * inst.coeff.a_max / inst.coeff.a_min)))
+    n_nodes = max(128, int(math.ceil(
+        6.0 * inst.L * mu_max * inst.coeff.a_max / inst.coeff.a_min)))
 
     def lam(mu):
         return decay_eigenvalue(inst, c, mu, direction, potential, n_nodes)
@@ -408,7 +404,7 @@ def decay_root_mu(inst: ProblemInstance, c: float, direction: str = "right",
         mu *= 2.0
     if hi is None:
         raise RuntimeError(f"no decay-rate sign change below mu_max={mu_max}")
-    while hi - lo > bisect_tol * max(1.0, hi):
+    while hi - lo > 1e-12 * max(1.0, hi):
         mid = 0.5 * (lo + hi)
         if lam(mid) > 0.0:
             hi = mid

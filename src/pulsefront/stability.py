@@ -25,7 +25,7 @@ import numpy as np
 from .fronts import Budget, FrontSolution, _golden_min, fit_line, level_position
 from .profiles import ProblemInstance
 from .solver import (REACTION_BUDGET, Grid1D, SolverConfig, Stepper, Window, build_grid,
-                     choose_dt, factor_spd, flux_stencil, shift_window, solve_banded)
+                     choose_dt, shift_window, solve_banded)
 
 PROBE_DT = 1.0              # time between phase fits
 TAU_SPAN_PERIODS = 5.0      # golden-section window, units of L/|c|
@@ -71,15 +71,16 @@ class StabilityReport:
     spectrum: tuple = ()
 
 
-def _edge_zones(n: int, frac: float = 0.05):
-    k = max(3, int(frac * n))
+def _edge_zones(n: int):
+    k = max(3, int(0.05 * n))
     return slice(0, k), slice(n - k, n)
 
 
-def check_front_like(g: np.ndarray, delta: float, n_edge_frac: float = 0.05) -> bool:
+def check_front_like(g: np.ndarray, delta: float) -> bool:
     """The truncated-domain version of the front-like condition: above
-    1 - delta near the left edge, below delta near the right edge."""
-    left, right = _edge_zones(len(g), n_edge_frac)
+    1 - delta near the left edge, below delta near the right edge (the outer
+    5% of the nodes on each side)."""
+    left, right = _edge_zones(len(g))
     return bool(np.min(g[left]) > 1.0 - delta and np.max(g[right]) < delta)
 
 
@@ -132,6 +133,9 @@ def _track_phase(front: FrontSolution, win: Window, t_span: float) -> StabilityR
     probes: list[tuple[float, float, float]] = []   # (t, tau, sup_err)
     steps_per_probe = max(1, int(round(PROBE_DT / dt)))
     n_probes = int(t_span / (steps_per_probe * dt))
+    if n_probes < 1:
+        raise ValueError(f"stability budget {t_span:.6g} is shorter than one probe "
+                         f"interval ({steps_per_probe * dt:.6g})")
     # a whole-period slide keeps node q in cell q mod M, so the reference
     # stays bound to the same cells however far the window moves
     ref = front.on_cells(grid.nodes_per_period, grid.n)
@@ -151,7 +155,7 @@ def _track_phase(front: FrontSolution, win: Window, t_span: float) -> StabilityR
                                  tol=min(tau_tol * 0.1, 1e-4))
         probes.append((t, tau_hat, e))
         # keep the interface well inside the window
-        win.recenter(level_position(grid.nodes, u, 0.5), RECENTER_FRAC)
+        win.recenter(level_position(grid.nodes, u), RECENTER_FRAC)
 
     ts = np.array([p[0] for p in probes])
     taus = np.array([p[1] for p in probes])
@@ -258,8 +262,6 @@ class SuperSubSolution:
     K: float
     defect_min: float
     defect_max: float
-    t_grid: np.ndarray
-    xi_grid: np.ndarray
     w: Callable
 
     def __call__(self, t, xi):
@@ -271,10 +273,9 @@ def _eta(z):
 
 
 def build_supersub(inst: ProblemInstance, kind: str, c: float,
-                   K: float | None = None, n_t: int = 64, n_xi: int = 64,
-                   t_max: float | None = None,
-                   xi_range: tuple = (-40.0, 40.0)) -> SuperSubSolution:
-    """Assemble the explicit comparison solution and sample its frame defect.
+                   K: float | None = None) -> SuperSubSolution:
+    """Assemble the explicit comparison solution and sample its frame defect
+    on a 64 x 64 lattice of t in [0, 10/gamma] and xi in [-40, 40].
 
     super: w = w1(t) eta(xi + c+ t) + w2(t)(1 - eta), w1 = 1 + (1-d)e^{-g t},
     w2 = d e^{-g t}, c+ = c - |a| - |a'| - 2K; the frame operator applied to w
@@ -310,11 +311,8 @@ def build_supersub(inst: ProblemInstance, kind: str, c: float,
         e = _eta(xi + c_pm * t)
         return w1(t) * e + w2(t) * (1.0 - e)
 
-    if t_max is None:
-        t_max = 10.0 / gamma
-    tg = np.linspace(0.0, t_max, n_t)
-    xg = np.linspace(xi_range[0], xi_range[1], n_xi)
-    TT, XX = np.meshgrid(tg, xg, indexing="ij")
+    TT, XX = np.meshgrid(np.linspace(0.0, 10.0 / gamma, 64), np.linspace(-40.0, 40.0, 64),
+                         indexing="ij")
     Z = XX + c_pm * TT
     E = _eta(Z)
     dE = -E * (1.0 - E)
@@ -332,8 +330,7 @@ def build_supersub(inst: ProblemInstance, kind: str, c: float,
     defect = Wt - c * Wx - (da_lab * Wx + a_lab * Wxx) - f_lab
     return SuperSubSolution(kind=kind, c_pm=c_pm, K=float(K),
                             defect_min=float(defect.min()),
-                            defect_max=float(defect.max()),
-                            t_grid=tg, xi_grid=xg, w=w)
+                            defect_max=float(defect.max()), w=w)
 
 
 # ---------------------------------------------------------------------------
@@ -362,11 +359,11 @@ def linearized_period_map(inst: ProblemInstance, orbit_potentials: np.ndarray,
 
     orbit_potentials[k] holds df_L(x, u_k) along the nonlinear orbit, one row
     per time step.  Each step is one backward Euler solve of all columns
-    against the interior factor of I - dt*D; the pinned boundary rows are 0.
+    against the Stepper's interior factor of I - dt*D; the pinned boundary
+    rows are 0.
     """
     n = grid.n
-    _, diag, upper = flux_stencil(grid.a_face, grid.h)
-    factor = factor_spd(1.0 - dt * diag[1:n-1], -dt * upper[1:n-2])
+    factor = Stepper(inst, grid, SolverConfig(dt=dt)).factor
     # interior rows only, in Fortran order so dpttrs solves all n columns in place
     W = np.asfortranarray(np.eye(n)[1:-1])
     for pot in orbit_potentials:

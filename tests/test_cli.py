@@ -44,12 +44,19 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="typo_key"):
             parse_config(FRONT_CFG + "typo_key = 3\n", "front")
 
-    # the quadrature size is fixed in profiles and no solve reads a node count
-    # from [run]; a settable key would be ignored
-    @pytest.mark.parametrize("section,key", [("numerics", "quad_n"), ("run", "n_nodes")])
-    def test_unread_quad_n_key_rejected(self, section, key):
+    # keys for values that are module constants (the quadrature size, the
+    # stationary tolerance and window) or read by no solve (a [run] node
+    # count, the seed-free pipeline's deterministic flag) are unknown keys
+    @pytest.mark.parametrize("section,key,value", [
+        pytest.param("numerics", "quad_n", "512", id="numerics-quad_n"),
+        pytest.param("run", "n_nodes", "512", id="run-n_nodes"),
+        pytest.param("numerics", "tol_stat", "1e-6", id="numerics-tol_stat"),
+        pytest.param("numerics", "stat_window", "100.0", id="numerics-stat_window"),
+        pytest.param("experiment", "deterministic", "true", id="experiment-deterministic"),
+    ])
+    def test_unread_quad_n_key_rejected(self, section, key, value):
         with pytest.raises(ConfigError, match=key):
-            parse_config(f"[{section}]\n{key} = 512\n", "front")
+            parse_config(f"[{section}]\n{key} = {value}\n", "front")
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError, match="mystery"):
@@ -85,10 +92,6 @@ class TestBuildInstance:
 
     def test_xin_default_L(self):
         assert build_instance(parse_config(self.XIN_CFG, "front")).L == 1.0
-
-    def test_explicit_L_overrides_key(self):
-        cfg = parse_config(self.XIN_CFG + "[numerics]\nL = 3.0\n", "front")
-        assert build_instance(cfg, L=0.5).L == 0.5
 
 
 def test_emit_profile_matches_nested_loop_formatting(tmp_path):

@@ -10,7 +10,7 @@ class TestLevelPosition:
     def test_monotone_profile(self):
         x = np.linspace(-5, 5, 201)
         u = 1.0 / (1.0 + np.exp(x / 0.7))
-        assert fr.level_position(x, u, 0.5) == pytest.approx(0.0, abs=1e-6)
+        assert fr.level_position(x, u) == pytest.approx(0.0, abs=1e-6)
 
     def test_outermost_of_multiple(self):
         # crossings near 3, 4 and 6: the largest x with u >= level wins, with
@@ -19,13 +19,13 @@ class TestLevelPosition:
         u = np.where(x < 3, 1.0, np.where(x < 4, 0.2, np.where(x < 6, 0.8, 0.0)))
         i = int(np.max(np.nonzero(u >= 0.5)[0]))
         expected = x[i] + (u[i] - 0.5) / (u[i] - u[i + 1]) * (x[i + 1] - x[i])
-        assert fr.level_position(x, u, 0.5) == expected
+        assert fr.level_position(x, u) == expected
         assert 5.9 < expected < 6.1
 
     def test_last_node_above(self):
         x = np.linspace(0, 1, 11)
         u = np.linspace(0, 1, 11)
-        assert fr.level_position(x, u, 0.5) == 1.0
+        assert fr.level_position(x, u) == 1.0
 
     def test_flat_has_none(self):
         x = np.linspace(0, 1, 11)
@@ -81,7 +81,7 @@ class TestComputeFront:
         assert np.max(spread) < 1e-6
 
     def test_profile_limits(self, homog_front):
-        prof = homog_front.phi_mean()
+        prof = homog_front.phi.mean(axis=1)
         assert prof[0] > 1.0 - 1e-3
         assert prof[-1] < 1e-3
 
@@ -136,7 +136,7 @@ class TestDecayFits:
     def test_short_tail_errors(self, homog_front):
         keep = np.abs(homog_front.xi) < 3.0
         with pytest.raises(ValueError):
-            fr.fit_tail_rates(homog_front.xi[keep], homog_front.phi_mean()[keep])
+            fr.fit_tail_rates(homog_front.xi[keep], homog_front.phi.mean(axis=1)[keep])
 
 
 class TestSpeedIdentity:
@@ -150,7 +150,7 @@ class TestSpeedIdentity:
         # exact tanh profile: integral of (phi')^2 = 1/(6 sqrt 2)
         hd_d = 1.0 / (6.0 * np.sqrt(2.0))
         h = homog_front.xi[1] - homog_front.xi[0]
-        dphi = np.gradient(homog_front.phi_mean(), h)
+        dphi = np.gradient(homog_front.phi.mean(axis=1), h)
         d = np.trapezoid(dphi**2, dx=h)
         assert d == pytest.approx(hd_d, rel=0.01)
 

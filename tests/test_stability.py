@@ -194,6 +194,17 @@ class TestGlobalStability:
         with pytest.raises(ValueError):
             st.global_stability_experiment(homog_inst, homog_front, g, fr.Budget(10.0))
 
+    def test_budget_shorter_than_one_probe_rejected(self, homog_inst, homog_front,
+                                                    monkeypatch):
+        # no probe fits in the budget: a clear error before any step is taken
+        runs = []
+        monkeypatch.setattr(Window, "run", lambda self, *args: runs.append(args))
+        with pytest.raises(ValueError, match="budget 0.5 is shorter than one probe interval"):
+            st.global_stability_experiment(homog_inst, homog_front,
+                                           lambda x: np.where(x < 0.0, 1.0, 0.0),
+                                           fr.Budget(0.5))
+        assert runs == []
+
 
 class TestInitialv2:
     def test_trapped_datum_accepted(self, homog_inst, homog_front):
@@ -226,7 +237,7 @@ class TestInitialv2:
 
     def test_non_unstable_state_rejected(self, homog_inst, homog_front):
         fake = spx.SteadyState(x=np.arange(4.0), u=np.full(4, 0.3), residual=0.0,
-                               lambda1=-0.1, eigen=None, cls="stable")
+                               lambda1=-0.1, cls="stable")
 
         def g(x):
             return np.where(x < 0, 0.9, 0.1)
@@ -319,9 +330,7 @@ class TestBoundFront:
     @settings(max_examples=300, deadline=None)
     def test_scalar_bitwise(self, xi, y):
         front = self.LATTICE
-        out = front.bind(y)(xi)
-        assert same_bits(out, front.interp(xi, y))
-        assert same_bits(out, interp_reference(front, xi, y))
+        assert same_bits(front.interp(xi, y), interp_reference(front, xi, y))
 
     @given(hyp.lists(XI, min_size=1, max_size=12), hyp.lists(Y, min_size=1, max_size=12))
     @settings(max_examples=150, deadline=None)
@@ -332,9 +341,7 @@ class TestBoundFront:
         if len(xis) == len(ys):
             cases.append((xi, y))
         for a, b in cases:
-            out = front.bind(b)(a)
-            assert same_bits(out, front.interp(a, b))
-            assert same_bits(out, interp_reference(front, a, b))
+            assert same_bits(front.interp(a, b), interp_reference(front, a, b))
 
     @given(hyp.lists(XI, min_size=1, max_size=40), hyp.sampled_from([4, 8, 16]))
     @settings(max_examples=150, deadline=None)
