@@ -6,9 +6,8 @@ in the co-moving frame."""
 from .profiles import (CoefficientProfile, ConstantCurve, CosineCurve,
                        HomogenizedData, ProblemInstance, ProfileError,
                        ReactionProfile, SineCurve, TabulatedPeriodicCurve,
-                       corrector_chi, extend_reaction, fbar_and_integral,
-                       harmonic_mean, homogenized_data, make_cubic,
-                       make_xin_example, validate_hypotheses)
+                       corrector_chi, fbar_and_integral, harmonic_mean,
+                       homogenized_data, make_cubic, make_xin_example)
 from .solver import (Grid1D, SolverConfig, Window, build_grid, front_initial_datum,
                      residual_stationary)
 from .fronts import (Budget, FrontNotConverged, FrontRunConfig, FrontSolution,
@@ -16,7 +15,7 @@ from .fronts import (Budget, FrontNotConverged, FrontRunConfig, FrontSolution,
                      extract_profile, measure_speed, scan_E,
                      verify_speed_identity)
 from .homogenize import (HomogenizedFront, align_profiles, homogenization_sweep,
-                         homogenized_decay_rates, solve_homogenized_front)
+                         solve_homogenized_front)
 from .spectral import (EigenPair, SteadyState, decay_root_mu,
                        dirichlet_principal_eigen, find_periodic_steady_states,
                        periodic_principal_eigen, stability_limit)

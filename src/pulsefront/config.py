@@ -1,9 +1,10 @@
 """Experiment configuration: flat INI-style files with one level of sections.
 
-Every key has a documented default; unknown sections or keys are rejected so
-a typo cannot silently fall back to a default.  The raw file bytes are hashed
-and the hash is embedded in every artifact header, which makes reruns
-byte-identical and artifacts traceable to their configuration.
+Every key has a documented default.  Unknown sections or keys, [run] keys the
+scenario never reads and [profile] keys the family never reads are rejected,
+so a typo cannot silently fall back to a default.  The raw file bytes are
+hashed into every artifact header: reruns are byte-identical and artifacts
+traceable to their configuration.
 """
 
 from __future__ import annotations
@@ -78,7 +79,6 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "c": ("0.0", float, "frame speed for the decay solve"),
         "datum": ("step", str, "stability datum: step | shifted:<s> | bump:<amp>"),
         "spectrum": ("false", _parse_bool, "also compute the period-map spectrum"),
-        "spectrum_nodes": ("400", int, "node cap for the dense linearization"),
         "seeds": ("", str, "extra constant seeds for the steady-state search"),
         "stability_budget": ("150.0", float, "simulated time for stability experiments"),
     },
@@ -86,6 +86,16 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "prefix": ("run", str, "file-name prefix for emitted artifacts"),
     },
 }
+
+# the [run] keys each scenario reads and the [profile] keys each family reads
+RUN_KEYS = {"front": (), "homogenize": ("L_list",), "eigen": ("ubar", "R_list"),
+            "steady": ("seeds",), "scan-e": ("L_grid",),
+            "stability": ("datum", "spectrum", "stability_budget"),
+            "decay": ("c", "direction", "potential"), "quench-scan": ("lambda_grid",)}
+_CUBIC_KEYS = ("family", "theta", "theta_amp", "theta_file", "scale", "gamma", "delta",
+               "a", "a_amp", "a_file")
+PROFILE_KEYS = {"cubic": _CUBIC_KEYS, "tabulated": _CUBIC_KEYS,
+                "xin": ("family", "xin_delta", "xin_lambda", "xin_mu")}
 
 
 @dataclass
@@ -131,6 +141,17 @@ def parse_config(text: str, scenario: str) -> ExperimentConfig:
             except Exception as exc:
                 raise ConfigError(f"bad value for [{section}] {key} = {raw!r}: {exc}") from exc
         values[section] = out
+    family = values["profile"]["family"].lower()
+    if family not in PROFILE_KEYS:
+        raise ConfigError(f"unknown profile family {family!r}")
+    # quench-scan takes the xin amplitude from [run] lambda_grid
+    read = RUN_KEYS[scenario] + tuple(k for k in PROFILE_KEYS[family]
+                                      if (k, scenario) != ("xin_lambda", "quench-scan"))
+    for section in ("run", "profile"):
+        for key in (cp[section] if cp.has_section(section) else ()):
+            if key not in read:
+                raise ConfigError(f"[{section}] {key} is not read by scenario {scenario!r}"
+                                  f" with profile family {family!r}")
     digest = hashlib.sha256(text.encode()).hexdigest()[:12]
     return ExperimentConfig(scenario=scenario, values=values, config_hash=digest,
                             raw_text=text)
@@ -163,24 +184,22 @@ def build_instance(cfg: ExperimentConfig) -> profiles.ProblemInstance:
     if family == "xin":
         return profiles.make_xin_example(p["xin_delta"], p["xin_lambda"], p["xin_mu"],
                                          L=period)
-    if family in ("cubic", "tabulated"):
-        if p["theta_file"]:
-            theta = profiles.TabulatedPeriodicCurve.from_file(p["theta_file"])
-        elif p["theta_amp"] != 0.0:
-            theta = profiles.CosineCurve(p["theta"], p["theta_amp"])
-        else:
-            theta = profiles.ConstantCurve(p["theta"])
-        reaction = profiles.make_cubic(theta, gamma=p["gamma"], delta=p["delta"],
-                                       scale=p["scale"])
-        if p["a_file"]:
-            curve = profiles.TabulatedPeriodicCurve.from_file(p["a_file"])
-        elif p["a_amp"] != 0.0:
-            curve = profiles.CosineCurve(p["a"], p["a_amp"])
-        else:
-            curve = profiles.ConstantCurve(p["a"])
-        coeff = profiles.CoefficientProfile.from_curve(curve)
-        return profiles.ProblemInstance(coeff=coeff, reaction=reaction, L=period)
-    raise ConfigError(f"unknown profile family {family!r}")
+    if p["theta_file"]:
+        theta = profiles.TabulatedPeriodicCurve.from_file(p["theta_file"])
+    elif p["theta_amp"] != 0.0:
+        theta = profiles.CosineCurve(p["theta"], p["theta_amp"])
+    else:
+        theta = profiles.ConstantCurve(p["theta"])
+    reaction = profiles.make_cubic(theta, gamma=p["gamma"], delta=p["delta"],
+                                   scale=p["scale"])
+    if p["a_file"]:
+        curve = profiles.TabulatedPeriodicCurve.from_file(p["a_file"])
+    elif p["a_amp"] != 0.0:
+        curve = profiles.CosineCurve(p["a"], p["a_amp"])
+    else:
+        curve = profiles.ConstantCurve(p["a"])
+    coeff = profiles.CoefficientProfile.from_curve(curve)
+    return profiles.ProblemInstance(coeff=coeff, reaction=reaction, L=period)
 
 
 def build_run_config(cfg: ExperimentConfig):

@@ -234,7 +234,6 @@ class FrontSolution:
     mu2_fit: float | None
     stationary: bool
     speed_estimate: SpeedEstimate | None
-    replica_spread: float
     diagnostics: dict
 
     def on_cells(self, M: int, n: int):
@@ -306,8 +305,8 @@ def extract_profile(snaps: SnapshotSeries, c: float, t_start: float, period: flo
                     margin_nodes: int = 8):
     """Rebuild phi(xi, y) from snapshots spanning at least one time period.
 
-    Returns (xi, y, phi, replica_spread).  Replicas of the same (xi, y) seen
-    through different nodes are averaged and their spread reported.
+    Returns (xi, y, phi).  Replicas of the same (xi, y) seen through
+    different nodes are averaged.
     """
     grid = snaps.grid
     m0 = grid.nodes_per_period
@@ -333,14 +332,11 @@ def extract_profile(snaps: SnapshotSeries, c: float, t_start: float, period: flo
     xi = grid.x_min + h * ps
     ys = np.arange(m0) / m0
     phi = np.zeros((len(ps), m0))
-    spread = 0.0
     k_snap = snaps.U.shape[0]
     cdt = c / h
     for j in range(m0):
         acc = np.zeros(len(ps))
         cnt = np.zeros(len(ps))
-        mn = np.full(len(ps), np.inf)
-        mx = np.full(len(ps), -np.inf)
         q_a = ps + cdt * t_lo
         q_b = ps + cdt * t_hi
         q_min = np.minimum(q_a, q_b)
@@ -364,16 +360,11 @@ def extract_profile(snaps: SnapshotSeries, c: float, t_start: float, period: flo
             vals = (1.0 - w) * snaps.U[i0, qq] + w * snaps.U[i0 + 1, qq]
             acc[ok] += vals[ok]
             cnt[ok] += 1
-            mn[ok] = np.minimum(mn[ok], vals[ok])
-            mx[ok] = np.maximum(mx[ok], vals[ok])
         if not (cnt > 0).all():
             raise ValueError("insufficient snapshot coverage for some lattice points; "
                              "increase the capture span or snapshot count")
         phi[:, j] = acc / cnt
-        multi = cnt > 1
-        if multi.any():
-            spread = max(spread, float(np.max(mx[multi] - mn[multi])))
-    return xi, ys, phi, spread
+    return xi, ys, phi
 
 
 def fit_tail_rates(xi: np.ndarray, prof: np.ndarray, floor: float = 1e-10,
@@ -499,8 +490,7 @@ class _RunState(Window):
         return float(xx.max() - xx.min())
 
 
-def _front_from_lattice(speed, xi, ys, phi, defect, stationary, est, spread,
-                        diagnostics):
+def _front_from_lattice(speed, xi, ys, phi, defect, stationary, est, diagnostics):
     prof = phi.mean(axis=1)
     pos = level_position(xi, prof)
     xi = xi - (pos if pos is not None else 0.0)
@@ -511,8 +501,7 @@ def _front_from_lattice(speed, xi, ys, phi, defect, stationary, est, spread,
         diagnostics["decay_fit"] = str(exc)
     return FrontSolution(speed=speed, xi=xi, y=ys, phi=phi, pulsating_error=defect,
                          mu1_fit=mu1, mu2_fit=mu2, stationary=stationary,
-                         speed_estimate=est, replica_spread=spread,
-                         diagnostics=diagnostics)
+                         speed_estimate=est, diagnostics=diagnostics)
 
 
 def compute_pulsating_front(inst: ProblemInstance, cfg: FrontRunConfig = FrontRunConfig(),
@@ -557,7 +546,7 @@ def compute_pulsating_front(inst: ProblemInstance, cfg: FrontRunConfig = FrontRu
                 prof = state.u[margin:-margin]
                 phi = np.repeat(prof[:, None], m, axis=1)
                 return _front_from_lattice(0.0, xi, np.arange(m) / m, phi, resid,
-                                           True, est, 0.0, diagnostics)
+                                           True, est, diagnostics)
         if c_hat is None or abs(c_hat) < c_floor:
             continue
         transient = max(TRANSIENT_PERIODS * inst.L / abs(c_hat), TRANSIENT_MIN)
@@ -588,8 +577,7 @@ def compute_pulsating_front(inst: ProblemInstance, cfg: FrontRunConfig = FrontRu
             est = replace(base, c_period=c_period,
                           unc_period=_period_uncertainty(inst.L, T1, width, snaps.dt_snap))
             try:
-                xi, ys, phi, spread = extract_profile(snaps, c_period, t_ref1, T1,
-                                                      margin_nodes)
+                xi, ys, phi = extract_profile(snaps, c_period, t_ref1, T1, margin_nodes)
             except ValueError as exc:
                 diagnostics.update(t_final=state.t, reason="coverage", message=str(exc))
                 raise FrontNotConverged(f"profile extraction failed at t={state.t:.4g}: "
@@ -601,7 +589,7 @@ def compute_pulsating_front(inst: ProblemInstance, cfg: FrontRunConfig = FrontRu
                                          state.stepper.max_seen)
             diagnostics["time_monotonicity_defect"] = snaps.time_monotonicity_defect()
             return _front_from_lattice(c_period, xi, ys, phi, defect, False, est,
-                                       spread, diagnostics)
+                                       diagnostics)
         last_defect = defect
 
     diagnostics["reason"] = "budget"

@@ -23,7 +23,7 @@ from scipy.optimize import brentq
 
 from .profiles import HomogenizedData, ProblemInstance, characteristic_rates
 from .fronts import (Budget, FrontNotConverged, FrontRunConfig, FrontSolution,
-                     _golden_min, compute_pulsating_front, fit_tail_rates)
+                     _golden_min, compute_pulsating_front)
 from .solver import SolverError
 
 SADDLE_EPS = 1e-6       # shooting starts this far from the saddles 0 and 1
@@ -59,19 +59,6 @@ class HomogenizedFront:
         right = self.A1 * np.exp(-self.lambda1 * xi)
         return np.where(xi < self.xi[0], left,
                         np.where(xi > self.xi[-1], right, inner))
-
-
-def homogenized_decay_rates(front: HomogenizedFront, homog: HomogenizedData):
-    """Characteristic-root exponents cross-checked against tail fits."""
-    l1, l2 = characteristic_rates(homog.a_h, front.c0, homog.slope0, homog.slope1)
-    # below ~1e-7 the trajectory feels the error of c0 (up to brentq's xtol,
-    # 1e-10), so the fit windows stay above that
-    fit1, fit2 = fit_tail_rates(front.xi, front.phi, floor=1e-6, ceiling=1e-3)
-    gap = max(abs(fit1 - l1) / l1, abs(fit2 - l2) / l2)
-    if gap > 0.02:
-        raise RuntimeError(
-            f"tail fits deviate {gap:.1%} (> 2%) from the characteristic roots")
-    return l1, l2
 
 
 def _is_odd_symmetric(homog: HomogenizedData) -> bool:

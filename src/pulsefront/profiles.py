@@ -155,8 +155,7 @@ class ReactionProfile:
     ``f(y, u)`` and ``df(y, u)`` (the u-derivative) accept broadcastable
     arrays.  ``theta(y)`` maps position to the intermediate zero.  ``gamma``
     and ``delta`` are the stability margins, ``lip_k`` a Lipschitz constant
-    for both f and df in u.  ``extended`` marks profiles whose f is linear
-    outside [0, 1].
+    for both f and df in u.
     """
 
     f: Callable
@@ -165,21 +164,12 @@ class ReactionProfile:
     gamma: float
     delta: float
     lip_k: float
-    extended: bool = False
-
-    def d0(self, y):
-        """Slope of f(y, .) at u = 0."""
-        return self.df(y, np.zeros_like(np.asarray(y, dtype=float)))
-
-    def d1(self, y):
-        """Slope of f(y, .) at u = 1."""
-        return self.df(y, np.ones_like(np.asarray(y, dtype=float)))
 
 
 def bind_reaction(f: Callable, y) -> Callable:
     """u -> f(y, u) with the y-dependence evaluated once at the fixed nodes y.
 
-    Reactions built here precompute theta(y) and the extension slopes and give
+    The cubic of make_cubic precomputes theta(y) and its end slopes and gives
     bitwise the values of f(y, u); any other callable is called as f(y, u).
     The bound callable also takes u_range = (u.min(), u.max()) from a caller
     that already has it, which spares the linear extension its own scan.
@@ -190,47 +180,37 @@ def bind_reaction(f: Callable, y) -> Callable:
     return lambda u, u_range=None: np.asarray(f(y, u), dtype=float)
 
 
-class _Bindable:
-    """f(y, u) evaluated as bind(y)(u): one formula for node-bound and direct calls."""
+@dataclass(frozen=True)
+class _Cubic:
+    """scale * u (1-u) (u - theta(y)) on [0, 1], continued linearly outside:
+    df(y, 0) * u below 0 and df(y, 1) * (u - 1) above 1, so excursions stay
+    well posed and f is globally Lipschitz with the constant of [0, 1].
+    f(y, u) is bind(y)(u), the one formula for node-bound and direct calls."""
+
+    theta: Callable
+    scale: float
 
     def __call__(self, y, u):
         return self.bind(np.asarray(y, dtype=float))(u)
 
+    def _slope(self, th, u):
+        return self.scale * (-3.0 * u * u + 2.0 * (1.0 + th) * u - th)
 
-@dataclass(frozen=True)
-class _CubicF(_Bindable):
-    theta: Callable
+    def df(self, y, u):
+        """u-derivative, held at its end values outside [0, 1]."""
+        th = np.asarray(self.theta(y), dtype=float)
+        return self._slope(th, np.clip(np.asarray(u, dtype=float), 0.0, 1.0))
 
     def bind(self, y):
         th = np.asarray(self.theta(y), dtype=float)
+        scale = self.scale
+        slope0 = self._slope(th, np.zeros_like(y))
+        slope1 = self._slope(th, np.ones_like(y))
 
-        def f(u, u_range=None):
-            u = np.asarray(u, dtype=float)
-            return u * (1.0 - u) * (u - th)
-        return f
-
-
-@dataclass(frozen=True)
-class _CubicDF:
-    theta: Callable
-
-    def __call__(self, y, u):
-        u = np.asarray(u, dtype=float)
-        th = np.asarray(self.theta(y), dtype=float)
-        return -3.0 * u * u + 2.0 * (1.0 + th) * u - th
-
-
-@dataclass(frozen=True)
-class _ExtendedF(_Bindable):
-    """Linear continuation of a [0,1]-reaction: slope-at-0 below, slope-at-1 above."""
-
-    base_f: Callable
-    base_df: Callable
-
-    def bind(self, y):
-        inner = bind_reaction(self.base_f, y)
-        slope0 = self.base_df(y, np.zeros_like(y))
-        slope1 = self.base_df(y, np.ones_like(y))
+        def cubic(u):
+            # the stepper's hot path: an unscaled cubic skips one array multiply
+            v = u * (1.0 - u) * (u - th)
+            return v if scale == 1.0 else scale * v
 
         def f(u, u_range=None):
             u = np.asarray(u, dtype=float)
@@ -239,40 +219,11 @@ class _ExtendedF(_Bindable):
             # nearly every step of a front run stays in [0, 1], where the
             # clip and both selects are the identity
             if u_range is not None and 0.0 <= u_range[0] and u_range[1] <= 1.0:
-                return inner(u)
+                return cubic(u)
             return np.where(u < 0.0, slope0 * u,
                             np.where(u > 1.0, slope1 * (u - 1.0),
-                                     inner(np.clip(u, 0.0, 1.0))))
+                                     cubic(np.clip(u, 0.0, 1.0))))
         return f
-
-
-@dataclass(frozen=True)
-class _ExtendedDF:
-    base_df: Callable
-
-    def __call__(self, y, u):
-        u = np.asarray(u, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return self.base_df(y, np.clip(u, 0.0, 1.0))
-
-
-def extend_reaction(reaction: ReactionProfile) -> ReactionProfile:
-    """Continue f linearly outside [0, 1] so excursions stay well posed.
-
-    The result agrees with the input on [0, 1], equals df(y,0)*u for u < 0 and
-    df(y,1)*(u-1) for u > 1, and is globally Lipschitz with the same constant.
-    """
-    if reaction.extended:
-        return reaction
-    return ReactionProfile(
-        f=_ExtendedF(reaction.f, reaction.df),
-        df=_ExtendedDF(reaction.df),
-        theta=reaction.theta,
-        gamma=reaction.gamma,
-        delta=reaction.delta,
-        lip_k=reaction.lip_k,
-        extended=True,
-    )
 
 
 def _cubic_margins(theta: Callable, delta: float | None, gamma: float | None):
@@ -302,7 +253,8 @@ def _cubic_margins(theta: Callable, delta: float | None, gamma: float | None):
 
 def make_cubic(theta, gamma: float | None = None, delta: float | None = None,
                scale: float = 1.0) -> ReactionProfile:
-    """Cubic reaction scale * u (1-u) (u - theta(y)) with analytic u-derivative.
+    """Cubic reaction scale * u (1-u) (u - theta(y)), continued linearly
+    outside [0, 1], with analytic u-derivative.
 
     ``theta`` is a periodic curve (or a float for the x-independent case).
     Margins default to safe values derived from the sampled theta range.
@@ -312,30 +264,15 @@ def make_cubic(theta, gamma: float | None = None, delta: float | None = None,
     delta, gamma, th = _cubic_margins(theta, delta, gamma)
     if scale <= 0.0:
         raise ProfileError("scale must be positive")
-    f = _CubicF(theta)
-    dfu = _CubicDF(theta)
-    if scale != 1.0:
-        f = _ScaledF(f, scale)
-        dfu = _ScaledF(dfu, scale)
-        gamma = gamma * scale
+    cubic = _Cubic(theta, scale)
     # Lipschitz bound for f and df in u over the extension range: |df| on [0,1]
     # and |d2f| = |-6u + 2(1+theta)|, which peaks at the endpoints of [0,1]
     u = np.linspace(0.0, 1.0, 257)
     k1 = scale * float(np.max(np.abs(
-        _CubicDF(theta)(np.linspace(0.0, 1.0, 513)[:, None], u[None, :]))))
+        _Cubic(theta, 1.0).df(np.linspace(0.0, 1.0, 513)[:, None], u[None, :]))))
     k2 = scale * float(np.max(np.maximum(2.0 * (1.0 + th), np.abs(2.0 * (1.0 + th) - 6.0))))
-    return ReactionProfile(f=f, df=dfu, theta=theta, gamma=gamma, delta=delta,
-                           lip_k=max(k1, k2))
-
-
-@dataclass(frozen=True)
-class _ScaledF(_Bindable):
-    base: Callable
-    scale: float
-
-    def bind(self, y):
-        base = bind_reaction(self.base, y)
-        return lambda u, u_range=None: self.scale * base(u, u_range)
+    return ReactionProfile(f=cubic, df=cubic.df, theta=theta, gamma=gamma * scale,
+                           delta=delta, lip_k=max(k1, k2))
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +290,6 @@ class ProblemInstance:
     def __post_init__(self):
         if self.L <= 0.0:
             raise ProfileError("period L must be positive")
-        if not self.reaction.extended:
-            object.__setattr__(self, "reaction", extend_reaction(self.reaction))
 
     def a_L(self, x):
         return self.coeff.a(np.asarray(x, dtype=float) / self.L)
@@ -388,78 +323,6 @@ def make_xin_example(delta: float, lam: float, mu: float, L: float = 1.0) -> Pro
 
 
 # ---------------------------------------------------------------------------
-# hypothesis validation
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Violation:
-    kind: str
-    y: float
-    u: float
-    value: float
-    detail: str
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple
-    n_y: int
-    n_u: int
-
-    @property
-    def passed(self) -> bool:
-        return len(self.violations) == 0
-
-
-def validate_hypotheses(reaction: ReactionProfile, n_samples: int = 128) -> ValidationReport:
-    """Check the bistable sign pattern and the stability margins on a grid.
-
-    ``n_samples`` is the resolution per unit in each of y and u (>= 16).  The
-    report lists every violation found (capped at 64); an empty
-    list means PASS.  Non-finite sampler output rejects the profile outright.
-    """
-    if n_samples < 16:
-        raise ValueError("need n_samples >= 16 per unit")
-    ys = np.linspace(0.0, 1.0, n_samples, endpoint=False)
-    us = np.linspace(0.0, 1.0, n_samples + 1)
-    YY, UU = np.meshgrid(ys, us, indexing="ij")
-    F = np.asarray(reaction.f(YY, UU), dtype=float)
-    TH = np.asarray(reaction.theta(ys), dtype=float)
-    if not (np.all(np.isfinite(F)) and np.all(np.isfinite(TH))):
-        raise ProfileError("reaction sampler returned non-finite values")
-    gamma, delta = reaction.gamma, reaction.delta
-    out: list[Violation] = []
-
-    def add(kind, y, u, value, detail):
-        if len(out) < 64:
-            out.append(Violation(kind, float(y), float(u), float(value), detail))
-
-    ztol = 1e-10 * max(1.0, float(np.max(np.abs(F))))
-    for i, y in enumerate(ys):
-        th = TH[i]
-        if not (delta < th < 1.0 - delta):
-            add("theta-range", y, th, th, f"need delta < theta < 1-delta with delta={delta}")
-        for u0, name in ((0.0, "f(y,0)"), (1.0, "f(y,1)")):
-            v = float(reaction.f(np.asarray(y), np.asarray(u0)))
-            if abs(v) > ztol:
-                add("zero", y, u0, v, f"{name} != 0")
-        vth = float(reaction.f(np.asarray(y), np.asarray(th)))
-        if abs(vth) > 1e-8 * max(1.0, float(np.max(np.abs(F)))):
-            add("zero", y, th, vth, "f(y,theta(y)) != 0")
-        for j, u in enumerate(us):
-            v = F[i, j]
-            if 0.0 < u < th and not v < 0.0:
-                add("sign-low", y, u, v, "f must be < 0 on (0, theta)")
-            elif th < u < 1.0 and not v > 0.0:
-                add("sign-high", y, u, v, "f must be > 0 on (theta, 1)")
-            if 0.0 < u <= delta and v > -gamma * u + ztol:
-                add("margin-0", y, u, v, f"f(y,u) <= -gamma*u fails on [0,delta], gamma={gamma}")
-            if 1.0 - delta <= u < 1.0 and v < gamma * (1.0 - u) - ztol:
-                add("margin-1", y, u, v, f"f(y,u) >= gamma*(1-u) fails on [1-delta,1]")
-    return ValidationReport(violations=tuple(out), n_y=len(ys), n_u=len(us))
-
-
-# ---------------------------------------------------------------------------
 # quadrature and averaged quantities
 # ---------------------------------------------------------------------------
 
@@ -479,18 +342,13 @@ def _simpson(values: np.ndarray, h: float, axis: int = -1) -> np.ndarray:
     return np.sum(values * w.reshape(shape), axis=axis) * (h / 3.0)
 
 
-def harmonic_mean(coeff: CoefficientProfile) -> tuple[float, float]:
-    """(integral of 1/a over one period)^-1 and its relative Richardson error
-    estimate."""
+def harmonic_mean(coeff: CoefficientProfile) -> float:
+    """(integral of 1/a over one period)^-1 by Simpson quadrature."""
     y = np.linspace(0.0, 1.0, QUAD_N + 1)
     vals = np.asarray(coeff.a(y), dtype=float)
     if np.min(vals) <= 0.0:
         raise ProfileError("diffusivity sampled non-positive in harmonic_mean")
-    inv_full = _simpson(1.0 / vals, 1.0 / QUAD_N)
-    inv_half = _simpson(1.0 / vals[::2], 2.0 / QUAD_N)
-    a_h = 1.0 / inv_full
-    rel = abs(inv_full - inv_half) / (15.0 * abs(inv_full))
-    return float(a_h), float(rel)
+    return float(1.0 / _simpson(1.0 / vals, 1.0 / QUAD_N))
 
 
 class FbarCurve:
@@ -545,8 +403,8 @@ def fbar_and_integral(reaction: ReactionProfile, quad_n: int = QUAD_N):
     u = np.linspace(0.0, 1.0, nu + 1)
     F = np.asarray(reaction.f(y[:, None], u[None, :]), dtype=float)
     fbar_vals = _simpson(F, 1.0 / quad_n, axis=0)
-    slope0 = float(_simpson(np.asarray(reaction.d0(y), dtype=float), 1.0 / quad_n))
-    slope1 = float(_simpson(np.asarray(reaction.d1(y), dtype=float), 1.0 / quad_n))
+    slope0 = float(_simpson(np.asarray(reaction.df(y, 0.0), dtype=float), 1.0 / quad_n))
+    slope1 = float(_simpson(np.asarray(reaction.df(y, 1.0), dtype=float), 1.0 / quad_n))
     fbar = FbarCurve(u, fbar_vals, slope0, slope1)
     i_fbar = float(_simpson(fbar_vals, 1.0 / nu))
     return fbar, i_fbar
@@ -579,14 +437,12 @@ def corrector_chi(coeff: CoefficientProfile, a_h: float) -> CorrectorCurve:
 
 @dataclass(frozen=True)
 class HomogenizedData:
-    """Averaged quantities of an instance: a_H, fbar, its integral, corrector."""
+    """Averaged quantities of an instance: a_H, fbar, its integral and zeros."""
 
     a_h: float
-    a_h_rel_error: float
     fbar: FbarCurve
     i_fbar: float
     theta_bar: tuple
-    chi: CorrectorCurve
 
     @property
     def slope0(self) -> float:
@@ -598,13 +454,12 @@ class HomogenizedData:
 
 
 def homogenized_data(coeff: CoefficientProfile, reaction: ReactionProfile) -> HomogenizedData:
-    a_h, a_h_rel_error = harmonic_mean(coeff)
+    a_h = harmonic_mean(coeff)
     fbar, i_fbar = fbar_and_integral(reaction)
     if not (fbar.slope0 < 0.0 and fbar.slope1 < 0.0):
         raise ProfileError("averaged reaction must have negative slopes at 0 and 1")
-    chi = corrector_chi(coeff, a_h)
-    return HomogenizedData(a_h=a_h, a_h_rel_error=a_h_rel_error, fbar=fbar,
-                           i_fbar=i_fbar, theta_bar=fbar.zeros_inside(), chi=chi)
+    return HomogenizedData(a_h=a_h, fbar=fbar, i_fbar=i_fbar,
+                           theta_bar=fbar.zeros_inside())
 
 
 def characteristic_rates(a_h: float, c: float, slope0: float, slope1: float):

@@ -253,8 +253,7 @@ def _run_stability(cfg, out):
     rep = st.global_stability_experiment(inst, front, datum,
                                          fr.Budget(cfg["run"]["stability_budget"]))
     if cfg["run"]["spectrum"]:
-        spec = st.poincare_spectrum(inst, front,
-                                    n_nodes=cfg["run"]["spectrum_nodes"])
+        spec = st.poincare_spectrum(inst, front)
         rep = replace(rep, spectrum=tuple(spec.eigenvalues))
     prefix = os.path.join(out, cfg["output"]["prefix"])
     with open(prefix + "_stability.json", "w") as fh:

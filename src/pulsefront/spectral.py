@@ -357,8 +357,7 @@ def decay_eigenvalue(inst: ProblemInstance, c: float, mu: float,
     if potential == "margin":
         p = np.full(n_nodes, -reaction.gamma)
     elif potential == "linearized":
-        p = np.asarray(reaction.d0(y) if direction == "right" else reaction.d1(y),
-                       dtype=float)
+        p = np.asarray(reaction.df(y, 0.0 if direction == "right" else 1.0), dtype=float)
     else:
         raise ValueError(f"unknown potential mode {potential!r}")
     if direction == "right":

@@ -1,12 +1,16 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
 from pulsefront import __version__, cli, runner
 from pulsefront import fronts as fr
-from pulsefront.config import ConfigError, build_instance, describe_schema, parse_config
+from pulsefront.config import (SCENARIOS, ConfigError, build_instance, describe_schema,
+                               load_config, parse_config)
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 FRONT_CFG = """
@@ -53,6 +57,7 @@ class TestConfigParsing:
         pytest.param("numerics", "tol_stat", "1e-6", id="numerics-tol_stat"),
         pytest.param("numerics", "stat_window", "100.0", id="numerics-stat_window"),
         pytest.param("experiment", "deterministic", "true", id="experiment-deterministic"),
+        pytest.param("run", "spectrum_nodes", "400", id="run-spectrum_nodes"),
     ])
     def test_unread_quad_n_key_rejected(self, section, key, value):
         with pytest.raises(ConfigError, match=key):
@@ -80,6 +85,50 @@ class TestConfigParsing:
         for key in ("nodes_per_period", "tol_puls", "lambda_grid", "ubar", "prefix"):
             assert key in doc
 
+    # a key that the scenario's runner or the chosen family never reads is
+    # rejected, and the error names the key and the scenario or family
+    @pytest.mark.parametrize("scenario,text,key,owner", [
+        pytest.param("front", "[run]\nL_list = 1\n", "L_list", "front", id="front-L_list"),
+        pytest.param("eigen", "[run]\ndatum = step\n", "datum", "eigen", id="eigen-datum"),
+        pytest.param("homogenize", "[run]\nL_grid = 0.5 1\n", "L_grid", "homogenize",
+                     id="homogenize-L_grid"),
+        pytest.param("stability", "[run]\nc = 0.1\n", "c", "stability", id="stability-c"),
+        pytest.param("front", "[profile]\nfamily = xin\ntheta = 0.4\n", "theta", "xin",
+                     id="xin-theta"),
+        pytest.param("front", "[profile]\nfamily = cubic\nxin_mu = 2.0\n", "xin_mu", "cubic",
+                     id="cubic-xin_mu"),
+        pytest.param("quench-scan", "[profile]\nfamily = xin\nxin_lambda = 2.0\n",
+                     "xin_lambda", "quench-scan", id="quench-scan-xin_lambda"),
+    ])
+    def test_unread_key_rejected(self, scenario, text, key, owner):
+        with pytest.raises(ConfigError, match=rf"\] {key} is not read by .*'{owner}'"):
+            parse_config(text, scenario)
+
+    # every [run] key its runner reads, and [experiment] workers everywhere
+    @pytest.mark.parametrize("scenario,run", [
+        ("front", ""),
+        ("homogenize", "L_list = 0.8 0.4"),
+        ("eigen", "ubar = zero\nR_list = 2 4"),
+        ("steady", "seeds = 0.5"),
+        ("scan-e", "L_grid = 0.5 1"),
+        ("stability", "datum = step\nspectrum = true\nstability_budget = 60"),
+        ("decay", "c = 0.1\ndirection = left\npotential = linearized"),
+        ("quench-scan", "lambda_grid = 0 1"),
+    ])
+    def test_read_keys_accepted(self, scenario, run):
+        family = "xin\nxin_delta = 0.2\nxin_mu = 0.3" if scenario == "quench-scan" \
+            else "cubic\ntheta = 0.3\nscale = 2.0\na_amp = 0.5"
+        cfg = parse_config(f"[profile]\nfamily = {family}\n[experiment]\nworkers = 2\n"
+                           f"[run]\n{run}\n", scenario)
+        assert cfg["experiment"]["workers"] == 2
+
+    def test_readme_configs_parse(self):
+        with open(os.path.join(REPO, "README.md")) as fh:
+            cmds = re.findall(r"pulsefront ([\w-]+)\s+--config (\S+)", fh.read())
+        assert len(cmds) == len(SCENARIOS)
+        for scenario, path in cmds:
+            load_config(os.path.join(REPO, path), scenario)
+
 
 class TestBuildInstance:
     XIN_CFG = "[profile]\nfamily = xin\nxin_delta = 0.2\n"
@@ -102,8 +151,7 @@ def test_emit_profile_matches_nested_loop_formatting(tmp_path):
     phi[0, :3] = (0.0, -0.0, 1.0)
     front = fr.FrontSolution(speed=0.25, xi=xi, y=y, phi=phi, pulsating_error=1e-7,
                              mu1_fit=None, mu2_fit=None, stationary=False,
-                             speed_estimate=None, replica_spread=0.0,
-                             diagnostics={"L": 1.0})
+                             speed_estimate=None, diagnostics={"L": 1.0})
     cfg = parse_config(FRONT_CFG, "front")
     path = tmp_path / "profile.txt"
     runner.emit_profile(str(path), front, cfg)

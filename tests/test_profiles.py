@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,10 +29,77 @@ def locate_theta(reaction_f, y, delta):
     return 0.5 * (lo + hi)
 
 
+@dataclass(frozen=True)
+class Violation:
+    kind: str
+    y: float
+    u: float
+    value: float
+    detail: str
+
+
+@dataclass(frozen=True)
+class ValidationReport:
+    violations: tuple
+
+    @property
+    def passed(self) -> bool:
+        return len(self.violations) == 0
+
+
+def validate_hypotheses(reaction: pr.ReactionProfile, n_samples: int = 128) -> ValidationReport:
+    """Check the bistable sign pattern and the stability margins on a grid: the
+    grid oracle for the margins make_cubic derives analytically.
+
+    ``n_samples`` is the resolution per unit in each of y and u (>= 16).  The
+    report lists every violation found (capped at 64); an empty
+    list means PASS.  Non-finite sampler output rejects the profile outright.
+    """
+    if n_samples < 16:
+        raise ValueError("need n_samples >= 16 per unit")
+    ys = np.linspace(0.0, 1.0, n_samples, endpoint=False)
+    us = np.linspace(0.0, 1.0, n_samples + 1)
+    YY, UU = np.meshgrid(ys, us, indexing="ij")
+    F = np.asarray(reaction.f(YY, UU), dtype=float)
+    TH = np.asarray(reaction.theta(ys), dtype=float)
+    if not (np.all(np.isfinite(F)) and np.all(np.isfinite(TH))):
+        raise pr.ProfileError("reaction sampler returned non-finite values")
+    gamma, delta = reaction.gamma, reaction.delta
+    out: list[Violation] = []
+
+    def add(kind, y, u, value, detail):
+        if len(out) < 64:
+            out.append(Violation(kind, float(y), float(u), float(value), detail))
+
+    ztol = 1e-10 * max(1.0, float(np.max(np.abs(F))))
+    for i, y in enumerate(ys):
+        th = TH[i]
+        if not (delta < th < 1.0 - delta):
+            add("theta-range", y, th, th, f"need delta < theta < 1-delta with delta={delta}")
+        for u0, name in ((0.0, "f(y,0)"), (1.0, "f(y,1)")):
+            v = float(reaction.f(np.asarray(y), np.asarray(u0)))
+            if abs(v) > ztol:
+                add("zero", y, u0, v, f"{name} != 0")
+        vth = float(reaction.f(np.asarray(y), np.asarray(th)))
+        if abs(vth) > 1e-8 * max(1.0, float(np.max(np.abs(F)))):
+            add("zero", y, th, vth, "f(y,theta(y)) != 0")
+        for j, u in enumerate(us):
+            v = F[i, j]
+            if 0.0 < u < th and not v < 0.0:
+                add("sign-low", y, u, v, "f must be < 0 on (0, theta)")
+            elif th < u < 1.0 and not v > 0.0:
+                add("sign-high", y, u, v, "f must be > 0 on (theta, 1)")
+            if 0.0 < u <= delta and v > -gamma * u + ztol:
+                add("margin-0", y, u, v, f"f(y,u) <= -gamma*u fails on [0,delta], gamma={gamma}")
+            if 1.0 - delta <= u < 1.0 and v < gamma * (1.0 - u) - ztol:
+                add("margin-1", y, u, v, f"f(y,u) >= gamma*(1-u) fails on [1-delta,1]")
+    return ValidationReport(violations=tuple(out))
+
+
 class TestValidateHypotheses:
     def test_cubic_passes(self):
         rx = pr.make_cubic(0.3, gamma=0.05, delta=0.05)
-        rep = pr.validate_hypotheses(rx, n_samples=32)
+        rep = validate_hypotheses(rx, n_samples=32)
         assert rep.passed
         assert rep.violations == ()
 
@@ -39,7 +108,7 @@ class TestValidateHypotheses:
         base = pr.make_cubic(0.3, gamma=0.05, delta=0.05)
         bad = pr.ReactionProfile(f=base.f, df=base.df, theta=base.theta,
                                  gamma=0.05, delta=0.4, lip_k=base.lip_k)
-        rep = pr.validate_hypotheses(bad, n_samples=64)
+        rep = validate_hypotheses(bad, n_samples=64)
         assert not rep.passed
         margin_hits = [v for v in rep.violations if v.kind == "margin-0"
                        and 0.3 < v.u < 0.4 + 1e-9]
@@ -50,7 +119,7 @@ class TestValidateHypotheses:
             f=lambda y, u: np.zeros_like(np.asarray(u, dtype=float)),
             df=lambda y, u: np.zeros_like(np.asarray(u, dtype=float)),
             theta=pr.ConstantCurve(0.5), gamma=0.1, delta=0.1, lip_k=1.0)
-        rep = pr.validate_hypotheses(zero, n_samples=32)
+        rep = validate_hypotheses(zero, n_samples=32)
         assert not rep.passed
 
     def test_nonfinite_sampler_rejected(self):
@@ -59,42 +128,43 @@ class TestValidateHypotheses:
             df=lambda y, u: np.zeros_like(np.asarray(u, dtype=float)),
             theta=pr.ConstantCurve(0.5), gamma=0.1, delta=0.1, lip_k=1.0)
         with pytest.raises(pr.ProfileError):
-            pr.validate_hypotheses(nan, n_samples=32)
+            validate_hypotheses(nan, n_samples=32)
 
     def test_sample_count_floor(self):
         rx = pr.make_cubic(0.3)
         with pytest.raises(ValueError):
-            pr.validate_hypotheses(rx, n_samples=8)
+            validate_hypotheses(rx, n_samples=8)
 
 
 class TestExtendReaction:
+    # make_cubic's f is the cubic on [0, 1], continued by its end slopes
     def test_negative_side_slope(self):
         # d_u f(y, 0) = -theta for the cubic, so f(-0.1) = 0.03
-        rx = pr.extend_reaction(pr.make_cubic(0.3))
+        rx = pr.make_cubic(0.3)
         val = float(rx.f(np.asarray(0.2), np.asarray(-0.1)))
         assert val == pytest.approx(0.03, abs=1e-12)
 
     def test_splice_continuity_at_zero(self):
-        rx = pr.extend_reaction(pr.make_cubic(0.37))
+        rx = pr.make_cubic(0.37)
         assert float(rx.f(np.asarray(0.1), np.asarray(0.0))) == 0.0
 
     def test_above_one_slope(self):
-        rx = pr.extend_reaction(pr.make_cubic(0.3))
+        rx = pr.make_cubic(0.3)
         val = float(rx.f(np.asarray(0.9), np.asarray(1.1)))
         assert val == pytest.approx(-0.07, abs=1e-12)
 
     def test_agrees_inside(self):
-        base = pr.make_cubic(0.41)
-        ext = pr.extend_reaction(base)
+        rx = pr.make_cubic(0.41)
         y = np.linspace(0, 1, 33)
         u = np.linspace(0, 1, 17)
-        np.testing.assert_allclose(ext.f(y[:, None], u[None, :]),
-                                   base.f(y[:, None], u[None, :]), atol=1e-14)
+        np.testing.assert_allclose(rx.f(y[:, None], u[None, :]),
+                                   np.broadcast_to(u * (1 - u) * (u - 0.41), (33, 17)),
+                                   atol=1e-14)
 
     @given(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
     @settings(max_examples=40, deadline=None)
     def test_global_lipschitz(self, u1, u2):
-        rx = pr.extend_reaction(pr.make_cubic(0.3))
+        rx = pr.make_cubic(0.3)
         y = np.asarray(0.25)
         d = abs(float(rx.f(y, np.asarray(u1))) - float(rx.f(y, np.asarray(u2))))
         assert d <= rx.lip_k * abs(u1 - u2) + 1e-12
@@ -102,13 +172,11 @@ class TestExtendReaction:
 
 class TestHarmonicMean:
     def test_constant(self):
-        assert pr.harmonic_mean(const_coeff(2.5))[0] == pytest.approx(2.5, rel=1e-12)
+        assert pr.harmonic_mean(const_coeff(2.5)) == pytest.approx(2.5, rel=1e-12)
 
     def test_two_plus_cos(self):
         # closed form: (int dy / (A + cos 2 pi y))^-1 = sqrt(A^2 - 1)
-        val, rel_error = pr.harmonic_mean(cos_coeff(2.0, 1.0))
-        assert val == pytest.approx(np.sqrt(3.0), rel=1e-10)
-        assert rel_error < 1e-8
+        assert pr.harmonic_mean(cos_coeff(2.0, 1.0)) == pytest.approx(np.sqrt(3.0), rel=1e-10)
 
     def test_reciprocal_cosine(self):
         class Recip:
@@ -118,7 +186,7 @@ class TestHarmonicMean:
                 y = np.asarray(y)
                 return -2 * np.pi * np.sin(2 * np.pi * y) / (2 - np.cos(2 * np.pi * y)) ** 2
         coeff = pr.CoefficientProfile.from_curve(Recip())
-        assert pr.harmonic_mean(coeff)[0] == pytest.approx(0.5, rel=1e-10)
+        assert pr.harmonic_mean(coeff) == pytest.approx(0.5, rel=1e-10)
 
     def test_nonpositive_rejected(self):
         with pytest.raises(pr.ProfileError):
@@ -130,7 +198,7 @@ class TestHarmonicMean:
         mean = 1.0 + mean_scale
         amp = rel_amp * mean * 0.9
         coeff = pr.CoefficientProfile.from_curve(pr.CosineCurve(mean, amp))
-        hm = pr.harmonic_mean(coeff)[0]
+        hm = pr.harmonic_mean(coeff)
         am = float(np.mean(coeff.a(np.linspace(0, 1, 4097))))
         assert hm <= am + 1e-12
         if amp > 1e-3:
@@ -182,13 +250,13 @@ class TestCorrector:
 
     def test_two_plus_cos_slope_at_zero(self):
         coeff = cos_coeff()
-        a_h = pr.harmonic_mean(coeff)[0]
+        a_h = pr.harmonic_mean(coeff)
         chi = pr.corrector_chi(coeff, a_h)
         assert chi.deriv(0.0) == pytest.approx(np.sqrt(3) / 3 - 1, rel=1e-10)
 
     def test_mean_zero_and_periodic(self):
         coeff = cos_coeff(1.5, 0.7)
-        a_h = pr.harmonic_mean(coeff)[0]
+        a_h = pr.harmonic_mean(coeff)
         chi = pr.corrector_chi(coeff, a_h)
         y = np.linspace(0, 1, 2049)
         dchi = chi.deriv(y)
@@ -199,7 +267,7 @@ class TestCorrector:
     @settings(max_examples=20, deadline=None)
     def test_flux_identity(self, rel_amp):
         coeff = pr.CoefficientProfile.from_curve(pr.CosineCurve(1.0, rel_amp))
-        a_h = pr.harmonic_mean(coeff)[0]
+        a_h = pr.harmonic_mean(coeff)
         chi = pr.corrector_chi(coeff, a_h)
         y = np.linspace(0, 1, 513)
         dev = np.asarray(coeff.a(y)) * (chi.deriv(y) + 1.0) - a_h
@@ -258,6 +326,11 @@ class TestProblemInstance:
         inst = pr.ProblemInstance(coeff=cos_coeff(), reaction=pr.make_cubic(0.3), L=2.0)
         x = np.linspace(0, 2, 513)
         assert np.min(inst.a_L(x)) > 0
+
+    def test_reaction_kept_as_given(self):
+        # the instance neither wraps nor copies its reaction
+        rx = pr.make_cubic(0.3)
+        assert pr.ProblemInstance(coeff=const_coeff(), reaction=rx, L=1.0).reaction is rx
 
     def test_bad_period_rejected(self):
         with pytest.raises(pr.ProfileError):

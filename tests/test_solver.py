@@ -71,8 +71,7 @@ def test_pure_diffusion_mass_conservation():
     zero_rx = pr.ReactionProfile(
         f=lambda y, u: np.zeros_like(np.asarray(u, dtype=float)),
         df=lambda y, u: np.zeros_like(np.asarray(u, dtype=float)),
-        theta=pr.ConstantCurve(0.5), gamma=0.1, delta=0.1, lip_k=1e-6,
-        extended=True)
+        theta=pr.ConstantCurve(0.5), gamma=0.1, delta=0.1, lip_k=1e-6)
     inst = pr.ProblemInstance(coeff=coeff, reaction=zero_rx, L=1.0)
     g = sv.build_grid(inst, 12.0, 64)
     u0 = np.exp(-g.nodes**2)
@@ -353,8 +352,8 @@ class TestBoundReaction:
         return pr.TabulatedPeriodicCurve(ys, 0.4 + 0.1 * np.sin(2 * np.pi * ys))
 
     @staticmethod
-    def _closed_form(theta, scale, extended, y, u):
-        """scale * u (1-u) (u - theta(y)), continued by its end slopes if extended."""
+    def _closed_form(theta, scale, y, u):
+        """scale * u (1-u) (u - theta(y)), continued by its end slopes."""
         th = np.asarray(theta(y), dtype=float)
 
         def cubic(v):
@@ -362,37 +361,37 @@ class TestBoundReaction:
 
         def slope(v):
             return scale * (-3.0 * v * v + 2.0 * (1.0 + th) * v - th)
-        if not extended:
-            return cubic(u)
         return np.where(u < 0.0, slope(np.zeros_like(u)) * u,
                         np.where(u > 1.0, slope(np.ones_like(u)) * (u - 1.0),
                                  cubic(np.clip(u, 0.0, 1.0))))
 
     @pytest.mark.parametrize("kind", ["constant", "cosine", "tabulated", "xin"])
-    @pytest.mark.parametrize("extended", [False, True])
-    def test_bitwise_equal_to_closed_form(self, kind, extended):
+    @pytest.mark.parametrize("leaves_unit", [False, True])
+    def test_bitwise_equal_to_closed_form(self, kind, leaves_unit):
+        # u inside [0, 1] takes the bound cubic's fast path; u leaving it
+        # takes the linear extension
         if kind == "xin":
-            # the scaled cubic of make_xin_example(0.2, 1.0, 0.3), before the
-            # instance extends it
+            # the scaled cubic of make_xin_example(0.2, 1.0, 0.3)
             rx, scale = pr.make_cubic(pr.ConstantCurve(0.5 - 0.2), scale=0.3 * 0.3), 0.3 * 0.3
         else:
             theta = {"constant": lambda: 0.3,
                      "cosine": lambda: pr.CosineCurve(0.45, 0.1),
                      "tabulated": self._tabulated}[kind]()
             rx, scale = pr.make_cubic(theta), 1.0
-        if extended:
-            rx = pr.extend_reaction(rx)
         rng = np.random.default_rng(3)
         bound = pr.bind_reaction(rx.f, self.Y)
-        # the first draw leaves [0, 1], the second stays inside
-        for u in (rng.uniform(-0.5, 1.5, self.Y.size), rng.uniform(0.0, 1.0, self.Y.size),
-                  np.linspace(-0.5, 1.5, self.Y.size)):
-            ref = self._closed_form(rx.theta, scale, extended, self.Y, u)
+        if leaves_unit:
+            draws = (rng.uniform(-0.5, 1.5, self.Y.size), np.linspace(-0.5, 1.5, self.Y.size))
+        else:
+            draws = (rng.uniform(0.0, 1.0, self.Y.size), np.linspace(0.0, 1.0, self.Y.size))
+        for u in draws:
+            ref = self._closed_form(rx.theta, scale, self.Y, u)
             assert np.array_equal(bound(u), ref)
+            assert np.array_equal(bound(u, (u.min(), u.max())), ref)
             assert np.array_equal(rx.f(self.Y, u), ref)
 
     def test_direct_call_broadcasts(self):
-        rx = pr.extend_reaction(pr.make_cubic(pr.CosineCurve(0.45, 0.1)))
+        rx = pr.make_cubic(pr.CosineCurve(0.45, 0.1))
         y, u = np.linspace(0.0, 1.0, 5), np.linspace(-0.5, 1.5, 7)
         out = rx.f(y[:, None], u[None, :])
         assert out.shape == (5, 7)
@@ -451,7 +450,7 @@ class TestNonFinite:
                 out[len(u) // 3] = bad
             return out
         rx = pr.ReactionProfile(f=f, df=f, theta=pr.ConstantCurve(0.5), gamma=0.1,
-                                delta=0.1, lip_k=1e-6, extended=True)
+                                delta=0.1, lip_k=1e-6)
         inst = pr.ProblemInstance(coeff=pr.CoefficientProfile.from_curve(
             pr.ConstantCurve(1.0)), reaction=rx, L=1.0)
         g = sv.build_grid(inst, 4.0, 16)
