@@ -1,10 +1,10 @@
 """Experiment configuration: flat INI-style files with one level of sections.
 
-Every key has a documented default.  Unknown sections or keys, [run] keys the
-scenario never reads and [profile] keys the family never reads are rejected,
-so a typo cannot silently fall back to a default.  The raw file bytes are
-hashed into every artifact header: reruns are byte-identical and artifacts
-traceable to their configuration.
+Every key has a documented default.  Unknown sections or keys, [run] and
+[numerics] keys the scenario never reads and [profile] keys the family never
+reads are rejected, so a typo cannot silently fall back to a default.  The raw
+file bytes are hashed into every artifact header: reruns are byte-identical
+and artifacts traceable to their configuration.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "workers": ("1", int, "worker processes for sweeps (1 = bit-reproducible baseline)"),
     },
     "profile": {
-        "family": ("cubic", str, "cubic | xin | tabulated"),
+        "family": ("cubic", str, "cubic | xin"),
         "theta": ("0.3", float, "intermediate zero level (cubic family)"),
         "theta_amp": ("0.0", float, "cosine modulation: theta + theta_amp*cos(2 pi y)"),
         "theta_file": ("", str, "two-column (y, theta) file with '# period=1' header"),
@@ -65,7 +65,7 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "dt": ("auto", _parse_optional, "time step; auto derives it from stability/accuracy"),
         "halfwidth": ("auto", _parse_optional, "domain half-extent; auto sizes it from decay rates"),
         "tail_floor": ("1e-8", float, "target tail depth of extracted profiles"),
-        "tol_puls": ("1e-3", float, "acceptance tolerance on the pulsating defect"),
+        "tol_puls": ("1e-5", float, "acceptance tolerance on the pulsating defect"),
         "budget": ("600.0", float, "maximum simulated time per run"),
     },
     "run": {
@@ -87,14 +87,15 @@ SCHEMA: dict[str, dict[str, tuple]] = {
     },
 }
 
-# the [run] keys each scenario reads and the [profile] keys each family reads
+# the [run] keys each scenario reads, the [numerics] keys of the scenarios that
+# run no front (the others read all of them) and the [profile] keys per family
 RUN_KEYS = {"front": (), "homogenize": ("L_list",), "eigen": ("ubar", "R_list"),
             "steady": ("seeds",), "scan-e": ("L_grid",),
             "stability": ("datum", "spectrum", "stability_budget"),
             "decay": ("c", "direction", "potential"), "quench-scan": ("lambda_grid",)}
-_CUBIC_KEYS = ("family", "theta", "theta_amp", "theta_file", "scale", "gamma", "delta",
-               "a", "a_amp", "a_file")
-PROFILE_KEYS = {"cubic": _CUBIC_KEYS, "tabulated": _CUBIC_KEYS,
+NUMERICS_KEYS = {"eigen": ("L",), "steady": ("L",), "decay": ("L",)}
+PROFILE_KEYS = {"cubic": ("family", "theta", "theta_amp", "theta_file", "scale", "gamma",
+                          "delta", "a", "a_amp", "a_file"),
                 "xin": ("family", "xin_delta", "xin_lambda", "xin_mu")}
 
 
@@ -147,7 +148,8 @@ def parse_config(text: str, scenario: str) -> ExperimentConfig:
     # quench-scan takes the xin amplitude from [run] lambda_grid
     read = RUN_KEYS[scenario] + tuple(k for k in PROFILE_KEYS[family]
                                       if (k, scenario) != ("xin_lambda", "quench-scan"))
-    for section in ("run", "profile"):
+    read += NUMERICS_KEYS.get(scenario, tuple(SCHEMA["numerics"]))
+    for section in ("run", "profile", "numerics"):
         for key in (cp[section] if cp.has_section(section) else ()):
             if key not in read:
                 raise ConfigError(f"[{section}] {key} is not read by scenario {scenario!r}"

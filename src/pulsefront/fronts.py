@@ -1,9 +1,10 @@
 """Pulsating fronts by long-time evolution: speeds, profiles, classification.
 
-A front-like datum is evolved until the orbit satisfies, to tolerance, the
-defining relation u(t + L/c, x + L) = u(t, x) of a pulsating front, or until
-the interface demonstrably pins (stationary branch), or until the budget runs
-out (inconclusive, never silently a front).  Speeds are measured two ways: a
+A front-like datum is evolved until two capture windows in a row satisfy, to
+tol_puls, the defining relation u(t + L/c, x + L) = u(t, x) of a pulsating
+front (the first opens once a speed estimate exists), or until the interface
+demonstrably pins (stationary branch), or until the budget runs out
+(inconclusive, never silently a front).  Speeds are measured two ways: a
 least-squares fit of the half-level position, and L/T* with T* minimizing the
 space-time shift defect.  The profile phi(xi, y) is rebuilt from one period of
 snapshots by reading u at t = (x - xi)/c on nodes x whose cell coordinate is y.
@@ -23,8 +24,6 @@ from .solver import (Grid1D, SolverConfig, SolverError, Stepper, Window, build_g
                      choose_dt, excursion, front_initial_datum, residual_stationary)
 
 SETTLE_TIME = 10.0          # evolution chunk between checks
-TRANSIENT_PERIODS = 20.0    # no capture before 20 L/|c| ...
-TRANSIENT_MIN = 50.0        # ... nor before t = 50
 STAT_WINDOW = 100.0         # pinning detection window
 STAT_DISP_FRAC = 0.1        # pinned: displacement below 0.1 h over STAT_WINDOW
 MIN_LEVEL_SAMPLES = 20      # level samples behind a level-speed fit
@@ -62,7 +61,7 @@ class FrontRunConfig:
     tail_floor: float = 1e-8
     halfwidth: float | None = None       # override the decay-based domain size
     dt: float | None = None              # override solver.choose_dt
-    tol_puls: float = 1e-3
+    tol_puls: float = 1e-5
     initial_style: str = "tanh"          # step | ramp | tanh
 
 
@@ -508,7 +507,9 @@ def compute_pulsating_front(inst: ProblemInstance, cfg: FrontRunConfig = FrontRu
                             budget: Budget = Budget(),
                             homog: HomogenizedData | None = None) -> FrontSolution:
     """Evolve a front-like datum until it is a pulsating front, a pinned
-    stationary front (speed 0), or the budget is spent (FrontNotConverged)."""
+    stationary front (speed 0), or the budget is spent (FrontNotConverged).
+    c_level is fitted from the start of the first of the two settled windows;
+    a window that would overrun the budget is skipped, not the run."""
     if homog is None:
         homog = homogenized_data(inst.coeff, inst.reaction)
     halfwidth = default_halfwidth(homog, cfg)
@@ -522,16 +523,16 @@ def compute_pulsating_front(inst: ProblemInstance, cfg: FrontRunConfig = FrontRu
     # the defect window stays clear of the Dirichlet boundary layers
     margin_nodes = max(grid.nodes_per_period + 4, int(DEFECT_MARGIN_FRAC * grid.n))
     c_floor = h / (10.0 * STAT_WINDOW)
-    last_defect = None
+    settled = None          # start of the last window if its defect was under tol_puls
     diagnostics: dict = {"L": inst.L, "h": h, "dt": dt, "halfwidth": halfwidth,
-                         "n_nodes": grid.n}
+                         "n_nodes": grid.n, "last_defect": None}
 
     while state.t < budget.t_max:
         state.advance(min(SETTLE_TIME, budget.t_max - state.t))
         state.recenter(level_position(grid.nodes, state.u), RECENTER_FRAC)
         c_hat, _ = state.recent_speed(max(2.0 * SETTLE_TIME, 20.0))
         disp = state.displacement(STAT_WINDOW)
-        if disp is not None and disp < STAT_DISP_FRAC * h and state.t >= TRANSIENT_MIN:
+        if disp is not None and disp < STAT_DISP_FRAC * h:
             resid = residual_stationary(grid, state.u, inst)
             diagnostics["stationary_residual"] = resid
             diagnostics["displacement"] = disp
@@ -549,13 +550,10 @@ def compute_pulsating_front(inst: ProblemInstance, cfg: FrontRunConfig = FrontRu
                                            True, est, diagnostics)
         if c_hat is None or abs(c_hat) < c_floor:
             continue
-        transient = max(TRANSIENT_PERIODS * inst.L / abs(c_hat), TRANSIENT_MIN)
-        if state.t < transient:
-            continue
         t_hat = inst.L / abs(c_hat)
         span = 1.45 * t_hat
         if state.t + span > budget.t_max:
-            break
+            continue                # keep evolving: the stationary test may fire
         sgn = 1 if c_hat > 0 else -1
         snaps = state.capture(span)
         t_ref1 = snaps.t0 + 0.02 * span
@@ -567,12 +565,11 @@ def compute_pulsating_front(inst: ProblemInstance, cfg: FrontRunConfig = FrontRu
             continue
         defect = max(d1, d2)
         diagnostics["last_defect"] = defect
-        if defect < cfg.tol_puls and last_defect is not None \
-                and last_defect < cfg.tol_puls:
+        if defect < cfg.tol_puls and settled is not None:
             c_period = sgn * inst.L / T1
             times = np.asarray(state.level_t)
             xs = np.asarray(state.level_x)
-            keep = times >= min(transient, times[-1] - 1e-9)
+            keep = times >= settled
             base = measure_speed(times[keep], xs[keep])
             est = replace(base, c_period=c_period,
                           unc_period=_period_uncertainty(inst.L, T1, width, snaps.dt_snap))
@@ -590,11 +587,10 @@ def compute_pulsating_front(inst: ProblemInstance, cfg: FrontRunConfig = FrontRu
             diagnostics["time_monotonicity_defect"] = snaps.time_monotonicity_defect()
             return _front_from_lattice(c_period, xi, ys, phi, defect, False, est,
                                        diagnostics)
-        last_defect = defect
+        settled = snaps.t0 if defect < cfg.tol_puls else None
 
     diagnostics["reason"] = "budget"
     diagnostics["t_final"] = state.t
-    diagnostics["last_defect"] = last_defect
     c_hat, _ = state.recent_speed(max(2.0 * SETTLE_TIME, 20.0))
     diagnostics["c_hat"] = c_hat
     if "stationary_residual" not in diagnostics:

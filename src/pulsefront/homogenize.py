@@ -237,11 +237,15 @@ def align_profiles(xi: np.ndarray, y: np.ndarray, phi: np.ndarray, phi0):
 
 
 def _lattice_gap2(xi: np.ndarray, phi: np.ndarray, base: np.ndarray):
-    """s -> mean over y of the integral of (phi(xi + s, y) - base(xi))^2, bitwise
-    equal to np.interp per column with end fills, by one gather of rows per s."""
+    """s -> mean over y of the trapezoid integral of (phi(xi + s, y) - base(xi))^2:
+    one gather of rows per s, bitwise np.interp per column with end fills, then
+    one product with the trapezoid weights, built once over the column count."""
     n = len(xi)
+    dxi = np.diff(xi)
     slopes = np.diff(phi, axis=0)
-    slopes /= np.diff(xi)[:, None]
+    slopes /= dxi[:, None]
+    w = np.append(dxi, 0.0) + np.insert(dxi, 0, 0.0)
+    w /= 2 * phi.shape[1]
     buf = np.empty(phi.shape)
     rows = np.empty(phi.shape)
 
@@ -256,7 +260,7 @@ def _lattice_gap2(xi: np.ndarray, phi: np.ndarray, base: np.ndarray):
         d += np.take(phi, np.clip(j, 0, n - 1), axis=0, out=rows, mode="clip")
         d -= base[:, None]
         d *= d
-        return float(np.mean(np.trapezoid(d, x=xi, axis=0)))
+        return float(np.sum(w @ d))
 
     return gap2
 

@@ -1,9 +1,9 @@
 """Scenario drivers: dispatch a parsed configuration, write artifacts, and
 print one summary line per record.
 
-All files are gnu-plottable whitespace or comma separated text with '#'
-headers carrying units and the configuration hash, so every emitted number
-traces back to the run that produced it.
+All files but the front profile (an exact .npz with the hash as `config`) are
+gnu-plottable text with '#' headers carrying units and the configuration hash,
+so every emitted number traces back to the run that produced it.
 """
 
 from __future__ import annotations
@@ -50,14 +50,9 @@ def _write(path, lines):
 
 
 def emit_profile(path, front: fr.FrontSolution, cfg: ExperimentConfig):
-    head = _header(cfg, f"c={_fmt(front.speed)} L={_fmt(front.diagnostics.get('L'))}")
-    tails = [f"{y:.10g} %.10g\n" for y in front.y.tolist()]
-    with open(path, "w") as fh:
-        fh.write(head + "\n# xi y phi\n")
-        # one % format per lattice row of phi, streamed one row at a time
-        for xi, row in zip(front.xi.tolist(), front.phi):
-            x = f"{xi:.10g} "
-            fh.write((x + x.join(tails)) % tuple(row.tolist()))
+    """The lattice exactly, as an .npz readable with allow_pickle=False."""
+    np.savez(path, xi=front.xi, y=front.y, phi=front.phi, c=front.speed,
+             L=front.diagnostics["L"], config=cfg.config_hash)
 
 
 def emit_sup_errors(path, report: st.StabilityReport, cfg: ExperimentConfig):
@@ -103,8 +98,8 @@ def _run_front(cfg, out):
     line = f"front: L={_fmt(inst.L)} {rec.kind}"
     failures = []
     if rec.front is not None:
-        emit_profile(prefix + "_profile.txt", rec.front, cfg)
-        arts.append(prefix + "_profile.txt")
+        emit_profile(prefix + "_profile.npz", rec.front, cfg)
+        arts.append(prefix + "_profile.npz")
         line += (f" c={_fmt(rec.c)} defect={_fmt(rec.front.pulsating_error)}"
                  f" mu1={_fmt(rec.front.mu1_fit)} mu2={_fmt(rec.front.mu2_fit)}")
     else:

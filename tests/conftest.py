@@ -52,3 +52,15 @@ def homog_front(homog_inst):
     """Reference pulsating front, shared by the acceptance criteria."""
     return fr.compute_pulsating_front(homog_inst, fr.FrontRunConfig(),
                                       fr.Budget(300.0))
+
+
+@pytest.fixture(scope="session")
+def quench_records():
+    """The oscillating-diffusivity family over its amplitude grid (criterion 12);
+    the slowest front, lambda = 4, also tests the stopping rule."""
+    cfg = fr.FrontRunConfig(tail_floor=1e-4)
+    out = []
+    for lam in (0.0, 1.0, 2.0, 3.0, 4.0):
+        inst = pr.make_xin_example(0.2, lam, 0.3)
+        out.append((lam, fr.classify_quenching(inst, cfg, fr.Budget(900.0))))
+    return out

@@ -275,16 +275,6 @@ def test_11_poincare_spectrum(homog_inst, acceptance_report):
 
 # -- 12 ----------------------------------------------------------------------
 
-@pytest.fixture(scope="session")
-def quench_records():
-    cfg = fr.FrontRunConfig(tail_floor=1e-4)
-    out = []
-    for lam in (0.0, 1.0, 2.0, 3.0, 4.0):
-        inst = pr.make_xin_example(0.2, lam, 0.3)
-        out.append((lam, fr.classify_quenching(inst, cfg, fr.Budget(900.0))))
-    return out
-
-
 @pytest.mark.slow
 def test_12_quenching_trend(quench_records, acceptance_report):
     speeds = []

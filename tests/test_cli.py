@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from pulsefront import __version__, cli, runner
+from pulsefront import cli, runner
 from pulsefront import fronts as fr
 from pulsefront.config import (SCENARIOS, ConfigError, build_instance, describe_schema,
                                load_config, parse_config)
@@ -21,6 +21,16 @@ theta = 0.3
 [numerics]
 L = 1.0
 budget = 300
+"""
+
+# the instance alone: the scenarios that run no front read only L from [numerics]
+INSTANCE_CFG = """
+[profile]
+family = cubic
+theta = 0.3
+
+[numerics]
+L = 1.0
 """
 
 EIGEN_CFG = """
@@ -104,6 +114,26 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=rf"\] {key} is not read by .*'{owner}'"):
             parse_config(text, scenario)
 
+    # eigen, steady and decay build the instance and run no front, so every
+    # [numerics] key but L is unread there
+    @pytest.mark.parametrize("scenario,key,value", [
+        ("eigen", "budget", "300"),
+        ("eigen", "nodes_per_period", "3"),
+        ("steady", "budget", "300"),
+        ("steady", "tol_puls", "0.5"),
+        ("decay", "dt", "0.01"),
+        ("decay", "halfwidth", "20"),
+        ("decay", "tail_floor", "1e-6"),
+    ])
+    def test_unread_numerics_key_rejected(self, scenario, key, value):
+        with pytest.raises(ConfigError,
+                           match=rf"\[numerics\] {key} is not read by scenario '{scenario}'"):
+            parse_config(f"{INSTANCE_CFG}{key} = {value}\n", scenario)
+
+    def test_tabulated_family_rejected(self):
+        with pytest.raises(ConfigError, match="unknown profile family 'tabulated'"):
+            parse_config("[profile]\nfamily = tabulated\ntheta = 0.3\n", "front")
+
     # every [run] key its runner reads, and [experiment] workers everywhere
     @pytest.mark.parametrize("scenario,run", [
         ("front", ""),
@@ -143,7 +173,7 @@ class TestBuildInstance:
         assert build_instance(parse_config(self.XIN_CFG, "front")).L == 1.0
 
 
-def test_emit_profile_matches_nested_loop_formatting(tmp_path):
+def test_emit_profile_npz_is_exact(tmp_path):
     rng = np.random.default_rng(11)
     xi = np.linspace(-7.25, 3.0, 9)
     y = np.arange(6) / 6.0
@@ -151,15 +181,16 @@ def test_emit_profile_matches_nested_loop_formatting(tmp_path):
     phi[0, :3] = (0.0, -0.0, 1.0)
     front = fr.FrontSolution(speed=0.25, xi=xi, y=y, phi=phi, pulsating_error=1e-7,
                              mu1_fit=None, mu2_fit=None, stationary=False,
-                             speed_estimate=None, diagnostics={"L": 1.0})
+                             speed_estimate=None, diagnostics={"L": 0.5})
     cfg = parse_config(FRONT_CFG, "front")
-    path = tmp_path / "profile.txt"
+    path = tmp_path / "run_profile.npz"
     runner.emit_profile(str(path), front, cfg)
-    head = (f"# pulsefront {__version__} config={cfg.config_hash} scenario=front"
-            " c=0.25 L=1\n# xi y phi\n")
-    body = "".join(f"{xi[i]:.10g} {y[j]:.10g} {phi[i, j]:.10g}\n"
-                   for i in range(xi.size) for j in range(y.size))
-    assert path.read_bytes() == (head + body).encode()
+    with np.load(path, allow_pickle=False) as npz:
+        assert sorted(npz.files) == ["L", "c", "config", "phi", "xi", "y"]
+        for name, want in (("xi", xi), ("y", y), ("phi", phi)):
+            assert npz[name].tobytes() == want.tobytes(), name
+        assert npz["c"] == 0.25 and npz["L"] == 0.5
+        assert str(npz["config"]) == cfg.config_hash
 
 
 class TestCliRuns:
@@ -187,7 +218,7 @@ class TestCliRuns:
 
     def test_decay_scenario(self, tmp_path, capsys):
         p = tmp_path / "decay.cfg"
-        p.write_text(FRONT_CFG + "\n[run]\ndirection = right\nc = 0.0\n")
+        p.write_text(INSTANCE_CFG + "\n[run]\ndirection = right\nc = 0.0\n")
         rc = cli.main(["decay", "--config", str(p), "--out", str(tmp_path)])
         assert rc == 0
         text = (tmp_path / "run_decay.txt").read_text()
@@ -198,7 +229,7 @@ class TestCliRuns:
 
     def test_steady_scenario(self, tmp_path, capsys):
         p = tmp_path / "steady.cfg"
-        p.write_text(FRONT_CFG)
+        p.write_text(INSTANCE_CFG)
         rc = cli.main(["steady", "--config", str(p), "--out", str(tmp_path)])
         assert rc == 0
         out = capsys.readouterr().out
@@ -216,8 +247,10 @@ class TestCliRuns:
         assert cli.main(["front", "--config", str(p), "--out", str(out2)]) == 0
         stdout = capsys.readouterr().out
         assert "c=0.282" in stdout
-        for name in ("run_front.csv", "run_profile.txt"):
+        for name in ("run_front.csv", "run_profile.npz"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        with np.load(out1 / "run_profile.npz", allow_pickle=False) as npz:
+            assert npz["phi"].shape == (npz["xi"].size, npz["y"].size)
 
     @pytest.mark.slow
     def test_stability_scenario_json(self, tmp_path):

@@ -115,6 +115,30 @@ class TestComputeFront:
         assert err.value.diagnostics["reason"] in fr.REASONS
 
 
+class TestStoppingRule:
+    @pytest.mark.slow
+    def test_slow_front_captured_under_tolerance(self, quench_records):
+        # Xin lambda = 4, c about 0.066: no fixed wait, so only the defect
+        # decides when the run stops
+        lam, rec = quench_records[-1]
+        assert lam == 4.0 and rec.kind == fr.PROPAGATING
+        assert 0.05 < abs(rec.c) < 0.08
+        assert rec.front.pulsating_error < fr.FrontRunConfig().tol_puls
+
+    def test_window_past_budget_keeps_evolving(self, homog_inst):
+        # the tolerance is out of reach; the window due at t = 26 would end
+        # near t = 31, past the budget, so the run evolves on to t_max
+        # instead of stopping there
+        budget = fr.Budget(28.0)
+        with pytest.raises(fr.FrontNotConverged) as err:
+            fr.compute_pulsating_front(homog_inst, fr.FrontRunConfig(tol_puls=1e-14),
+                                       budget)
+        diag = err.value.diagnostics
+        assert diag["reason"] == "budget"
+        assert diag["last_defect"] is not None
+        assert diag["t_final"] == pytest.approx(budget.t_max, abs=diag["dt"])
+
+
 class TestDecayFits:
     def test_synthetic_exponential(self):
         xi = np.linspace(-30, 30, 1201)

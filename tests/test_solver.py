@@ -235,11 +235,13 @@ class TestChooseDt:
         assert homog_front.diagnostics["dt"].hex() == "0x1.7e3f56c653133p-7"
 
     def test_stability_experiment_dt_unchanged(self, homog_inst, homog_front):
+        # the accuracy limit at the front's speed: these bits follow the bits
+        # of the reference front's c, so any change to the front run moves them
         L = homog_inst.L
         rep = st.global_stability_experiment(
             homog_inst, homog_front, lambda x: homog_front.interp(x - 3.0 * L, x / L),
             fr.Budget(3.0))
-        assert rep.diagnostics["dt"].hex() == "0x1.c50e62b29c635p-7"
+        assert rep.diagnostics["dt"].hex() == "0x1.c50e6cc389b94p-7"
 
 
 def reference_step(inst, grid, cfg, u):
