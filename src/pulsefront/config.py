@@ -62,8 +62,6 @@ SCHEMA: dict[str, dict[str, tuple]] = {
     "numerics": {
         "L": ("1.0", float, "spatial period of the instance"),
         "nodes_per_period": ("64", int, "grid nodes per period"),
-        "dt": ("auto", _parse_optional, "time step; auto derives it from stability/accuracy"),
-        "halfwidth": ("auto", _parse_optional, "domain half-extent; auto sizes it from decay rates"),
         "tail_floor": ("1e-8", float, "target tail depth of extracted profiles"),
         "tol_puls": ("1e-5", float, "acceptance tolerance on the pulsating defect"),
         "budget": ("600.0", float, "maximum simulated time per run"),
@@ -208,6 +206,5 @@ def build_run_config(cfg: ExperimentConfig):
     from .fronts import Budget, FrontRunConfig
     n = cfg["numerics"]
     rc = FrontRunConfig(nodes_per_period=n["nodes_per_period"],
-                        tail_floor=n["tail_floor"], halfwidth=n["halfwidth"],
-                        dt=n["dt"], tol_puls=n["tol_puls"])
+                        tail_floor=n["tail_floor"], tol_puls=n["tol_puls"])
     return rc, Budget(n["budget"])

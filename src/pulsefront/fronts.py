@@ -59,10 +59,7 @@ class Budget:
 class FrontRunConfig:
     nodes_per_period: int = 64
     tail_floor: float = 1e-8
-    halfwidth: float | None = None       # override the decay-based domain size
-    dt: float | None = None              # override solver.choose_dt
     tol_puls: float = 1e-5
-    initial_style: str = "tanh"          # step | ramp | tanh
 
 
 # ---------------------------------------------------------------------------
@@ -366,12 +363,12 @@ def extract_profile(snaps: SnapshotSeries, c: float, t_start: float, period: flo
     return xi, ys, phi
 
 
-def fit_tail_rates(xi: np.ndarray, prof: np.ndarray, floor: float = 1e-10,
-                   ceiling: float = 1e-2):
-    """Log-linear decay rates of a front profile toward 0 (right) and 1 (left)."""
+def fit_tail_rates(xi: np.ndarray, prof: np.ndarray):
+    """Log-linear decay rates of a front profile toward 0 (right) and 1 (left),
+    fitted where the distance to the end state lies in (1e-10, 1e-2)."""
     out = []
     for vals, sign in ((prof, -1.0), (1.0 - prof, +1.0)):
-        mask = (vals > floor) & (vals < ceiling)
+        mask = (vals > 1e-10) & (vals < 1e-2)
         if np.count_nonzero(mask) < 5:
             raise ValueError("tail too short for a decay fit; enlarge the xi window")
         lv = np.log(vals[mask])
@@ -418,11 +415,10 @@ def decay_scale(homog: HomogenizedData, c_est: float) -> float:
     return 0.9 * min(characteristic_rates(homog.a_h, c, homog.slope0, homog.slope1))
 
 
-def default_halfwidth(homog: HomogenizedData, cfg: FrontRunConfig) -> float:
-    if cfg.halfwidth is not None:
-        return cfg.halfwidth
+def default_halfwidth(homog: HomogenizedData, tail_floor: float) -> float:
+    """Domain half-extent over which the slowest tail falls to tail_floor."""
     mu = max(decay_scale(homog, speed_scale(homog)), 1e-3)
-    w = math.log(1.0 / cfg.tail_floor) / mu + 4.0
+    w = math.log(1.0 / tail_floor) / mu + 4.0
     return float(min(max(w, 8.0), 150.0))
 
 
@@ -433,9 +429,9 @@ def default_halfwidth(homog: HomogenizedData, cfg: FrontRunConfig) -> float:
 class _RunState(Window):
     """A front run's window with its level record and capture windows."""
 
-    def __init__(self, inst, grid, solver_cfg, initial_style):
+    def __init__(self, inst, grid, solver_cfg):
         super().__init__(Stepper(inst, grid, solver_cfg), front_initial_datum(
-            grid, initial_style, interface=0.5 * (grid.x_min + grid.x_max)))
+            grid, interface=0.5 * (grid.x_min + grid.x_max)))
         self.level_t: list[float] = []
         self.level_x: list[float] = []
         # the level is recorded about every 0.05 time units
@@ -512,14 +508,11 @@ def compute_pulsating_front(inst: ProblemInstance, cfg: FrontRunConfig = FrontRu
     a window that would overrun the budget is skipped, not the run."""
     if homog is None:
         homog = homogenized_data(inst.coeff, inst.reaction)
-    halfwidth = default_halfwidth(homog, cfg)
+    halfwidth = default_halfwidth(homog, cfg.tail_floor)
     grid = build_grid(inst, halfwidth, cfg.nodes_per_period)
     h = grid.h
-    dt = cfg.dt
-    if dt is None:
-        dt = choose_dt(inst.reaction.lip_k, h, speed_scale(homog))
-    solver_cfg = SolverConfig(dt=dt, u_left=1.0, u_right=0.0)
-    state = _RunState(inst, grid, solver_cfg, cfg.initial_style)
+    dt = choose_dt(inst.reaction.lip_k, h, speed_scale(homog))
+    state = _RunState(inst, grid, SolverConfig(dt=dt, u_left=1.0, u_right=0.0))
     # the defect window stays clear of the Dirichlet boundary layers
     margin_nodes = max(grid.nodes_per_period + 4, int(DEFECT_MARGIN_FRAC * grid.n))
     c_floor = h / (10.0 * STAT_WINDOW)

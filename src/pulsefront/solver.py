@@ -290,25 +290,12 @@ def excursion(v_min: float, v_max: float) -> float:
     return float(max(0.0, -0.1 - v_min, v_max - 1.1))
 
 
-def front_initial_datum(grid: Grid1D, style: str = "tanh",
-                        interface: float = 0.0) -> np.ndarray:
-    """Monotone front-like datum: 1 left of the interface, 0 right of it, over
-    a transition width of 8h (ramp, tanh)."""
+def front_initial_datum(grid: Grid1D, interface: float = 0.0) -> np.ndarray:
+    """Monotone front-like datum: a tanh from 1 left of the interface to 0
+    right of it, over a transition width of 8h."""
     if not (grid.x_min < interface < grid.x_max):
         raise ValueError("interface must lie inside the grid")
-    x = grid.nodes
-    width = 8.0 * grid.h
-    if style == "step":
-        g = np.where(x <= interface, 1.0, 0.0)
-        # soften over 4h so the transition is resolved
-        band = np.abs(x - interface) <= 2.0 * grid.h
-        g = np.where(band, 0.5 - (x - interface) / (4.0 * grid.h), g)
-    elif style == "ramp":
-        g = np.clip(0.5 - (x - interface) / width, 0.0, 1.0)
-    elif style == "tanh":
-        g = 0.5 * (1.0 - np.tanh((x - interface) / (width / 2.0)))
-    else:
-        raise ValueError(f"unknown initial datum style {style!r}")
+    g = 0.5 * (1.0 - np.tanh((grid.nodes - interface) / (4.0 * grid.h)))
     g = np.minimum.accumulate(g)  # enforce nonincreasing node-to-node
     g[0] = 1.0
     g[-1] = 0.0

@@ -13,6 +13,7 @@ and the iteration converges to the eigenvalue with the positive eigenfunction.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -20,6 +21,7 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
+from scipy.optimize import brentq
 from scipy.sparse.linalg import splu
 
 from .profiles import ProblemInstance
@@ -381,11 +383,12 @@ def decay_root_mu(inst: ProblemInstance, c: float, direction: str = "right",
     """Rate mu1 > 0 with vanishing principal eigenvalue of the tail operator.
 
     lambda1(0) < 0 by the stability margins and lambda1 grows quadratically,
-    so a sign change is bracketed by scanning and then bisected.
+    so a sign change is bracketed by scanning and then solved by Brent's method.
     """
     n_nodes = max(128, int(math.ceil(
         6.0 * inst.L * mu_max * inst.coeff.a_max / inst.coeff.a_min)))
 
+    @functools.cache                  # brentq evaluates the bracket ends again
     def lam(mu):
         return decay_eigenvalue(inst, c, mu, direction, potential, n_nodes)
 
@@ -403,10 +406,4 @@ def decay_root_mu(inst: ProblemInstance, c: float, direction: str = "right",
         mu *= 2.0
     if hi is None:
         raise RuntimeError(f"no decay-rate sign change below mu_max={mu_max}")
-    while hi - lo > 1e-12 * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if lam(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return brentq(lam, lo, hi, xtol=1e-12 * max(1.0, hi))

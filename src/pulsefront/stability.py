@@ -24,8 +24,8 @@ import numpy as np
 
 from .fronts import Budget, FrontSolution, _golden_min, fit_line, level_position
 from .profiles import ProblemInstance
-from .solver import (REACTION_BUDGET, Grid1D, SolverConfig, Stepper, Window, build_grid,
-                     choose_dt, shift_window, solve_banded)
+from .solver import (Grid1D, SolverConfig, Stepper, Window, build_grid, choose_dt,
+                     shift_window, solve_banded)
 
 PROBE_DT = 1.0              # time between phase fits
 TAU_SPAN_PERIODS = 5.0      # golden-section window, units of L/|c|
@@ -38,19 +38,21 @@ ESS_MARGIN = 0.05           # tolerance above the essential radius
 RECENTER_FRAC = 0.3         # interface drift allowance, times the halfwidth
 
 
-def poincare_map(inst: ProblemInstance, grid: Grid1D, c: float, cfg: SolverConfig,
-                 g: np.ndarray, on_step: Callable | None = None) -> np.ndarray:
-    """One frame period P(g) of a front of speed c: n lab-frame steps with
-    n*dt = T = L/|c| exactly (cfg.dt shortened to T/n), then the window slid
+def poincare_map(stepper: Stepper, c: float, g: np.ndarray,
+                 on_step: Callable | None = None) -> np.ndarray:
+    """One frame period P(g) of a front of speed c: the n steps of the
+    stepper that cover T = L/|c| (its dt must be T/n), then the window slid
     one period along the front.
 
     on_step(k, t, u) fires after every step k = 1..n, before the slide.
     """
     if c == 0.0:
         raise ValueError("the period map needs a nonzero speed")
-    T = inst.L / abs(c)
-    n = max(1, int(math.ceil(T / cfg.dt - 1e-9)))
-    win = Window(Stepper(inst, grid, replace(cfg, dt=T / n)), g)
+    T = stepper.grid.L / abs(c)
+    n = max(1, round(T / stepper.cfg.dt))
+    if abs(n * stepper.cfg.dt - T) > 1e-9 * T:
+        raise ValueError("the period map needs a step dividing the period T")
+    win = Window(stepper, g)
     win.run(n, on_step)
     win.slide(1 if c > 0 else -1)
     return win.u
@@ -352,18 +354,17 @@ class SpectrumSummary:
     n_nodes: int
 
 
-def linearized_period_map(inst: ProblemInstance, orbit_potentials: np.ndarray,
-                          grid: Grid1D, dt: float, shift_periods: int) -> np.ndarray:
+def linearized_period_map(factor, orbit_potentials: np.ndarray, grid: Grid1D,
+                          dt: float, shift_periods: int) -> np.ndarray:
     """Matrix of one period of the linearized lab evolution composed with the
     exact grid shift by shift_periods * L (the frame period map).
 
     orbit_potentials[k] holds df_L(x, u_k) along the nonlinear orbit, one row
     per time step.  Each step is one backward Euler solve of all columns
-    against the Stepper's interior factor of I - dt*D; the pinned boundary
-    rows are 0.
+    against factor, the interior factor of I - dt*D of the orbit's Stepper
+    (Stepper.factor); the pinned boundary rows are 0.
     """
     n = grid.n
-    factor = Stepper(inst, grid, SolverConfig(dt=dt)).factor
     # interior rows only, in Fortran order so dpttrs solves all n columns in place
     W = np.asfortranarray(np.eye(n)[1:-1])
     for pot in orbit_potentials:
@@ -378,10 +379,12 @@ def poincare_spectrum(inst: ProblemInstance, front: FrontSolution,
                       n_nodes: int = 400) -> SpectrumSummary:
     """Spectrum of the linearized time-T frame map on a coarse grid.
 
-    The orbit is the production period map (poincare_map: lab-frame steps and
+    The orbit is the production period map (poincare_map: lab-frame steps at
+    solver.choose_dt, shortened to a whole number of steps per period T, and
     the exact one-period grid shift, with no transport-term discretization
-    error), started on the profile.  Checks: an eigenvalue near 1 aligned with
-    the profile's xi-derivative, everything else inside the unit disk, and all
+    error), started on the profile; its Stepper's factor serves the
+    linearization too.  Checks: an eigenvalue near 1 aligned with the
+    profile's xi-derivative, everything else inside the unit disk, and all
     but finitely many modes below the essential radius e^{-gamma T/2} plus a
     margin.
     """
@@ -392,25 +395,16 @@ def poincare_spectrum(inst: ProblemInstance, front: FrontSolution,
     c = front.speed
     L = inst.L
     T = L / abs(c)
-    # adopt the front's own resolution; coarsen to the node budget, and only
-    # then trim the extent, so the front's tails stay on the grid
-    h_front = float(front.xi[1] - front.xi[0])
-    npp = max(4, int(round(L / h_front)))
-    halfwidth = 0.5 * float(front.xi[-1] - front.xi[0])
-    grid = build_grid(inst, halfwidth, npp)
-    while grid.n > n_nodes and npp > 4:
-        npp -= 1
-        grid = build_grid(inst, halfwidth, npp)
-    while grid.n > n_nodes and halfwidth > 2.0 * L:
-        halfwidth -= L
-        grid = build_grid(inst, halfwidth, npp)
-    # its own step rule, not solver.choose_dt: the reaction budget and at
-    # least 50 whole steps per period T.  On this coarse grid (down to 8
-    # nodes/period) choose_dt's 0.05 cap and h/(4|c|) limit give a different
-    # dt, hence a different orbit and spectrum (acceptance 11).
-    dt = min(REACTION_BUDGET / inst.reaction.lip_k, 0.02 * T)
-    n_steps = max(1, int(math.ceil(T / dt)))
-    dt = T / n_steps
+    # m periods each side of the cell (as build_grid counts them) cover the
+    # front; its own resolution is coarsened to the node budget, and only then
+    # is m trimmed (not below 2), so the front's tails stay on the grid
+    m = max(1, math.ceil(0.5 * float(front.xi[-1] - front.xi[0]) / L))
+    npp = max(4, min(round(L / float(front.xi[1] - front.xi[0])),
+                     (n_nodes - 1) // (2 * m + 1)))
+    m = min(m, max(2, ((n_nodes - 1) // npp - 1) // 2))
+    grid = build_grid(inst, (m - 0.5) * L, npp)
+    n_steps = max(1, math.ceil(T / choose_dt(inst.reaction.lip_k, grid.h, c)))
+    stepper = Stepper(inst, grid, SolverConfig(dt=T / n_steps))
     # start on the attractor: the profile itself at t = 0
     u0 = front.interp(grid.nodes, grid.nodes / L)
     u0[0], u0[-1] = 1.0, 0.0
@@ -421,8 +415,9 @@ def poincare_spectrum(inst: ProblemInstance, front: FrontSolution,
         if k < n_steps:
             pots[k] = inst.df_L(grid.nodes, u)
 
-    poincare_map(inst, grid, c, SolverConfig(dt=dt), u0, record)
-    P = linearized_period_map(inst, pots, grid, dt, 1 if c > 0 else -1)
+    poincare_map(stepper, c, u0, record)
+    P = linearized_period_map(stepper.factor, pots, grid, stepper.cfg.dt,
+                              1 if c > 0 else -1)
     vals, vecs = np.linalg.eig(P)
     order = np.argsort(-np.abs(vals))
     vals = vals[order]

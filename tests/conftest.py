@@ -3,6 +3,7 @@ import pytest
 
 import pulsefront.fronts as fr
 import pulsefront.profiles as pr
+import pulsefront.stability as st
 
 _ACCEPTANCE_LINES: list[tuple[int, str]] = []
 
@@ -52,6 +53,13 @@ def homog_front(homog_inst):
     """Reference pulsating front, shared by the acceptance criteria."""
     return fr.compute_pulsating_front(homog_inst, fr.FrontRunConfig(),
                                       fr.Budget(300.0))
+
+
+@pytest.fixture(scope="session")
+def homog_spectrum(homog_inst, homog_front):
+    """The linearized period map's spectrum on the reference front, at the
+    node budget the benchmark uses."""
+    return st.poincare_spectrum(homog_inst, homog_front, n_nodes=400)
 
 
 @pytest.fixture(scope="session")

@@ -16,6 +16,10 @@ from pulsefront.solver import SolverConfig, Stepper, build_grid
 
 C_EXACT = 0.4 / math.sqrt(2.0)          # (1 - 2*0.3)/sqrt(2)
 C0_HETERO = math.sqrt(2.0 * math.sqrt(3.0)) * 0.2
+# -lambda_1 = 3/8 - (3/2)(1/2 - theta)^2 at theta = 0.3: the second bound
+# state of the reference front's linearization (a Rosen-Morse well), the
+# asymptotic decay rate of a front-like datum on a Dirichlet window
+RATE_EXACT = 3.0 / 8.0 - 1.5 * (0.5 - 0.3) ** 2
 
 
 def check(report, number, passed, detail):
@@ -228,6 +232,12 @@ def test_09_exponential_stability(homog_inst, homog_front, stability_reports,
     finite = [r.mu_fit for r in reps.values() if math.isfinite(r.mu_fit)]
     pairwise = (max(finite) - min(finite)) / min(finite) if len(finite) > 1 else 0.0
     ok = ok and pairwise < 0.20
+    # the shifted datum is the front's translate by 3L: its phase is 3L/c to
+    # within the node spacing's worth of time
+    shifted = reps["shifted"]
+    tau_err = abs(shifted.tau_g - 3.0 * homog_inst.L / homog_front.speed)
+    tau_tol = shifted.diagnostics["h"] / abs(homog_front.speed)
+    ok = ok and tau_err < tau_tol
     # trapped-data route for a datum that is front-like only between the
     # intermediate state levels
     states = spx.find_periodic_steady_states(homog_inst)
@@ -238,11 +248,15 @@ def test_09_exponential_stability(homog_inst, homog_front, stability_reports,
     rep2 = st.initialv2_experiment(homog_inst, homog_front, states, g2,
                                    fr.Budget(220.0))
     ok = ok and rep2.accepted and rep2.mu_fit > 0
-    rates = {k: round(v.mu_fit, 4) for k, v in reps.items()}
+    def vs_exact(mu):
+        return f"{mu:.4f}" + (f" ({mu / RATE_EXACT - 1:+.1%})" if math.isfinite(mu) else "")
+
+    rates = ", ".join(f"{k} {vs_exact(v.mu_fit)}" for k, v in reps.items())
     check(acceptance_report, 9, ok,
-          f"rates {rates} pairwise {pairwise:.1%} (< 20%), finals "
+          f"rates {rates} vs -lambda1 = {RATE_EXACT:.4f}, pairwise {pairwise:.1%} (< 20%), "
+          f"shifted phase |tau_g - 3L/c| = {tau_err:.4f} (< h/|c| = {tau_tol:.4f}), finals "
           f"{['%.1e' % r.final_error for r in reps.values()]} (< 1e-4), "
-          f"trapped-datum accepted={rep2.accepted} rate={rep2.mu_fit:.3f}")
+          f"trapped-datum accepted={rep2.accepted} rate={vs_exact(rep2.mu_fit)}")
 
 
 # -- 10 ----------------------------------------------------------------------
@@ -259,17 +273,18 @@ def test_10_supersub_defects(homog_inst, homog_front, acceptance_report):
 # -- 11 ----------------------------------------------------------------------
 
 @pytest.mark.slow
-def test_11_poincare_spectrum(homog_inst, acceptance_report):
-    cfg = fr.FrontRunConfig(nodes_per_period=12, halfwidth=16.0, tol_puls=2e-4)
-    coarse = fr.compute_pulsating_front(homog_inst, cfg, fr.Budget(400.0))
-    spec = st.poincare_spectrum(homog_inst, coarse, n_nodes=400)
+def test_11_poincare_spectrum(homog_spectrum, acceptance_report):
+    spec = homog_spectrum
+    rate = -math.log(spec.second_modulus) / spec.T
     ok = (spec.n_nodes <= 400 and spec.leading_gap < 1e-2
-          and spec.cosine_similarity > 0.99 and spec.second_modulus < 1.0)
-    frac = spec.n_above_ess / len(spec.eigenvalues)
+          and spec.cosine_similarity > 0.99 and spec.second_modulus < 1.0
+          and abs(rate - RATE_EXACT) < 0.02 * RATE_EXACT)
     check(acceptance_report, 11, ok,
           f"leading |lambda - 1| = {spec.leading_gap:.2e} (< 1e-2), cos "
           f"{spec.cosine_similarity:.4f} (> 0.99), second modulus "
-          f"{spec.second_modulus:.3f} (< 1), {spec.n_above_ess} modes above "
+          f"{spec.second_modulus:.3f} (< 1), rate -ln|lambda_2|/T = {rate:.4f} vs "
+          f"-lambda1 = {RATE_EXACT:.4f} ({rate / RATE_EXACT - 1:+.2%}, within 2%), "
+          f"{spec.n_above_ess} modes above "
           f"e^(-gamma T/2)+0.05 = {spec.ess_radius + spec.margin:.3f}")
 
 

@@ -7,8 +7,8 @@ import pytest
 
 from pulsefront import cli, runner
 from pulsefront import fronts as fr
-from pulsefront.config import (SCENARIOS, ConfigError, build_instance, describe_schema,
-                               load_config, parse_config)
+from pulsefront.config import (SCENARIOS, SCHEMA, ConfigError, build_instance,
+                               describe_schema, load_config, parse_config)
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -52,15 +52,20 @@ class TestConfigParsing:
         cfg = parse_config(FRONT_CFG, "front")
         assert cfg["numerics"]["nodes_per_period"] == 64
         assert cfg["experiment"]["workers"] == 1
-        assert cfg["numerics"]["dt"] is None
+        assert cfg["numerics"]["tol_puls"] == 1e-5
+
+    def test_numerics_keys(self):
+        assert list(SCHEMA["numerics"]) == ["L", "nodes_per_period", "tail_floor",
+                                            "tol_puls", "budget"]
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="typo_key"):
             parse_config(FRONT_CFG + "typo_key = 3\n", "front")
 
     # keys for values that are module constants (the quadrature size, the
-    # stationary tolerance and window) or read by no solve (a [run] node
-    # count, the seed-free pipeline's deterministic flag) are unknown keys
+    # stationary tolerance and window), read by no solve (a [run] node count,
+    # the seed-free pipeline's deterministic flag) or retired overrides (the
+    # front run's step and domain are always derived) are unknown keys
     @pytest.mark.parametrize("section,key,value", [
         pytest.param("numerics", "quad_n", "512", id="numerics-quad_n"),
         pytest.param("run", "n_nodes", "512", id="run-n_nodes"),
@@ -68,6 +73,8 @@ class TestConfigParsing:
         pytest.param("numerics", "stat_window", "100.0", id="numerics-stat_window"),
         pytest.param("experiment", "deterministic", "true", id="experiment-deterministic"),
         pytest.param("run", "spectrum_nodes", "400", id="run-spectrum_nodes"),
+        pytest.param("numerics", "dt", "0.01", id="numerics-dt"),
+        pytest.param("numerics", "halfwidth", "20", id="numerics-halfwidth"),
     ])
     def test_unread_quad_n_key_rejected(self, section, key, value):
         with pytest.raises(ConfigError, match=key):
@@ -121,8 +128,6 @@ class TestConfigParsing:
         ("eigen", "nodes_per_period", "3"),
         ("steady", "budget", "300"),
         ("steady", "tol_puls", "0.5"),
-        ("decay", "dt", "0.01"),
-        ("decay", "halfwidth", "20"),
         ("decay", "tail_floor", "1e-6"),
     ])
     def test_unread_numerics_key_rejected(self, scenario, key, value):
@@ -264,6 +269,18 @@ class TestCliRuns:
         assert rep["sup_errors"]
         sup = (tmp_path / "run_sup_errors.txt").read_text().splitlines()
         assert sup[0].startswith("# pulsefront")
+
+    @pytest.mark.slow
+    def test_stability_scenario_spectrum(self, tmp_path):
+        # the committed config asks for the period-map spectrum, which the
+        # runner computes at poincare_spectrum's default node budget
+        path = os.path.join(REPO, "configs", "stability_ref.cfg")
+        assert load_config(path, "stability")["run"]["spectrum"] is True
+        rc = cli.main(["stability", "--config", path, "--out", str(tmp_path)])
+        assert rc == 0
+        spectrum = json.loads((tmp_path / "run_stability.json").read_text())["spectrum"]
+        assert len(spectrum) >= 2
+        assert abs(complex(*spectrum[0]) - 1.0) < 1e-2
 
     @pytest.mark.slow
     def test_scan_e_scenario(self, tmp_path):

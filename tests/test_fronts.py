@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -200,9 +202,10 @@ class TestClassification:
         assert rec.c is None
         assert rec.evidence["reason"] == "budget"
 
-    def test_solver_error_inconclusive(self, homog_inst):
+    def test_solver_error_inconclusive(self, homog_inst, monkeypatch):
         # dt*K = 3.4 makes the Stepper raise SolverError inside the front run
-        rec = fr.classify_quenching(homog_inst, fr.FrontRunConfig(dt=1.0), fr.Budget(10.0))
+        monkeypatch.setattr(fr, "choose_dt", lambda *args: 1.0)
+        rec = fr.classify_quenching(homog_inst, fr.FrontRunConfig(), fr.Budget(10.0))
         assert rec.kind == fr.INCONCLUSIVE
         assert rec.c is None and rec.front is None
         assert rec.evidence["reason"] == "solver"
@@ -230,9 +233,10 @@ class TestScan:
         assert pts[0].record.kind == fr.STATIONARY
         assert pts[0].record.evidence["stationary_residual"] < 1e-6
 
-    def test_solver_failure_does_not_abort_scan(self, homog_inst):
+    def test_solver_failure_does_not_abort_scan(self, homog_inst, monkeypatch):
+        monkeypatch.setattr(fr, "choose_dt", lambda *args: 1.0)
         pts = fr.scan_E(homog_inst.coeff, homog_inst.reaction, [0.5, 1.0],
-                        fr.FrontRunConfig(dt=1.0), fr.Budget(10.0))
+                        fr.FrontRunConfig(), fr.Budget(10.0))
         assert [p.L for p in pts] == [0.5, 1.0]
         assert all(p.record.kind == fr.INCONCLUSIVE for p in pts)
         assert all(p.record.evidence["reason"] == "solver" for p in pts)
@@ -275,12 +279,13 @@ class TestScan:
         assert cols[1] == fr.PROPAGATING
 
 
-def test_speed_uniqueness_between_data(homog_inst):
-    # two distinct admissible initial data must yield the same speed
-    cfg_a = fr.FrontRunConfig(initial_style="tanh")
-    cfg_b = fr.FrontRunConfig(initial_style="step")
-    a = fr.compute_pulsating_front(homog_inst, cfg_a, fr.Budget(300.0))
-    b = fr.compute_pulsating_front(homog_inst, cfg_b, fr.Budget(300.0))
+def test_speed_uniqueness_between_data(homog_inst, homog_front, monkeypatch):
+    # two distinct admissible initial data must yield the same speed: the
+    # reference front's tanh datum and a sharp step at the same interface
+    monkeypatch.setattr(fr, "front_initial_datum", lambda grid, interface:
+                        np.where(grid.nodes <= interface, 1.0, 0.0))
+    a = homog_front
+    b = fr.compute_pulsating_front(homog_inst, fr.FrontRunConfig(), fr.Budget(300.0))
     tol = a.speed_estimate.uncertainty + b.speed_estimate.uncertainty
     assert abs(a.speed - b.speed) <= max(tol, 1e-4)
 
@@ -290,3 +295,10 @@ def test_excursion_diagnostics_reported(homog_front):
     assert homog_front.diagnostics["excursion"] == 0.0
     lo, hi = homog_front.diagnostics["range_seen"]
     assert lo > -1e-6 and hi < 1.0 + 1e-6
+
+
+def test_front_run_settables():
+    # the step (solver.choose_dt), the domain (default_halfwidth) and the
+    # tanh datum of a front run are derived, never configured
+    assert [f.name for f in dataclasses.fields(fr.FrontRunConfig)] == \
+        ["nodes_per_period", "tail_floor", "tol_puls"]

@@ -26,8 +26,9 @@ def homogenized_decay_rates(front, homog):
     """Characteristic-root exponents cross-checked against tail fits."""
     l1, l2 = pr.characteristic_rates(homog.a_h, front.c0, homog.slope0, homog.slope1)
     # below ~1e-7 the trajectory feels the error of c0 (up to brentq's xtol,
-    # 1e-10), so the fit windows stay above that
-    fit1, fit2 = fr.fit_tail_rates(front.xi, front.phi, floor=1e-6, ceiling=1e-3)
+    # 1e-10), so the fits see only the lattice where both tails exceed 1e-6
+    keep = (front.phi > 1e-6) & (front.phi < 1.0 - 1e-6)
+    fit1, fit2 = fr.fit_tail_rates(front.xi[keep], front.phi[keep])
     gap = max(abs(fit1 - l1) / l1, abs(fit2 - l2) / l2)
     if gap > 0.02:
         raise RuntimeError(

@@ -109,7 +109,7 @@ class TestDeterminism:
     def test_split_evolution_is_bitwise(self, inst):
         g = make(inst)
         cfg = sv.SolverConfig(dt=0.02, u_left=1.0, u_right=0.0)
-        f0 = sv.front_initial_datum(g, "tanh")
+        f0 = sv.front_initial_datum(g)
         stepper = sv.Stepper(inst, g, cfg)
         a, t = stepper.run(f0.copy(), 0.0, 50)
         a, _ = stepper.run(a, t, 75)
@@ -136,7 +136,7 @@ class TestComparison:
     def test_front_run_stays_in_unit_interval(self, inst):
         g = make(inst, 10.0)
         cfg = sv.SolverConfig(dt=0.05, u_left=1.0, u_right=0.0)
-        out = evolve(inst, g, cfg, sv.front_initial_datum(g, "tanh"), 10.0)
+        out = evolve(inst, g, cfg, sv.front_initial_datum(g), 10.0)
         assert out.min() >= -1e-12
         assert out.max() <= 1.0 + 1e-12
 
@@ -148,7 +148,7 @@ class TestWindow:
         L = hetero_inst.L
         center = 0.5 * (g.x_min + g.x_max)
         slack = max(L, 0.15 * 0.5 * (g.x_max - g.x_min))
-        u0 = sv.front_initial_datum(g, "tanh", interface=center + drift_periods * L)
+        u0 = sv.front_initial_datum(g, interface=center + drift_periods * L)
         win = sv.Window(sv.Stepper(hetero_inst, g, sv.SolverConfig(dt=0.005)), u0)
         win.run(20)
         pos = fr.level_position(g.nodes, win.u)
@@ -178,24 +178,23 @@ class TestWindow:
 
 
 class TestInitialDatum:
-    @pytest.mark.parametrize("style", ["step", "ramp", "tanh"])
-    def test_monotone_and_endpoints(self, inst, style):
+    def test_monotone_and_endpoints(self, inst):
         g = make(inst)
-        f = sv.front_initial_datum(g, style)
+        f = sv.front_initial_datum(g)
         assert f[0] == 1.0
         assert f[-1] == 0.0
         assert np.all(np.diff(f) <= 0.0)
 
     def test_tanh_midpoint(self, inst):
         g = make(inst)
-        f = sv.front_initial_datum(g, "tanh", interface=g.nodes[g.n // 2])
+        f = sv.front_initial_datum(g, interface=g.nodes[g.n // 2])
         mid = np.interp(g.nodes[g.n // 2], g.nodes, f)
         assert mid == pytest.approx(0.5, abs=1e-12)
 
     def test_interface_outside_grid_rejected(self, inst):
         g = make(inst)
         with pytest.raises(ValueError):
-            sv.front_initial_datum(g, "tanh", interface=g.x_max + 1.0)
+            sv.front_initial_datum(g, interface=g.x_max + 1.0)
 
 
 class TestConfigGuards:
@@ -270,7 +269,7 @@ class TestFactoredStep:
         # solver.choose_dt picks 0.0044 on this grid; the gap between two
         # direct solves scales with cond(I - dt*D), about 1 + 4*dt*a_max/h^2
         cfg = sv.SolverConfig(dt=0.005, u_left=1.0, u_right=0.0)
-        u = sv.front_initial_datum(g, "tanh")
+        u = sv.front_initial_datum(g)
         u[1:-1] += 0.05 * np.sin(7.0 * g.nodes[1:-1])  # leave [0, 1] in places
         st = sv.Stepper(hetero_inst, g, cfg)
         for _ in range(5):
@@ -413,7 +412,7 @@ class TestCarriedRange:
         # datum outside [0, 1] must still take the linear extension
         g = make(hetero_inst, 4.0)
         cfg = sv.SolverConfig(dt=0.005, u_left=1.0, u_right=0.0)
-        u0 = sv.front_initial_datum(g, "tanh")
+        u0 = sv.front_initial_datum(g)
         u0[1:-1] += 0.3 * np.sin(7.0 * g.nodes[1:-1])
         assert u0.min() < 0.0 and u0.max() > 1.0
         y = np.mod(g.nodes / hetero_inst.L, 1.0)

@@ -15,10 +15,17 @@ def grid(homog_inst):
     return build_grid(homog_inst, 22.0, 64)
 
 
+def period_stepper(inst, grid, c, u_left=1.0, u_right=0.0):
+    """A Stepper on grid whose dt, about 0.05, is T/n for the period T = L/|c|
+    of a front of speed c, as the period map needs."""
+    T = inst.L / abs(c)
+    return Stepper(inst, grid, SolverConfig(dt=T / math.ceil(T / 0.05),
+                                            u_left=u_left, u_right=u_right))
+
+
 @pytest.fixture(scope="module")
-def frame_cfg():
-    # poincare_map shortens the step to T/n
-    return SolverConfig(dt=0.05)
+def frame(homog_inst, homog_front, grid):
+    return period_stepper(homog_inst, grid, homog_front.speed)
 
 
 def linear_decay_spectrum(inst, gamma, T, n_nodes=200):
@@ -31,7 +38,8 @@ def linear_decay_spectrum(inst, gamma, T, n_nodes=200):
     n_steps = max(1, int(math.ceil(T / 0.02)))
     dt = T / n_steps
     pots = np.full((n_steps, grid.n), -gamma)
-    P = st.linearized_period_map(inst, pots, grid, dt, 0)
+    factor = Stepper(inst, grid, SolverConfig(dt=dt)).factor
+    P = st.linearized_period_map(factor, pots, grid, dt, 0)
     return np.sort(np.abs(np.linalg.eigvals(P)))[::-1]
 
 
@@ -43,15 +51,20 @@ def translate(front, L, tau, x):
 
 
 class TestFrame:
-    def test_period(self, homog_inst, homog_front, grid, frame_cfg):
+    def test_period(self, homog_inst, homog_front, grid, frame):
         # the steps of one map cover exactly T = L/|c|
         ts = []
-        st.poincare_map(homog_inst, grid, homog_front.speed, frame_cfg,
+        st.poincare_map(frame, homog_front.speed,
                         translate(homog_front, homog_inst.L, 0.0, grid.nodes),
                         lambda k, t, u: ts.append(t))
         T = homog_inst.L / abs(homog_front.speed)
-        assert len(ts) == math.ceil(T / frame_cfg.dt - 1e-9)
+        assert len(ts) == math.ceil(T / 0.05)
         assert ts[-1] == pytest.approx(T, rel=1e-12)
+
+    def test_step_not_dividing_period_rejected(self, homog_inst, homog_front, grid):
+        stepper = Stepper(homog_inst, grid, SolverConfig(dt=0.05))
+        with pytest.raises(ValueError, match="step dividing the period"):
+            st.poincare_map(stepper, homog_front.speed, np.zeros(grid.n))
 
     def test_translates_are_ordered(self, homog_inst, homog_front, grid):
         xi = grid.nodes
@@ -60,52 +73,50 @@ class TestFrame:
         core = np.abs(xi) < 15.0
         assert np.all(v1[core] >= v2[core])
 
-    def test_fixed_point_family(self, homog_front, grid, frame_cfg, homog_inst):
+    def test_fixed_point_family(self, homog_front, grid, frame, homog_inst):
         for tau in (-2.0, -1.0, 0.0, 1.0, 2.0):
             g = translate(homog_front, homog_inst.L, tau * homog_inst.L, grid.nodes)
-            out = st.poincare_map(homog_inst, grid, homog_front.speed, frame_cfg, g)
+            out = st.poincare_map(frame, homog_front.speed, g)
             assert np.max(np.abs(out - g)) < 1e-3
 
-    def test_zero_stays_zero(self, homog_inst, homog_front, grid, frame_cfg):
-        cfg = SolverConfig(dt=frame_cfg.dt, u_left=0.0, u_right=0.0)
-        out = st.poincare_map(homog_inst, grid, homog_front.speed, cfg, np.zeros(grid.n))
+    def test_zero_stays_zero(self, homog_inst, homog_front, grid):
+        stepper = period_stepper(homog_inst, grid, homog_front.speed, 0.0, 0.0)
+        out = st.poincare_map(stepper, homog_front.speed, np.zeros(grid.n))
         assert np.max(np.abs(out)) < 1e-14
 
-    def test_zero_speed_rejected(self, homog_inst, grid, frame_cfg):
+    def test_zero_speed_rejected(self, grid, frame):
         with pytest.raises(ValueError, match="nonzero speed"):
-            st.poincare_map(homog_inst, grid, 0.0, frame_cfg, np.zeros(grid.n))
+            st.poincare_map(frame, 0.0, np.zeros(grid.n))
 
-    def test_poincare_monotone(self, homog_inst, homog_front, grid, frame_cfg):
+    def test_poincare_monotone(self, homog_inst, homog_front, grid, frame):
         g1 = translate(homog_front, homog_inst.L, 1.0, grid.nodes)   # lower translate
         g2 = translate(homog_front, homog_inst.L, -1.0, grid.nodes)
         assert np.all(g2 >= g1)
         c = homog_front.speed
-        p1 = st.poincare_map(homog_inst, grid, c, frame_cfg, g1)
-        p2 = st.poincare_map(homog_inst, grid, c, frame_cfg, g2)
+        p1 = st.poincare_map(frame, c, g1)
+        p2 = st.poincare_map(frame, c, g2)
         assert np.min(p2 - p1) >= -1e-10
 
-    def test_double_map_equals_two_periods(self, homog_inst, homog_front, grid, frame_cfg):
+    def test_double_map_equals_two_periods(self, homog_inst, homog_front, grid, frame):
         # two maps against 2n steps and one shift by two periods: they differ
         # only by the tail values (about 1e-7 here) that the first shift
         # replaces at the window's edge, and that difference decays inward
         c = homog_front.speed
         g = translate(homog_front, homog_inst.L, 0.5, grid.nodes)
-        a = st.poincare_map(homog_inst, grid, c, frame_cfg,
-                            st.poincare_map(homog_inst, grid, c, frame_cfg, g))
-        T = homog_inst.L / abs(c)
-        n = math.ceil(T / frame_cfg.dt - 1e-9)
-        cfg = SolverConfig(dt=T / n)
-        b, _ = Stepper(homog_inst, grid, cfg).run(g.copy(), 0.0, 2 * n)
+        a = st.poincare_map(frame, c, st.poincare_map(frame, c, g))
+        n = math.ceil(homog_inst.L / abs(c) / 0.05)
+        b, _ = frame.run(g.copy(), 0.0, 2 * n)
         b = shift_window(b, 2, grid.nodes_per_period, 1.0, 0.0)
         core = np.abs(grid.nodes) < 10.0
         assert np.max(np.abs(a[core] - b[core])) < 1e-11
 
-    def test_linearization_matches_difference_quotient(self, homog_inst, coarse):
+    def test_linearization_matches_difference_quotient(self, homog_inst, homog_front):
+        # the reference front sampled on a 12-node/period grid
         grid = build_grid(homog_inst, 8.0, 12)
-        c = coarse.speed
+        c = homog_front.speed
+        stepper = period_stepper(homog_inst, grid, c)
         n = math.ceil(homog_inst.L / abs(c) / 0.05)
-        cfg = SolverConfig(dt=homog_inst.L / abs(c) / n)
-        u0 = translate(coarse, homog_inst.L, 0.0, grid.nodes)
+        u0 = translate(homog_front, homog_inst.L, 0.0, grid.nodes)
         pots = np.empty((n, grid.n))
         pots[0] = homog_inst.df_L(grid.nodes, u0)
 
@@ -113,13 +124,13 @@ class TestFrame:
             if k < n:
                 pots[k] = homog_inst.df_L(grid.nodes, u)
 
-        base = st.poincare_map(homog_inst, grid, c, cfg, u0, record)
-        P = st.linearized_period_map(homog_inst, pots, grid, cfg.dt, 1)
+        base = st.poincare_map(stepper, c, u0, record)
+        P = st.linearized_period_map(stepper.factor, pots, grid, stepper.cfg.dt, 1)
         x = grid.nodes
         v = np.exp(-((x - 1.0) / 2.0) ** 2)
         v[0] = v[-1] = 0.0
         eps = 1e-6
-        quotient = (st.poincare_map(homog_inst, grid, c, cfg, u0 + eps * v) - base) / eps
+        quotient = (st.poincare_map(stepper, c, u0 + eps * v) - base) / eps
         # the map pins its end values, the linearization keeps row 0 of the shift
         inner = slice(1, -1)
         assert np.max(np.abs(P[inner] @ v - quotient[inner])) < 1e-5 * np.max(np.abs(P @ v))
@@ -246,27 +257,57 @@ class TestInitialv2:
             st.initialv2_experiment(homog_inst, homog_front, [fake], g, fr.Budget(10.0))
 
 
-@pytest.fixture(scope="module")
-def coarse(homog_inst):
-    cfg = fr.FrontRunConfig(nodes_per_period=12, halfwidth=16.0, tol_puls=2e-4)
-    return fr.compute_pulsating_front(homog_inst, cfg, fr.Budget(400.0))
+def node_budget_grid(inst, front, n_nodes):
+    """The grid by search: the front's resolution coarsened one node per
+    period at a time, then its extent trimmed one period at a time."""
+    L = inst.L
+    npp = max(4, round(L / (front.xi[1] - front.xi[0])))
+    halfwidth = 0.5 * (front.xi[-1] - front.xi[0])
+    grid = build_grid(inst, halfwidth, npp)
+    while grid.n > n_nodes and npp > 4:
+        npp -= 1
+        grid = build_grid(inst, halfwidth, npp)
+    while grid.n > n_nodes and halfwidth > 2.0 * L:
+        halfwidth -= L
+        grid = build_grid(inst, halfwidth, npp)
+    return grid
 
 
 class TestSpectrum:
-    def test_unit_eigenvalue_and_direction(self, homog_inst, coarse, homog_front):
-        # the coarse front fits the node budget as is; the 64-node/period
-        # front is coarsened before its extent is trimmed
-        for fr_ in (coarse, homog_front):
-            spec = st.poincare_spectrum(homog_inst, fr_, n_nodes=400)
-            assert spec.n_nodes <= 400
-            assert spec.leading_gap < 1e-2
-            assert spec.cosine_similarity > 0.99
+    def test_unit_eigenvalue_and_direction(self, homog_spectrum):
+        spec = homog_spectrum
+        assert spec.n_nodes <= 400
+        assert spec.leading_gap < 1e-2
+        assert spec.cosine_similarity > 0.99
 
-    def test_contraction_below_leading(self, homog_inst, coarse):
-        spec = st.poincare_spectrum(homog_inst, coarse, n_nodes=400)
+    def test_contraction_below_leading(self, homog_spectrum):
+        spec = homog_spectrum
         assert spec.second_modulus < 1.0
         assert spec.n_above_ess < 10
         assert len(spec.flagged) == spec.n_above_ess
+
+    @pytest.mark.parametrize("n_nodes", [400, 120, 40, 25])
+    def test_one_grid_one_step_one_stepper(self, homog_inst, homog_front, monkeypatch,
+                                           n_nodes):
+        # the grid comes from one expression, equal to the search; dt from
+        # the one step rule; and one Stepper serves orbit and linearization
+        calls = {"build_grid": [], "choose_dt": [], "Stepper": []}
+        for name in calls:
+            orig = getattr(st, name)
+
+            def counted(*args, orig=orig, name=name, **kwargs):
+                out = orig(*args, **kwargs)
+                calls[name].append(out)
+                return out
+            monkeypatch.setattr(st, name, counted)
+        spec = st.poincare_spectrum(homog_inst, homog_front, n_nodes=n_nodes)
+        assert {k: len(v) for k, v in calls.items()} == \
+            {"build_grid": 1, "choose_dt": 1, "Stepper": 1}
+        grid = calls["build_grid"][0]
+        ref = node_budget_grid(homog_inst, homog_front, n_nodes)
+        assert (grid.x_min, grid.x_max, grid.n) == (ref.x_min, ref.x_max, ref.n)
+        assert spec.n_nodes == grid.n
+        assert calls["Stepper"][0].grid is grid
 
     def test_linear_decay_bound(self, homog_inst):
         gamma = 0.25
@@ -275,10 +316,11 @@ class TestSpectrum:
         assert mods[0] <= math.exp(-gamma * T) * (1.0 + 0.05)
 
     @pytest.mark.slow
-    def test_fitted_rate_within_spectral_gap_bound(self, homog_inst, homog_front, coarse):
+    def test_fitted_rate_within_spectral_gap_bound(self, homog_inst, homog_front,
+                                                   homog_spectrum):
         # the observed convergence rate cannot beat the linearized gap by
         # more than the allowed slack
-        spec = st.poincare_spectrum(homog_inst, coarse, n_nodes=400)
+        spec = homog_spectrum
         gap_rate = -math.log(spec.second_modulus) / spec.T
 
         def g(x):
