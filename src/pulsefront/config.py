@@ -63,7 +63,6 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "L": ("1.0", float, "spatial period of the instance"),
         "nodes_per_period": ("64", int, "grid nodes per period"),
         "tail_floor": ("1e-8", float, "target tail depth of extracted profiles"),
-        "tol_puls": ("1e-5", float, "acceptance tolerance on the pulsating defect"),
         "budget": ("600.0", float, "maximum simulated time per run"),
     },
     "run": {
@@ -205,6 +204,5 @@ def build_instance(cfg: ExperimentConfig) -> profiles.ProblemInstance:
 def build_run_config(cfg: ExperimentConfig):
     from .fronts import Budget, FrontRunConfig
     n = cfg["numerics"]
-    rc = FrontRunConfig(nodes_per_period=n["nodes_per_period"],
-                        tail_floor=n["tail_floor"], tol_puls=n["tol_puls"])
+    rc = FrontRunConfig(nodes_per_period=n["nodes_per_period"], tail_floor=n["tail_floor"])
     return rc, Budget(n["budget"])

@@ -1,7 +1,7 @@
 """Pulsating fronts by long-time evolution: speeds, profiles, classification.
 
 A front-like datum is evolved until two capture windows in a row satisfy, to
-tol_puls, the defining relation u(t + L/c, x + L) = u(t, x) of a pulsating
+TOL_PULS, the defining relation u(t + L/c, x + L) = u(t, x) of a pulsating
 front (the first opens once a speed estimate exists), or until the interface
 demonstrably pins (stationary branch), or until the budget runs out
 (inconclusive, never silently a front).  Speeds are measured two ways: a
@@ -29,7 +29,8 @@ STAT_DISP_FRAC = 0.1        # pinned: displacement below 0.1 h over STAT_WINDOW
 MIN_LEVEL_SAMPLES = 20      # level samples behind a level-speed fit
 MIN_TAIL_EFOLDS = 3.0       # depth a tail fit must span
 CAPTURE_SNAPSHOTS = 192     # snapshots per capture window
-RECENTER_FRAC = 0.15        # interface drift allowance, times the halfwidth
+SPEED_WINDOW = 2.0 * SETTLE_TIME   # level record behind the speed estimate c_hat
+TOL_PULS = 1e-5             # acceptance tolerance on the pulsating defect
 DEFECT_MARGIN_FRAC = 0.15   # per-side exclusion of the defect window
 
 
@@ -59,7 +60,6 @@ class Budget:
 class FrontRunConfig:
     nodes_per_period: int = 64
     tail_floor: float = 1e-8
-    tol_puls: float = 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -228,9 +228,12 @@ class FrontSolution:
     pulsating_error: float
     mu1_fit: float | None
     mu2_fit: float | None
-    stationary: bool
     speed_estimate: SpeedEstimate | None
     diagnostics: dict
+
+    @property
+    def stationary(self) -> bool:
+        return self.speed == 0.0
 
     def on_cells(self, M: int, n: int):
         """xi -> phi(xi, y_q) on the n nodes of a window grid with M nodes per
@@ -298,11 +301,12 @@ class FrontSolution:
 
 
 def extract_profile(snaps: SnapshotSeries, c: float, t_start: float, period: float,
-                    margin_nodes: int = 8):
+                    margin_nodes: int):
     """Rebuild phi(xi, y) from snapshots spanning at least one time period.
 
-    Returns (xi, y, phi).  Replicas of the same (xi, y) seen through
-    different nodes are averaged.
+    Returns (xi, y, phi).  Node q shows lattice point p at t = (q - p) h / c,
+    so each offset d = q - p reads one snapshot row; replicas of the same
+    (xi, y) seen through different nodes are averaged.
     """
     grid = snaps.grid
     m0 = grid.nodes_per_period
@@ -327,40 +331,29 @@ def extract_profile(snaps: SnapshotSeries, c: float, t_start: float, period: flo
     ps = np.arange(p_lo, p_hi + 1)
     xi = grid.x_min + h * ps
     ys = np.arange(m0) / m0
-    phi = np.zeros((len(ps), m0))
-    k_snap = snaps.U.shape[0]
-    cdt = c / h
-    for j in range(m0):
-        acc = np.zeros(len(ps))
-        cnt = np.zeros(len(ps))
-        q_a = ps + cdt * t_lo
-        q_b = ps + cdt * t_hi
-        q_min = np.minimum(q_a, q_b)
-        q_max = np.maximum(q_a, q_b)
-        m_first = np.ceil((q_min - j) / m0 - 1e-9).astype(int)
-        m_last = np.floor((q_max - j) / m0 + 1e-9).astype(int)
-        max_reps = int(np.max(m_last - m_first)) + 1
-        for r in range(max(max_reps, 0)):
-            mm = m_first + r
-            q = j + mm * m0
-            t = (q - ps) * h / c
-            ok = (mm <= m_last) & (q >= lo_node) & (q <= hi_node) \
-                & (t >= t_lo - 1e-9) & (t <= t_hi + 1e-9)
-            if not ok.any():
-                continue
-            s = (t - snaps.t0) / snaps.dt_snap
-            s = np.clip(s, 0.0, k_snap - 1 - 1e-12)
-            i0 = s.astype(int)
-            w = s - i0
-            qq = np.clip(q, 0, n - 1)
-            vals = (1.0 - w) * snaps.U[i0, qq] + w * snaps.U[i0 + 1, qq]
-            acc[ok] += vals[ok]
-            cnt[ok] += 1
-        if not (cnt > 0).all():
-            raise ValueError("insufficient snapshot coverage for some lattice points; "
-                             "increase the capture span or snapshot count")
-        phi[:, j] = acc / cnt
-    return xi, ys, phi
+    acc = np.zeros((len(ps), m0))
+    cnt = np.zeros((len(ps), m0), dtype=np.int16)
+    rows = np.arange(len(ps))
+    d_lo, d_hi = sorted((c * t_lo / h, c * t_hi / h))
+    # increasing d sums each (p, y) in the order of its nodes q
+    for d in range(math.floor(d_lo) - 1, math.ceil(d_hi) + 2):
+        t = d * h / c
+        if not (t_lo - 1e-9 <= t <= t_hi + 1e-9):
+            continue
+        q = ps + d
+        ok = (q >= lo_node) & (q <= hi_node)
+        if not ok.any():
+            continue
+        q = q[ok]
+        cols = q % m0
+        r = rows[ok]
+        acc[r, cols] += snaps.u_at(t)[q]
+        cnt[r, cols] += 1
+    if not (cnt > 0).all():
+        raise ValueError("insufficient snapshot coverage for some lattice points; "
+                         "increase the capture span or snapshot count")
+    acc /= cnt
+    return xi, ys, acc
 
 
 def fit_tail_rates(xi: np.ndarray, prof: np.ndarray):
@@ -485,7 +478,7 @@ class _RunState(Window):
         return float(xx.max() - xx.min())
 
 
-def _front_from_lattice(speed, xi, ys, phi, defect, stationary, est, diagnostics):
+def _front_from_lattice(speed, xi, ys, phi, defect, est, diagnostics):
     prof = phi.mean(axis=1)
     pos = level_position(xi, prof)
     xi = xi - (pos if pos is not None else 0.0)
@@ -495,8 +488,8 @@ def _front_from_lattice(speed, xi, ys, phi, defect, stationary, est, diagnostics
     except ValueError as exc:
         diagnostics["decay_fit"] = str(exc)
     return FrontSolution(speed=speed, xi=xi, y=ys, phi=phi, pulsating_error=defect,
-                         mu1_fit=mu1, mu2_fit=mu2, stationary=stationary,
-                         speed_estimate=est, diagnostics=diagnostics)
+                         mu1_fit=mu1, mu2_fit=mu2, speed_estimate=est,
+                         diagnostics=diagnostics)
 
 
 def compute_pulsating_front(inst: ProblemInstance, cfg: FrontRunConfig = FrontRunConfig(),
@@ -516,14 +509,14 @@ def compute_pulsating_front(inst: ProblemInstance, cfg: FrontRunConfig = FrontRu
     # the defect window stays clear of the Dirichlet boundary layers
     margin_nodes = max(grid.nodes_per_period + 4, int(DEFECT_MARGIN_FRAC * grid.n))
     c_floor = h / (10.0 * STAT_WINDOW)
-    settled = None          # start of the last window if its defect was under tol_puls
+    settled = None          # start of the last window if its defect was under TOL_PULS
     diagnostics: dict = {"L": inst.L, "h": h, "dt": dt, "halfwidth": halfwidth,
                          "n_nodes": grid.n, "last_defect": None}
 
     while state.t < budget.t_max:
         state.advance(min(SETTLE_TIME, budget.t_max - state.t))
-        state.recenter(level_position(grid.nodes, state.u), RECENTER_FRAC)
-        c_hat, _ = state.recent_speed(max(2.0 * SETTLE_TIME, 20.0))
+        state.recenter(level_position(grid.nodes, state.u))
+        c_hat, _ = state.recent_speed(SPEED_WINDOW)
         disp = state.displacement(STAT_WINDOW)
         if disp is not None and disp < STAT_DISP_FRAC * h:
             resid = residual_stationary(grid, state.u, inst)
@@ -540,7 +533,7 @@ def compute_pulsating_front(inst: ProblemInstance, cfg: FrontRunConfig = FrontRu
                 prof = state.u[margin:-margin]
                 phi = np.repeat(prof[:, None], m, axis=1)
                 return _front_from_lattice(0.0, xi, np.arange(m) / m, phi, resid,
-                                           True, est, diagnostics)
+                                           est, diagnostics)
         if c_hat is None or abs(c_hat) < c_floor:
             continue
         t_hat = inst.L / abs(c_hat)
@@ -558,7 +551,7 @@ def compute_pulsating_front(inst: ProblemInstance, cfg: FrontRunConfig = FrontRu
             continue
         defect = max(d1, d2)
         diagnostics["last_defect"] = defect
-        if defect < cfg.tol_puls and settled is not None:
+        if defect < TOL_PULS and settled is not None:
             c_period = sgn * inst.L / T1
             times = np.asarray(state.level_t)
             xs = np.asarray(state.level_x)
@@ -578,13 +571,12 @@ def compute_pulsating_front(inst: ProblemInstance, cfg: FrontRunConfig = FrontRu
             diagnostics["range_seen"] = (state.stepper.min_seen,
                                          state.stepper.max_seen)
             diagnostics["time_monotonicity_defect"] = snaps.time_monotonicity_defect()
-            return _front_from_lattice(c_period, xi, ys, phi, defect, False, est,
-                                       diagnostics)
-        settled = snaps.t0 if defect < cfg.tol_puls else None
+            return _front_from_lattice(c_period, xi, ys, phi, defect, est, diagnostics)
+        settled = snaps.t0 if defect < TOL_PULS else None
 
     diagnostics["reason"] = "budget"
     diagnostics["t_final"] = state.t
-    c_hat, _ = state.recent_speed(max(2.0 * SETTLE_TIME, 20.0))
+    c_hat, _ = state.recent_speed(SPEED_WINDOW)
     diagnostics["c_hat"] = c_hat
     if "stationary_residual" not in diagnostics:
         diagnostics["stationary_residual"] = residual_stationary(grid, state.u, inst)
@@ -611,7 +603,7 @@ def verify_speed_identity(front: FrontSolution, homog: HomogenizedData) -> Ident
 
     Returns the speed implied by the identity and the relative mismatch.
     """
-    if front.stationary or front.speed == 0.0:
+    if front.stationary:
         raise ValueError("the identity check needs a non-stationary front")
     h = float(front.xi[1] - front.xi[0])
     dphi = np.gradient(front.phi, h, axis=0)
@@ -642,13 +634,12 @@ class ClassificationRecord:
 
 
 def classify_quenching(inst: ProblemInstance, cfg: FrontRunConfig = FrontRunConfig(),
-                       budget: Budget = Budget(),
-                       homog: HomogenizedData | None = None) -> ClassificationRecord:
+                       budget: Budget = Budget()) -> ClassificationRecord:
     """Three-way outcome of the front computation with the evidence attached.
 
     A solver failure becomes an Inconclusive record with reason "solver"."""
     try:
-        front = compute_pulsating_front(inst, cfg, budget, homog=homog)
+        front = compute_pulsating_front(inst, cfg, budget)
     except FrontNotConverged as exc:
         return ClassificationRecord(kind=INCONCLUSIVE, c=None,
                                     evidence=dict(exc.diagnostics), front=None)

@@ -4,9 +4,10 @@ the small-period convergence sweep.
 The limit problem is a_H phi'' + c phi' + fbar(phi) = 0 with phi(-inf) = 1,
 phi(+inf) = 0.  Brent's method finds c where the orbits leaving the saddles 1
 and 0 meet the section phi = 1/2 with equal slopes (Beyn, IMA J. Numer. Anal.
-10 (1990)).  If fbar has several interior zeros the orbit from 1 can instead
-settle on one of them, in which case there is no 0-1 connection and the solve
-reports it rather than forcing an answer.
+10 (1990)); a zero integral of fbar is the standing front, c = 0.  If fbar
+has several interior zeros the orbit from 1 can instead settle on one of them,
+in which case there is no 0-1 connection and the solve reports it rather than
+forcing an answer.
 """
 
 from __future__ import annotations
@@ -61,13 +62,6 @@ class HomogenizedFront:
                         np.where(xi > self.xi[-1], right, inner))
 
 
-def _is_odd_symmetric(homog: HomogenizedData) -> bool:
-    u = np.linspace(0.0, 1.0, 513)
-    dev = np.max(np.abs(homog.fbar(u) + homog.fbar(1.0 - u)))
-    scale = max(np.max(np.abs(homog.fbar(u))), 1e-30)
-    return bool(dev <= 1e-11 + 1e-9 * scale)
-
-
 def _saddle_orbit(homog: HomogenizedData, c: float, xi_max: float, level: float,
                   from_one: bool = True):
     """Orbit leaving 1 forward (or 0 backward) in xi along its unstable (stable)
@@ -95,7 +89,8 @@ def _saddle_orbit(homog: HomogenizedData, c: float, xi_max: float, level: float,
 
 def solve_homogenized_front(homog: HomogenizedData) -> HomogenizedFront:
     """Front (phi0, c0) of the averaged equation by Brent's method on the
-    section mismatch of the two saddle orbits.
+    section mismatch of the two saddle orbits, or c0 = 0 when the integral
+    of fbar vanishes; the profile is the orbit leaving 1 at c0 either way.
 
     Preconditions: fbar'(0) < 0, fbar'(1) < 0 and at least one interior zero.
     The profile is normalized by phi0(0) = 1/2; repeated solves are bitwise
@@ -110,9 +105,6 @@ def solve_homogenized_front(homog: HomogenizedData) -> HomogenizedFront:
     c_max = 2.0 * math.sqrt(umax * a)
     xi_max = 400.0 / math.sqrt(min(-homog.slope0, -homog.slope1) / a)
 
-    if _is_odd_symmetric(homog) and abs(homog.i_fbar) < 1e-12:
-        return _symmetric_front(homog)
-
     @functools.cache                  # brentq evaluates the bracket ends again
     def slopes(c):
         # slopes phi' (p1, p0) where the orbits from 1 and from 0 first meet
@@ -125,17 +117,20 @@ def solve_homogenized_front(homog: HomogenizedData) -> HomogenizedFront:
         p1, p0 = slopes(c)
         return p1 - p0
 
-    lo, hi = -c_max, c_max
-    for _ in range(4):
-        if mismatch(lo) * mismatch(hi) < 0.0:
-            break
-        lo *= 2.0
-        hi *= 2.0
+    if abs(homog.i_fbar) < 1e-12:
+        c0 = 0.0                      # the standing front: sign(c0) = sign(int fbar)
     else:
-        raise BracketError(
-            f"no sign change of the section mismatch on [{lo/2:.3g}, {hi/2:.3g}]; "
-            "a 0-1 connection may not exist for this averaged reaction")
-    c0 = brentq(mismatch, lo, hi, xtol=1e-10)
+        lo, hi = -c_max, c_max
+        for _ in range(4):
+            if mismatch(lo) * mismatch(hi) < 0.0:
+                break
+            lo *= 2.0
+            hi *= 2.0
+        else:
+            raise BracketError(
+                f"no sign change of the section mismatch on [{lo/2:.3g}, {hi/2:.3g}]; "
+                "a 0-1 connection may not exist for this averaged reaction")
+        c0 = brentq(mismatch, lo, hi, xtol=1e-10)
     if slopes(c0) == (0.0, 0.0):
         raise NoConnection(
             f"neither saddle orbit reaches phi = 1/2 at c = {c0:.6g}: the zero "
@@ -166,51 +161,11 @@ def _assemble_front(homog: HomogenizedData, c0: float, sol) -> HomogenizedFront:
     spl = CubicSpline(ts, phi - 0.5)
     lo = max(0, i_half - 5)
     hi = min(len(ts) - 1, i_half + 5)
-    try:
-        shift = brentq(spl, ts[lo], ts[hi])
-    except ValueError:
-        shift = ts[i_half]
+    shift = brentq(spl, ts[lo], ts[hi])
     xi = ts - shift
     A1 = float(phi[-1] * math.exp(l1 * xi[-1]))
     A2 = float((1.0 - phi[0]) * math.exp(-l2 * xi[0]))
     return HomogenizedFront(c0=c0, xi=xi, phi=phi, lambda1=l1, lambda2=l2,
-                            A1=A1, A2=A2, _spline=CubicSpline(xi, phi))
-
-
-def _symmetric_front(homog: HomogenizedData) -> HomogenizedFront:
-    """Stationary profile when fbar is odd about 1/2: quadrature of the
-    first-order reduction a_H (phi')^2 / 2 = int_phi^1 fbar."""
-    a = homog.a_h
-    u_nodes = np.linspace(0.0, 1.0, 8193)
-    f_nodes = homog.fbar(u_nodes)
-    F = CubicSpline(u_nodes, f_nodes).antiderivative()
-    F1 = float(F(1.0))
-
-    def dphi(u):
-        val = 2.0 * (F1 - F(u)) / a
-        return -np.sqrt(np.maximum(val, 0.0))
-
-    def rhs(xi, s):
-        return [dphi(s[0])]
-
-    span = 200.0 / math.sqrt(-homog.slope0 / a)
-    sol_r = solve_ivp(rhs, (0.0, span), [0.5], rtol=1e-10, atol=1e-13,
-                      dense_output=True)
-    sol_l = solve_ivp(rhs, (0.0, -span), [0.5], rtol=1e-10, atol=1e-13,
-                      dense_output=True)
-    n = 2000
-    xi_r = np.linspace(0.0, sol_r.t[-1], n)
-    xi_l = np.linspace(sol_l.t[-1], 0.0, n)
-    phi_r = sol_r.sol(xi_r)[0]
-    phi_l = sol_l.sol(xi_l)[0]
-    keep_r = (phi_r > SADDLE_EPS) & (phi_r < 1.0)
-    keep_l = (phi_l < 1.0 - SADDLE_EPS) & (phi_l > 0.0)
-    xi = np.concatenate([xi_l[keep_l][:-1], xi_r[keep_r]])
-    phi = np.concatenate([phi_l[keep_l][:-1], phi_r[keep_r]])
-    l1, l2 = characteristic_rates(a, 0.0, homog.slope0, homog.slope1)
-    A1 = float(phi[-1] * math.exp(l1 * xi[-1]))
-    A2 = float((1.0 - phi[0]) * math.exp(-l2 * xi[0]))
-    return HomogenizedFront(c0=0.0, xi=xi, phi=phi, lambda1=l1, lambda2=l2,
                             A1=A1, A2=A2, _spline=CubicSpline(xi, phi))
 
 
@@ -285,21 +240,17 @@ HOMOG_CSV_HEADER = "L,c_L,c0,c_gap_rel,profile_gap_L2,shift"
 
 def homogenization_sweep(coeff, reaction, L_list: Sequence[float],
                          cfg: FrontRunConfig = FrontRunConfig(),
-                         budget: Budget = Budget(),
-                         homog: HomogenizedData | None = None,
-                         front0: HomogenizedFront | None = None):
+                         budget: Budget = Budget()):
     """Fronts along a decreasing L list compared with the homogenized limit.
 
-    Returns (records, front0).  Refuses symmetric reactions with c0 = 0; that
+    Returns (records, front0).  Refuses a zero integral of fbar (c0 = 0); that
     regime is the stationary branch of the period scan.  Per-L numerical
     failures (FrontNotConverged, SolverError, ValueError) are recorded as
     (L, exc) entries; any other exception propagates.
     """
     from .profiles import homogenized_data as _hd
-    if homog is None:
-        homog = _hd(coeff, reaction)
-    if front0 is None:
-        front0 = solve_homogenized_front(homog)
+    homog = _hd(coeff, reaction)
+    front0 = solve_homogenized_front(homog)
     if front0.c0 == 0.0:
         raise ValueError("homogenized speed is zero; use the period scan's "
                          "stationary branch instead of the sweep")

@@ -33,6 +33,7 @@ from .profiles import ProblemInstance, bind_reaction
 REACTION_BUDGET = 0.4     # dt <= 0.4 / K: explicit reaction budget, inside dt*K < 0.5
 ACCURACY_CFL = 0.25       # |c| dt <= ACCURACY_CFL * h: a quarter node of front motion
 DT_CAP = 0.05
+RECENTER_FRAC = 0.15      # interface drift allowance of a Window, times its halfwidth
 
 
 class SolverError(RuntimeError):
@@ -263,13 +264,14 @@ class Window:
         self.u = u
         self.x_offset += p * self.grid.L
 
-    def recenter(self, pos: float | None, frac: float) -> int:
+    def recenter(self, pos: float | None) -> int:
         """Slide by the whole periods nearest the drift of the interface at pos
         (window coordinates) from the center, once the drift reaches
-        max(L, frac * halfwidth); returns the periods slid (0 if none)."""
+        max(L, RECENTER_FRAC * halfwidth); returns the periods slid (0 if none)."""
         g = self.grid
         center = 0.5 * (g.x_min + g.x_max)
-        if pos is None or abs(pos - center) < max(g.L, frac * 0.5 * (g.x_max - g.x_min)):
+        allowance = max(g.L, RECENTER_FRAC * 0.5 * (g.x_max - g.x_min))
+        if pos is None or abs(pos - center) < allowance:
             return 0
         p = int(round((pos - center) / g.L))
         self.slide(p)

@@ -36,6 +36,7 @@ NEWTON_MAX_ITER = 60
 NEWTON_MAX_HALVINGS = 30
 DEDUPE_FACTOR = 10.0        # roots closer than this many residuals are one state
 TRIVIAL_TOL = 1e-4          # states within this of 0 or 1 are trivial
+DECAY_MU_MAX = 50.0         # decay_root_mu scans mu up to this
 
 
 class EigenIterationError(RuntimeError):
@@ -146,7 +147,7 @@ def _as_values(ubar, x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def dirichlet_principal_eigen(inst: ProblemInstance, ubar, R: float,
-                              n_nodes: int = 1024) -> EigenPair:
+                              n_nodes: int) -> EigenPair:
     """Principal pair of (a_L psi')' + df_L(x, ubar) psi on [-R, R], psi(+-R)=0."""
     if n_nodes < 64:
         raise ValueError("need n_nodes >= 64")
@@ -379,14 +380,14 @@ def decay_eigenvalue(inst: ProblemInstance, c: float, mu: float,
 
 
 def decay_root_mu(inst: ProblemInstance, c: float, direction: str = "right",
-                  potential: str = "margin", mu_max: float = 50.0) -> float:
+                  potential: str = "margin") -> float:
     """Rate mu1 > 0 with vanishing principal eigenvalue of the tail operator.
 
     lambda1(0) < 0 by the stability margins and lambda1 grows quadratically,
     so a sign change is bracketed by scanning and then solved by Brent's method.
     """
     n_nodes = max(128, int(math.ceil(
-        6.0 * inst.L * mu_max * inst.coeff.a_max / inst.coeff.a_min)))
+        6.0 * inst.L * DECAY_MU_MAX * inst.coeff.a_max / inst.coeff.a_min)))
 
     @functools.cache                  # brentq evaluates the bracket ends again
     def lam(mu):
@@ -397,13 +398,13 @@ def decay_root_mu(inst: ProblemInstance, c: float, direction: str = "right",
         raise RuntimeError(f"tail operator not negative at mu=0 (lambda={lam0:.3g})")
     lo = 0.0
     hi = None
-    mu = min(0.25, mu_max)
-    while mu <= mu_max * (1 + 1e-12):
+    mu = min(0.25, DECAY_MU_MAX)
+    while mu <= DECAY_MU_MAX * (1 + 1e-12):
         if lam(mu) > 0.0:
             hi = mu
             break
         lo = mu
         mu *= 2.0
     if hi is None:
-        raise RuntimeError(f"no decay-rate sign change below mu_max={mu_max}")
+        raise RuntimeError(f"no decay-rate sign change below DECAY_MU_MAX={DECAY_MU_MAX}")
     return brentq(lam, lo, hi, xtol=1e-12 * max(1.0, hi))

@@ -35,7 +35,6 @@ FIT_CEILING = 5e-2
 MIN_FIT_POINTS = 8
 N_MODES = 12                # eigenvalues kept in a SpectrumSummary, at least
 ESS_MARGIN = 0.05           # tolerance above the essential radius
-RECENTER_FRAC = 0.3         # interface drift allowance, times the halfwidth
 
 
 def poincare_map(stepper: Stepper, c: float, g: np.ndarray,
@@ -87,7 +86,7 @@ def check_front_like(g: np.ndarray, delta: float) -> bool:
 
 
 def global_stability_experiment(inst: ProblemInstance, front: FrontSolution,
-                                g, budget: Budget = Budget(200.0)) -> StabilityReport:
+                                g, budget: Budget) -> StabilityReport:
     """Track sup_x |u(t, .) - U(t + tau, .)| for a front-like datum g.
 
     The phase tau is re-fit at every probe by golden-section; once it
@@ -105,7 +104,7 @@ def global_stability_experiment(inst: ProblemInstance, front: FrontSolution,
 def _experiment_window(inst: ProblemInstance, front: FrontSolution, g) -> Window:
     """The experiment's run: g realized on a front-sized grid at the front's
     resolution, stepped at solver.choose_dt for the front's speed."""
-    if front.stationary or front.speed == 0.0:
+    if front.stationary:
         raise ValueError("stability experiments need a non-stationary front")
     span = float(front.xi[-1] - front.xi[0])
     halfwidth = max(0.55 * span, 10.0)
@@ -157,7 +156,7 @@ def _track_phase(front: FrontSolution, win: Window, t_span: float) -> StabilityR
                                  tol=min(tau_tol * 0.1, 1e-4))
         probes.append((t, tau_hat, e))
         # keep the interface well inside the window
-        win.recenter(level_position(grid.nodes, u), RECENTER_FRAC)
+        win.recenter(level_position(grid.nodes, u))
 
     ts = np.array([p[0] for p in probes])
     taus = np.array([p[1] for p in probes])
@@ -205,8 +204,7 @@ def _track_phase(front: FrontSolution, win: Window, t_span: float) -> StabilityR
 
 
 def initialv2_experiment(inst: ProblemInstance, front: FrontSolution,
-                         states: Sequence, g,
-                         budget: Budget = Budget(300.0)) -> StabilityReport:
+                         states: Sequence, g, budget: Budget) -> StabilityReport:
     """Front-like convergence for data trapped between intermediate states.
 
     All intermediate periodic steady states must be unstable; the datum g
@@ -388,7 +386,7 @@ def poincare_spectrum(inst: ProblemInstance, front: FrontSolution,
     but finitely many modes below the essential radius e^{-gamma T/2} plus a
     margin.
     """
-    if front.stationary or front.speed == 0.0:
+    if front.stationary:
         raise ValueError("spectrum needs a non-stationary front")
     if n_nodes > 400:
         raise ValueError("dense linearization capped at 400 nodes")

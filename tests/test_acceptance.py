@@ -52,8 +52,7 @@ def sign_matrix(unit_coeff, cos_coeff):
             inst = pr.ProblemInstance(coeff=coeff, reaction=rx, L=0.5)
             hd = pr.homogenized_data(coeff, rx)
             cfg = fr.FrontRunConfig(tail_floor=1e-6)
-            records[(th, name)] = (fr.classify_quenching(inst, cfg, fr.Budget(500.0),
-                                                         homog=hd), hd)
+            records[(th, name)] = (fr.classify_quenching(inst, cfg, fr.Budget(500.0)), hd)
     return records
 
 

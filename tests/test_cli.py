@@ -52,11 +52,11 @@ class TestConfigParsing:
         cfg = parse_config(FRONT_CFG, "front")
         assert cfg["numerics"]["nodes_per_period"] == 64
         assert cfg["experiment"]["workers"] == 1
-        assert cfg["numerics"]["tol_puls"] == 1e-5
+        assert cfg["numerics"]["tail_floor"] == 1e-8
 
     def test_numerics_keys(self):
         assert list(SCHEMA["numerics"]) == ["L", "nodes_per_period", "tail_floor",
-                                            "tol_puls", "budget"]
+                                            "budget"]
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="typo_key"):
@@ -75,6 +75,7 @@ class TestConfigParsing:
         pytest.param("run", "spectrum_nodes", "400", id="run-spectrum_nodes"),
         pytest.param("numerics", "dt", "0.01", id="numerics-dt"),
         pytest.param("numerics", "halfwidth", "20", id="numerics-halfwidth"),
+        pytest.param("numerics", "tol_puls", "1e-5", id="numerics-tol_puls"),
     ])
     def test_unread_quad_n_key_rejected(self, section, key, value):
         with pytest.raises(ConfigError, match=key):
@@ -99,7 +100,7 @@ class TestConfigParsing:
 
     def test_schema_docs_cover_all_keys(self):
         doc = describe_schema()
-        for key in ("nodes_per_period", "tol_puls", "lambda_grid", "ubar", "prefix"):
+        for key in ("nodes_per_period", "tail_floor", "lambda_grid", "ubar", "prefix"):
             assert key in doc
 
     # a key that the scenario's runner or the chosen family never reads is
@@ -127,7 +128,7 @@ class TestConfigParsing:
         ("eigen", "budget", "300"),
         ("eigen", "nodes_per_period", "3"),
         ("steady", "budget", "300"),
-        ("steady", "tol_puls", "0.5"),
+        ("steady", "tail_floor", "1e-6"),
         ("decay", "tail_floor", "1e-6"),
     ])
     def test_unread_numerics_key_rejected(self, scenario, key, value):
@@ -185,8 +186,8 @@ def test_emit_profile_npz_is_exact(tmp_path):
     phi = rng.standard_normal((xi.size, y.size)) * 10.0 ** rng.uniform(-20, 3, (xi.size, y.size))
     phi[0, :3] = (0.0, -0.0, 1.0)
     front = fr.FrontSolution(speed=0.25, xi=xi, y=y, phi=phi, pulsating_error=1e-7,
-                             mu1_fit=None, mu2_fit=None, stationary=False,
-                             speed_estimate=None, diagnostics={"L": 0.5})
+                             mu1_fit=None, mu2_fit=None, speed_estimate=None,
+                             diagnostics={"L": 0.5})
     cfg = parse_config(FRONT_CFG, "front")
     path = tmp_path / "run_profile.npz"
     runner.emit_profile(str(path), front, cfg)

@@ -70,6 +70,73 @@ class TestMeasureSpeed:
         assert abs(c_period - c) <= fr._period_uncertainty(1.0, T_star, width, dt_snap)
 
 
+def replica_loop_extract(snaps, c, t_start, period, margin_nodes):
+    """The per-column replica loop that fronts.extract_profile replaced: for
+    each column j, the nodes q = j + mm*M of replica mm, with a second copy of
+    the time interpolation.  Kept as the reference for bitwise equality."""
+    import math
+    grid = snaps.grid
+    m0, n, h = grid.nodes_per_period, grid.n, grid.h
+    t_lo, t_hi = t_start, snaps.t1
+    lo_node, hi_node = margin_nodes, n - 1 - margin_nodes
+    xs = grid.nodes
+    xi_lo = xs[lo_node] - c * (t_lo if c > 0 else t_hi)
+    xi_hi = xs[hi_node] - c * (t_hi if c > 0 else t_lo)
+    p_lo = int(math.ceil((xi_lo - grid.x_min) / h - 1e-9))
+    p_hi = int(math.floor((xi_hi - grid.x_min) / h + 1e-9))
+    ps = np.arange(p_lo, p_hi + 1)
+    phi = np.zeros((len(ps), m0))
+    k_snap = snaps.U.shape[0]
+    cdt = c / h
+    for j in range(m0):
+        acc = np.zeros(len(ps))
+        cnt = np.zeros(len(ps))
+        q_a = ps + cdt * t_lo
+        q_b = ps + cdt * t_hi
+        m_first = np.ceil((np.minimum(q_a, q_b) - j) / m0 - 1e-9).astype(int)
+        m_last = np.floor((np.maximum(q_a, q_b) - j) / m0 + 1e-9).astype(int)
+        for r in range(max(int(np.max(m_last - m_first)) + 1, 0)):
+            mm = m_first + r
+            q = j + mm * m0
+            t = (q - ps) * h / c
+            ok = (mm <= m_last) & (q >= lo_node) & (q <= hi_node) \
+                & (t >= t_lo - 1e-9) & (t <= t_hi + 1e-9)
+            s = np.clip((t - snaps.t0) / snaps.dt_snap, 0.0, k_snap - 1 - 1e-12)
+            i0 = s.astype(int)
+            w = s - i0
+            qq = np.clip(q, 0, n - 1)
+            vals = (1.0 - w) * snaps.U[i0, qq] + w * snaps.U[i0 + 1, qq]
+            acc[ok] += vals[ok]
+            cnt[ok] += 1
+        assert (cnt > 0).all()
+        phi[:, j] = acc / cnt
+    return grid.x_min + h * ps, np.arange(m0) / m0, phi
+
+
+class TestExtractProfile:
+    # synthetic snapshots of a profile translating at c over 1.45 periods, as
+    # a capture window: c < 0, and a period shorter than c (L < c)
+    @pytest.mark.parametrize("L,c", [(1.0, -0.25), (0.1, 0.37)])
+    def test_bitwise_equal_to_replica_loop(self, unit_coeff, cubic03, L, c):
+        inst = pr.ProblemInstance(coeff=unit_coeff, reaction=cubic03, L=L)
+        grid = build_grid(inst, 10.0, 64)
+        T = L / abs(c)
+        k = 192
+        dt_snap = 1.45 * T / k
+        t = np.arange(k + 1)[:, None] * dt_snap
+        y = np.mod(grid.nodes / L, 1.0)
+        U = 1.0 / (1.0 + np.exp((grid.nodes - c * t) / np.sqrt(2))
+                   + 0.01 * np.cos(2 * np.pi * y))
+        snaps = fr.SnapshotSeries(t0=0.0, dt_snap=dt_snap, U=U, grid=grid)
+        t_start = 0.02 * (snaps.t1 - snaps.t0)
+        margin = grid.nodes_per_period + 4
+        got = fr.extract_profile(snaps, c, t_start, T, margin)
+        want = replica_loop_extract(snaps, c, t_start, T, margin)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 class TestComputeFront:
     def test_homogeneous_speed_oracle(self, homog_front):
         exact = 0.4 / np.sqrt(2.0)
@@ -125,16 +192,16 @@ class TestStoppingRule:
         lam, rec = quench_records[-1]
         assert lam == 4.0 and rec.kind == fr.PROPAGATING
         assert 0.05 < abs(rec.c) < 0.08
-        assert rec.front.pulsating_error < fr.FrontRunConfig().tol_puls
+        assert rec.front.pulsating_error < fr.TOL_PULS
 
-    def test_window_past_budget_keeps_evolving(self, homog_inst):
+    def test_window_past_budget_keeps_evolving(self, homog_inst, monkeypatch):
         # the tolerance is out of reach; the window due at t = 26 would end
         # near t = 31, past the budget, so the run evolves on to t_max
         # instead of stopping there
         budget = fr.Budget(28.0)
+        monkeypatch.setattr(fr, "TOL_PULS", 1e-14)
         with pytest.raises(fr.FrontNotConverged) as err:
-            fr.compute_pulsating_front(homog_inst, fr.FrontRunConfig(tol_puls=1e-14),
-                                       budget)
+            fr.compute_pulsating_front(homog_inst, fr.FrontRunConfig(), budget)
         diag = err.value.diagnostics
         assert diag["reason"] == "budget"
         assert diag["last_defect"] is not None
@@ -301,4 +368,4 @@ def test_front_run_settables():
     # the step (solver.choose_dt), the domain (default_halfwidth) and the
     # tanh datum of a front run are derived, never configured
     assert [f.name for f in dataclasses.fields(fr.FrontRunConfig)] == \
-        ["nodes_per_period", "tail_floor", "tol_puls"]
+        ["nodes_per_period", "tail_floor"]

@@ -54,6 +54,23 @@ class TestShooting:
         exact = 1.0 / (1.0 + np.exp(xi / np.sqrt(2.0)))
         assert np.max(np.abs(front(xi) - exact)) < 1e-6
 
+    def test_zero_integral_without_odd_symmetry_stands(self):
+        # fbar = u (1 - u) (u - 8/15) (1 + u) has zero integral but is not odd
+        # about 1/2: c0 is exactly 0 and the profile is the standing orbit,
+        # a_H phi'^2 / 2 = int_phi^1 fbar
+        f = -np.polynomial.Polynomial.fromroots((0.0, 1.0, 8.0 / 15.0, -1.0))
+        u = np.linspace(0.0, 1.0, 513)
+        fbar = pr.FbarCurve(u, f(u), f.deriv()(0.0), f.deriv()(1.0))
+        F = f.integ()
+        hd = pr.HomogenizedData(a_h=1.0, fbar=fbar, i_fbar=float(F(1.0) - F(0.0)),
+                                theta_bar=fbar.zeros_inside())
+        front = hg.solve_homogenized_front(hd)
+        assert front.c0 == 0.0
+        assert np.all(np.diff(front.phi) < 0.0)
+        assert front(0.0) == pytest.approx(0.5, abs=1e-12)
+        dphi = front._spline(front.xi, 1)
+        assert np.max(np.abs(0.5 * dphi**2 - (F(1.0) - F(front.phi)))) < 1e-6
+
     def test_diffusivity_rescaling(self):
         front = hg.solve_homogenized_front(homog_for(0.3, 2.0, 1.0))
         assert front.c0 == pytest.approx(np.sqrt(2 * np.sqrt(3.0)) * 0.2, abs=1e-8)
@@ -203,38 +220,33 @@ class TestSweepGuards:
     def test_increasing_list_refused(self):
         coeff = pr.CoefficientProfile.from_curve(pr.ConstantCurve(1.0))
         rx = pr.make_cubic(0.3)
-        hd = pr.homogenized_data(coeff, rx)
-        front0 = hg.solve_homogenized_front(hd)
         with pytest.raises(ValueError):
-            hg.homogenization_sweep(coeff, rx, [0.2, 0.4], homog=hd, front0=front0)
+            hg.homogenization_sweep(coeff, rx, [0.2, 0.4])
 
 
 class TestSweepFailures:
     @pytest.fixture(scope="class")
     def cubic(self):
-        coeff = pr.CoefficientProfile.from_curve(pr.ConstantCurve(1.0))
-        rx = pr.make_cubic(0.3)
-        hd = pr.homogenized_data(coeff, rx)
-        return coeff, rx, hd, hg.solve_homogenized_front(hd)
+        return pr.CoefficientProfile.from_curve(pr.ConstantCurve(1.0)), pr.make_cubic(0.3)
 
     def test_numerical_failure_recorded(self, cubic, monkeypatch):
-        coeff, rx, hd, front0 = cubic
+        coeff, rx = cubic
 
         def not_converged(*args, **kwargs):
             raise fr.FrontNotConverged("budget spent", {})
         monkeypatch.setattr(hg, "compute_pulsating_front", not_converged)
-        records, _ = hg.homogenization_sweep(coeff, rx, [0.4, 0.2], homog=hd, front0=front0)
+        records, _ = hg.homogenization_sweep(coeff, rx, [0.4, 0.2])
         assert [L for L, _ in records] == [0.4, 0.2]
         assert all(isinstance(exc, fr.FrontNotConverged) for _, exc in records)
 
     def test_programming_error_propagates(self, cubic, monkeypatch):
-        coeff, rx, hd, front0 = cubic
+        coeff, rx = cubic
 
         def broken(*args, **kwargs):
             raise TypeError("bad call")
         monkeypatch.setattr(hg, "compute_pulsating_front", broken)
         with pytest.raises(TypeError):
-            hg.homogenization_sweep(coeff, rx, [0.4, 0.2], homog=hd, front0=front0)
+            hg.homogenization_sweep(coeff, rx, [0.4, 0.2])
 
 
 def test_homogeneous_instance_sweep_matches_everywhere():

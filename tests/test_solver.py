@@ -147,18 +147,18 @@ class TestWindow:
         g = make(hetero_inst)
         L = hetero_inst.L
         center = 0.5 * (g.x_min + g.x_max)
-        slack = max(L, 0.15 * 0.5 * (g.x_max - g.x_min))
+        slack = max(L, sv.RECENTER_FRAC * 0.5 * (g.x_max - g.x_min))
         u0 = sv.front_initial_datum(g, interface=center + drift_periods * L)
         win = sv.Window(sv.Stepper(hetero_inst, g, sv.SolverConfig(dt=0.005)), u0)
         win.run(20)
         pos = fr.level_position(g.nodes, win.u)
         assert abs(pos - center) >= slack
-        assert win.recenter(pos, 0.15) == slid
+        assert win.recenter(pos) == slid
         moved = fr.level_position(g.nodes, win.u)
         assert win.x_offset == slid * L
         assert abs(win.x_offset + moved - pos) < 1e-12
         assert abs(moved - center) < slack
-        assert win.recenter(moved, 0.15) == 0
+        assert win.recenter(moved) == 0
         assert win.x_offset == slid * L
 
     @pytest.mark.parametrize("p", [2, -3])

@@ -230,10 +230,11 @@ class TestDecayRoots:
         assert alpha > 0
         assert all(l >= alpha * m * m - beta - 1e-8 for m, l in zip(mus, lams))
 
-    def test_no_root_below_cap_errors(self):
+    def test_no_root_below_cap_errors(self, monkeypatch):
         inst = make_inst(0.3)
+        monkeypatch.setattr(sp, "DECAY_MU_MAX", 0.05)
         with pytest.raises(RuntimeError):
-            sp.decay_root_mu(inst, 0.0, "right", "margin", mu_max=0.05)
+            sp.decay_root_mu(inst, 0.0, "right", "margin")
 
 
 def make_inst_with_d(d, theta):

@@ -360,8 +360,8 @@ class TestBoundFront:
     LATTICE = fr.FrontSolution(
         speed=0.3, xi=np.linspace(-5.0, 5.0, 41), y=np.arange(8) / 8,
         phi=np.random.default_rng(11).uniform(0.0, 1.0, (41, 8)),
-        pulsating_error=0.0, mu1_fit=None, mu2_fit=None, stationary=False,
-        speed_estimate=None, diagnostics={})
+        pulsating_error=0.0, mu1_fit=None, mu2_fit=None, speed_estimate=None,
+        diagnostics={})
     # past both clamped ends of xi and across the periodic wrap of y, with the
     # end nodes, 1 - ulp and the exact period ends among the drawn values
     XI = hyp.one_of(hyp.floats(-8.0, 8.0), hyp.sampled_from([-5.0, 5.0, 4.999999999999]))
