@@ -451,7 +451,8 @@ class _RunState(Window):
         def on_step(step_k, t, u):
             if step_k % r == 0:
                 U[step_k // r] = u
-            self.record_level(t, u)
+            if step_k % self.level_every == 0:      # the cadence of advance
+                self.record_level(t, u)
 
         self.run(r * k, on_step)
         return SnapshotSeries(t0=t0, dt_snap=r * dt, U=U, grid=self.grid)
