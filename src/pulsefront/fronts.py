@@ -336,7 +336,7 @@ def extract_profile(snaps: SnapshotSeries, c: float, t_start: float, period: flo
     rows = np.arange(len(ps))
     d_lo, d_hi = sorted((c * t_lo / h, c * t_hi / h))
     # increasing d sums each (p, y) in the order of its nodes q
-    for d in range(math.floor(d_lo) - 1, math.ceil(d_hi) + 2):
+    for d in range(math.floor(d_lo), math.ceil(d_hi) + 1):
         t = d * h / c
         if not (t_lo - 1e-9 <= t <= t_hi + 1e-9):
             continue
