@@ -1,13 +1,18 @@
 """Pulsating fronts by long-time evolution: speeds, profiles, classification.
 
-A front-like datum is evolved until two capture windows in a row satisfy, to
-TOL_PULS, the defining relation u(t + L/c, x + L) = u(t, x) of a pulsating
-front (the first opens once a speed estimate exists), or until the interface
-demonstrably pins (stationary branch), or until the budget runs out
-(inconclusive, never silently a front).  Speeds are measured two ways: a
-least-squares fit of the half-level position, and L/T* with T* minimizing the
-space-time shift defect.  The profile phi(xi, y) is rebuilt from one period of
-snapshots by reading u at t = (x - xi)/c on nodes x whose cell coordinate is y.
+The datum is the limit front of the averaged equation, the logistic
+1/(1 + exp(kappa (x - x0))) with kappa from `limit_front_rate` (exact for the
+cubic class).  A pulsating front at small L stays close to it, and a run
+forgets its datum only at the exponential rate of the front's spectral gap,
+so starting near the front leaves little to forget.  The datum is evolved
+until two capture windows in a row satisfy, to TOL_PULS, the defining
+relation u(t + L/c, x + L) = u(t, x) of a pulsating front (the first opens
+once a speed estimate exists), or until the interface demonstrably pins
+(stationary branch), or until the budget runs out (inconclusive, never
+silently a front).  Speeds are measured two ways: a least-squares fit of the
+half-level position, and L/T* with T* minimizing the space-time shift
+defect.  The profile phi(xi, y) is rebuilt from one period of snapshots by
+reading u at t = (x - xi)/c on nodes x whose cell coordinate is y.
 """
 
 from __future__ import annotations
@@ -408,6 +413,17 @@ def decay_scale(homog: HomogenizedData, c_est: float) -> float:
     return 0.9 * min(characteristic_rates(homog.a_h, c, homog.slope0, homog.slope1))
 
 
+def limit_front_rate(homog: HomogenizedData) -> float:
+    """Steepness kappa of the limit front 1/(1 + exp(kappa xi)) of the averaged
+    equation, kappa^2 = (|fbar'(0)| + |fbar'(1)|) / (2 a_H).
+
+    Exact for every cubic fbar = s u (1-u) (u - theta_bar), where both tail
+    rates of the limit front equal kappa; for another fbar it is a front-like
+    steepness of the same scale.
+    """
+    return math.sqrt((abs(homog.slope0) + abs(homog.slope1)) / (2.0 * homog.a_h))
+
+
 def default_halfwidth(homog: HomogenizedData, tail_floor: float) -> float:
     """Domain half-extent over which the slowest tail falls to tail_floor."""
     mu = max(decay_scale(homog, speed_scale(homog)), 1e-3)
@@ -422,9 +438,9 @@ def default_halfwidth(homog: HomogenizedData, tail_floor: float) -> float:
 class _RunState(Window):
     """A front run's window with its level record and capture windows."""
 
-    def __init__(self, inst, grid, solver_cfg):
+    def __init__(self, inst, grid, solver_cfg, rate):
         super().__init__(Stepper(inst, grid, solver_cfg), front_initial_datum(
-            grid, interface=0.5 * (grid.x_min + grid.x_max)))
+            grid, interface=0.5 * (grid.x_min + grid.x_max), rate=rate))
         self.level_t: list[float] = []
         self.level_x: list[float] = []
         # the level is recorded about every 0.05 time units
@@ -506,13 +522,15 @@ def compute_pulsating_front(inst: ProblemInstance, cfg: FrontRunConfig = FrontRu
     grid = build_grid(inst, halfwidth, cfg.nodes_per_period)
     h = grid.h
     dt = choose_dt(inst.reaction.lip_k, h, speed_scale(homog))
-    state = _RunState(inst, grid, SolverConfig(dt=dt, u_left=1.0, u_right=0.0))
+    rate = limit_front_rate(homog)
+    state = _RunState(inst, grid, SolverConfig(dt=dt, u_left=1.0, u_right=0.0), rate)
     # the defect window stays clear of the Dirichlet boundary layers
     margin_nodes = max(grid.nodes_per_period + 4, int(DEFECT_MARGIN_FRAC * grid.n))
     c_floor = h / (10.0 * STAT_WINDOW)
     settled = None          # start of the last window if its defect was under TOL_PULS
     diagnostics: dict = {"L": inst.L, "h": h, "dt": dt, "halfwidth": halfwidth,
-                         "n_nodes": grid.n, "last_defect": None}
+                         "n_nodes": grid.n, "datum_rate": rate, "last_defect": None,
+                         "window_defects": []}
 
     while state.t < budget.t_max:
         state.advance(min(SETTLE_TIME, budget.t_max - state.t))
@@ -552,6 +570,7 @@ def compute_pulsating_front(inst: ProblemInstance, cfg: FrontRunConfig = FrontRu
             continue
         defect = max(d1, d2)
         diagnostics["last_defect"] = defect
+        diagnostics["window_defects"].append(defect)
         if defect < TOL_PULS and settled is not None:
             c_period = sgn * inst.L / T1
             times = np.asarray(state.level_t)
@@ -675,12 +694,15 @@ class SweepPoint:
         unc = est.uncertainty if est is not None else math.nan
         defect = rec.front.pulsating_error if rec.front is not None else math.nan
         resid = rec.evidence.get("stationary_residual", math.nan)
+        t_final = rec.evidence.get("t_final", math.nan)
+        reason = rec.evidence["reason"] if rec.kind == INCONCLUSIVE else ""
         return (f"{self.L:.10g},{rec.kind},{c_level:.10g},{c_period:.10g},"
-                f"{unc:.10g},{defect:.10g},{resid:.10g}")
+                f"{unc:.10g},{defect:.10g},{resid:.10g},{t_final:.10g},{reason}")
 
 
+# reason is empty unless the row is Inconclusive, then one of REASONS
 SWEEP_CSV_HEADER = ("L,classification,c_level,c_period,uncertainty,"
-                    "pulsating_defect,stationary_residual")
+                    "pulsating_defect,stationary_residual,t_final,reason")
 
 
 def _scan_one(args):

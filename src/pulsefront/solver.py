@@ -292,14 +292,16 @@ def excursion(v_min: float, v_max: float) -> float:
     return float(max(0.0, -0.1 - v_min, v_max - 1.1))
 
 
-def front_initial_datum(grid: Grid1D, interface: float = 0.0) -> np.ndarray:
-    """Monotone front-like datum: a tanh from 1 left of the interface to 0
-    right of it, over a transition width of 8h."""
+def front_initial_datum(grid: Grid1D, interface: float = 0.0, *,
+                        rate: float) -> np.ndarray:
+    """Monotone front-like datum: the logistic 1/(1 + exp(rate (x - interface)))
+    from 1 left of the interface to 0 right of it."""
+    if not (math.isfinite(rate) and rate > 0.0):
+        raise ValueError(f"datum rate must be positive and finite, got {rate!r}")
     if not (grid.x_min < interface < grid.x_max):
         raise ValueError("interface must lie inside the grid")
-    g = 0.5 * (1.0 - np.tanh((grid.nodes - interface) / (4.0 * grid.h)))
+    g = 0.5 * (1.0 - np.tanh(0.5 * rate * (grid.nodes - interface)))
     g = np.minimum.accumulate(g)  # enforce nonincreasing node-to-node
     g[0] = 1.0
     g[-1] = 0.0
     return g
-

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import pulsefront.fronts as fr
+import pulsefront.homogenize as hg
 import pulsefront.profiles as pr
 from pulsefront.solver import build_grid
 
@@ -184,6 +185,41 @@ class TestComputeFront:
         assert err.value.diagnostics["reason"] in fr.REASONS
 
 
+class TestLimitFrontDatum:
+    # cubic-class instances: a = 2 + cos with theta = 0.3 + 0.1 cos, the Xin
+    # family at lambda = 3, and the standing front theta = 0.5
+    CASES = {
+        "cos-cos": lambda: pr.ProblemInstance(
+            coeff=pr.CoefficientProfile.from_curve(pr.CosineCurve(2.0, 1.0)),
+            reaction=pr.make_cubic(pr.CosineCurve(0.3, 0.1)), L=0.5),
+        "xin-3": lambda: pr.make_xin_example(0.2, 3.0, 0.3),
+        "theta-0.5": lambda: pr.ProblemInstance(
+            coeff=pr.CoefficientProfile.from_curve(pr.ConstantCurve(1.0)),
+            reaction=pr.make_cubic(0.5), L=1.0),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_rate_is_the_limit_front(self, name):
+        inst = self.CASES[name]()
+        homog = pr.homogenized_data(inst.coeff, inst.reaction)
+        kappa = fr.limit_front_rate(homog)
+        front = hg.solve_homogenized_front(homog)
+        assert abs(front.lambda1 - kappa) < 1e-9
+        assert abs(front.lambda2 - kappa) < 1e-9
+        xi = np.linspace(-10.0, 10.0, 2001)
+        assert np.max(np.abs(front(xi) - 1.0 / (1.0 + np.exp(kappa * xi)))) < 1e-6
+
+    def test_reference_front_accepts_first_window(self, homog_inst, homog_front):
+        # the datum is already close to the front: the first capture window
+        # meets the tolerance, so the run stops after the second
+        diag = homog_front.diagnostics
+        homog = pr.homogenized_data(homog_inst.coeff, homog_inst.reaction)
+        assert diag["datum_rate"] == fr.limit_front_rate(homog)
+        assert diag["window_defects"][0] < fr.TOL_PULS
+        assert diag["window_defects"][-1] == homog_front.pulsating_error
+        assert diag["t_final"] < 35.0
+
+
 class TestStoppingRule:
     @pytest.mark.slow
     def test_slow_front_captured_under_tolerance(self, quench_records):
@@ -338,6 +374,21 @@ class TestScan:
         with pytest.raises(ValueError):
             fr.scan_E(homog_inst.coeff, homog_inst.reaction, [2.0, 1.0])
 
+    def test_csv_row_reason_only_when_inconclusive(self, homog_inst, homog_front):
+        done = fr.ClassificationRecord(kind=fr.PROPAGATING, c=homog_front.speed,
+                                       evidence=dict(homog_front.diagnostics),
+                                       front=homog_front)
+        spent = fr.classify_quenching(homog_inst, fr.FrontRunConfig(), fr.Budget(1.0))
+        header = fr.SWEEP_CSV_HEADER.split(",")
+        assert header[-2:] == ["t_final", "reason"]
+        cols = dict(zip(header, fr.SweepPoint(L=1.0, record=done).csv_row().split(",")))
+        assert float(cols["t_final"]) == pytest.approx(done.evidence["t_final"], rel=1e-9)
+        assert cols["reason"] == ""
+        cols = dict(zip(header, fr.SweepPoint(L=1.0, record=spent).csv_row().split(",")))
+        assert cols["classification"] == fr.INCONCLUSIVE
+        assert float(cols["t_final"]) == pytest.approx(1.0, abs=spent.evidence["dt"])
+        assert cols["reason"] == "budget"
+
     def test_csv_row_format(self, homog_inst):
         rec = fr.classify_quenching(homog_inst, fr.FrontRunConfig(), fr.Budget(300.0))
         row = fr.SweepPoint(L=1.0, record=rec).csv_row()
@@ -348,8 +399,8 @@ class TestScan:
 
 def test_speed_uniqueness_between_data(homog_inst, homog_front, monkeypatch):
     # two distinct admissible initial data must yield the same speed: the
-    # reference front's tanh datum and a sharp step at the same interface
-    monkeypatch.setattr(fr, "front_initial_datum", lambda grid, interface:
+    # reference front's limit-front datum and a sharp step at the same interface
+    monkeypatch.setattr(fr, "front_initial_datum", lambda grid, interface, rate:
                         np.where(grid.nodes <= interface, 1.0, 0.0))
     a = homog_front
     b = fr.compute_pulsating_front(homog_inst, fr.FrontRunConfig(), fr.Budget(300.0))
@@ -366,6 +417,7 @@ def test_excursion_diagnostics_reported(homog_front):
 
 def test_front_run_settables():
     # the step (solver.choose_dt), the domain (default_halfwidth) and the
-    # tanh datum of a front run are derived, never configured
+    # limit-front datum (limit_front_rate) of a front run are derived, never
+    # configured
     assert [f.name for f in dataclasses.fields(fr.FrontRunConfig)] == \
         ["nodes_per_period", "tail_floor"]

@@ -109,7 +109,7 @@ class TestDeterminism:
     def test_split_evolution_is_bitwise(self, inst):
         g = make(inst)
         cfg = sv.SolverConfig(dt=0.02, u_left=1.0, u_right=0.0)
-        f0 = sv.front_initial_datum(g)
+        f0 = sv.front_initial_datum(g, rate=0.5 / g.h)
         stepper = sv.Stepper(inst, g, cfg)
         a, t = stepper.run(f0.copy(), 0.0, 50)
         a, _ = stepper.run(a, t, 75)
@@ -136,7 +136,7 @@ class TestComparison:
     def test_front_run_stays_in_unit_interval(self, inst):
         g = make(inst, 10.0)
         cfg = sv.SolverConfig(dt=0.05, u_left=1.0, u_right=0.0)
-        out = evolve(inst, g, cfg, sv.front_initial_datum(g), 10.0)
+        out = evolve(inst, g, cfg, sv.front_initial_datum(g, rate=0.5 / g.h), 10.0)
         assert out.min() >= -1e-12
         assert out.max() <= 1.0 + 1e-12
 
@@ -148,7 +148,8 @@ class TestWindow:
         L = hetero_inst.L
         center = 0.5 * (g.x_min + g.x_max)
         slack = max(L, sv.RECENTER_FRAC * 0.5 * (g.x_max - g.x_min))
-        u0 = sv.front_initial_datum(g, interface=center + drift_periods * L)
+        u0 = sv.front_initial_datum(g, interface=center + drift_periods * L,
+                                    rate=0.5 / g.h)
         win = sv.Window(sv.Stepper(hetero_inst, g, sv.SolverConfig(dt=0.005)), u0)
         win.run(20)
         pos = fr.level_position(g.nodes, win.u)
@@ -180,21 +181,35 @@ class TestWindow:
 class TestInitialDatum:
     def test_monotone_and_endpoints(self, inst):
         g = make(inst)
-        f = sv.front_initial_datum(g)
+        f = sv.front_initial_datum(g, rate=0.5 / g.h)
         assert f[0] == 1.0
         assert f[-1] == 0.0
         assert np.all(np.diff(f) <= 0.0)
 
     def test_tanh_midpoint(self, inst):
         g = make(inst)
-        f = sv.front_initial_datum(g, interface=g.nodes[g.n // 2])
+        f = sv.front_initial_datum(g, interface=g.nodes[g.n // 2], rate=0.5 / g.h)
         mid = np.interp(g.nodes[g.n // 2], g.nodes, f)
         assert mid == pytest.approx(0.5, abs=1e-12)
 
     def test_interface_outside_grid_rejected(self, inst):
         g = make(inst)
         with pytest.raises(ValueError):
-            sv.front_initial_datum(g, interface=g.x_max + 1.0)
+            sv.front_initial_datum(g, interface=g.x_max + 1.0, rate=0.5 / g.h)
+
+    @pytest.mark.parametrize("rate", [0.0, -1.0, np.inf, np.nan])
+    def test_rate_not_positive_finite_rejected(self, inst, rate):
+        g = make(inst)
+        with pytest.raises(ValueError, match="rate"):
+            sv.front_initial_datum(g, rate=rate)
+
+    def test_logistic_of_rate(self, inst):
+        g = make(inst)
+        rate = 1.7
+        f = sv.front_initial_datum(g, rate=rate)
+        inner = slice(1, -1)
+        np.testing.assert_allclose(f[inner], 1.0 / (1.0 + np.exp(rate * g.nodes[inner])),
+                                   rtol=0.0, atol=1e-15)
 
 
 class TestConfigGuards:
@@ -240,7 +255,7 @@ class TestChooseDt:
         rep = st.global_stability_experiment(
             homog_inst, homog_front, lambda x: homog_front.interp(x - 3.0 * L, x / L),
             fr.Budget(3.0))
-        assert rep.diagnostics["dt"].hex() == "0x1.c50e6c404cedfp-7"
+        assert rep.diagnostics["dt"].hex() == "0x1.c50e65d469ccdp-7"
 
 
 def reference_step(inst, grid, cfg, u):
@@ -269,7 +284,7 @@ class TestFactoredStep:
         # solver.choose_dt picks 0.0044 on this grid; the gap between two
         # direct solves scales with cond(I - dt*D), about 1 + 4*dt*a_max/h^2
         cfg = sv.SolverConfig(dt=0.005, u_left=1.0, u_right=0.0)
-        u = sv.front_initial_datum(g)
+        u = sv.front_initial_datum(g, rate=0.5 / g.h)
         u[1:-1] += 0.05 * np.sin(7.0 * g.nodes[1:-1])  # leave [0, 1] in places
         st = sv.Stepper(hetero_inst, g, cfg)
         for _ in range(5):
@@ -412,7 +427,7 @@ class TestCarriedRange:
         # datum outside [0, 1] must still take the linear extension
         g = make(hetero_inst, 4.0)
         cfg = sv.SolverConfig(dt=0.005, u_left=1.0, u_right=0.0)
-        u0 = sv.front_initial_datum(g)
+        u0 = sv.front_initial_datum(g, rate=0.5 / g.h)
         u0[1:-1] += 0.3 * np.sin(7.0 * g.nodes[1:-1])
         assert u0.min() < 0.0 and u0.max() > 1.0
         y = np.mod(g.nodes / hetero_inst.L, 1.0)
