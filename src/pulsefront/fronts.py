@@ -7,12 +7,14 @@ forgets its datum only at the exponential rate of the front's spectral gap,
 so starting near the front leaves little to forget.  The datum is evolved
 until two capture windows in a row satisfy, to TOL_PULS, the defining
 relation u(t + L/c, x + L) = u(t, x) of a pulsating front (the first opens
-once a speed estimate exists), or until the interface demonstrably pins
-(stationary branch), or until the budget runs out (inconclusive, never
-silently a front).  Speeds are measured two ways: a least-squares fit of the
-half-level position, and L/T* with T* minimizing the space-time shift
-defect.  The profile phi(xi, y) is rebuilt from one period of snapshots by
-reading u at t = (x - xi)/c on nodes x whose cell coordinate is y.
+once a speed estimate exists, and a passing window is confirmed by the next
+one at once, with no settling chunk between them), or until the interface
+demonstrably pins (stationary branch), or until the budget runs out
+(inconclusive, never silently a front).  Speeds are measured two ways: the
+slope of the half-level position's means over whole periods T*, and L/T*
+with T* minimizing the space-time shift defect.  The profile phi(xi, y) is
+rebuilt from one period of snapshots by reading u at t = (x - xi)/c on nodes
+x whose cell coordinate is y.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.interpolate import CubicSpline
 
 from .profiles import (HomogenizedData, ProblemInstance, characteristic_rates,
                        homogenized_data)
@@ -208,14 +211,36 @@ def _period_uncertainty(L: float, T: float, width: float, dt_snap: float) -> flo
     return abs(L) * (0.25 * width + 0.25 * dt_snap) / T**2
 
 
-def measure_speed(times: Sequence[float], positions: Sequence[float]) -> SpeedEstimate:
-    """Speed from the level trajectory; the period-matching estimate is added
-    by the front run from its capture window."""
+def period_mean_slope(times: np.ndarray, positions: np.ndarray, period: float):
+    """Least-squares slope of the means of the position over the k whole
+    periods that end at the last sample, or None when the record holds fewer
+    than two.  A pulsating position c t + p(t), p of that period, has the mean
+    c t_mid + const over every period, so the slope is c up to sampling error.
+    Each mean integrates the cubic spline through the samples."""
+    k = int((times[-1] - times[0]) // period)
+    if k < 2:
+        return None
+    ends = times[-1] - period * np.arange(k, -1, -1)
+    means = np.diff(CubicSpline(times, positions).antiderivative()(ends)) / period
+    return fit_line(ends[:-1] + 0.5 * period, means)[0]
+
+
+def measure_speed(times: Sequence[float], positions: Sequence[float],
+                  period: float | None = None) -> SpeedEstimate:
+    """Speed from the level trajectory: the slope of its period means when a
+    period is given and the record spans two of them, else the least-squares
+    slope.  The uncertainty is the least-squares standard error either way.
+    The period-matching estimate is added by the front run from its capture
+    window."""
     times = np.asarray(times, dtype=float)
     positions = np.asarray(positions, dtype=float)
     if len(times) < MIN_LEVEL_SAMPLES:
         raise ValueError(f"need at least {MIN_LEVEL_SAMPLES} level samples, got {len(times)}")
     c_level, stderr = fit_line(times, positions)
+    if period is not None:
+        c_means = period_mean_slope(times, positions, period)
+        if c_means is not None:
+            c_level = c_means
     return SpeedEstimate(c_level=c_level, c_period=None,
                          unc_level=stderr + 1e-12, unc_period=None)
 
@@ -333,27 +358,31 @@ def extract_profile(snaps: SnapshotSeries, c: float, t_start: float, period: flo
     p_hi = int(math.floor((xi_hi - grid.x_min) / h + 1e-9))
     if p_hi - p_lo < 8:
         raise ValueError("capture window leaves no feasible profile range")
-    ps = np.arange(p_lo, p_hi + 1)
-    xi = grid.x_min + h * ps
+    n_p = p_hi - p_lo + 1
+    xi = grid.x_min + h * np.arange(p_lo, p_hi + 1)
     ys = np.arange(m0) / m0
-    acc = np.zeros((len(ps), m0))
-    cnt = np.zeros((len(ps), m0), dtype=np.int16)
-    rows = np.arange(len(ps))
+    # skewed accumulators: column d % m0 of row r holds lattice point
+    # (p_lo + r, column (p_lo + r + d) % m0), so each d is one slice add
+    acc = np.zeros((n_p, m0))
+    cnt = np.zeros((n_p, m0), dtype=np.int16)
     d_lo, d_hi = sorted((c * t_lo / h, c * t_hi / h))
     # increasing d sums each (p, y) in the order of its nodes q
     for d in range(math.floor(d_lo), math.ceil(d_hi) + 1):
         t = d * h / c
         if not (t_lo - 1e-9 <= t <= t_hi + 1e-9):
             continue
-        q = ps + d
-        ok = (q >= lo_node) & (q <= hi_node)
-        if not ok.any():
+        # rows r with lo_node <= p_lo + r + d <= hi_node
+        r0 = max(0, lo_node - p_lo - d)
+        r1 = min(n_p, hi_node - p_lo - d + 1)
+        if r1 <= r0:
             continue
-        q = q[ok]
-        cols = q % m0
-        r = rows[ok]
-        acc[r, cols] += snaps.u_at(t)[q]
-        cnt[r, cols] += 1
+        s = d % m0
+        acc[r0:r1, s] += snaps.u_at(t)[p_lo + d + r0:p_lo + d + r1]
+        cnt[r0:r1, s] += 1
+    # unskew in place: row r rolls by p_lo + r, the same for every r = k mod m0
+    for k in range(min(m0, n_p)):
+        acc[k::m0] = np.roll(acc[k::m0], p_lo + k, axis=1)
+        cnt[k::m0] = np.roll(cnt[k::m0], p_lo + k, axis=1)
     if not (cnt > 0).all():
         raise ValueError("insufficient snapshot coverage for some lattice points; "
                          "increase the capture span or snapshot count")
@@ -514,8 +543,11 @@ def compute_pulsating_front(inst: ProblemInstance, cfg: FrontRunConfig = FrontRu
                             homog: HomogenizedData | None = None) -> FrontSolution:
     """Evolve a front-like datum until it is a pulsating front, a pinned
     stationary front (speed 0), or the budget is spent (FrontNotConverged).
-    c_level is fitted from the start of the first of the two settled windows;
-    a window that would overrun the budget is skipped, not the run."""
+    A window under TOL_PULS is followed at once by the next one, a failing
+    or skipped one by a SETTLE_TIME chunk.  c_level comes from the level
+    record since the start of the first of the two settled windows (at least
+    MIN_LEVEL_SAMPLES samples), as the slope of its means over whole periods
+    T*; a window that would overrun the budget is skipped, not the run."""
     if homog is None:
         homog = homogenized_data(inst.coeff, inst.reaction)
     halfwidth = default_halfwidth(homog, cfg.tail_floor)
@@ -528,12 +560,15 @@ def compute_pulsating_front(inst: ProblemInstance, cfg: FrontRunConfig = FrontRu
     margin_nodes = max(grid.nodes_per_period + 4, int(DEFECT_MARGIN_FRAC * grid.n))
     c_floor = h / (10.0 * STAT_WINDOW)
     settled = None          # start of the last window if its defect was under TOL_PULS
+    confirm = False         # the last pass's window passed: capture the next at once
     diagnostics: dict = {"L": inst.L, "h": h, "dt": dt, "halfwidth": halfwidth,
                          "n_nodes": grid.n, "datum_rate": rate, "last_defect": None,
                          "window_defects": []}
 
     while state.t < budget.t_max:
-        state.advance(min(SETTLE_TIME, budget.t_max - state.t))
+        if not confirm:
+            state.advance(min(SETTLE_TIME, budget.t_max - state.t))
+        confirm = False
         state.recenter(level_position(grid.nodes, state.u))
         c_hat, _ = state.recent_speed(SPEED_WINDOW)
         disp = state.displacement(STAT_WINDOW)
@@ -575,8 +610,8 @@ def compute_pulsating_front(inst: ProblemInstance, cfg: FrontRunConfig = FrontRu
             c_period = sgn * inst.L / T1
             times = np.asarray(state.level_t)
             xs = np.asarray(state.level_x)
-            keep = times >= settled
-            base = measure_speed(times[keep], xs[keep])
+            keep = times >= min(settled, times[-MIN_LEVEL_SAMPLES])
+            base = measure_speed(times[keep], xs[keep], T1)
             est = replace(base, c_period=c_period,
                           unc_period=_period_uncertainty(inst.L, T1, width, snaps.dt_snap))
             try:
@@ -593,6 +628,7 @@ def compute_pulsating_front(inst: ProblemInstance, cfg: FrontRunConfig = FrontRu
             diagnostics["time_monotonicity_defect"] = snaps.time_monotonicity_defect()
             return _front_from_lattice(c_period, xi, ys, phi, defect, est, diagnostics)
         settled = snaps.t0 if defect < TOL_PULS else None
+        confirm = settled is not None
 
     diagnostics["reason"] = "budget"
     diagnostics["t_final"] = state.t

@@ -173,11 +173,12 @@ def bind_reaction(f: Callable, y) -> Callable:
     bitwise the values of f(y, u); any other callable is called as f(y, u).
     The bound callable also takes u_range = (u.min(), u.max()) from a caller
     that already has it, which spares the linear extension its own scan.
+    The result is a fresh array the caller may overwrite.
     """
     bind = getattr(f, "bind", None)
     if bind is not None:
         return bind(np.asarray(y, dtype=float))
-    return lambda u, u_range=None: np.asarray(f(y, u), dtype=float)
+    return lambda u, u_range=None: np.array(f(y, u), dtype=float)
 
 
 @dataclass(frozen=True)
@@ -208,9 +209,16 @@ class _Cubic:
         slope1 = self._slope(th, np.ones_like(y))
 
         def cubic(u):
-            # the stepper's hot path: an unscaled cubic skips one array multiply
-            v = u * (1.0 - u) * (u - th)
-            return v if scale == 1.0 else scale * v
+            # the stepper's hot path, u (1-u) (u - th) in two temporaries;
+            # w takes the broadcast shape of u and th, and an unscaled cubic
+            # skips one array multiply
+            v = 1.0 - u
+            v *= u
+            w = u - th
+            w *= v
+            if scale != 1.0:
+                w *= scale
+            return w
 
         def f(u, u_range=None):
             u = np.asarray(u, dtype=float)

@@ -208,7 +208,9 @@ class Stepper:
     def step_values(self, u: np.ndarray, u_range=None) -> np.ndarray:
         """One step from u; u_range is (u.min(), u.max()) when known."""
         cfg = self.cfg
-        rhs = u + cfg.dt * self.reaction_at(u, u_range)
+        rhs = self.reaction_at(u, u_range)
+        rhs *= cfg.dt
+        rhs += u
         rhs[0] = cfg.u_left
         rhs[-1] = cfg.u_right
         rhs[1] += self._couple_left

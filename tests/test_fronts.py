@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -52,6 +53,27 @@ class TestMeasureSpeed:
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
             fr.measure_speed([0, 1, 2], [0, 1, 2])
+
+    def test_period_means_recover_speed(self):
+        # a pulsating position over 2.9 periods, as two back-to-back capture
+        # windows of 1.45 periods record it: the slope of the means over the
+        # two whole periods ending at the last sample is c up to sampling
+        # error, while the least-squares slope carries the wobble
+        c, T = 0.3, 1.0 / 0.3
+        t = np.arange(0.0, 2.9 * T, 0.05)
+        x = c * t + 0.1 * np.sin(2 * np.pi * t / T)
+        est = fr.measure_speed(t, x, T)
+        c_ls, stderr = fr.fit_line(t, x)
+        assert abs(est.c_level - c) < 1e-9
+        assert abs(c_ls - c) > 1e-3
+        # the uncertainty stays the least-squares one, never a two-point 0
+        assert est.unc_level == stderr + 1e-12
+
+    def test_period_means_need_two_periods(self):
+        t = np.arange(0.0, 1.9, 0.05)
+        x = 0.3 * t + 0.1 * np.sin(2 * np.pi * t)
+        assert fr.period_mean_slope(t, x, 1.0) is None
+        assert fr.measure_speed(t, x, 1.0).c_level == fr.fit_line(t, x)[0]
 
     def test_exact_translate_period_matching(self, homog_inst):
         # synthetic snapshots of a profile translating at c: the defect
@@ -217,7 +239,7 @@ class TestLimitFrontDatum:
         assert diag["datum_rate"] == fr.limit_front_rate(homog)
         assert diag["window_defects"][0] < fr.TOL_PULS
         assert diag["window_defects"][-1] == homog_front.pulsating_error
-        assert diag["t_final"] < 35.0
+        assert diag["t_final"] < 25.0
 
 
 class TestStoppingRule:
@@ -242,6 +264,31 @@ class TestStoppingRule:
         assert diag["reason"] == "budget"
         assert diag["last_defect"] is not None
         assert diag["t_final"] == pytest.approx(budget.t_max, abs=diag["dt"])
+
+    def test_confirmation_past_budget_keeps_evolving(self, homog_inst):
+        # the window at t = 10 passes and ends near t = 15.1; its confirmation
+        # would end near t = 20.3, past the budget, so it is skipped and the
+        # run steps on to t_max instead of retrying it without stepping
+        budget = fr.Budget(18.0)
+        with pytest.raises(fr.FrontNotConverged) as err:
+            fr.compute_pulsating_front(homog_inst, fr.FrontRunConfig(), budget)
+        diag = err.value.diagnostics
+        assert diag["reason"] == "budget"
+        assert len(diag["window_defects"]) == 1
+        assert diag["window_defects"][0] < fr.TOL_PULS
+        assert diag["t_final"] == pytest.approx(budget.t_max, abs=diag["dt"])
+
+    def test_small_period_front_has_level_speed(self, cos_coeff, cubic03):
+        # at L = 0.1 two back-to-back windows hold fewer than
+        # MIN_LEVEL_SAMPLES level samples; the fit reaches back for more
+        inst = pr.ProblemInstance(coeff=cos_coeff, reaction=cubic03, L=0.1)
+        front = fr.compute_pulsating_front(
+            inst, fr.FrontRunConfig(nodes_per_period=16, tail_floor=1e-6),
+            fr.Budget(400.0))
+        est = front.speed_estimate
+        assert not front.stationary
+        assert math.isfinite(est.c_level) and est.unc_level > 0.0
+        assert abs(est.c_level - est.c_period) <= est.uncertainty
 
 
 class TestDecayFits:

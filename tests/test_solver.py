@@ -255,7 +255,7 @@ class TestChooseDt:
         rep = st.global_stability_experiment(
             homog_inst, homog_front, lambda x: homog_front.interp(x - 3.0 * L, x / L),
             fr.Budget(3.0))
-        assert rep.diagnostics["dt"].hex() == "0x1.c50e65d469ccdp-7"
+        assert rep.diagnostics["dt"].hex() == "0x1.c50e768e2baadp-7"
 
 
 def reference_step(inst, grid, cfg, u):
@@ -291,6 +291,25 @@ class TestFactoredStep:
             ref = reference_step(hetero_inst, g, cfg, u)
             u = st.step_values(u)
             assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_in_place_update_bitwise_equal(self, hetero_inst):
+        # rhs = f(u); rhs *= dt; rhs += u keeps every bit of u + dt * f(u),
+        # inside [0, 1] and on the linear extension outside it
+        g = make(hetero_inst, 4.0)
+        cfg = sv.SolverConfig(dt=0.005, u_left=1.0, u_right=0.0)
+        st = sv.Stepper(hetero_inst, g, cfg)
+        u = sv.front_initial_datum(g, rate=0.5 / g.h)
+        wobble = np.zeros(g.n)
+        wobble[1:-1] = 0.05 * np.sin(7.0 * g.nodes[1:-1])
+        for u in (u, u + wobble):
+            for _ in range(3):
+                rhs = u + cfg.dt * st.reaction_at(u)
+                rhs[0], rhs[-1] = cfg.u_left, cfg.u_right
+                rhs[1] += st._couple_left
+                rhs[-2] += st._couple_right
+                rhs[1:-1] = sv.solve_banded(st.factor, rhs[1:-1])
+                u = st.step_values(u)
+                assert np.array_equal(u.view(np.uint64), rhs.view(np.uint64))
 
     def test_single_interior_node(self, hetero_inst):
         L = hetero_inst.L
@@ -405,6 +424,22 @@ class TestBoundReaction:
             assert np.array_equal(bound(u), ref)
             assert np.array_equal(bound(u, (u.min(), u.max())), ref)
             assert np.array_equal(rx.f(self.Y, u), ref)
+
+    @pytest.mark.parametrize("scale", [1.0, 0.09])
+    def test_in_place_cubic_bitwise_equal_to_product(self, scale):
+        # the hot path builds u (1-u) (u - th) in two temporaries; only
+        # commutative operands moved, so every bit of the product formula
+        # stays, also for the (y, u) table that fbar_and_integral asks for
+        rx = pr.make_cubic(pr.CosineCurve(0.45, 0.1), scale=scale)
+        y = np.linspace(0.0, 1.0, 33)
+        u = np.random.default_rng(5).uniform(0.0, 1.0, 33)
+        for yy, uu in ((y, u), (y[:, None], np.linspace(0.0, 1.0, 65)[None, :])):
+            th = np.asarray(rx.theta(yy), dtype=float)
+            want = uu * (1.0 - uu) * (uu - th)
+            want = want if scale == 1.0 else scale * want
+            got = rx.f(yy, uu)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_direct_call_broadcasts(self):
         rx = pr.make_cubic(pr.CosineCurve(0.45, 0.1))
