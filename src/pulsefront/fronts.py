@@ -37,7 +37,7 @@ STAT_DISP_FRAC = 0.1        # pinned: displacement below 0.1 h over STAT_WINDOW
 MIN_LEVEL_SAMPLES = 20      # level samples behind a level-speed fit
 MIN_TAIL_EFOLDS = 3.0       # depth a tail fit must span
 CAPTURE_SNAPSHOTS = 192     # snapshots per capture window
-SPEED_WINDOW = 2.0 * SETTLE_TIME   # level record behind the speed estimate c_hat
+SPEED_WINDOW = 2.0 * SETTLE_TIME   # shortest level record behind the speed estimate c_hat
 TOL_PULS = 1e-5             # acceptance tolerance on the pulsating defect
 DEFECT_MARGIN_FRAC = 0.15   # per-side exclusion of the defect window
 
@@ -502,15 +502,19 @@ class _RunState(Window):
         self.run(r * k, on_step)
         return SnapshotSeries(t0=t0, dt_snap=r * dt, U=U, grid=self.grid)
 
-    def recent_speed(self, window: float):
+    def recent_speed(self, c_prev: float | None):
+        """Level-fit speed over the last SPEED_WINDOW time units, or over two
+        periods L/|c_prev| of the previous estimate when they are longer; None
+        with fewer than 5 samples there."""
         t = np.asarray(self.level_t)
         x = np.asarray(self.level_x)
         if len(t) < 5:
-            return None, None
+            return None
+        window = max(SPEED_WINDOW, 2.0 * self.grid.L / abs(c_prev)) if c_prev else SPEED_WINDOW
         keep = t >= t[-1] - window
         if np.count_nonzero(keep) < 5:
-            return None, None
-        return fit_line(t[keep], x[keep])
+            return None
+        return fit_line(t[keep], x[keep])[0]
 
     def displacement(self, window: float):
         t = np.asarray(self.level_t)
@@ -561,6 +565,7 @@ def compute_pulsating_front(inst: ProblemInstance, cfg: FrontRunConfig = FrontRu
     c_floor = h / (10.0 * STAT_WINDOW)
     settled = None          # start of the last window if its defect was under TOL_PULS
     confirm = False         # the last pass's window passed: capture the next at once
+    c_hat = None
     diagnostics: dict = {"L": inst.L, "h": h, "dt": dt, "halfwidth": halfwidth,
                          "n_nodes": grid.n, "datum_rate": rate, "last_defect": None,
                          "window_defects": []}
@@ -570,7 +575,7 @@ def compute_pulsating_front(inst: ProblemInstance, cfg: FrontRunConfig = FrontRu
             state.advance(min(SETTLE_TIME, budget.t_max - state.t))
         confirm = False
         state.recenter(level_position(grid.nodes, state.u))
-        c_hat, _ = state.recent_speed(SPEED_WINDOW)
+        c_hat = state.recent_speed(c_hat)
         disp = state.displacement(STAT_WINDOW)
         if disp is not None and disp < STAT_DISP_FRAC * h:
             resid = residual_stationary(grid, state.u, inst)
@@ -632,8 +637,7 @@ def compute_pulsating_front(inst: ProblemInstance, cfg: FrontRunConfig = FrontRu
 
     diagnostics["reason"] = "budget"
     diagnostics["t_final"] = state.t
-    c_hat, _ = state.recent_speed(SPEED_WINDOW)
-    diagnostics["c_hat"] = c_hat
+    diagnostics["c_hat"] = state.recent_speed(c_hat)
     if "stationary_residual" not in diagnostics:
         diagnostics["stationary_residual"] = residual_stationary(grid, state.u, inst)
     raise FrontNotConverged(

@@ -56,7 +56,7 @@ def emit_profile(path, front: fr.FrontSolution, cfg: ExperimentConfig):
 
 
 def emit_sup_errors(path, report: st.StabilityReport, cfg: ExperimentConfig):
-    lines = [_header(cfg, "columns: t sup_error")]
+    lines = [_header(cfg, "columns: t d3_sup")]
     for t, e in report.sup_errors:
         lines.append(f"{t:.10g} {e:.10g}")
     _write(path, lines)

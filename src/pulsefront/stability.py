@@ -3,13 +3,14 @@
 In the frame xi = x - c t the front becomes a time-periodic solution of
 v_t = (a_L(xi + c t) v_xi)_xi + c v_xi + f_L(xi + c t, v) with period
 T = L/|c|, and its translates phi(xi + tau, (xi + c t)/L) are fixed points of
-the period map.  Every evolution here is a lab-frame run on a solver.Window:
-the phase/rate experiments slide it by whole periods to keep the interface
-inside it, and the period map is one period T of lab-frame steps followed by
-a slide of exactly one period L, an exact translation of the L-periodic
-medium, so no transport term is discretized.  This module fits phase shifts
-and exponential convergence rates of front-like initial data, assembles the
-explicit super/subsolution pairs used to trap such data, and computes the
+the period map: n = T/dt lab-frame steps on a solver.Window followed by a
+slide of exactly one period L, an exact translation of the L-periodic
+medium, so no transport term is discretized.  The rate experiments run this
+map period after period and fit the decay of the third difference across
+whole periods, which needs no reference front and cancels the drift of the
+run against the front (Tuckerman and Barkley, "Bifurcation analysis for
+timesteppers", 2000).  This module also assembles the explicit
+super/subsolution pairs used to trap front-like data, and computes the
 spectrum of the linearized period map, whose implicit steps reuse the flux
 stencil and the factor-once tridiagonal solve of the solver.
 """
@@ -17,6 +18,7 @@ stencil and the factor-once tridiagonal solve of the solver.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -27,11 +29,9 @@ from .profiles import ProblemInstance
 from .solver import (Grid1D, SolverConfig, Stepper, Window, build_grid, choose_dt,
                      shift_window, solve_banded)
 
-PROBE_DT = 1.0              # time between phase fits
-TAU_SPAN_PERIODS = 5.0      # golden-section window, units of L/|c|
-TAU_SETTLE_FACTOR = 1.0     # stabilization threshold, units of h/|c|
-FIT_FLOOR = 1e-11
-FIT_CEILING = 5e-2
+PROBE_DT = 1.0              # time between probes of the third difference
+TAU_SPAN_PERIODS = 5.0      # golden-section window of the phase fit, units of L/|c|
+FIT_FLOOR = 1e-10           # the rate is fitted on the record above this level
 MIN_FIT_POINTS = 8
 N_MODES = 12                # eigenvalues kept in a SpectrumSummary, at least
 ESS_MARGIN = 0.05           # tolerance above the essential radius
@@ -57,6 +57,13 @@ def poincare_map(stepper: Stepper, c: float, g: np.ndarray,
     return win.u
 
 
+def period_steps(inst: ProblemInstance, grid: Grid1D, c: float) -> tuple[float, int]:
+    """The period T = L/|c| of a front of speed c and the fewest steps n whose
+    dt = T/n is at most solver.choose_dt on grid."""
+    T = inst.L / abs(c)
+    return T, max(1, math.ceil(T / choose_dt(inst.reaction.lip_k, grid.h, c)))
+
+
 # ---------------------------------------------------------------------------
 # global stability experiments (lab frame)
 # ---------------------------------------------------------------------------
@@ -66,7 +73,7 @@ class StabilityReport:
     tau_g: float
     mu_fit: float
     accepted: bool
-    sup_errors: tuple          # ((t, e), ...)
+    sup_errors: tuple          # ((t, sup of the third period difference), ...)
     final_error: float
     diagnostics: dict
     spectrum: tuple = ()
@@ -87,12 +94,17 @@ def check_front_like(g: np.ndarray, delta: float) -> bool:
 
 def global_stability_experiment(inst: ProblemInstance, front: FrontSolution,
                                 g, budget: Budget) -> StabilityReport:
-    """Track sup_x |u(t, .) - U(t + tau, .)| for a front-like datum g.
+    """The exponential convergence of a front-like datum g to a translate of
+    the front.
 
-    The phase tau is re-fit at every probe by golden-section; once it
-    stabilizes, log sup-error against t on the stabilized window gives the
-    exponential rate.  Reports are 'not accepted' (with diagnostics) when tau
-    never settles or the fitted rate is not positive.
+    The run probes q times per period T and slides one period after every
+    period; sup_errors records (t, sup_x |u_k - 3u_{k-q} + 3u_{k-2q} - u_{k-3q}|),
+    the third difference across whole periods at one phase.  mu_fit is minus
+    the least-squares slope of its logarithm over the last max(MIN_FIT_POINTS,
+    2q) probes before it first falls below FIT_FLOOR (the record's last ones
+    if it never does); the report is accepted when that rate is positive.  The
+    phase tau_g and final_error = sup_x |u(t, .) - U(t + tau_g, .)| come from
+    one golden-section fit on the final state.
     """
     win = _experiment_window(inst, front, g)
     if not check_front_like(win.u, inst.reaction.delta):
@@ -103,7 +115,7 @@ def global_stability_experiment(inst: ProblemInstance, front: FrontSolution,
 
 def _experiment_window(inst: ProblemInstance, front: FrontSolution, g) -> Window:
     """The experiment's run: g realized on a front-sized grid at the front's
-    resolution, stepped at solver.choose_dt for the front's speed."""
+    resolution, stepped at dt = T/n, the period rule of poincare_spectrum."""
     if front.stationary:
         raise ValueError("stability experiments need a non-stationary front")
     span = float(front.xi[-1] - front.xi[0])
@@ -117,90 +129,70 @@ def _experiment_window(inst: ProblemInstance, front: FrontSolution, g) -> Window
         if u0.shape != (grid.n,):
             raise ValueError("array datum must match the experiment grid; pass a "
                              "callable for automatic sampling")
-    dt = choose_dt(inst.reaction.lip_k, grid.h, front.speed)
-    return Window(Stepper(inst, grid, SolverConfig(dt=dt, u_left=1.0, u_right=0.0)), u0)
+    T, n = period_steps(inst, grid, front.speed)
+    return Window(Stepper(inst, grid, SolverConfig(dt=T / n, u_left=1.0, u_right=0.0)), u0)
 
 
 def _track_phase(front: FrontSolution, win: Window, t_span: float) -> StabilityReport:
-    """The phase/rate record of the run on win over t_span, probe times
-    counted on the window's clock."""
+    """The third-difference record of the run on win over t_span, probe times
+    counted on the window's clock, and the phase of its final state."""
     grid = win.grid
     c = front.speed
     dt = win.stepper.cfg.dt
-    tau_span = TAU_SPAN_PERIODS * grid.L / abs(c)
-    tau_tol = TAU_SETTLE_FACTOR * grid.h / abs(c)
-
-    tau_hat = 0.0
-    probes: list[tuple[float, float, float]] = []   # (t, tau, sup_err)
-    steps_per_probe = max(1, int(round(PROBE_DT / dt)))
-    n_probes = int(t_span / (steps_per_probe * dt))
+    T = grid.L / abs(c)
+    n = round(T / dt)
+    # q probes per period, q dividing n, at the interval nearest PROBE_DT
+    q = min((d for d in range(1, n + 1) if n % d == 0),
+            key=lambda d: abs(n // d * dt - PROBE_DT))
+    stride = n // q
+    n_probes = int(t_span / (stride * dt))
     if n_probes < 1:
         raise ValueError(f"stability budget {t_span:.6g} is shorter than one probe "
-                         f"interval ({steps_per_probe * dt:.6g})")
-    # a whole-period slide keeps node q in cell q mod M, so the reference
-    # stays bound to the same cells however far the window moves
-    ref = front.on_cells(grid.nodes_per_period, grid.n)
+                         f"interval ({stride * dt:.6g})")
+    # the last 3q + 1 probe states, kept in the frames they were stored in: the
+    # slide after every period makes states whole periods apart comparable
+    states = deque([win.u], maxlen=3 * q + 1)
+    record: list[tuple[float, float]] = []
+    for k in range(1, n_probes + 1):
+        win.run(stride)
+        if k % q == 0:
+            win.slide(1 if c > 0 else -1)
+            # a recenter moves the frame: no difference may span it
+            if win.recenter(level_position(grid.nodes, win.u)):
+                states.clear()
+        states.append(win.u)
+        if len(states) == states.maxlen:
+            d3 = states[-1] - 3.0 * states[2 * q] + 3.0 * states[q] - states[0]
+            record.append((win.t, float(np.max(np.abs(d3)))))
 
-    for _ in range(n_probes):
-        win.run(steps_per_probe)
-        u, t = win.u, win.t
-        x_abs = grid.nodes + win.x_offset
-
-        def err(tau):
-            d = ref(x_abs - c * (t + tau))
-            np.subtract(u, d, out=d)
-            np.abs(d, out=d)
-            return float(d.max())
-
-        tau_hat, e = _golden_min(err, tau_hat - tau_span, tau_hat + tau_span,
-                                 tol=min(tau_tol * 0.1, 1e-4))
-        probes.append((t, tau_hat, e))
-        # keep the interface well inside the window
-        win.recenter(level_position(grid.nodes, u))
-
-    ts = np.array([p[0] for p in probes])
-    taus = np.array([p[1] for p in probes])
-    errs = np.array([p[2] for p in probes])
-    diagnostics = {"n_probes": len(probes), "dt": dt, "h": grid.h,
-                   "tau_tol": tau_tol}
-    # stabilization: last third of the record must hold tau within tolerance
-    k_tail = max(MIN_FIT_POINTS, len(probes) // 3)
-    tau_var = float(np.max(taus[-k_tail:]) - np.min(taus[-k_tail:]))
-    diagnostics["tau_variation"] = tau_var
-    stabilized = tau_var < tau_tol
-    tau_g = float(np.median(taus[-k_tail:]))
+    ts = np.array([r[0] for r in record])
+    d3s = np.array([r[1] for r in record])
+    # the decay rate from the stretch just above the record's floor
+    reached = np.flatnonzero(d3s < FIT_FLOOR)
+    i1 = int(reached[0]) if reached.size else len(record)
+    i0 = max(0, i1 - max(MIN_FIT_POINTS, 2 * q))
+    diagnostics = {"n_probes": n_probes, "probes_per_period": q, "dt": dt,
+                   "h": grid.h, "fit_points": i1 - i0,
+                   "floor_reached": bool(reached.size)}
     mu_fit = math.nan
-    accepted = False
-    if stabilized:
-        # fit the decaying stretch only: after the phase settles and before
-        # the record flattens onto the measurement floor
-        settle_idx = np.nonzero(np.abs(taus - tau_g) < tau_tol)[0]
-        i0 = int(settle_idx[0]) if len(settle_idx) else len(taus) - k_tail
-        floor = float(np.min(errs))
-        thresh = max(8.0 * floor, FIT_FLOOR)
-        diagnostics["floor"] = floor
-        tw, ew = [], []
-        for t_i, e_i in zip(ts[i0:], errs[i0:]):
-            if e_i <= thresh:
-                break
-            if e_i < FIT_CEILING:
-                tw.append(t_i)
-                ew.append(e_i)
-        diagnostics["fit_points"] = len(tw)
-        if len(tw) >= MIN_FIT_POINTS and ew[0] / ew[-1] > math.e:
-            slope, stderr = fit_line(np.asarray(tw), np.log(np.asarray(ew)))
-            mu_fit = -slope
-            diagnostics["fit_stderr"] = stderr
-            accepted = mu_fit > 0.0
-        elif errs[-1] <= thresh:
-            # already indistinguishable from the reference at the first
-            # stabilized probe: faster than the record can resolve
-            mu_fit = math.inf
-            accepted = True
-    return StabilityReport(tau_g=tau_g, mu_fit=mu_fit, accepted=accepted,
-                           sup_errors=tuple((float(a), float(b))
-                                            for a, b in zip(ts, errs)),
-                           final_error=float(errs[-1]), diagnostics=diagnostics)
+    if i1 - i0 >= MIN_FIT_POINTS:
+        slope, diagnostics["fit_stderr"] = fit_line(ts[i0:i1], np.log(d3s[i0:i1]))
+        mu_fit = -slope
+    # one phase fit on the final state against the front's translates
+    ref = front.on_cells(grid.nodes_per_period, grid.n)
+    x_abs = grid.nodes + win.x_offset
+
+    def err(tau):
+        d = ref(x_abs - c * (win.t + tau))
+        np.subtract(win.u, d, out=d)
+        np.abs(d, out=d)
+        return float(d.max())
+
+    tau_g, final_error = _golden_min(err, -TAU_SPAN_PERIODS * T, TAU_SPAN_PERIODS * T,
+                                     tol=min(0.1 * grid.h / abs(c), 1e-4))
+    return StabilityReport(tau_g=tau_g, mu_fit=mu_fit, accepted=mu_fit > 0.0,
+                           sup_errors=tuple(record), final_error=final_error,
+                           diagnostics=diagnostics)
 
 
 def initialv2_experiment(inst: ProblemInstance, front: FrontSolution,
@@ -392,7 +384,6 @@ def poincare_spectrum(inst: ProblemInstance, front: FrontSolution,
         raise ValueError("dense linearization capped at 400 nodes")
     c = front.speed
     L = inst.L
-    T = L / abs(c)
     # m periods each side of the cell (as build_grid counts them) cover the
     # front; its own resolution is coarsened to the node budget, and only then
     # is m trimmed (not below 2), so the front's tails stay on the grid
@@ -401,7 +392,7 @@ def poincare_spectrum(inst: ProblemInstance, front: FrontSolution,
                      (n_nodes - 1) // (2 * m + 1)))
     m = min(m, max(2, ((n_nodes - 1) // npp - 1) // 2))
     grid = build_grid(inst, (m - 0.5) * L, npp)
-    n_steps = max(1, math.ceil(T / choose_dt(inst.reaction.lip_k, grid.h, c)))
+    T, n_steps = period_steps(inst, grid, c)
     stepper = Stepper(inst, grid, SolverConfig(dt=T / n_steps))
     # start on the attractor: the profile itself at t = 0
     u0 = front.interp(grid.nodes, grid.nodes / L)

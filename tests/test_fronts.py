@@ -290,6 +290,20 @@ class TestStoppingRule:
         assert math.isfinite(est.c_level) and est.unc_level > 0.0
         assert abs(est.c_level - est.c_period) <= est.uncertainty
 
+    def test_speed_fit_spans_two_periods(self, cos_coeff, monkeypatch):
+        # T = L/|c| is about 31 here, longer than SPEED_WINDOW: fitted over
+        # SPEED_WINDOW alone, c_hat swung with the front's phase (T^ from 26 to
+        # 63) and, from the steep datum of rate 0.5/h, the run spent its budget
+        inst = pr.ProblemInstance(coeff=cos_coeff, reaction=pr.make_cubic(
+            pr.CosineCurve(0.35, 0.1)), L=8.0)
+        cfg = fr.FrontRunConfig(nodes_per_period=32)
+        monkeypatch.setattr(fr, "limit_front_rate",
+                            lambda homog: 0.5 * cfg.nodes_per_period / inst.L)
+        front = fr.compute_pulsating_front(inst, cfg, fr.Budget(900.0))
+        assert 2.0 * inst.L / abs(front.speed) > fr.SPEED_WINDOW
+        assert front.pulsating_error < fr.TOL_PULS
+        assert front.diagnostics["datum_rate"] == 2.0
+
 
 class TestDecayFits:
     def test_synthetic_exponential(self):

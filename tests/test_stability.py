@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as hyp
 
 import pulsefront.fronts as fr
+import pulsefront.profiles as pr
 import pulsefront.spectral as spx
 import pulsefront.stability as st
-from pulsefront.solver import SolverConfig, Stepper, Window, build_grid, shift_window
+from pulsefront.solver import (SolverConfig, Stepper, Window, build_grid, choose_dt,
+                               shift_window)
 
 
 @pytest.fixture(scope="module")
@@ -215,6 +217,51 @@ class TestGlobalStability:
                                            lambda x: np.where(x < 0.0, 1.0, 0.0),
                                            fr.Budget(0.5))
         assert runs == []
+
+    def test_steps_cover_whole_periods(self, homog_inst, homog_front):
+        # dt = T/n with n the fewest steps no longer than solver.choose_dt
+        win = st._experiment_window(homog_inst, homog_front, np.zeros_like)
+        c = homog_front.speed
+        T = homog_inst.L / abs(c)
+        n = math.ceil(T / choose_dt(homog_inst.reaction.lip_k, win.grid.h, c))
+        assert abs(n * win.stepper.cfg.dt - T) < 1e-12
+
+    def test_forced_recenter_clears_states(self, homog_inst, homog_front, monkeypatch):
+        # a recenter at the end of period 5 empties the stored states: the
+        # record skips that probe and resumes once three more whole periods
+        # are stored
+        ends = []
+
+        def recenter(self, pos):
+            ends.append(self.t)
+            return 1 if len(ends) == 5 else 0
+
+        monkeypatch.setattr(Window, "recenter", recenter)
+        L = homog_inst.L
+        rep = st.global_stability_experiment(
+            homog_inst, homog_front, lambda x: homog_front.interp(x - 3.0 * L, x / L),
+            fr.Budget(40.0))
+        q = rep.diagnostics["probes_per_period"]
+        T = L / abs(homog_front.speed)
+        ks = [k for k in range(3 * q, rep.diagnostics["n_probes"] + 1)
+              if not 5 * q <= k < 8 * q]
+        assert [t for t, _ in rep.sup_errors] == pytest.approx([k * T / q for k in ks],
+                                                              rel=1e-12)
+        assert ends == pytest.approx([j * T for j in range(1, len(ends) + 1)], rel=1e-12)
+
+    def test_long_period_rate(self, unit_coeff):
+        # theta = 0.4, T = 7.07: probes at whole periods alone would leave the
+        # fit 3 points above the floor; q probes per period give it at least
+        # MIN_FIT_POINTS, and the rate is -lambda1 = 3/8 - (3/2)(1/2 - theta)^2
+        inst = pr.ProblemInstance(coeff=unit_coeff, reaction=pr.make_cubic(0.4), L=1.0)
+        front = fr.compute_pulsating_front(inst, fr.FrontRunConfig(), fr.Budget(300.0))
+        rep = st.global_stability_experiment(inst, front,
+                                             lambda x: np.where(x < 0.0, 1.0, 0.0),
+                                             fr.Budget(120.0))
+        assert rep.diagnostics["probes_per_period"] > 1
+        assert rep.diagnostics["fit_points"] >= st.MIN_FIT_POINTS
+        assert rep.diagnostics["floor_reached"]
+        assert rep.mu_fit == pytest.approx(0.36, rel=0.03)
 
 
 class TestInitialv2:
