@@ -77,7 +77,8 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "datum": ("step", str, "stability datum: step | shifted:<s> | bump:<amp>"),
         "spectrum": ("false", _parse_bool, "also compute the period-map spectrum"),
         "seeds": ("", str, "extra constant seeds for the steady-state search"),
-        "stability_budget": ("150.0", float, "simulated time for stability experiments"),
+        "stability_budget": ("150.0", float, "cap on simulated time for stability experiments; "
+                             "each stops sooner once its third difference is below FIT_FLOOR"),
     },
     "output": {
         "prefix": ("run", str, "file-name prefix for emitted artifacts"),

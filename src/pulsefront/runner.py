@@ -255,7 +255,8 @@ def _run_stability(cfg, out):
         json.dump(_report_json(rep), fh, indent=1)
     emit_sup_errors(prefix + "_sup_errors.txt", rep, cfg)
     line = (f"stability: accepted={rep.accepted} tau_g={_fmt(rep.tau_g)}"
-            f" mu_fit={_fmt(rep.mu_fit)} final_error={_fmt(rep.final_error)}")
+            f" mu_fit={_fmt(rep.mu_fit)} final_error={_fmt(rep.final_error)}"
+            f" stop={rep.diagnostics['stop']} t_final={_fmt(rep.diagnostics['t_final'])}")
     failures = [] if rep.accepted else ["stability experiment not accepted"]
     return RunResult([line], [prefix + "_stability.json",
                               prefix + "_sup_errors.txt"], failures)

@@ -99,12 +99,15 @@ def global_stability_experiment(inst: ProblemInstance, front: FrontSolution,
 
     The run probes q times per period T and slides one period after every
     period; sup_errors records (t, sup_x |u_k - 3u_{k-q} + 3u_{k-2q} - u_{k-3q}|),
-    the third difference across whole periods at one phase.  mu_fit is minus
-    the least-squares slope of its logarithm over the last max(MIN_FIT_POINTS,
-    2q) probes before it first falls below FIT_FLOOR (the record's last ones
-    if it never does); the report is accepted when that rate is positive.  The
-    phase tau_g and final_error = sup_x |u(t, .) - U(t + tau_g, .)| come from
-    one golden-section fit on the final state.
+    the third difference across whole periods at one phase.  The run stops at
+    the first probe below FIT_FLOOR, so budget.t_max is a cap.  mu_fit is
+    minus the least-squares slope of the record's logarithm over the last
+    max(MIN_FIT_POINTS, 2q) probes before that one (the record's last ones if
+    the budget ends it first); the report is accepted when that rate is
+    positive.  The phase tau_g and final_error = sup_x |u(t, .) - U(t + tau_g, .)|
+    come from one golden-section fit on the state the run stopped at.
+    diagnostics["stop"] says why it stopped ("floor" or "budget"), and
+    diagnostics["t_final"] when.
     """
     win = _experiment_window(inst, front, g)
     if not check_front_like(win.u, inst.reaction.delta):
@@ -134,28 +137,38 @@ def _experiment_window(inst: ProblemInstance, front: FrontSolution, g) -> Window
 
 
 def _track_phase(front: FrontSolution, win: Window, t_span: float) -> StabilityReport:
-    """The third-difference record of the run on win over t_span, probe times
-    counted on the window's clock, and the phase of its final state."""
+    """The third-difference record of the run on win, probe times counted on
+    the window's clock, and the phase of the state it stops at.
+
+    The run takes q = round(T / PROBE_DT) probes per period (at least 1, at
+    most n), at step offsets round(j n / q) in every period, so states whole
+    periods apart are exactly comparable.  It stops at the first probe whose
+    third difference is below FIT_FLOOR (diagnostics stop "floor"), the last
+    probe the fit reads, or at the last probe within t_span (stop "budget").
+    """
     grid = win.grid
     c = front.speed
     dt = win.stepper.cfg.dt
     T = grid.L / abs(c)
     n = round(T / dt)
-    # q probes per period, q dividing n, at the interval nearest PROBE_DT
-    q = min((d for d in range(1, n + 1) if n % d == 0),
-            key=lambda d: abs(n // d * dt - PROBE_DT))
-    stride = n // q
-    n_probes = int(t_span / (stride * dt))
-    if n_probes < 1:
+    q = max(1, min(n, round(T / PROBE_DT)))
+    offsets = [round(j * n / q) for j in range(q + 1)]
+    strides = [b - a for a, b in zip(offsets, offsets[1:])]
+    max_steps = int(t_span / dt)
+    if strides[0] > max_steps:
         raise ValueError(f"stability budget {t_span:.6g} is shorter than one probe "
-                         f"interval ({stride * dt:.6g})")
+                         f"interval ({strides[0] * dt:.6g})")
     # the last 3q + 1 probe states, kept in the frames they were stored in: the
     # slide after every period makes states whole periods apart comparable
     states = deque([win.u], maxlen=3 * q + 1)
     record: list[tuple[float, float]] = []
-    for k in range(1, n_probes + 1):
+    steps, n_probes, stop = 0, 0, "budget"
+    while steps + strides[n_probes % q] <= max_steps:
+        stride = strides[n_probes % q]
         win.run(stride)
-        if k % q == 0:
+        steps += stride
+        n_probes += 1
+        if n_probes % q == 0:
             win.slide(1 if c > 0 else -1)
             # a recenter moves the frame: no difference may span it
             if win.recenter(level_position(grid.nodes, win.u)):
@@ -164,16 +177,18 @@ def _track_phase(front: FrontSolution, win: Window, t_span: float) -> StabilityR
         if len(states) == states.maxlen:
             d3 = states[-1] - 3.0 * states[2 * q] + 3.0 * states[q] - states[0]
             record.append((win.t, float(np.max(np.abs(d3)))))
+            if record[-1][1] < FIT_FLOOR:
+                stop = "floor"
+                break
 
     ts = np.array([r[0] for r in record])
     d3s = np.array([r[1] for r in record])
     # the decay rate from the stretch just above the record's floor
-    reached = np.flatnonzero(d3s < FIT_FLOOR)
-    i1 = int(reached[0]) if reached.size else len(record)
+    i1 = len(record) - 1 if stop == "floor" else len(record)
     i0 = max(0, i1 - max(MIN_FIT_POINTS, 2 * q))
     diagnostics = {"n_probes": n_probes, "probes_per_period": q, "dt": dt,
                    "h": grid.h, "fit_points": i1 - i0,
-                   "floor_reached": bool(reached.size)}
+                   "floor_reached": stop == "floor", "stop": stop, "t_final": win.t}
     mu_fit = math.nan
     if i1 - i0 >= MIN_FIT_POINTS:
         slope, diagnostics["fit_stderr"] = fit_line(ts[i0:i1], np.log(d3s[i0:i1]))

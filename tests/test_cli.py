@@ -272,16 +272,19 @@ class TestCliRuns:
         assert sup[0].startswith("# pulsefront")
 
     @pytest.mark.slow
-    def test_stability_scenario_spectrum(self, tmp_path):
+    def test_stability_scenario_spectrum(self, tmp_path, capsys):
         # the committed config asks for the period-map spectrum, which the
-        # runner computes at poincare_spectrum's default node budget
+        # runner computes at poincare_spectrum's default node budget; its
+        # record stays above the fit floor, so the budget stops the run
         path = os.path.join(REPO, "configs", "stability_ref.cfg")
         assert load_config(path, "stability")["run"]["spectrum"] is True
         rc = cli.main(["stability", "--config", path, "--out", str(tmp_path)])
         assert rc == 0
-        spectrum = json.loads((tmp_path / "run_stability.json").read_text())["spectrum"]
-        assert len(spectrum) >= 2
-        assert abs(complex(*spectrum[0]) - 1.0) < 1e-2
+        rep = json.loads((tmp_path / "run_stability.json").read_text())
+        assert len(rep["spectrum"]) >= 2
+        assert abs(complex(*rep["spectrum"][0]) - 1.0) < 1e-2
+        assert rep["diagnostics"]["stop"] == "budget"
+        assert " stop=budget t_final=" in capsys.readouterr().out
 
     @pytest.mark.slow
     def test_scan_e_scenario(self, tmp_path):

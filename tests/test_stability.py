@@ -249,6 +249,51 @@ class TestGlobalStability:
                                                               rel=1e-12)
         assert ends == pytest.approx([j * T for j in range(1, len(ends) + 1)], rel=1e-12)
 
+    def test_budget_is_a_cap(self, homog_inst, homog_front):
+        # the run stops at the first probe below the fit floor, the last one
+        # the fit reads, so a longer budget changes nothing
+        step = lambda x: np.where(x < 0.0, 1.0, 0.0)
+        rep = st.global_stability_experiment(homog_inst, homog_front, step, fr.Budget(120.0))
+        longer = st.global_stability_experiment(homog_inst, homog_front, step,
+                                                fr.Budget(240.0))
+        assert (rep.mu_fit, rep.sup_errors, rep.tau_g) == \
+            (longer.mu_fit, longer.sup_errors, longer.tau_g)
+        d3s = [e for _, e in rep.sup_errors]
+        assert d3s[-1] < st.FIT_FLOOR
+        assert min(d3s[:-1]) >= st.FIT_FLOOR
+        assert rep.diagnostics["stop"] == "floor"
+        assert rep.diagnostics["t_final"] == rep.sup_errors[-1][0] < 120.0
+
+    def test_budget_stop(self, homog_inst, homog_front):
+        # the step datum's record is still above the floor at t = 40
+        rep = st.global_stability_experiment(homog_inst, homog_front,
+                                             lambda x: np.where(x < 0.0, 1.0, 0.0),
+                                             fr.Budget(40.0))
+        assert rep.diagnostics["stop"] == "budget"
+        assert not rep.diagnostics["floor_reached"]
+        assert rep.sup_errors[-1][1] >= st.FIT_FLOOR
+        q = rep.diagnostics["probes_per_period"]
+        T = homog_inst.L / abs(homog_front.speed)
+        assert 40.0 - T / q < rep.diagnostics["t_final"] <= 40.0
+
+    def test_slow_front_probes_once_per_unit_time(self, quench_records):
+        # lambda = 4: dt = T/305 at the 0.05 step cap, and 305 has no divisor
+        # near T = 15.2; the probes sit at step offsets round(j n / q), 20 or
+        # 21 steps apart, and repeat in every period
+        lam, rec = quench_records[-1]
+        assert lam == 4.0
+        inst = pr.make_xin_example(0.2, lam, 0.3)
+        rep = st.global_stability_experiment(inst, rec.front,
+                                             lambda x: np.where(x < 0.0, 1.0, 0.0),
+                                             fr.Budget(120.0))
+        T = inst.L / abs(rec.front.speed)
+        q = rep.diagnostics["probes_per_period"]
+        assert q == round(T)
+        ts = np.array([t for t, _ in rep.sup_errors])
+        assert len(set(np.round(np.diff(ts[:q + 1]) / rep.diagnostics["dt"]))) == 2
+        assert ts[q:] - ts[:-q] == pytest.approx(np.full(len(ts) - q, T), rel=1e-12)
+        assert rep.diagnostics["fit_points"] >= st.MIN_FIT_POINTS
+
     def test_long_period_rate(self, unit_coeff):
         # theta = 0.4, T = 7.07: probes at whole periods alone would leave the
         # fit 3 points above the floor; q probes per period give it at least
