@@ -4,17 +4,19 @@ The datum is the limit front of the averaged equation, the logistic
 1/(1 + exp(kappa (x - x0))) with kappa from `limit_front_rate` (exact for the
 cubic class).  A pulsating front at small L stays close to it, and a run
 forgets its datum only at the exponential rate of the front's spectral gap,
-so starting near the front leaves little to forget.  The datum is evolved
-until two capture windows in a row satisfy, to TOL_PULS, the defining
-relation u(t + L/c, x + L) = u(t, x) of a pulsating front (the first opens
-once a speed estimate exists, and a passing window is confirmed by the next
-one at once, with no settling chunk between them), or until the interface
-demonstrably pins (stationary branch), or until the budget runs out
-(inconclusive, never silently a front).  Speeds are measured two ways: the
-slope of the half-level position's means over whole periods T*, and L/T*
-with T* minimizing the space-time shift defect.  The profile phi(xi, y) is
-rebuilt from one period of snapshots by reading u at t = (x - xi)/c on nodes
-x whose cell coordinate is y.
+so starting near the front leaves little to forget.  Once the level record
+gives a speed estimate c_hat, the run steps whole periods T = L/|c_hat|,
+each in a multiple of the nodes per period of steps, and stores the state
+every h/|c_hat|.  The defining relation u(t + L/c, x + L) = u(t, x) of a
+pulsating front is then an exact one-period difference, and one projection
+of it on u_t gives the period T* for the next c_hat (Tuckerman and Barkley,
+"Bifurcation analysis for timesteppers", 2000).  The run stops when two
+periods in a row meet TOL_PULS, when the interface demonstrably pins
+(stationary branch), or when the budget runs out (inconclusive, never
+silently a front).  Speeds are measured two ways: L/T of the accepted
+period, and the slope of the half-level position's means over the two
+accepted periods.  The profile phi(xi, y) is read from the stored period:
+node x shows phi(xi, x/L) at t = (x - xi)/c, which is a stored row.
 """
 
 from __future__ import annotations
@@ -29,14 +31,14 @@ from scipy.interpolate import CubicSpline
 from .profiles import (HomogenizedData, ProblemInstance, characteristic_rates,
                        homogenized_data)
 from .solver import (Grid1D, SolverConfig, SolverError, Stepper, Window, build_grid,
-                     choose_dt, excursion, front_initial_datum, residual_stationary)
+                     choose_dt, excursion, front_initial_datum, residual_stationary,
+                     steps_per_period)
 
 SETTLE_TIME = 10.0          # evolution chunk between checks
 STAT_WINDOW = 100.0         # pinning detection window
 STAT_DISP_FRAC = 0.1        # pinned: displacement below 0.1 h over STAT_WINDOW
 MIN_LEVEL_SAMPLES = 20      # level samples behind a level-speed fit
 MIN_TAIL_EFOLDS = 3.0       # depth a tail fit must span
-CAPTURE_SNAPSHOTS = 192     # snapshots per capture window
 SPEED_WINDOW = 2.0 * SETTLE_TIME   # shortest level record behind the speed estimate c_hat
 TOL_PULS = 1e-5             # acceptance tolerance on the pulsating defect
 DEFECT_MARGIN_FRAC = 0.15   # per-side exclusion of the defect window
@@ -90,42 +92,31 @@ def level_position(x: np.ndarray, u: np.ndarray):
 
 @dataclass
 class SnapshotSeries:
-    """Uniformly spaced snapshots of one capture window on a frozen grid."""
+    """One period T of a run on a frozen grid with m0 nodes per period: the
+    m0 + 1 states at t0 + k dt_snap, dt_snap = T/m0, rows U[0] to U[m0]."""
 
     t0: float
     dt_snap: float
-    U: np.ndarray          # (k, n)
+    U: np.ndarray          # (m0 + 1, n)
     grid: Grid1D
 
-    @property
-    def t1(self) -> float:
-        return self.t0 + (self.U.shape[0] - 1) * self.dt_snap
-
-    def u_at(self, t: float) -> np.ndarray:
-        s = (t - self.t0) / self.dt_snap
-        k = self.U.shape[0]
-        s = min(max(s, 0.0), k - 1 - 1e-12)
-        i = int(s)
-        w = s - i
-        return (1.0 - w) * self.U[i] + w * self.U[i + 1]
-
-    def shift_defect(self, t_ref: float, T: float, margin_nodes: int,
-                     shift: int = 1) -> float:
-        """sup over interior nodes of |u(t_ref + T, x + shift*L) - u(t_ref, x)|."""
+    def defect_nodes(self, margin_nodes: int, shift: int):
+        """The interior nodes x and the nodes x + shift*L, as two slices."""
         m0 = self.grid.nodes_per_period
-        n = self.grid.n
-        a = self.u_at(t_ref)
-        b = self.u_at(t_ref + T)
-        lo = margin_nodes
-        hi = n - margin_nodes - m0
+        lo, hi = margin_nodes, self.grid.n - margin_nodes - m0
         if hi <= lo:
             raise ValueError("domain too small for the defect window")
-        if shift >= 0:
-            return float(np.max(np.abs(b[lo + m0:hi + m0] - a[lo:hi])))
-        return float(np.max(np.abs(b[lo:hi] - a[lo + m0:hi + m0])))
+        here, there = slice(lo, hi), slice(lo + m0, hi + m0)
+        return (here, there) if shift >= 0 else (there, here)
+
+    def shift_defect(self, margin_nodes: int, shift: int = 1) -> np.ndarray:
+        """The one-period difference U[-1](x + shift*L) - U[0](x) at the
+        interior nodes x."""
+        here, there = self.defect_nodes(margin_nodes, shift)
+        return self.U[-1, there] - self.U[0, here]
 
     def time_monotonicity_defect(self) -> float:
-        """How far the capture is from being nondecreasing in t (0 if monotone)."""
+        """How far the period is from being nondecreasing in t (0 if monotone)."""
         d = np.diff(self.U, axis=0)
         return float(max(0.0, -float(d.min())))
 
@@ -151,28 +142,22 @@ def _golden_min(f: Callable[[float], float], lo: float, hi: float, tol: float):
     return xm, f(xm)
 
 
-def min_shift_defect(snaps: SnapshotSeries, t_ref: float, t_hat: float,
-                     margin_nodes: int, shift: int = 1):
-    """Minimize the pulsating defect over the time period T near t_hat > 0.
+def min_shift_defect(snaps: SnapshotSeries, margin_nodes: int, shift: int = 1):
+    """The period T* that the stored period T points to, by one projection.
 
-    Returns (T*, defect*, T-width over which the defect stays below twice the
-    minimum), the last being a crude timing uncertainty.
+    Near the orbit's period, d = U[-1](x + shift*L) - U[0](x) is u_t (T - T*)
+    with u_t read at the shifted nodes at the end of the period, so
+    T* = T - <d, u_t>/<u_t, u_t>, u_t = (U[-1] - U[-2])/dt_snap.  Returns
+    (T*, max|d|, width), width = |T* - T| + max|d|/max|u_t| being the timing
+    uncertainty that the remaining defect leaves.
     """
-    t_lo = 0.75 * t_hat
-    t_hi = min(1.25 * t_hat, snaps.t1 - t_ref)
-    if t_hi <= t_lo:
-        raise ValueError("capture window too short for period matching")
-    ts = np.linspace(t_lo, t_hi, 61)
-    ds = np.array([snaps.shift_defect(t_ref, T, margin_nodes, shift) for T in ts])
-    j = int(np.argmin(ds))
-    lo = ts[max(0, j - 1)]
-    hi = ts[min(len(ts) - 1, j + 1)]
-    T_star, d_star = _golden_min(
-        lambda T: snaps.shift_defect(t_ref, T, margin_nodes, shift),
-        lo, hi, tol=1e-7 * t_hat)
-    below = ds <= 2.0 * max(d_star, 1e-15)
-    width = (ts[1] - ts[0]) * max(1, int(np.count_nonzero(below)))
-    return float(T_star), float(d_star), float(width)
+    T = (snaps.U.shape[0] - 1) * snaps.dt_snap
+    d = snaps.shift_defect(margin_nodes, shift)
+    there = snaps.defect_nodes(margin_nodes, shift)[1]
+    u_t = (snaps.U[-1, there] - snaps.U[-2, there]) / snaps.dt_snap
+    T_star = T - float(np.dot(d, u_t) / np.dot(u_t, u_t))
+    defect = float(np.max(np.abs(d)))
+    return T_star, defect, abs(T_star - T) + defect / float(np.max(np.abs(u_t)))
 
 
 @dataclass(frozen=True)
@@ -205,12 +190,6 @@ def fit_line(x: np.ndarray, y: np.ndarray):
     return c, stderr
 
 
-def _period_uncertainty(L: float, T: float, width: float, dt_snap: float) -> float:
-    """Speed uncertainty of L/T from the period-matching width and the
-    snapshot spacing."""
-    return abs(L) * (0.25 * width + 0.25 * dt_snap) / T**2
-
-
 def period_mean_slope(times: np.ndarray, positions: np.ndarray, period: float):
     """Least-squares slope of the means of the position over the k whole
     periods that end at the last sample, or None when the record holds fewer
@@ -230,8 +209,7 @@ def measure_speed(times: Sequence[float], positions: Sequence[float],
     """Speed from the level trajectory: the slope of its period means when a
     period is given and the record spans two of them, else the least-squares
     slope.  The uncertainty is the least-squares standard error either way.
-    The period-matching estimate is added by the front run from its capture
-    window."""
+    The period estimate is added by the front run from its last period."""
     times = np.asarray(times, dtype=float)
     positions = np.asarray(positions, dtype=float)
     if len(times) < MIN_LEVEL_SAMPLES:
@@ -265,48 +243,6 @@ class FrontSolution:
     def stationary(self) -> bool:
         return self.speed == 0.0
 
-    def on_cells(self, M: int, n: int):
-        """xi -> phi(xi, y_q) on the n nodes of a window grid with M nodes per
-        period, node q at the exact cell coordinate y_q = (q mod M)/M.
-
-        The lattice is resampled once at y = r/M, r = 0..M-1, with interp's
-        y-half formula (it is phi itself when M equals the column count), so
-        each call does only the xi half: two gathers, at row i and row i + 1
-        of the resampled lattice, and one in-place blend.  Bitwise equal to
-        interp(xi, (arange(n) % M)/M).  The result is a fresh array the caller
-        may overwrite.
-        """
-        m = len(self.y)
-        if M == m:
-            cells = self.phi
-        else:
-            sy = np.arange(M) / M * m
-            j = np.minimum(sy.astype(int), m - 1)
-            wj = sy - j
-            cells = (1 - wj) * self.phi[:, j] + wj * self.phi[:, (j + 1) % m]
-        flat = np.ascontiguousarray(cells).ravel()
-        below, above = flat, flat[M:]
-        cols = np.arange(n) % M
-        xi0 = self.xi[0]
-        h = self.xi[1] - xi0
-        top = len(self.xi) - 1 - 1e-12
-
-        def phi_at(xi):
-            s = np.subtract(xi, xi0)
-            s /= h
-            np.maximum(s, 0.0, out=s)
-            np.minimum(s, top, out=s)
-            k = s.astype(int)
-            s -= k                       # s is now the xi weight wi
-            k *= M
-            k += cols
-            out = below.take(k)
-            out *= 1 - s
-            s *= above.take(k)
-            out += s
-            return out
-        return phi_at
-
     def interp(self, xi, y):
         """Bilinear interpolation of the lattice, periodic in y, clamped in xi;
         xi and y broadcast, and the four lattice values are gathered from the
@@ -330,63 +266,42 @@ class FrontSolution:
                 + wi * (vj * flat.take(k1) + wj * flat.take(k1 + dj)))
 
 
-def extract_profile(snaps: SnapshotSeries, c: float, t_start: float, period: float,
-                    margin_nodes: int):
-    """Rebuild phi(xi, y) from snapshots spanning at least one time period.
+def extract_profile(snaps: SnapshotSeries, c: float, margin_nodes: int):
+    """Rebuild phi(xi, y) from one stored period of a front of speed
+    c = +-L/T.
 
-    Returns (xi, y, phi).  Node q shows lattice point p at t = (q - p) h / c,
-    so each offset d = q - p reads one snapshot row; replicas of the same
-    (xi, y) seen through different nodes are averaged.
+    Returns (xi, y, phi).  Node q shows lattice point p at
+    t = (q - p) h / c = |q - p| dt_snap, so offset d = q - p reads row |d|,
+    d from 0 to m0 (c > 0) or from -m0 to 0 (c < 0); the replicas d = 0 and
+    d = +-m0 of the same (xi, y) are averaged.  The lattice is every point
+    that each offset sees through a node inside the margins.
     """
     grid = snaps.grid
     m0 = grid.nodes_per_period
-    n = grid.n
-    h = grid.h
     if c == 0.0:
         raise ValueError("profile extraction needs a nonzero speed")
-    if snaps.t1 - t_start < period:
-        raise ValueError("snapshots must cover one full period past t_start; "
-                         f"have {snaps.t1 - t_start:.3g}, need {period:.3g}")
-    t_lo = t_start
-    t_hi = snaps.t1
-    lo_node = margin_nodes
-    hi_node = n - 1 - margin_nodes
-    xs = grid.nodes
-    xi_lo = xs[lo_node] - c * (t_lo if c > 0 else t_hi)
-    xi_hi = xs[hi_node] - c * (t_hi if c > 0 else t_lo)
-    p_lo = int(math.ceil((xi_lo - grid.x_min) / h - 1e-9))
-    p_hi = int(math.floor((xi_hi - grid.x_min) / h + 1e-9))
+    if snaps.U.shape[0] != m0 + 1:
+        raise ValueError(f"need one period of {m0 + 1} rows, got {snaps.U.shape[0]}")
+    ds = range(0, m0 + 1) if c > 0 else range(-m0, 1)
+    p_lo = margin_nodes - ds[0]
+    p_hi = grid.n - 1 - margin_nodes - ds[-1]
     if p_hi - p_lo < 8:
-        raise ValueError("capture window leaves no feasible profile range")
+        raise ValueError("the stored period leaves no feasible profile range")
     n_p = p_hi - p_lo + 1
-    xi = grid.x_min + h * np.arange(p_lo, p_hi + 1)
+    xi = grid.x_min + grid.h * np.arange(p_lo, p_hi + 1)
     ys = np.arange(m0) / m0
-    # skewed accumulators: column d % m0 of row r holds lattice point
+    # skewed accumulator: column d % m0 of row r holds lattice point
     # (p_lo + r, column (p_lo + r + d) % m0), so each d is one slice add
     acc = np.zeros((n_p, m0))
-    cnt = np.zeros((n_p, m0), dtype=np.int16)
-    d_lo, d_hi = sorted((c * t_lo / h, c * t_hi / h))
+    cnt = np.zeros(m0)
     # increasing d sums each (p, y) in the order of its nodes q
-    for d in range(math.floor(d_lo), math.ceil(d_hi) + 1):
-        t = d * h / c
-        if not (t_lo - 1e-9 <= t <= t_hi + 1e-9):
-            continue
-        # rows r with lo_node <= p_lo + r + d <= hi_node
-        r0 = max(0, lo_node - p_lo - d)
-        r1 = min(n_p, hi_node - p_lo - d + 1)
-        if r1 <= r0:
-            continue
-        s = d % m0
-        acc[r0:r1, s] += snaps.u_at(t)[p_lo + d + r0:p_lo + d + r1]
-        cnt[r0:r1, s] += 1
+    for d in ds:
+        acc[:, d % m0] += snaps.U[abs(d), p_lo + d:p_hi + d + 1]
+        cnt[d % m0] += 1
+    acc /= cnt
     # unskew in place: row r rolls by p_lo + r, the same for every r = k mod m0
     for k in range(min(m0, n_p)):
         acc[k::m0] = np.roll(acc[k::m0], p_lo + k, axis=1)
-        cnt[k::m0] = np.roll(cnt[k::m0], p_lo + k, axis=1)
-    if not (cnt > 0).all():
-        raise ValueError("insufficient snapshot coverage for some lattice points; "
-                         "increase the capture span or snapshot count")
-    acc /= cnt
     return xi, ys, acc
 
 
@@ -465,15 +380,17 @@ def default_halfwidth(homog: HomogenizedData, tail_floor: float) -> float:
 # ---------------------------------------------------------------------------
 
 class _RunState(Window):
-    """A front run's window with its level record and capture windows."""
+    """A front run's window with its level record, stepped in chunks at dt or
+    in whole periods at T/n <= dt."""
 
     def __init__(self, inst, grid, solver_cfg, rate):
         super().__init__(Stepper(inst, grid, solver_cfg), front_initial_datum(
             grid, interface=0.5 * (grid.x_min + grid.x_max), rate=rate))
+        self.dt = solver_cfg.dt
         self.level_t: list[float] = []
         self.level_x: list[float] = []
-        # the level is recorded about every 0.05 time units
-        self.level_every = max(1, int(round(0.05 / solver_cfg.dt)))
+        # in chunks the level is recorded about every 0.05 time units
+        self.level_every = max(1, int(round(0.05 / self.dt)))
 
     def record_level(self, t, u):
         pos = level_position(self.grid.nodes, u)
@@ -482,25 +399,27 @@ class _RunState(Window):
             self.level_x.append(pos + self.x_offset)
 
     def advance(self, duration: float):
-        n_steps = max(1, int(round(duration / self.stepper.cfg.dt)))
+        self.stepper.retime(self.dt)
+        n_steps = max(1, int(round(duration / self.dt)))
         self.run(n_steps, lambda k, t, u: self.record_level(t, u), self.level_every)
 
-    def capture(self, span: float) -> SnapshotSeries:
-        dt = self.stepper.cfg.dt
-        r = max(1, int(round(span / (CAPTURE_SNAPSHOTS * dt))))
-        k = int(math.ceil(span / (r * dt)))
-        U = np.empty((k + 1, self.grid.n))
+    def step_period(self, T: float) -> SnapshotSeries:
+        """Step exactly one period T in n = m*m0 steps of T/n <= dt (m0 nodes
+        per period), storing the state and recording the level every m steps."""
+        m0 = self.grid.nodes_per_period
+        n = steps_per_period(T, self.dt, m0)
+        m = n // m0
+        self.stepper.retime(T / n)
+        U = np.empty((m0 + 1, self.grid.n))
         U[0] = self.u
         t0 = self.t
 
-        def on_step(step_k, t, u):
-            if step_k % r == 0:
-                U[step_k // r] = u
-            if step_k % self.level_every == 0:      # the cadence of advance
-                self.record_level(t, u)
+        def on_step(k, t, u):
+            U[k // m] = u
+            self.record_level(t, u)
 
-        self.run(r * k, on_step)
-        return SnapshotSeries(t0=t0, dt_snap=r * dt, U=U, grid=self.grid)
+        self.run(n, on_step, m)
+        return SnapshotSeries(t0=t0, dt_snap=T / m0, U=U, grid=self.grid)
 
     def recent_speed(self, c_prev: float | None):
         """Level-fit speed over the last SPEED_WINDOW time units, or over two
@@ -547,11 +466,16 @@ def compute_pulsating_front(inst: ProblemInstance, cfg: FrontRunConfig = FrontRu
                             homog: HomogenizedData | None = None) -> FrontSolution:
     """Evolve a front-like datum until it is a pulsating front, a pinned
     stationary front (speed 0), or the budget is spent (FrontNotConverged).
-    A window under TOL_PULS is followed at once by the next one, a failing
-    or skipped one by a SETTLE_TIME chunk.  c_level comes from the level
-    record since the start of the first of the two settled windows (at least
-    MIN_LEVEL_SAMPLES samples), as the slope of its means over whole periods
-    T*; a window that would overrun the budget is skipped, not the run."""
+
+    The run steps SETTLE_TIME chunks until the level record gives a speed
+    estimate c_hat, then whole periods T = L/|c_hat| back to back, each
+    matched by one projection (min_shift_defect) whose T* sets c_hat = +-L/T*
+    for the next.  It is accepted at the second period in a row whose
+    one-period difference is below TOL_PULS, with c_period = +-L/T of that
+    period and c_level the slope of the level's means over the two periods.
+    A period that would overrun the budget is skipped for a chunk, not the
+    run, so the pinning test can still fire.
+    """
     if homog is None:
         homog = homogenized_data(inst.coeff, inst.reaction)
     halfwidth = default_halfwidth(homog, cfg.tail_floor)
@@ -563,19 +487,20 @@ def compute_pulsating_front(inst: ProblemInstance, cfg: FrontRunConfig = FrontRu
     # the defect window stays clear of the Dirichlet boundary layers
     margin_nodes = max(grid.nodes_per_period + 4, int(DEFECT_MARGIN_FRAC * grid.n))
     c_floor = h / (10.0 * STAT_WINDOW)
-    settled = None          # start of the last window if its defect was under TOL_PULS
-    confirm = False         # the last pass's window passed: capture the next at once
+    settled = None          # start of the last period if its defect was under TOL_PULS
+    periodic = False        # c_hat came from the last period: step the next one at once
     c_hat = None
     diagnostics: dict = {"L": inst.L, "h": h, "dt": dt, "halfwidth": halfwidth,
                          "n_nodes": grid.n, "datum_rate": rate, "last_defect": None,
-                         "window_defects": []}
+                         "period_defects": []}
 
     while state.t < budget.t_max:
-        if not confirm:
+        if not periodic:
             state.advance(min(SETTLE_TIME, budget.t_max - state.t))
-        confirm = False
         state.recenter(level_position(grid.nodes, state.u))
-        c_hat = state.recent_speed(c_hat)
+        if not periodic:
+            c_hat = state.recent_speed(c_hat)
+        periodic = False
         disp = state.displacement(STAT_WINDOW)
         if disp is not None and disp < STAT_DISP_FRAC * h:
             resid = residual_stationary(grid, state.u, inst)
@@ -595,32 +520,28 @@ def compute_pulsating_front(inst: ProblemInstance, cfg: FrontRunConfig = FrontRu
                                            est, diagnostics)
         if c_hat is None or abs(c_hat) < c_floor:
             continue
-        t_hat = inst.L / abs(c_hat)
-        span = 1.45 * t_hat
-        if state.t + span > budget.t_max:
+        T = inst.L / abs(c_hat)
+        if state.t + T > budget.t_max:
             continue                # keep evolving: the stationary test may fire
         sgn = 1 if c_hat > 0 else -1
-        snaps = state.capture(span)
-        t_ref1 = snaps.t0 + 0.02 * span
-        t_ref2 = snaps.t0 + 0.12 * span
+        snaps = state.step_period(T)
         try:
-            T1, d1, width = min_shift_defect(snaps, t_ref1, t_hat, margin_nodes, sgn)
-            d2 = snaps.shift_defect(t_ref2, T1, margin_nodes, sgn)
+            T_star, defect, width = min_shift_defect(snaps, margin_nodes, sgn)
         except ValueError:
             continue
-        defect = max(d1, d2)
         diagnostics["last_defect"] = defect
-        diagnostics["window_defects"].append(defect)
+        diagnostics["period_defects"].append(defect)
         if defect < TOL_PULS and settled is not None:
-            c_period = sgn * inst.L / T1
+            c_period = sgn * inst.L / T
             times = np.asarray(state.level_t)
             xs = np.asarray(state.level_x)
             keep = times >= min(settled, times[-MIN_LEVEL_SAMPLES])
-            base = measure_speed(times[keep], xs[keep], T1)
-            est = replace(base, c_period=c_period,
-                          unc_period=_period_uncertainty(inst.L, T1, width, snaps.dt_snap))
+            # the two periods' mean length: the record since settled holds
+            # exactly two of them
+            base = measure_speed(times[keep], xs[keep], 0.5 * (times[-1] - settled))
+            est = replace(base, c_period=c_period, unc_period=abs(inst.L) * width / T**2)
             try:
-                xi, ys, phi = extract_profile(snaps, c_period, t_ref1, T1, margin_nodes)
+                xi, ys, phi = extract_profile(snaps, c_period, margin_nodes)
             except ValueError as exc:
                 diagnostics.update(t_final=state.t, reason="coverage", message=str(exc))
                 raise FrontNotConverged(f"profile extraction failed at t={state.t:.4g}: "
@@ -633,7 +554,9 @@ def compute_pulsating_front(inst: ProblemInstance, cfg: FrontRunConfig = FrontRu
             diagnostics["time_monotonicity_defect"] = snaps.time_monotonicity_defect()
             return _front_from_lattice(c_period, xi, ys, phi, defect, est, diagnostics)
         settled = snaps.t0 if defect < TOL_PULS else None
-        confirm = settled is not None
+        periodic = T_star > 0.0
+        if periodic:
+            c_hat = sgn * inst.L / T_star
 
     diagnostics["reason"] = "budget"
     diagnostics["t_final"] = state.t

@@ -6,22 +6,24 @@ pinned at both ends, backward Euler diffusion and explicit reaction.  The
 flux-form operator (a u')' is built in one place, `flux_stencil` (its three
 diagonals, Dirichlet or cyclic) and `flux_apply` (its flux-difference action);
 the spectral and stability modules use the same pair.  The interior of
-I - dt*D is symmetric positive definite and constant, so a Stepper factors it
-once (`factor_spd`, LAPACK dpttrf) and each step is one solve against that
-factor (`solve_banded`, dpttrs), with the two Dirichlet couplings folded into
-the right-hand side.  The reaction is bound once to the node positions.  The
-implicit Euler/explicit reaction combination is order-preserving whenever
-dt * lip_k <= 1, which the configuration enforces with margin.  `choose_dt`
-is the one step rule.  A `Window` owns one lab-frame run (its Stepper, state,
-time and x_offset) and is the one place the window slides: by whole periods
-(`shift_window`), an exact translation of the L-periodic medium.  The front
-runs, the stability experiments and the period map all run on it.
+I - dt*D is symmetric positive definite and constant for one dt, so a Stepper
+factors it once per dt (`factor_spd`, LAPACK dpttrf) and each step is one
+solve against that factor (`solve_banded`, dpttrs), with the two Dirichlet
+couplings folded into the right-hand side.  The reaction is bound once to the
+node positions.  The implicit Euler/explicit reaction combination is
+order-preserving whenever dt * lip_k <= 1, which the configuration enforces
+with margin.  `choose_dt` is the one step rule, and `steps_per_period` the
+one period rule: a whole period T in n steps of T/n.  A `Window` owns one
+lab-frame run (its Stepper, state, time and x_offset) and is the one place
+the window slides: by whole periods (`shift_window`), an exact translation of
+the L-periodic medium.  The front runs, the stability experiments and the
+period map all run on it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -47,6 +49,12 @@ def choose_dt(lip_k: float, h: float, c: float) -> float:
     if c != 0.0:
         dt = min(dt, ACCURACY_CFL * h / abs(c))
     return float(min(dt, DT_CAP))
+
+
+def steps_per_period(T: float, dt_max: float, multiple: int = 1) -> int:
+    """The one period rule: the fewest steps n, a multiple of `multiple`, whose
+    dt = T/n is at most dt_max."""
+    return multiple * max(1, math.ceil(T / (multiple * dt_max)))
 
 
 @dataclass(frozen=True)
@@ -184,23 +192,29 @@ class Stepper:
     instance on one grid."""
 
     def __init__(self, inst: ProblemInstance, grid: Grid1D, cfg: SolverConfig):
-        if cfg.dt * inst.reaction.lip_k >= 0.5:
-            raise SolverError(
-                f"dt*K = {cfg.dt * inst.reaction.lip_k:.3g} >= 0.5 breaks the "
-                "explicit reaction stability budget")
         self.inst = inst
         self.grid = grid
         self.cfg = cfg
-        n = grid.n
-        lower, diag, upper = flux_stencil(grid.a_face, grid.h)
-        # interior rows of I - dt*D: symmetric (upper[i] == lower[i+1]) and
-        # diagonally dominant, hence positive definite
-        self.factor = factor_spd(1.0 - cfg.dt * diag[1:n-1], -cfg.dt * upper[1:n-2])
-        self._couple_left = cfg.dt * lower[1] * cfg.u_left
-        self._couple_right = cfg.dt * upper[n-2] * cfg.u_right
+        self.retime(cfg.dt)
         self._reaction = bind_reaction(inst.reaction.f, np.mod(grid.nodes / inst.L, 1.0))
         self.min_seen = math.inf
         self.max_seen = -math.inf
+
+    def retime(self, dt: float):
+        """Step at dt from now on: I - dt*D is factored again, the bound
+        reaction and the range seen are kept."""
+        if dt * self.inst.reaction.lip_k >= 0.5:
+            raise SolverError(
+                f"dt*K = {dt * self.inst.reaction.lip_k:.3g} >= 0.5 breaks the "
+                "explicit reaction stability budget")
+        cfg = self.cfg = replace(self.cfg, dt=dt)
+        n = self.grid.n
+        lower, diag, upper = flux_stencil(self.grid.a_face, self.grid.h)
+        # interior rows of I - dt*D: symmetric (upper[i] == lower[i+1]) and
+        # diagonally dominant, hence positive definite
+        self.factor = factor_spd(1.0 - dt * diag[1:n-1], -dt * upper[1:n-2])
+        self._couple_left = dt * lower[1] * cfg.u_left
+        self._couple_right = dt * upper[n-2] * cfg.u_right
 
     def reaction_at(self, u: np.ndarray, u_range=None) -> np.ndarray:
         return self._reaction(u, u_range)

@@ -27,7 +27,7 @@ import numpy as np
 from .fronts import Budget, FrontSolution, _golden_min, fit_line, level_position
 from .profiles import ProblemInstance
 from .solver import (Grid1D, SolverConfig, Stepper, Window, build_grid, choose_dt,
-                     shift_window, solve_banded)
+                     shift_window, solve_banded, steps_per_period)
 
 PROBE_DT = 1.0              # time between probes of the third difference
 TAU_SPAN_PERIODS = 5.0      # golden-section window of the phase fit, units of L/|c|
@@ -59,9 +59,9 @@ def poincare_map(stepper: Stepper, c: float, g: np.ndarray,
 
 def period_steps(inst: ProblemInstance, grid: Grid1D, c: float) -> tuple[float, int]:
     """The period T = L/|c| of a front of speed c and the fewest steps n whose
-    dt = T/n is at most solver.choose_dt on grid."""
+    dt = T/n is at most solver.choose_dt on grid (solver.steps_per_period)."""
     T = inst.L / abs(c)
-    return T, max(1, math.ceil(T / choose_dt(inst.reaction.lip_k, grid.h, c)))
+    return T, steps_per_period(T, choose_dt(inst.reaction.lip_k, grid.h, c))
 
 
 # ---------------------------------------------------------------------------
@@ -193,12 +193,14 @@ def _track_phase(front: FrontSolution, win: Window, t_span: float) -> StabilityR
     if i1 - i0 >= MIN_FIT_POINTS:
         slope, diagnostics["fit_stderr"] = fit_line(ts[i0:i1], np.log(d3s[i0:i1]))
         mu_fit = -slope
-    # one phase fit on the final state against the front's translates
-    ref = front.on_cells(grid.nodes_per_period, grid.n)
+    # one phase fit on the final state against the front's translates, on
+    # the window's cells: a whole-period slide keeps node q in cell (q mod M)/M
+    M = grid.nodes_per_period
+    cells = (np.arange(grid.n) % M) / M
     x_abs = grid.nodes + win.x_offset
 
     def err(tau):
-        d = ref(x_abs - c * (win.t + tau))
+        d = front.interp(x_abs - c * (win.t + tau), cells)
         np.subtract(win.u, d, out=d)
         np.abs(d, out=d)
         return float(d.max())

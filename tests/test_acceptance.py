@@ -131,7 +131,7 @@ def test_05_pulsating_relation(homog_front, hetero_half_front, acceptance_report
     ok = (homog_front.pulsating_error < 1e-3 and front1.pulsating_error < 1e-3)
     check(acceptance_report, 5, ok,
           f"pulsating defects {homog_front.pulsating_error:.2e}, "
-          f"{front1.pulsating_error:.2e} (< 1e-3, two probe times each)")
+          f"{front1.pulsating_error:.2e} (< 1e-3, one whole period each)")
 
 
 # -- 6 -----------------------------------------------------------------------

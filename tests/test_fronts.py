@@ -55,9 +55,8 @@ class TestMeasureSpeed:
             fr.measure_speed([0, 1, 2], [0, 1, 2])
 
     def test_period_means_recover_speed(self):
-        # a pulsating position over 2.9 periods, as two back-to-back capture
-        # windows of 1.45 periods record it: the slope of the means over the
-        # two whole periods ending at the last sample is c up to sampling
+        # a pulsating position over 2.9 periods: the slope of the means over
+        # the two whole periods ending at the last sample is c up to sampling
         # error, while the least-squares slope carries the wobble
         c, T = 0.3, 1.0 / 0.3
         t = np.arange(0.0, 2.9 * T, 0.05)
@@ -75,60 +74,69 @@ class TestMeasureSpeed:
         assert fr.period_mean_slope(t, x, 1.0) is None
         assert fr.measure_speed(t, x, 1.0).c_level == fr.fit_line(t, x)[0]
 
-    def test_exact_translate_period_matching(self, homog_inst):
-        # synthetic snapshots of a profile translating at c: the defect
-        # minimizer recovers T = L/c to grid accuracy, and the period speed
-        # agrees with the level speed c within its uncertainty
-        c = 0.25
-        grid = build_grid(homog_inst, 10.0, 64)
-        t0, dt_snap, k = 0.0, 0.05, 120
-        U = np.empty((k + 1, grid.n))
-        for i in range(k + 1):
-            U[i] = 1.0 / (1.0 + np.exp((grid.nodes - c * (t0 + i * dt_snap)) / np.sqrt(2)))
-        snaps = fr.SnapshotSeries(t0=t0, dt_snap=dt_snap, U=U, grid=grid)
-        t_ref = snaps.t0 + 0.02 * (snaps.t1 - snaps.t0)
-        T_star, _, width = fr.min_shift_defect(snaps, t_ref, 1.0 / c, 8)
-        c_period = 1.0 / T_star
-        assert c_period == pytest.approx(c, rel=1e-3)
-        assert abs(c_period - c) <= fr._period_uncertainty(1.0, T_star, width, dt_snap)
 
 
-def replica_loop_extract(snaps, c, t_start, period, margin_nodes):
+def pulsating_period(inst, c, T_hat, m0=64):
+    """One stored period of length T_hat (m0 + 1 rows) of the pulsating
+    profile u(t, x) = phi(x - c t + 0.2 sin(2 pi x/L)), which satisfies
+    u(t + L/|c|, x + sign(c) L) = u(t, x) exactly."""
+    grid = build_grid(inst, 10.0, m0)
+    t = np.arange(m0 + 1)[:, None] * (T_hat / m0)
+    x = grid.nodes
+    U = 1.0 / (1.0 + np.exp((x - c * t + 0.2 * np.sin(2 * np.pi * x / inst.L))
+                            / np.sqrt(2)))
+    return fr.SnapshotSeries(t0=0.0, dt_snap=T_hat / m0, U=U, grid=grid)
+
+
+class TestWholePeriodMatching:
+    @pytest.mark.parametrize("c", [0.25, -0.4])
+    @pytest.mark.parametrize("ratio", [1.01, 1.001])
+    def test_one_projection_finds_the_period(self, homog_inst, c, ratio):
+        # a period stepped at T^ = ratio * T: one projection on u_t lands
+        # within 1e-6 T of T, and the returned width covers the error
+        T = homog_inst.L / abs(c)
+        snaps = pulsating_period(homog_inst, c, ratio * T)
+        margin = snaps.grid.nodes_per_period + 4
+        shift = 1 if c > 0 else -1
+        T_star, defect, width = fr.min_shift_defect(snaps, margin, shift)
+        assert abs(T_star - T) < 1e-6 * T
+        assert abs(T_star - T) <= width
+        assert defect == np.max(np.abs(snaps.shift_defect(margin, shift)))
+        assert defect > 1e-5
+
+    @pytest.mark.parametrize("c", [0.25, -0.4])
+    def test_exact_period_has_no_defect(self, homog_inst, c):
+        T = homog_inst.L / abs(c)
+        snaps = pulsating_period(homog_inst, c, T)
+        T_star, defect, _ = fr.min_shift_defect(snaps, 68, 1 if c > 0 else -1)
+        assert defect < 1e-12
+        assert abs(T_star - T) < 1e-10 * T
+
+
+def replica_loop_extract(snaps, c, margin_nodes):
     """The per-column replica loop that fronts.extract_profile replaced: for
-    each column j, the nodes q = j + mm*M of replica mm, with a second copy of
-    the time interpolation.  Kept as the reference for bitwise equality."""
-    import math
+    each column j, the nodes q = j + mm*M of replica mm, each read at row
+    |q - p| of the stored period.  Kept as the reference for bitwise equality."""
     grid = snaps.grid
     m0, n, h = grid.nodes_per_period, grid.n, grid.h
-    t_lo, t_hi = t_start, snaps.t1
     lo_node, hi_node = margin_nodes, n - 1 - margin_nodes
-    xs = grid.nodes
-    xi_lo = xs[lo_node] - c * (t_lo if c > 0 else t_hi)
-    xi_hi = xs[hi_node] - c * (t_hi if c > 0 else t_lo)
-    p_lo = int(math.ceil((xi_lo - grid.x_min) / h - 1e-9))
-    p_hi = int(math.floor((xi_hi - grid.x_min) / h + 1e-9))
+    s = 1 if c > 0 else -1
+    p_lo = lo_node + (m0 if c < 0 else 0)
+    p_hi = hi_node - (m0 if c > 0 else 0)
     ps = np.arange(p_lo, p_hi + 1)
     phi = np.zeros((len(ps), m0))
-    k_snap = snaps.U.shape[0]
-    cdt = c / h
     for j in range(m0):
         acc = np.zeros(len(ps))
         cnt = np.zeros(len(ps))
-        q_a = ps + cdt * t_lo
-        q_b = ps + cdt * t_hi
-        m_first = np.ceil((np.minimum(q_a, q_b) - j) / m0 - 1e-9).astype(int)
-        m_last = np.floor((np.maximum(q_a, q_b) - j) / m0 + 1e-9).astype(int)
+        # the replicas mm whose node q lies between p and p + s*m0
+        m_first = -((j - np.minimum(ps, ps + s * m0)) // m0)
+        m_last = (np.maximum(ps, ps + s * m0) - j) // m0
         for r in range(max(int(np.max(m_last - m_first)) + 1, 0)):
             mm = m_first + r
             q = j + mm * m0
-            t = (q - ps) * h / c
-            ok = (mm <= m_last) & (q >= lo_node) & (q <= hi_node) \
-                & (t >= t_lo - 1e-9) & (t <= t_hi + 1e-9)
-            s = np.clip((t - snaps.t0) / snaps.dt_snap, 0.0, k_snap - 1 - 1e-12)
-            i0 = s.astype(int)
-            w = s - i0
-            qq = np.clip(q, 0, n - 1)
-            vals = (1.0 - w) * snaps.U[i0, qq] + w * snaps.U[i0 + 1, qq]
+            ok = (mm <= m_last) & (q >= lo_node) & (q <= hi_node)
+            row = np.minimum(np.abs(q - ps), m0)
+            vals = snaps.U[row, np.clip(q, 0, n - 1)]
             acc[ok] += vals[ok]
             cnt[ok] += 1
         assert (cnt > 0).all()
@@ -137,27 +145,28 @@ def replica_loop_extract(snaps, c, t_start, period, margin_nodes):
 
 
 class TestExtractProfile:
-    # synthetic snapshots of a profile translating at c over 1.45 periods, as
-    # a capture window: c < 0, and a period shorter than c (L < c)
+    # one stored period of a profile translating at c: c < 0, and a period
+    # shorter than c (L < c)
     @pytest.mark.parametrize("L,c", [(1.0, -0.25), (0.1, 0.37)])
     def test_bitwise_equal_to_replica_loop(self, unit_coeff, cubic03, L, c):
         inst = pr.ProblemInstance(coeff=unit_coeff, reaction=cubic03, L=L)
-        grid = build_grid(inst, 10.0, 64)
-        T = L / abs(c)
-        k = 192
-        dt_snap = 1.45 * T / k
-        t = np.arange(k + 1)[:, None] * dt_snap
-        y = np.mod(grid.nodes / L, 1.0)
-        U = 1.0 / (1.0 + np.exp((grid.nodes - c * t) / np.sqrt(2))
-                   + 0.01 * np.cos(2 * np.pi * y))
-        snaps = fr.SnapshotSeries(t0=0.0, dt_snap=dt_snap, U=U, grid=grid)
-        t_start = 0.02 * (snaps.t1 - snaps.t0)
-        margin = grid.nodes_per_period + 4
-        got = fr.extract_profile(snaps, c, t_start, T, margin)
-        want = replica_loop_extract(snaps, c, t_start, T, margin)
+        snaps = pulsating_period(inst, c, L / abs(c))
+        margin = snaps.grid.nodes_per_period + 4
+        got = fr.extract_profile(snaps, c, margin)
+        want = replica_loop_extract(snaps, c, margin)
         for a, b in zip(got, want):
             assert a.shape == b.shape
             assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+    def test_recovers_the_pulsating_profile(self, homog_inst):
+        # each lattice point is read at its exact time: phi(xi, y) is the
+        # profile u(t, x) = phi(x - c t + 0.2 sin(2 pi x/L)) at x - c t = xi
+        c = 0.25
+        snaps = pulsating_period(homog_inst, c, homog_inst.L / c)
+        xi, ys, phi = fr.extract_profile(snaps, c, 68)
+        want = 1.0 / (1.0 + np.exp((xi[:, None] + 0.2 * np.sin(2 * np.pi * ys))
+                                   / np.sqrt(2)))
+        assert np.max(np.abs(phi - want)) < 1e-12
 
 
 class TestComputeFront:
@@ -231,14 +240,17 @@ class TestLimitFrontDatum:
         xi = np.linspace(-10.0, 10.0, 2001)
         assert np.max(np.abs(front(xi) - 1.0 / (1.0 + np.exp(kappa * xi)))) < 1e-6
 
-    def test_reference_front_accepts_first_window(self, homog_inst, homog_front):
-        # the datum is already close to the front: the first capture window
-        # meets the tolerance, so the run stops after the second
+    def test_reference_front_accepts_third_period(self, homog_inst, homog_front):
+        # the datum is already close to the front: after the first chunk the
+        # period differences fall below the tolerance at the second period,
+        # so the run stops after the third, at t = 10 + 3 T
         diag = homog_front.diagnostics
         homog = pr.homogenized_data(homog_inst.coeff, homog_inst.reaction)
         assert diag["datum_rate"] == fr.limit_front_rate(homog)
-        assert diag["window_defects"][0] < fr.TOL_PULS
-        assert diag["window_defects"][-1] == homog_front.pulsating_error
+        defects = diag["period_defects"]
+        assert len(defects) == 3
+        assert defects[0] > fr.TOL_PULS > defects[1] > defects[2]
+        assert defects[-1] == homog_front.pulsating_error
         assert diag["t_final"] < 25.0
 
 
@@ -253,8 +265,8 @@ class TestStoppingRule:
         assert rec.front.pulsating_error < fr.TOL_PULS
 
     def test_window_past_budget_keeps_evolving(self, homog_inst, monkeypatch):
-        # the tolerance is out of reach; the window due at t = 26 would end
-        # near t = 31, past the budget, so the run evolves on to t_max
+        # the tolerance is out of reach; the period due at t = 27.7 would end
+        # near t = 31.2, past the budget, so the run evolves on to t_max
         # instead of stopping there
         budget = fr.Budget(28.0)
         monkeypatch.setattr(fr, "TOL_PULS", 1e-14)
@@ -266,21 +278,22 @@ class TestStoppingRule:
         assert diag["t_final"] == pytest.approx(budget.t_max, abs=diag["dt"])
 
     def test_confirmation_past_budget_keeps_evolving(self, homog_inst):
-        # the window at t = 10 passes and ends near t = 15.1; its confirmation
-        # would end near t = 20.3, past the budget, so it is skipped and the
-        # run steps on to t_max instead of retrying it without stepping
+        # periods of T = 3.54 from t = 10: the second passes and ends near
+        # t = 17.1; its confirmation would end near t = 20.6, past the
+        # budget, so it is skipped and the run steps on to t_max instead of
+        # retrying it without stepping
         budget = fr.Budget(18.0)
         with pytest.raises(fr.FrontNotConverged) as err:
             fr.compute_pulsating_front(homog_inst, fr.FrontRunConfig(), budget)
         diag = err.value.diagnostics
         assert diag["reason"] == "budget"
-        assert len(diag["window_defects"]) == 1
-        assert diag["window_defects"][0] < fr.TOL_PULS
+        assert len(diag["period_defects"]) == 2
+        assert diag["period_defects"][0] > fr.TOL_PULS > diag["period_defects"][1]
         assert diag["t_final"] == pytest.approx(budget.t_max, abs=diag["dt"])
 
     def test_small_period_front_has_level_speed(self, cos_coeff, cubic03):
-        # at L = 0.1 two back-to-back windows hold fewer than
-        # MIN_LEVEL_SAMPLES level samples; the fit reaches back for more
+        # at L = 0.1 and 16 nodes per period the level is recorded 16 times
+        # a period, so the two accepted periods hold MIN_LEVEL_SAMPLES
         inst = pr.ProblemInstance(coeff=cos_coeff, reaction=cubic03, L=0.1)
         front = fr.compute_pulsating_front(
             inst, fr.FrontRunConfig(nodes_per_period=16, tail_floor=1e-6),
@@ -303,6 +316,18 @@ class TestStoppingRule:
         assert 2.0 * inst.L / abs(front.speed) > fr.SPEED_WINDOW
         assert front.pulsating_error < fr.TOL_PULS
         assert front.diagnostics["datum_rate"] == 2.0
+
+    def test_long_period_front_accepted_early(self, cos_coeff):
+        # T = L/|c| is about 31: whole periods make the period difference
+        # exact, so the run needs no luck once c_hat is right (with a
+        # 1.45-period window interpolated in time it waited until t = 884.5)
+        inst = pr.ProblemInstance(coeff=cos_coeff, reaction=pr.make_cubic(
+            pr.CosineCurve(0.35, 0.1)), L=8.0)
+        front = fr.compute_pulsating_front(inst, fr.FrontRunConfig(nodes_per_period=32),
+                                           fr.Budget(900.0))
+        assert not front.stationary
+        assert front.pulsating_error < fr.TOL_PULS
+        assert front.diagnostics["t_final"] < 400.0
 
 
 class TestDecayFits:

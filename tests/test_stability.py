@@ -477,26 +477,14 @@ class TestBoundFront:
         for a, b in cases:
             assert same_bits(front.interp(a, b), interp_reference(front, a, b))
 
-    @given(hyp.lists(XI, min_size=1, max_size=40), hyp.sampled_from([4, 8, 16]))
-    @settings(max_examples=150, deadline=None)
-    def test_on_cells_bitwise(self, xis, M):
-        # fewer, as many and more cells per period than lattice columns
-        front = self.LATTICE
-        xi = np.array(xis)
-        y = (np.arange(xi.size) % M) / M
-        out = front.on_cells(M, xi.size)(xi)
-        assert same_bits(out, interp_reference(front, xi, y))
-        assert same_bits(out, front.interp(xi, y))
-
     @pytest.mark.parametrize("datum", ["shifted", "step"])
     def test_experiment_equals_per_call_interp(self, homog_inst, homog_front, datum, monkeypatch):
         L = homog_inst.L
         g = {"shifted": lambda x: homog_front.interp(x - 3.0 * L, x / L),
              "step": lambda x: np.where(x < 0.0, 1.0, 0.0)}[datum]
         fast = st.global_stability_experiment(homog_inst, homog_front, g, fr.Budget(60.0))
-        # every trial phase evaluates the fancy-indexed interpolation afresh
-        monkeypatch.setattr(fr.FrontSolution, "on_cells", lambda self, M, n: lambda xi:
-                            interp_reference(self, xi, (np.arange(n) % M) / M))
+        # every trial phase evaluates the fancy-indexed interpolation
+        monkeypatch.setattr(fr.FrontSolution, "interp", interp_reference)
         slow = st.global_stability_experiment(homog_inst, homog_front, g, fr.Budget(60.0))
         assert (fast.tau_g, fast.mu_fit, fast.sup_errors) == \
             (slow.tau_g, slow.mu_fit, slow.sup_errors)
