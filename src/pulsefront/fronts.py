@@ -27,6 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.interpolate import CubicSpline
+from scipy.optimize import minimize_scalar
 
 from .profiles import (HomogenizedData, ProblemInstance, characteristic_rates,
                        homogenized_data)
@@ -122,24 +123,10 @@ class SnapshotSeries:
 
 
 def _golden_min(f: Callable[[float], float], lo: float, hi: float, tol: float):
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(200):
-        if b - a < tol:
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    xm = 0.5 * (a + b)
-    return xm, f(xm)
+    """(x, f(x)) at the minimum of a unimodal f on [lo, hi] by bounded Brent
+    (golden section with parabolic steps), x to within tol + 2 sqrt(eps) |x|."""
+    res = minimize_scalar(f, bounds=(lo, hi), method="bounded", options={"xatol": tol})
+    return float(res.x), float(res.fun)
 
 
 def min_shift_defect(snaps: SnapshotSeries, margin_nodes: int, shift: int = 1):

@@ -24,7 +24,7 @@ from scipy.optimize import brentq
 
 from .profiles import HomogenizedData, ProblemInstance, characteristic_rates
 from .fronts import (Budget, FrontNotConverged, FrontRunConfig, FrontSolution,
-                     _golden_min, compute_pulsating_front)
+                     _golden_min, compute_pulsating_front, level_position)
 from .solver import SolverError
 
 SADDLE_EPS = 1e-6       # shooting starts this far from the saddles 0 and 1
@@ -84,13 +84,15 @@ def _saddle_orbit(homog: HomogenizedData, c: float, xi_max: float, level: float,
     turnback.terminal = True
 
     return solve_ivp(rhs, (0.0, end), start, events=(crossing, turnback),
-                     rtol=1e-10, atol=1e-12, dense_output=True, max_step=xi_max)
+                     method="DOP853", rtol=1e-10, atol=1e-12, dense_output=True,
+                     max_step=xi_max)
 
 
 def solve_homogenized_front(homog: HomogenizedData) -> HomogenizedFront:
     """Front (phi0, c0) of the averaged equation by Brent's method on the
-    section mismatch of the two saddle orbits, or c0 = 0 when the integral
-    of fbar vanishes; the profile is the orbit leaving 1 at c0 either way.
+    section mismatch of the two saddle orbits, each integrated by DOP853, or
+    c0 = 0 when the integral of fbar vanishes; the profile is the orbit
+    leaving 1 at c0 either way.
 
     Preconditions: fbar'(0) < 0, fbar'(1) < 0 and at least one interior zero.
     The profile is normalized by phi0(0) = 1/2; repeated solves are bitwise
@@ -175,11 +177,10 @@ def _assemble_front(homog: HomogenizedData, c0: float, sol) -> HomogenizedFront:
 
 def align_profiles(xi: np.ndarray, y: np.ndarray, phi: np.ndarray, phi0):
     """Shift s* minimizing the mean-square lattice gap between phi(xi + s, y)
-    and phi0(xi), and the gap at s*.  Golden-section around a level-matching
+    and phi0(xi), and the gap at s*.  Bounded Brent around a level-matching
     first guess."""
     phi_mean = phi.mean(axis=1)
     # initial guess from the half-levels
-    from .fronts import level_position
     pos_l = level_position(xi, phi_mean)
     xi0 = np.asarray(xi, dtype=float)
     base = np.asarray(phi0(xi0), dtype=float)

@@ -30,7 +30,7 @@ from .solver import (Grid1D, SolverConfig, Stepper, Window, build_grid, choose_d
                      shift_window, solve_banded, steps_per_period)
 
 PROBE_DT = 1.0              # time between probes of the third difference
-TAU_SPAN_PERIODS = 5.0      # golden-section window of the phase fit, units of L/|c|
+TAU_SPAN_PERIODS = 5.0      # bounded Brent window of the phase fit, units of L/|c|
 FIT_FLOOR = 1e-10           # the rate is fitted on the record above this level
 MIN_FIT_POINTS = 8
 N_MODES = 12                # eigenvalues kept in a SpectrumSummary, at least
@@ -105,7 +105,7 @@ def global_stability_experiment(inst: ProblemInstance, front: FrontSolution,
     max(MIN_FIT_POINTS, 2q) probes before that one (the record's last ones if
     the budget ends it first); the report is accepted when that rate is
     positive.  The phase tau_g and final_error = sup_x |u(t, .) - U(t + tau_g, .)|
-    come from one golden-section fit on the state the run stopped at.
+    come from one bounded Brent fit on the state the run stopped at.
     diagnostics["stop"] says why it stopped ("floor" or "budget"), and
     diagnostics["t_final"] when.
     """

@@ -37,6 +37,47 @@ class TestLevelPosition:
         assert fr.level_position(x, np.ones(11)) is None
 
 
+class TestMinimizer:
+    # (x, f(x)) with x within tol of the minimizer: smooth, a V like the phase
+    # fit's sup-norm objective, and a minimum at an end of the interval.
+    # Bounded Brent's stopping test adds a relative sqrt(eps) |x| per side.
+    @pytest.mark.parametrize("f, lo, hi, x_min", [
+        (lambda x: (x - 0.3) ** 2 + 1.0, -2.0, 5.0, 0.3),
+        (lambda x: abs(x - 1.37), -5.0, 5.0, 1.37),
+        (lambda x: x * x, 0.5, 4.0, 0.5),
+        (lambda x: -x, -1.0, 2.0, 2.0),
+    ])
+    @pytest.mark.parametrize("tol", [1e-4, 1e-8])
+    def test_minimizer_within_tol(self, f, lo, hi, x_min, tol):
+        x, fx = fr._golden_min(f, lo, hi, tol=tol)
+        assert abs(x - x_min) <= tol + 2 * math.sqrt(np.finfo(float).eps) * abs(x_min)
+        assert fx == f(x)
+
+    def test_alignment_evaluation_count(self, monkeypatch):
+        # on a 128-node-per-period lattice like the sweep's the minimizer
+        # evaluates the gap at most 15 times
+        homog = pr.homogenized_data(pr.CoefficientProfile.from_curve(pr.CosineCurve(2.0, 1.0)),
+                                    pr.make_cubic(0.3))
+        front = hg.solve_homogenized_front(homog)
+        xi = np.arange(-1280, 1281) / 128
+        y = np.arange(128) / 128
+        phi = front(xi[:, None] - 0.9 - 0.05 * np.cos(2 * np.pi * y)[None, :])
+        evals = []
+        gap2 = hg._lattice_gap2
+
+        def counted(*args):
+            g = gap2(*args)
+
+            def f(s):
+                evals.append(s)
+                return g(s)
+            return f
+        monkeypatch.setattr(hg, "_lattice_gap2", counted)
+        s_star, _ = hg.align_profiles(xi, y, phi, front)
+        assert s_star == pytest.approx(0.9, abs=1e-2)
+        assert len(evals) <= 15
+
+
 class TestMeasureSpeed:
     def test_synthetic_wobble(self):
         t = np.linspace(0, 40, 400)

@@ -72,8 +72,14 @@ class TestShooting:
         assert np.max(np.abs(0.5 * dphi**2 - (F(1.0) - F(front.phi)))) < 1e-6
 
     def test_diffusivity_rescaling(self):
-        front = hg.solve_homogenized_front(homog_for(0.3, 2.0, 1.0))
-        assert front.c0 == pytest.approx(np.sqrt(2 * np.sqrt(3.0)) * 0.2, abs=1e-8)
+        # a = 2 + cos 2 pi y has a_H = sqrt(3), and the cubic's limit speed is
+        # sqrt(a_H / 2) (1 - 2 theta); two solves are bitwise identical
+        hd = homog_for(0.3, 2.0, 1.0)
+        front, again = (hg.solve_homogenized_front(hd) for _ in range(2))
+        assert front.c0 == pytest.approx(np.sqrt(np.sqrt(3.0) / 2) * 0.4, rel=0.0, abs=1e-10)
+        assert front.c0 == again.c0
+        assert np.array_equal(front.xi, again.xi)
+        assert np.array_equal(front.phi, again.phi)
 
     def test_bitwise_determinism(self):
         hd = homog_for(0.35)
@@ -164,7 +170,7 @@ class TestAlignment:
 
     # the shifted lattice is bitwise the per-column interp; the weighted sum
     # adds in another order than trapezoid-then-mean, so the gap agrees to
-    # rounding, the shift to the golden-section tolerance
+    # rounding, the shift to the minimizer's tolerance
     def test_gap_matches_per_column_interp(self, lattice):
         front, xi, _, phi = lattice
         base = front(xi)
