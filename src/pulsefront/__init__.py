@@ -21,6 +21,6 @@ from .spectral import (EigenPair, SteadyState, decay_root_mu,
                        periodic_principal_eigen, stability_limit)
 from .stability import (StabilityReport, SuperSubSolution, build_supersub,
                         global_stability_experiment, initialv2_experiment,
-                        poincare_map, poincare_spectrum)
+                        poincare_spectrum)
 
 __version__ = "0.1.0"

@@ -2,9 +2,10 @@
 
 Every key has a documented default.  Unknown sections or keys, [run] and
 [numerics] keys the scenario never reads and [profile] keys the family never
-reads are rejected, so a typo cannot silently fall back to a default.  The raw
-file bytes are hashed into every artifact header: reruns are byte-identical
-and artifacts traceable to their configuration.
+reads are rejected, so a typo cannot silently fall back to a default, and so
+is a [numerics] value out of its range.  The raw file bytes are hashed into
+every artifact header: reruns are byte-identical and artifacts traceable to
+their configuration.
 """
 
 from __future__ import annotations
@@ -152,6 +153,12 @@ def parse_config(text: str, scenario: str) -> ExperimentConfig:
             if key not in read:
                 raise ConfigError(f"[{section}] {key} is not read by scenario {scenario!r}"
                                   f" with profile family {family!r}")
+    num = values["numerics"]
+    for key, ok, need in (("L", num["L"] > 0, "> 0"), ("budget", num["budget"] > 0, "> 0"),
+                          ("nodes_per_period", num["nodes_per_period"] >= 1, ">= 1"),
+                          ("tail_floor", 0 < num["tail_floor"] < 1, "in (0, 1)")):
+        if not ok:
+            raise ConfigError(f"[numerics] {key} = {num[key]!r} must be {need}")
     digest = hashlib.sha256(text.encode()).hexdigest()[:12]
     return ExperimentConfig(scenario=scenario, values=values, config_hash=digest,
                             raw_text=text)

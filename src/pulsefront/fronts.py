@@ -5,14 +5,15 @@ The datum is the limit front of the averaged equation, the logistic
 cubic class).  A pulsating front at small L stays close to it, and a run
 forgets its datum only at the exponential rate of the front's spectral gap,
 so starting near the front leaves little to forget.  Once the level record
-gives a speed estimate c_hat, the run steps whole periods T = L/|c_hat|,
-each in a multiple of the nodes per period of steps, and stores the state
-every h/|c_hat|.  The defining relation u(t + L/c, x + L) = u(t, x) of a
-pulsating front is then an exact one-period difference, and one projection
-of it on u_t gives the period T* for the next c_hat (Tuckerman and Barkley,
-"Bifurcation analysis for timesteppers", 2000).  The run stops when two
-periods in a row meet TOL_PULS, when the interface demonstrably pins
-(stationary branch), or when the budget runs out (inconclusive, never
+gives a speed estimate c_hat, the run iterates the period map
+`solver.Window.period`: a whole period T = L/|c_hat| in a multiple of the
+nodes per period of steps, storing the state every h/|c_hat|, then a slide
+by one period.  The front, tails included, is an attracting fixed point of
+that map, and u(t + L/c, x + L) = u(t, x) is an exact one-period difference
+whose projection on u_t gives the period T* for the next c_hat (Tuckerman
+and Barkley, "Bifurcation analysis for timesteppers", 2000).  The run stops
+when two periods in a row meet TOL_PULS, when the interface demonstrably
+pins (stationary branch), or when the budget runs out (inconclusive, never
 silently a front).  Speeds are measured two ways: L/T of the accepted
 period, and the slope of the half-level position's means over the two
 accepted periods.  The profile phi(xi, y) is read from the stored period:
@@ -368,7 +369,7 @@ def default_halfwidth(homog: HomogenizedData, tail_floor: float) -> float:
 
 class _RunState(Window):
     """A front run's window with its level record, stepped in chunks at dt or
-    in whole periods at T/n <= dt."""
+    by the period map, whole periods at T/n <= dt."""
 
     def __init__(self, inst, grid, solver_cfg, rate):
         super().__init__(Stepper(inst, grid, solver_cfg), front_initial_datum(
@@ -390,9 +391,10 @@ class _RunState(Window):
         n_steps = max(1, int(round(duration / self.dt)))
         self.run(n_steps, lambda k, t, u: self.record_level(t, u), self.level_every)
 
-    def step_period(self, T: float) -> SnapshotSeries:
-        """Step exactly one period T in n = m*m0 steps of T/n <= dt (m0 nodes
-        per period), storing the state and recording the level every m steps."""
+    def step_period(self, T: float, sgn: int) -> SnapshotSeries:
+        """The period map: exactly one period T in n = m*m0 steps of T/n <= dt
+        (m0 nodes per period), storing the state and recording the level every
+        m steps, then a slide by sgn periods (the rows are from before it)."""
         m0 = self.grid.nodes_per_period
         n = steps_per_period(T, self.dt, m0)
         m = n // m0
@@ -405,7 +407,7 @@ class _RunState(Window):
             U[k // m] = u
             self.record_level(t, u)
 
-        self.run(n, on_step, m)
+        self.period(n, sgn, on_step, m)
         return SnapshotSeries(t0=t0, dt_snap=T / m0, U=U, grid=self.grid)
 
     def recent_speed(self, c_prev: float | None):
@@ -454,18 +456,20 @@ def compute_pulsating_front(inst: ProblemInstance, cfg: FrontRunConfig = FrontRu
     """Evolve a front-like datum until it is a pulsating front, a pinned
     stationary front (speed 0), or the budget is spent (FrontNotConverged).
 
-    The run steps SETTLE_TIME chunks until the level record gives a speed
-    estimate c_hat, then whole periods T = L/|c_hat| back to back, each
-    matched by one projection (min_shift_defect) whose T* sets c_hat = +-L/T*
-    for the next.  It is accepted at the second period in a row whose
-    one-period difference is below TOL_PULS, with c_period = +-L/T of that
-    period and c_level the slope of the level's means over the two periods.
+    The run steps SETTLE_TIME chunks, each followed by a recenter, until the
+    level record gives a speed estimate c_hat, then period maps of
+    T = L/|c_hat| back to back, each matched by one projection
+    (min_shift_defect) whose T* sets c_hat = +-L/T* for the next.  It is
+    accepted at the second period in a row whose one-period difference is
+    below TOL_PULS, with c_period = +-L/T of that period and c_level the
+    slope of the level's means over the two periods.
     A period that would overrun the budget is skipped for a chunk, not the
     run, so the pinning test can still fire.
     """
     if homog is None:
         homog = homogenized_data(inst.coeff, inst.reaction)
-    halfwidth = default_halfwidth(homog, cfg.tail_floor)
+    # two periods or more on each side of the cell hold the defect window
+    halfwidth = max(default_halfwidth(homog, cfg.tail_floor), 1.5 * inst.L)
     grid = build_grid(inst, halfwidth, cfg.nodes_per_period)
     h = grid.h
     dt = choose_dt(inst.reaction.lip_k, h, speed_scale(homog))
@@ -480,12 +484,14 @@ def compute_pulsating_front(inst: ProblemInstance, cfg: FrontRunConfig = FrontRu
     diagnostics: dict = {"L": inst.L, "h": h, "dt": dt, "halfwidth": halfwidth,
                          "n_nodes": grid.n, "datum_rate": rate, "last_defect": None,
                          "period_defects": []}
+    if grid.n - 2 * margin_nodes <= grid.nodes_per_period:
+        diagnostics.update(t_final=0.0, reason="coverage", message="no defect window")
+        raise FrontNotConverged("domain too small for the defect window", diagnostics)
 
     while state.t < budget.t_max:
         if not periodic:
             state.advance(min(SETTLE_TIME, budget.t_max - state.t))
-        state.recenter(level_position(grid.nodes, state.u))
-        if not periodic:
+            state.recenter(level_position(grid.nodes, state.u))
             c_hat = state.recent_speed(c_hat)
         periodic = False
         disp = state.displacement(STAT_WINDOW)
@@ -511,11 +517,8 @@ def compute_pulsating_front(inst: ProblemInstance, cfg: FrontRunConfig = FrontRu
         if state.t + T > budget.t_max:
             continue                # keep evolving: the stationary test may fire
         sgn = 1 if c_hat > 0 else -1
-        snaps = state.step_period(T)
-        try:
-            T_star, defect, width = min_shift_defect(snaps, margin_nodes, sgn)
-        except ValueError:
-            continue
+        snaps = state.step_period(T, sgn)
+        T_star, defect, width = min_shift_defect(snaps, margin_nodes, sgn)
         diagnostics["last_defect"] = defect
         diagnostics["period_defects"].append(defect)
         if defect < TOL_PULS and settled is not None:

@@ -16,8 +16,8 @@ with margin.  `choose_dt` is the one step rule, and `steps_per_period` the
 one period rule: a whole period T in n steps of T/n.  A `Window` owns one
 lab-frame run (its Stepper, state, time and x_offset) and is the one place
 the window slides: by whole periods (`shift_window`), an exact translation of
-the L-periodic medium.  The front runs, the stability experiments and the
-period map all run on it.
+the L-periodic medium.  `Window.period`, n steps then a one-period slide, is
+the period map that the front runs and the spectrum iterate.
 """
 
 from __future__ import annotations
@@ -279,6 +279,12 @@ class Window:
         u[0], u[-1] = cfg.u_left, cfg.u_right
         self.u = u
         self.x_offset += p * self.grid.L
+
+    def period(self, n_steps: int, p: int, on_step: Callable | None = None, every: int = 1):
+        """The period map: n_steps steps covering one period L/|c|, then a slide
+        by p = sign(c) periods; on_step fires as in run, before the slide."""
+        self.run(n_steps, on_step, every)
+        self.slide(p)
 
     def recenter(self, pos: float | None) -> int:
         """Slide by the whole periods nearest the drift of the interface at pos

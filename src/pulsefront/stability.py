@@ -3,16 +3,17 @@
 In the frame xi = x - c t the front becomes a time-periodic solution of
 v_t = (a_L(xi + c t) v_xi)_xi + c v_xi + f_L(xi + c t, v) with period
 T = L/|c|, and its translates phi(xi + tau, (xi + c t)/L) are fixed points of
-the period map: n = T/dt lab-frame steps on a solver.Window followed by a
-slide of exactly one period L, an exact translation of the L-periodic
-medium, so no transport term is discretized.  The rate experiments run this
-map period after period and fit the decay of the third difference across
-whole periods, which needs no reference front and cancels the drift of the
-run against the front (Tuckerman and Barkley, "Bifurcation analysis for
-timesteppers", 2000).  This module also assembles the explicit
-super/subsolution pairs used to trap front-like data, and computes the
-spectrum of the linearized period map, whose implicit steps reuse the flux
-stencil and the factor-once tridiagonal solve of the solver.
+the period map `solver.Window.period`: n = T/dt lab-frame steps followed by
+a slide of exactly one period L, an exact translation of the L-periodic
+medium, so no transport term is discretized.  The rate experiments step the
+same map period after period, probing inside each period, and fit the decay
+of the third difference across whole periods, which needs no reference
+front and cancels the drift of the run against the front (Tuckerman and
+Barkley, "Bifurcation analysis for timesteppers", 2000).  This module also
+assembles the explicit super/subsolution pairs used to trap front-like data,
+and computes the spectrum of the linearized period map on one orbit of
+`Window.period`, whose implicit steps reuse the flux stencil and the
+factor-once tridiagonal solve of the solver.
 """
 
 from __future__ import annotations
@@ -35,26 +36,6 @@ FIT_FLOOR = 1e-10           # the rate is fitted on the record above this level
 MIN_FIT_POINTS = 8
 N_MODES = 12                # eigenvalues kept in a SpectrumSummary, at least
 ESS_MARGIN = 0.05           # tolerance above the essential radius
-
-
-def poincare_map(stepper: Stepper, c: float, g: np.ndarray,
-                 on_step: Callable | None = None) -> np.ndarray:
-    """One frame period P(g) of a front of speed c: the n steps of the
-    stepper that cover T = L/|c| (its dt must be T/n), then the window slid
-    one period along the front.
-
-    on_step(k, t, u) fires after every step k = 1..n, before the slide.
-    """
-    if c == 0.0:
-        raise ValueError("the period map needs a nonzero speed")
-    T = stepper.grid.L / abs(c)
-    n = max(1, round(T / stepper.cfg.dt))
-    if abs(n * stepper.cfg.dt - T) > 1e-9 * T:
-        raise ValueError("the period map needs a step dividing the period T")
-    win = Window(stepper, g)
-    win.run(n, on_step)
-    win.slide(1 if c > 0 else -1)
-    return win.u
 
 
 def period_steps(inst: ProblemInstance, grid: Grid1D, c: float) -> tuple[float, int]:
@@ -386,11 +367,11 @@ def poincare_spectrum(inst: ProblemInstance, front: FrontSolution,
                       n_nodes: int = 400) -> SpectrumSummary:
     """Spectrum of the linearized time-T frame map on a coarse grid.
 
-    The orbit is the production period map (poincare_map: lab-frame steps at
-    solver.choose_dt, shortened to a whole number of steps per period T, and
-    the exact one-period grid shift, with no transport-term discretization
-    error), started on the profile; its Stepper's factor serves the
-    linearization too.  Checks: an eigenvalue near 1 aligned with the
+    The orbit is the production period map (solver.Window.period: lab-frame
+    steps at solver.choose_dt, shortened to a whole number of steps per
+    period T, and the exact one-period grid shift, with no transport-term
+    discretization error), started on the profile; its Stepper's factor
+    serves the linearization too.  Checks: an eigenvalue near 1 aligned with the
     profile's xi-derivative, everything else inside the unit disk, and all
     but finitely many modes below the essential radius e^{-gamma T/2} plus a
     margin.
@@ -421,7 +402,7 @@ def poincare_spectrum(inst: ProblemInstance, front: FrontSolution,
         if k < n_steps:
             pots[k] = inst.df_L(grid.nodes, u)
 
-    poincare_map(stepper, c, u0, record)
+    Window(stepper, u0).period(n_steps, 1 if c > 0 else -1, record)
     P = linearized_period_map(stepper.factor, pots, grid, stepper.cfg.dt,
                               1 if c > 0 else -1)
     vals, vecs = np.linalg.eig(P)

@@ -211,6 +211,21 @@ class TestCliRuns:
         assert rc == 2
         assert "not_a_key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [
+        ("nodes_per_period", "0"), ("L", "-1"), ("L", "nan"), ("tail_floor", "2"),
+        ("tail_floor", "0"), ("budget", "-5"),
+    ])
+    def test_out_of_range_numerics_exit_2(self, tmp_path, capsys, key, value):
+        # each used to run: a division by zero, a failed instance, a clamped
+        # halfwidth or an Inconclusive row at t = 0
+        p = tmp_path / "range.cfg"
+        p.write_text(f"[profile]\nfamily = cubic\n\n[numerics]\n{key} = {value}\n")
+        rc = cli.main(["front", "--config", str(p), "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"[numerics] {key} = " in err and "must be" in err
+        assert list(tmp_path.iterdir()) == [p]
+
     def test_eigen_scenario(self, tmp_path, capsys):
         p = tmp_path / "eigen.cfg"
         p.write_text(EIGEN_CFG)

@@ -371,6 +371,59 @@ class TestStoppingRule:
         assert front.diagnostics["t_final"] < 400.0
 
 
+class TestPeriodMapRun:
+    """The run iterates the period map: a slide by one period after every
+    period, so the tails are part of the fixed point and the one-period
+    difference falls without a floor set by the pinned ends."""
+
+    def test_small_domain_front_converges(self, homog_inst):
+        # at tail_floor 1e-2 the pinned ends sit where the tails are near
+        # 1e-2; recentered every few periods, the differences cycled between
+        # 3.8e-5 and 1.8e-4 until the 300-unit budget ran out
+        front = fr.compute_pulsating_front(homog_inst, fr.FrontRunConfig(tail_floor=1e-2),
+                                           fr.Budget(300.0))
+        assert front.pulsating_error < fr.TOL_PULS
+        assert front.diagnostics["t_final"] < 40.0
+        assert front.speed == pytest.approx((1 - 2 * 0.3) / math.sqrt(2), abs=1e-3)
+
+    def test_period_difference_has_no_floor(self, cos_coeff, cubic03, monkeypatch):
+        # a = 2 + cos, tail_floor 1e-6: recentered, the differences cycled
+        # between 2.7e-10 and 2.8e-9 and never met 1e-11
+        monkeypatch.setattr(fr, "TOL_PULS", 1e-11)
+        inst = pr.ProblemInstance(coeff=cos_coeff, reaction=cubic03, L=2.0)
+        front = fr.compute_pulsating_front(
+            inst, fr.FrontRunConfig(nodes_per_period=32, tail_floor=1e-6), fr.Budget(200.0))
+        defects = front.diagnostics["period_defects"]
+        assert defects[-2] < 1e-11 and defects[-1] < 1e-11
+        assert front.diagnostics["t_final"] < 100.0
+
+    def test_large_period_front_propagates(self, unit_coeff, cubic03):
+        # L = 40 exceeds the default halfwidth: the grid keeps two periods on
+        # each side of the cell, so the defect window exists (with one period
+        # a side every period was dropped and the budget spent in silence)
+        inst = pr.ProblemInstance(coeff=unit_coeff, reaction=cubic03, L=40.0)
+        rec = fr.classify_quenching(inst, fr.FrontRunConfig(), fr.Budget(900.0))
+        assert rec.kind == fr.PROPAGATING
+        assert abs(rec.c - (1 - 2 * 0.3) / math.sqrt(2)) < 1e-2
+        assert rec.evidence["n_nodes"] == 5 * 64 + 1
+
+    def test_no_defect_window_fails_before_stepping(self, unit_coeff, cubic03,
+                                                    monkeypatch):
+        # three nodes per period at L = 40: the margins leave no defect
+        # window, a coverage failure before the first step (it used to be
+        # classified as a pinned front after 100 time units)
+        def no_step(self, *args):
+            raise AssertionError("the run took a step")
+
+        monkeypatch.setattr(fr._RunState, "run", no_step)
+        inst = pr.ProblemInstance(coeff=unit_coeff, reaction=cubic03, L=40.0)
+        with pytest.raises(fr.FrontNotConverged) as err:
+            fr.compute_pulsating_front(inst, fr.FrontRunConfig(nodes_per_period=3),
+                                       fr.Budget(900.0))
+        assert err.value.diagnostics["reason"] == "coverage"
+        assert err.value.diagnostics["t_final"] == 0.0
+
+
 class TestDecayFits:
     def test_synthetic_exponential(self):
         xi = np.linspace(-30, 30, 1201)
