@@ -2,8 +2,10 @@
 
 Every key has a documented default.  Unknown sections or keys, [run] and
 [numerics] keys the scenario never reads and [profile] keys the family never
-reads are rejected, so a typo cannot silently fall back to a default, and so
-is a [numerics] value out of its range.  The raw file bytes are hashed into
+reads are rejected, so a typo cannot silently fall back to a default.  So are
+a [numerics], [run] or [experiment] value out of its range and an inline
+profile key (theta, theta_amp, a, a_amp) written beside the file (theta_file,
+a_file) that would override it.  The raw file bytes are hashed into
 every artifact header: reruns are byte-identical and artifacts traceable to
 their configuration.
 """
@@ -153,12 +155,30 @@ def parse_config(text: str, scenario: str) -> ExperimentConfig:
             if key not in read:
                 raise ConfigError(f"[{section}] {key} is not read by scenario {scenario!r}"
                                   f" with profile family {family!r}")
-    num = values["numerics"]
-    for key, ok, need in (("L", num["L"] > 0, "> 0"), ("budget", num["budget"] > 0, "> 0"),
-                          ("nodes_per_period", num["nodes_per_period"] >= 1, ">= 1"),
-                          ("tail_floor", 0 < num["tail_floor"] < 1, "in (0, 1)")):
+    for key in ("theta", "theta_amp", "a", "a_amp"):
+        file_key = key.split("_")[0] + "_file"
+        if cp.has_option("profile", key) and values["profile"][file_key]:
+            raise ConfigError(f"[profile] {key} and {file_key} are both set; "
+                              "the file gives the whole profile")
+    num, run = values["numerics"], values["run"]
+
+    def periods(seq, step):   # non-empty, positive, strictly monotone in step's sign
+        return bool(seq) and all(L > 0 for L in seq) and \
+            all((b - a) * step > 0 for a, b in zip(seq, seq[1:]))
+    for section, key, ok, need in (
+            ("numerics", "L", num["L"] > 0, "> 0"),
+            ("numerics", "budget", num["budget"] > 0, "> 0"),
+            ("numerics", "nodes_per_period", num["nodes_per_period"] >= 1, ">= 1"),
+            ("numerics", "tail_floor", 0 < num["tail_floor"] < 1, "in (0, 1)"),
+            ("run", "L_grid", periods(run["L_grid"], 1), "non-empty, > 0, strictly increasing"),
+            ("run", "L_list", periods(run["L_list"], -1), "non-empty, > 0, strictly decreasing"),
+            ("run", "lambda_grid", len(run["lambda_grid"]) > 0, "non-empty"),
+            ("run", "R_list", len(run["R_list"]) >= 2 and all(R > 0 for R in run["R_list"]),
+             "at least 2 radii, each > 0"),
+            ("run", "stability_budget", run["stability_budget"] > 0, "> 0"),
+            ("experiment", "workers", values["experiment"]["workers"] >= 1, ">= 1")):
         if not ok:
-            raise ConfigError(f"[numerics] {key} = {num[key]!r} must be {need}")
+            raise ConfigError(f"[{section}] {key} = {values[section][key]!r} must be {need}")
     digest = hashlib.sha256(text.encode()).hexdigest()[:12]
     return ExperimentConfig(scenario=scenario, values=values, config_hash=digest,
                             raw_text=text)

@@ -175,50 +175,25 @@ def _assemble_front(homog: HomogenizedData, c0: float, sol) -> HomogenizedFront:
 # profile alignment and the L -> 0 sweep
 # ---------------------------------------------------------------------------
 
-def align_profiles(xi: np.ndarray, y: np.ndarray, phi: np.ndarray, phi0):
-    """Shift s* minimizing the mean-square lattice gap between phi(xi + s, y)
-    and phi0(xi), and the gap at s*.  Bounded Brent around a level-matching
-    first guess."""
-    phi_mean = phi.mean(axis=1)
-    # initial guess from the half-levels
-    pos_l = level_position(xi, phi_mean)
-    xi0 = np.asarray(xi, dtype=float)
-    base = np.asarray(phi0(xi0), dtype=float)
-    pos_0 = level_position(xi0, base)
+def align_profiles(xi: np.ndarray, phi: np.ndarray, phi0):
+    """Shift s* minimizing the column mean of the trapezoid integral over xi of
+    (phi(xi, y) - phi0(xi - s))^2, and the square root of that mean at s*, by
+    bounded Brent around a half-level first guess.  The mean splits into the
+    columns' spread about their mean m(xi), which s leaves alone, plus the
+    integral of (m - phi0(xi - s))^2, so each evaluation translates the
+    callable phi0 once and reads no lattice."""
+    xi = np.asarray(xi, dtype=float)
+    mean = phi.mean(axis=1)
+    spread = np.trapezoid(np.mean((phi - mean[:, None]) ** 2, axis=1), x=xi)
+    pos_l = level_position(xi, mean)
+    pos_0 = level_position(xi, phi0(xi))
     guess = (pos_l - pos_0) if (pos_l is not None and pos_0 is not None) else 0.0
 
-    s_star, g2 = _golden_min(_lattice_gap2(xi0, phi, base), guess - ALIGN_SEARCH,
-                             guess + ALIGN_SEARCH, tol=1e-8)
-    return float(s_star), float(math.sqrt(max(g2, 0.0)))
-
-
-def _lattice_gap2(xi: np.ndarray, phi: np.ndarray, base: np.ndarray):
-    """s -> mean over y of the trapezoid integral of (phi(xi + s, y) - base(xi))^2:
-    one gather of rows per s, bitwise np.interp per column with end fills, then
-    one product with the trapezoid weights, built once over the column count."""
-    n = len(xi)
-    dxi = np.diff(xi)
-    slopes = np.diff(phi, axis=0)
-    slopes /= dxi[:, None]
-    w = np.append(dxi, 0.0) + np.insert(dxi, 0, 0.0)
-    w /= 2 * phi.shape[1]
-    buf = np.empty(phi.shape)
-    rows = np.empty(phi.shape)
-
     def gap2(s):
-        x = xi + s
-        j = np.searchsorted(xi, x, "right") - 1
-        js = np.clip(j, 0, n - 2)
-        dx = x - xi[js]
-        dx[(j < 0) | (j > n - 2)] = 0.0        # fills and the right end: node value
-        d = np.take(slopes, js, axis=0, out=buf, mode="clip")
-        d *= dx[:, None]
-        d += np.take(phi, np.clip(j, 0, n - 1), axis=0, out=rows, mode="clip")
-        d -= base[:, None]
-        d *= d
-        return float(np.sum(w @ d))
+        return float(spread + np.trapezoid((mean - phi0(xi - s)) ** 2, x=xi))
 
-    return gap2
+    s_star, g2 = _golden_min(gap2, guess - ALIGN_SEARCH, guess + ALIGN_SEARCH, tol=1e-8)
+    return float(s_star), math.sqrt(g2)
 
 
 @dataclass(frozen=True)
@@ -265,7 +240,7 @@ def homogenization_sweep(coeff, reaction, L_list: Sequence[float],
         except (FrontNotConverged, SolverError, ValueError) as exc:
             records.append((L, exc))
             continue
-        shift, gap = align_profiles(front.xi, front.y, front.phi, front0)
+        shift, gap = align_profiles(front.xi, front.phi, front0)
         records.append(SweepPointHomog(
             L=L, c_L=front.speed, c0=front0.c0,
             c_gap_rel=abs(front.speed - front0.c0) / abs(front0.c0),

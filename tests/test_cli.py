@@ -166,6 +166,22 @@ class TestConfigParsing:
             load_config(os.path.join(REPO, path), scenario)
 
 
+    # a file gives the whole profile, so an inline key written beside it used
+    # to be ignored (theta = 0.45 read theta(0) = 0.3 from the file); an empty
+    # file key names no file and leaves the inline key in force
+    @pytest.mark.parametrize("key,value,file_key", [
+        ("theta", "0.45", "theta_file"), ("theta_amp", "0.1", "theta_file"),
+        ("a", "2.0", "a_file"), ("a_amp", "0.5", "a_file"),
+    ])
+    def test_inline_key_beside_file_rejected(self, tmp_path, key, value, file_key):
+        table = tmp_path / "curve.txt"
+        table.write_text("# period=1\n0.0 0.3\n0.5 0.3\n")
+        text = f"[profile]\nfamily = cubic\n{key} = {value}\n"
+        with pytest.raises(ConfigError, match=rf"\] {key} and {file_key} are both set"):
+            parse_config(text + f"{file_key} = {table}\n", "front")
+        assert parse_config(text + f"{file_key} =\n", "front")["profile"][key] == float(value)
+
+
 class TestBuildInstance:
     XIN_CFG = "[profile]\nfamily = xin\nxin_delta = 0.2\n"
 
@@ -224,6 +240,31 @@ class TestCliRuns:
         assert rc == 2
         err = capsys.readouterr().err
         assert f"[numerics] {key} = " in err and "must be" in err
+        assert list(tmp_path.iterdir()) == [p]
+
+    # each used to run: scan-e and homogenize failed (exit 1) or wrote a
+    # header-only CSV (exit 0), eigen failed in the trace, a zero stability
+    # budget failed after the whole front run, and workers = -3 was taken
+    @pytest.mark.parametrize("scenario,section,key,value", [
+        pytest.param("scan-e", "run", "L_grid", "2 1", id="L_grid-decreasing"),
+        pytest.param("scan-e", "run", "L_grid", "-1 1", id="L_grid-negative"),
+        pytest.param("scan-e", "run", "L_grid", "", id="L_grid-empty"),
+        pytest.param("homogenize", "run", "L_list", "0.1 0.2", id="L_list-increasing"),
+        pytest.param("homogenize", "run", "L_list", "", id="L_list-empty"),
+        pytest.param("quench-scan", "run", "lambda_grid", "", id="lambda_grid-empty"),
+        pytest.param("eigen", "run", "R_list", "4", id="R_list-one"),
+        pytest.param("eigen", "run", "R_list", "-2 4", id="R_list-negative"),
+        pytest.param("stability", "run", "stability_budget", "0", id="stability_budget-zero"),
+        pytest.param("eigen", "experiment", "workers", "-3", id="workers-negative"),
+    ])
+    def test_out_of_range_run_exit_2(self, tmp_path, capsys, scenario, section, key, value):
+        family = "xin" if scenario == "quench-scan" else "cubic"
+        p = tmp_path / "range.cfg"
+        p.write_text(f"[profile]\nfamily = {family}\n\n[{section}]\n{key} = {value}\n")
+        rc = cli.main([scenario, "--config", str(p), "--out", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"[{section}] {key} = " in err and "must be" in err
         assert list(tmp_path.iterdir()) == [p]
 
     def test_eigen_scenario(self, tmp_path, capsys):

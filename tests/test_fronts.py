@@ -63,17 +63,15 @@ class TestMinimizer:
         y = np.arange(128) / 128
         phi = front(xi[:, None] - 0.9 - 0.05 * np.cos(2 * np.pi * y)[None, :])
         evals = []
-        gap2 = hg._lattice_gap2
+        golden = hg._golden_min
 
-        def counted(*args):
-            g = gap2(*args)
-
-            def f(s):
+        def counted(f, *args, **kwargs):
+            def g(s):
                 evals.append(s)
-                return g(s)
-            return f
-        monkeypatch.setattr(hg, "_lattice_gap2", counted)
-        s_star, _ = hg.align_profiles(xi, y, phi, front)
+                return f(s)
+            return golden(g, *args, **kwargs)
+        monkeypatch.setattr(hg, "_golden_min", counted)
+        s_star, _ = hg.align_profiles(xi, phi, front)
         assert s_star == pytest.approx(0.9, abs=1e-2)
         assert len(evals) <= 15
 

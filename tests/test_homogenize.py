@@ -146,14 +146,10 @@ class TestDecayRates:
         assert l2 == pytest.approx((-0.2828 + np.sqrt(0.2828**2 + 2.8)) / 2, rel=1e-12)
 
 
-def interp_gap2(xi, phi, base):
-    # reference: np.interp column by column
+def trapezoid_gap2(xi, phi, phi0):
+    # reference: the trapezoid integral column by column against phi0(xi - s)
     def gap2(s):
-        shifted = np.empty_like(phi)
-        for j in range(phi.shape[1]):
-            shifted[:, j] = np.interp(xi + s, xi, phi[:, j],
-                                      left=phi[0, j], right=phi[-1, j])
-        d = shifted - base[:, None]
+        d = phi - phi0(xi - s)[:, None]
         return float(np.mean(np.trapezoid(d * d, x=xi, axis=0)))
     return gap2
 
@@ -166,54 +162,66 @@ class TestAlignment:
         y = np.arange(16) / 16
         noise = 1e-4 * np.random.default_rng(3).standard_normal((len(xi), len(y)))
         phi = front(xi[:, None] - 0.9 - 0.1 * np.cos(2 * np.pi * y)[None, :]) + noise
-        return front, xi, y, phi
+        return front, xi, phi
 
-    # the shifted lattice is bitwise the per-column interp; the weighted sum
-    # adds in another order than trapezoid-then-mean, so the gap agrees to
-    # rounding, the shift to the minimizer's tolerance
-    def test_gap_matches_per_column_interp(self, lattice):
-        front, xi, _, phi = lattice
-        base = front(xi)
-        fast, slow = hg._lattice_gap2(xi, phi, base), interp_gap2(xi, phi, base)
+    # the objective splits the column mean into the spread about the mean
+    # column plus the mean column's gap, so it sums in another order than
+    # the per-column integrals: the two agree to rounding, the shift to the
+    # minimizer's tolerance
+    def test_gap_matches_per_column_trapezoid(self, lattice, monkeypatch):
+        front, xi, phi = lattice
+        golden, objectives = hg._golden_min, []
+
+        def recorded(f, *args, **kwargs):
+            objectives.append(f)
+            return golden(f, *args, **kwargs)
+        monkeypatch.setattr(hg, "_golden_min", recorded)
+        hg.align_profiles(xi, phi, front)
+        gap2, ref = objectives[0], trapezoid_gap2(xi, phi, front)
         h = xi[1] - xi[0]
         shifts = (-100.0, 100.0, -45.0, 45.0, h, -h, 0.0, 1e-9, -1e-9,
                   *np.random.default_rng(4).uniform(-45.0, 45.0, 40))
+        assert len(objectives) == 1 and len(shifts) == 49
         for s in shifts:
-            assert fast(s) == pytest.approx(slow(s), rel=1e-14, abs=0.0), s
+            assert gap2(s) == pytest.approx(ref(s), rel=1e-12, abs=0.0), s
 
-    def test_alignment_equals_per_column_interp(self, lattice, monkeypatch):
-        front, xi, y, phi = lattice
-        s_fast, gap_fast = hg.align_profiles(xi, y, phi, front)
-        monkeypatch.setattr(hg, "_lattice_gap2", interp_gap2)
-        s_ref, gap_ref = hg.align_profiles(xi, y, phi, front)
+    def test_alignment_equals_per_column_trapezoid(self, lattice, monkeypatch):
+        front, xi, phi = lattice
+        s_fast, gap_fast = hg.align_profiles(xi, phi, front)
+        golden, ref = hg._golden_min, trapezoid_gap2(xi, phi, front)
+        monkeypatch.setattr(hg, "_golden_min",
+                            lambda f, lo, hi, tol: golden(ref, lo, hi, tol=tol))
+        s_ref, gap_ref = hg.align_profiles(xi, phi, front)
         assert s_fast == pytest.approx(s_ref, rel=0.0, abs=1e-8)
         assert gap_fast == pytest.approx(gap_ref, rel=1e-12, abs=0.0)
 
+    # phi0 is translated exactly, with no lattice interpolation, so an exact
+    # translate aligns to rounding
     def test_identity(self):
         front = hg.solve_homogenized_front(homog_for(0.3))
         xi = np.linspace(-20, 20, 801)
         phi = np.repeat(front(xi)[:, None], 4, axis=1)
-        s, gap = hg.align_profiles(xi, np.arange(4) / 4, phi, front)
-        assert abs(s) < 1e-6
-        assert gap < 1e-7
+        s, gap = hg.align_profiles(xi, phi, front)
+        assert abs(s) < 1e-8
+        assert gap < 1e-9
 
     def test_pure_translate(self):
         front = hg.solve_homogenized_front(homog_for(0.3))
         xi = np.linspace(-20, 20, 801)
         phi = np.repeat(front(xi - 1.0)[:, None], 4, axis=1)
-        s, gap = hg.align_profiles(xi, np.arange(4) / 4, phi, front)
-        assert s == pytest.approx(1.0, abs=0.05 + xi[1] - xi[0])
-        assert gap < 1e-3
+        s, gap = hg.align_profiles(xi, phi, front)
+        assert s == pytest.approx(1.0, abs=1e-8)
+        assert gap < 1e-9
 
     def test_shift_invariance(self):
         front = hg.solve_homogenized_front(homog_for(0.3))
         xi = np.linspace(-20, 20, 801)
         phi1 = np.repeat(front(xi - 0.7)[:, None], 4, axis=1)
         phi2 = np.repeat(front(xi - 1.7)[:, None], 4, axis=1)
-        s1, g1 = hg.align_profiles(xi, np.arange(4) / 4, phi1, front)
-        s2, g2 = hg.align_profiles(xi, np.arange(4) / 4, phi2, front)
-        assert (s2 - s1) == pytest.approx(1.0, abs=0.02)
-        assert g1 == pytest.approx(g2, abs=1e-4)
+        s1, g1 = hg.align_profiles(xi, phi1, front)
+        s2, g2 = hg.align_profiles(xi, phi2, front)
+        assert abs(s1 - 0.7) < 1e-8 and abs(s2 - 1.7) < 1e-8
+        assert g1 < 1e-9 and g2 < 1e-9
 
 
 class TestSweepGuards:
