@@ -3,11 +3,10 @@ reaction-diffusion equations: front speeds, homogenization limits, principal
 eigenvalues and steady-state stability, decay rates, and stability experiments
 in the co-moving frame."""
 
-from .profiles import (CoefficientProfile, ConstantCurve, CosineCurve,
-                       HomogenizedData, ProblemInstance, ProfileError,
-                       ReactionProfile, SineCurve, TabulatedPeriodicCurve,
-                       corrector_chi, fbar_and_integral, harmonic_mean,
-                       homogenized_data, make_cubic, make_xin_example)
+from .profiles import (CoefficientProfile, HarmonicCurve, HomogenizedData,
+                       ProblemInstance, ProfileError, ReactionProfile,
+                       TabulatedPeriodicCurve, corrector_chi, fbar_and_integral,
+                       harmonic_mean, homogenized_data, make_cubic, make_xin_example)
 from .solver import (Grid1D, SolverConfig, Window, build_grid, front_initial_datum,
                      residual_stationary)
 from .fronts import (Budget, FrontNotConverged, FrontRunConfig, FrontSolution,

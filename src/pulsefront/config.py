@@ -138,8 +138,6 @@ def parse_config(text: str, scenario: str) -> ExperimentConfig:
             raw = present.get(key, default)
             try:
                 out[key] = parser(raw)
-            except ConfigError:
-                raise
             except Exception as exc:
                 raise ConfigError(f"bad value for [{section}] {key} = {raw!r}: {exc}") from exc
         values[section] = out
@@ -211,21 +209,14 @@ def build_instance(cfg: ExperimentConfig) -> profiles.ProblemInstance:
     if family == "xin":
         return profiles.make_xin_example(p["xin_delta"], p["xin_lambda"], p["xin_mu"],
                                          L=period)
-    if p["theta_file"]:
-        theta = profiles.TabulatedPeriodicCurve.from_file(p["theta_file"])
-    elif p["theta_amp"] != 0.0:
-        theta = profiles.CosineCurve(p["theta"], p["theta_amp"])
-    else:
-        theta = profiles.ConstantCurve(p["theta"])
-    reaction = profiles.make_cubic(theta, gamma=p["gamma"], delta=p["delta"],
+
+    def curve(key):
+        if p[key + "_file"]:
+            return profiles.TabulatedPeriodicCurve.from_file(p[key + "_file"])
+        return profiles.HarmonicCurve(p[key], p[key + "_amp"])
+    reaction = profiles.make_cubic(curve("theta"), gamma=p["gamma"], delta=p["delta"],
                                    scale=p["scale"])
-    if p["a_file"]:
-        curve = profiles.TabulatedPeriodicCurve.from_file(p["a_file"])
-    elif p["a_amp"] != 0.0:
-        curve = profiles.CosineCurve(p["a"], p["a_amp"])
-    else:
-        curve = profiles.ConstantCurve(p["a"])
-    coeff = profiles.CoefficientProfile.from_curve(curve)
+    coeff = profiles.CoefficientProfile.from_curve(curve("a"))
     return profiles.ProblemInstance(coeff=coeff, reaction=reaction, L=period)
 
 

@@ -35,47 +35,22 @@ class ProfileError(ValueError):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ConstantCurve:
-    value: float
-
-    def __call__(self, y):
-        return np.full_like(np.asarray(y, dtype=float), self.value)
-
-    def deriv(self, y):
-        return np.zeros_like(np.asarray(y, dtype=float))
-
-
-@dataclass(frozen=True)
-class CosineCurve:
-    """mean + amp * cos(2*pi*y)."""
+class HarmonicCurve:
+    """mean + cos_amp * cos(2 pi y) + sin_amp * sin(2 pi y): the constant,
+    the cosine modulation and the oscillating-diffusivity sine in one."""
 
     mean: float
-    amp: float
+    cos_amp: float = 0.0
+    sin_amp: float = 0.0
 
     def __call__(self, y):
-        y = np.asarray(y, dtype=float)
-        return self.mean + self.amp * np.cos(2.0 * np.pi * y)
+        wy = 2.0 * np.pi * np.asarray(y, dtype=float)
+        return self.mean + self.cos_amp * np.cos(wy) + self.sin_amp * np.sin(wy)
 
     def deriv(self, y):
-        y = np.asarray(y, dtype=float)
         w = 2.0 * np.pi
-        return -self.amp * w * np.sin(w * y)
-
-
-@dataclass(frozen=True)
-class SineCurve:
-    """mean + amp * sin(2*pi*y); the oscillating-diffusivity family."""
-
-    mean: float
-    amp: float
-
-    def __call__(self, y):
-        y = np.asarray(y, dtype=float)
-        return self.mean + self.amp * np.sin(2.0 * np.pi * y)
-
-    def deriv(self, y):
-        y = np.asarray(y, dtype=float)
-        return self.amp * 2.0 * np.pi * np.cos(2.0 * np.pi * y)
+        wy = w * np.asarray(y, dtype=float)
+        return -self.cos_amp * w * np.sin(wy) + self.sin_amp * w * np.cos(wy)
 
 
 class TabulatedPeriodicCurve:
@@ -268,19 +243,18 @@ def make_cubic(theta, gamma: float | None = None, delta: float | None = None,
     Margins default to safe values derived from the sampled theta range.
     """
     if isinstance(theta, (int, float)):
-        theta = ConstantCurve(float(theta))
+        theta = HarmonicCurve(float(theta))
     delta, gamma, th = _cubic_margins(theta, delta, gamma)
     if scale <= 0.0:
         raise ProfileError("scale must be positive")
     cubic = _Cubic(theta, scale)
-    # Lipschitz bound for f and df in u over the extension range: |df| on [0,1]
-    # and |d2f| = |-6u + 2(1+theta)|, which peaks at the endpoints of [0,1]
-    u = np.linspace(0.0, 1.0, 257)
-    k1 = scale * float(np.max(np.abs(
-        _Cubic(theta, 1.0).df(np.linspace(0.0, 1.0, 513)[:, None], u[None, :]))))
-    k2 = scale * float(np.max(np.maximum(2.0 * (1.0 + th), np.abs(2.0 * (1.0 + th) - 6.0))))
+    # Lipschitz bound for f and df in u over the extension range: |d2f| =
+    # |-6u + 2(1+theta)| peaks at an endpoint of [0,1], at least 3 * scale,
+    # and so also bounds |df|, which stays below scale for theta in (0, 1)
+    lip_k = scale * float(np.max(np.maximum(2.0 * (1.0 + th),
+                                            np.abs(2.0 * (1.0 + th) - 6.0))))
     return ReactionProfile(f=cubic, df=cubic.df, theta=theta, gamma=gamma * scale,
-                           delta=delta, lip_k=max(k1, k2))
+                           delta=delta, lip_k=lip_k)
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +299,8 @@ def make_xin_example(delta: float, lam: float, mu: float, L: float = 1.0) -> Pro
         raise ProfileError(f"delta must lie in (0, 1/2); got {delta}")
     if abs(delta * lam) >= 1.0:
         raise ProfileError(f"|delta*lam| = {abs(delta * lam):.3g} >= 1 breaks positivity")
-    coeff = CoefficientProfile.from_curve(SineCurve(1.0, delta * lam))
-    reaction = make_cubic(ConstantCurve(0.5 - delta), scale=mu * mu)
+    coeff = CoefficientProfile.from_curve(HarmonicCurve(1.0, sin_amp=delta * lam))
+    reaction = make_cubic(HarmonicCurve(0.5 - delta), scale=mu * mu)
     return ProblemInstance(coeff=coeff, reaction=reaction, L=L)
 
 

@@ -98,7 +98,7 @@ def global_stability_experiment(inst: ProblemInstance, front: FrontSolution,
 
 
 def _experiment_window(inst: ProblemInstance, front: FrontSolution, g) -> Window:
-    """The experiment's run: g realized on a front-sized grid at the front's
+    """The experiment's run: g(x) sampled on a front-sized grid at the front's
     resolution, stepped at dt = T/n, the period rule of poincare_spectrum."""
     if front.stationary:
         raise ValueError("stability experiments need a non-stationary front")
@@ -106,13 +106,7 @@ def _experiment_window(inst: ProblemInstance, front: FrontSolution, g) -> Window
     halfwidth = max(0.55 * span, 10.0)
     grid = build_grid(inst, halfwidth, max(
         64, int(round(inst.L / (front.xi[1] - front.xi[0])))))
-    if callable(g):
-        u0 = np.asarray(g(grid.nodes), dtype=float)
-    else:
-        u0 = np.asarray(g, dtype=float)
-        if u0.shape != (grid.n,):
-            raise ValueError("array datum must match the experiment grid; pass a "
-                             "callable for automatic sampling")
+    u0 = np.asarray(g(grid.nodes), dtype=float)
     T, n = period_steps(inst, grid, front.speed)
     return Window(Stepper(inst, grid, SolverConfig(dt=T / n, u_left=1.0, u_right=0.0)), u0)
 

@@ -29,12 +29,12 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture(scope="session")
 def unit_coeff():
-    return pr.CoefficientProfile.from_curve(pr.ConstantCurve(1.0))
+    return pr.CoefficientProfile.from_curve(pr.HarmonicCurve(1.0))
 
 
 @pytest.fixture(scope="session")
 def cos_coeff():
-    return pr.CoefficientProfile.from_curve(pr.CosineCurve(2.0, 1.0))
+    return pr.CoefficientProfile.from_curve(pr.HarmonicCurve(2.0, 1.0))
 
 
 @pytest.fixture(scope="session")

@@ -158,7 +158,7 @@ def test_06_eigen_closed_forms(homog_inst, acceptance_report):
 
 def test_07_intermediate_states_unstable(unit_coeff, acceptance_report):
     # oscillating level at small period
-    rx_osc = pr.make_cubic(pr.CosineCurve(0.5, 0.1))
+    rx_osc = pr.make_cubic(pr.HarmonicCurve(0.5, 0.1))
     inst_small = pr.ProblemInstance(coeff=unit_coeff, reaction=rx_osc, L=0.1)
     states_small = spx.find_periodic_steady_states(inst_small)
     # large period with positive-everywhere reaction integral
@@ -184,7 +184,7 @@ def test_08_decay_rate_consistency(homog_inst, homog_front, acceptance_report):
     # constant-coefficient margin-mode oracle
     gamma = homog_inst.reaction.gamma
     for d in (1.0, 2.0):
-        coeff = pr.CoefficientProfile.from_curve(pr.ConstantCurve(d))
+        coeff = pr.CoefficientProfile.from_curve(pr.HarmonicCurve(d))
         inst_d = pr.ProblemInstance(coeff=coeff, reaction=homog_inst.reaction, L=1.0)
         mu = spx.decay_root_mu(inst_d, 0.0, "right", "margin")
         exact = math.sqrt(gamma / d)

@@ -9,6 +9,7 @@ from pulsefront import cli, runner
 from pulsefront import fronts as fr
 from pulsefront.config import (SCENARIOS, SCHEMA, ConfigError, build_instance,
                                describe_schema, load_config, parse_config)
+from pulsefront.profiles import TabulatedPeriodicCurve
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -194,6 +195,27 @@ class TestBuildInstance:
     def test_xin_default_L(self):
         assert build_instance(parse_config(self.XIN_CFG, "front")).L == 1.0
 
+    # the inline and the tabulated forms of theta and a, each against the
+    # curve it names
+    def test_amplitude_keys(self):
+        cfg = parse_config("[profile]\ntheta = 0.35\ntheta_amp = 0.1\na = 2.0\na_amp = 0.5\n",
+                           "front")
+        inst = build_instance(cfg)
+        y = np.linspace(-1.0, 2.0, 97)
+        assert inst.reaction.theta(y).tobytes() == (0.35 + 0.1 * np.cos(2.0 * np.pi * y)).tobytes()
+        assert inst.coeff.a(y).tobytes() == (2.0 + 0.5 * np.cos(2.0 * np.pi * y)).tobytes()
+
+    def test_file_keys(self, tmp_path):
+        theta_path, a_path = tmp_path / "theta.txt", tmp_path / "a.txt"
+        theta_path.write_text("# period=1\n0.0 0.3\n0.25 0.4\n0.5 0.3\n0.75 0.2\n")
+        a_path.write_text("# period=1\n0.0 1.0\n0.25 1.5\n0.5 2.0\n0.75 1.5\n")
+        cfg = parse_config(f"[profile]\ntheta_file = {theta_path}\na_file = {a_path}\n", "front")
+        inst = build_instance(cfg)
+        y = np.linspace(-1.0, 2.0, 97)
+        for got, path in ((inst.reaction.theta, theta_path), (inst.coeff.a, a_path)):
+            want = TabulatedPeriodicCurve.from_file(path)
+            assert got(y).tobytes() == want(y).tobytes()
+
 
 def test_emit_profile_npz_is_exact(tmp_path):
     rng = np.random.default_rng(11)
@@ -226,6 +248,18 @@ class TestCliRuns:
         rc = cli.main(["front", "--config", str(p)])
         assert rc == 2
         assert "not_a_key" in capsys.readouterr().err
+
+    # a value its parser refuses names its key, the boolean's too
+    @pytest.mark.parametrize("scenario,section,key,value", [
+        ("stability", "run", "spectrum", "maybe"), ("front", "numerics", "L", "abc"),
+    ])
+    def test_unparsable_value_exit_2(self, tmp_path, capsys, scenario, section, key, value):
+        p = tmp_path / "bad.cfg"
+        p.write_text(f"[{section}]\n{key} = {value}\n")
+        rc = cli.main([scenario, "--config", str(p), "--out", str(tmp_path)])
+        assert rc == 2
+        assert f"bad value for [{section}] {key} = {value!r}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [p]
 
     @pytest.mark.parametrize("key,value", [
         ("nodes_per_period", "0"), ("L", "-1"), ("L", "nan"), ("tail_floor", "2"),
@@ -278,6 +312,18 @@ class TestCliRuns:
         assert csv[1] == "R,lambda_1R"
         assert len(csv) == 5
 
+    # a = 1, theta = 0.3: at a constant state ubar the periodic principal
+    # eigenvalue is f_u(ubar) = -3 ubar^2 + 2.6 ubar - 0.3
+    @pytest.mark.parametrize("ubar,lambda1", [
+        ("one", -0.7), ("theta", 0.3 * 0.7), ("const:0.4", 0.26),
+    ])
+    def test_eigen_ubar(self, tmp_path, capsys, ubar, lambda1):
+        p = tmp_path / "eigen.cfg"
+        p.write_text(EIGEN_CFG.replace("ubar = zero", f"ubar = {ubar}"))
+        assert cli.main(["eigen", "--config", str(p), "--out", str(tmp_path)]) == 0
+        got = float(re.search(r" lambda1=(\S+)", capsys.readouterr().out).group(1))
+        assert abs(got - lambda1) < 1e-9
+
     def test_decay_scenario(self, tmp_path, capsys):
         p = tmp_path / "decay.cfg"
         p.write_text(INSTANCE_CFG + "\n[run]\ndirection = right\nc = 0.0\n")
@@ -326,6 +372,15 @@ class TestCliRuns:
         assert rep["sup_errors"]
         sup = (tmp_path / "run_sup_errors.txt").read_text().splitlines()
         assert sup[0].startswith("# pulsefront")
+
+    def test_stability_shifted_datum(self, tmp_path):
+        # the front shifted by 3 relaxes at -lambda1 = 0.315
+        p = tmp_path / "stab.cfg"
+        p.write_text(FRONT_CFG + "\n[run]\ndatum = shifted:3\nstability_budget = 120\n")
+        assert cli.main(["stability", "--config", str(p), "--out", str(tmp_path)]) == 0
+        rep = json.loads((tmp_path / "run_stability.json").read_text())
+        assert rep["accepted"] is True
+        assert abs(rep["mu_fit"] / 0.315 - 1.0) < 0.05
 
     @pytest.mark.slow
     def test_stability_scenario_spectrum(self, tmp_path, capsys):

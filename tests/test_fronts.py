@@ -56,7 +56,7 @@ class TestMinimizer:
     def test_alignment_evaluation_count(self, monkeypatch):
         # on a 128-node-per-period lattice like the sweep's the minimizer
         # evaluates the gap at most 15 times
-        homog = pr.homogenized_data(pr.CoefficientProfile.from_curve(pr.CosineCurve(2.0, 1.0)),
+        homog = pr.homogenized_data(pr.CoefficientProfile.from_curve(pr.HarmonicCurve(2.0, 1.0)),
                                     pr.make_cubic(0.3))
         front = hg.solve_homogenized_front(homog)
         xi = np.arange(-1280, 1281) / 128
@@ -239,7 +239,7 @@ class TestComputeFront:
         assert homog_front.diagnostics["time_monotonicity_defect"] < 1e-9
 
     def test_symmetric_cubic_is_stationary(self):
-        coeff = pr.CoefficientProfile.from_curve(pr.ConstantCurve(1.0))
+        coeff = pr.CoefficientProfile.from_curve(pr.HarmonicCurve(1.0))
         inst = pr.ProblemInstance(coeff=coeff, reaction=pr.make_cubic(0.5), L=1.0)
         front = fr.compute_pulsating_front(inst, fr.FrontRunConfig(), fr.Budget(400.0))
         assert front.stationary
@@ -260,11 +260,11 @@ class TestLimitFrontDatum:
     # family at lambda = 3, and the standing front theta = 0.5
     CASES = {
         "cos-cos": lambda: pr.ProblemInstance(
-            coeff=pr.CoefficientProfile.from_curve(pr.CosineCurve(2.0, 1.0)),
-            reaction=pr.make_cubic(pr.CosineCurve(0.3, 0.1)), L=0.5),
+            coeff=pr.CoefficientProfile.from_curve(pr.HarmonicCurve(2.0, 1.0)),
+            reaction=pr.make_cubic(pr.HarmonicCurve(0.3, 0.1)), L=0.5),
         "xin-3": lambda: pr.make_xin_example(0.2, 3.0, 0.3),
         "theta-0.5": lambda: pr.ProblemInstance(
-            coeff=pr.CoefficientProfile.from_curve(pr.ConstantCurve(1.0)),
+            coeff=pr.CoefficientProfile.from_curve(pr.HarmonicCurve(1.0)),
             reaction=pr.make_cubic(0.5), L=1.0),
     }
 
@@ -347,7 +347,7 @@ class TestStoppingRule:
         # SPEED_WINDOW alone, c_hat swung with the front's phase (T^ from 26 to
         # 63) and, from the steep datum of rate 0.5/h, the run spent its budget
         inst = pr.ProblemInstance(coeff=cos_coeff, reaction=pr.make_cubic(
-            pr.CosineCurve(0.35, 0.1)), L=8.0)
+            pr.HarmonicCurve(0.35, 0.1)), L=8.0)
         cfg = fr.FrontRunConfig(nodes_per_period=32)
         monkeypatch.setattr(fr, "limit_front_rate",
                             lambda homog: 0.5 * cfg.nodes_per_period / inst.L)
@@ -361,7 +361,7 @@ class TestStoppingRule:
         # exact, so the run needs no luck once c_hat is right (with a
         # 1.45-period window interpolated in time it waited until t = 884.5)
         inst = pr.ProblemInstance(coeff=cos_coeff, reaction=pr.make_cubic(
-            pr.CosineCurve(0.35, 0.1)), L=8.0)
+            pr.HarmonicCurve(0.35, 0.1)), L=8.0)
         front = fr.compute_pulsating_front(inst, fr.FrontRunConfig(nodes_per_period=32),
                                            fr.Budget(900.0))
         assert not front.stationary
@@ -462,7 +462,7 @@ class TestSpeedIdentity:
         assert d == pytest.approx(hd_d, rel=0.01)
 
     def test_stationary_rejected(self):
-        coeff = pr.CoefficientProfile.from_curve(pr.ConstantCurve(1.0))
+        coeff = pr.CoefficientProfile.from_curve(pr.HarmonicCurve(1.0))
         inst = pr.ProblemInstance(coeff=coeff, reaction=pr.make_cubic(0.5), L=1.0)
         hd = pr.homogenized_data(inst.coeff, inst.reaction)
         front = fr.compute_pulsating_front(inst, fr.FrontRunConfig(), fr.Budget(400.0))
@@ -507,8 +507,8 @@ class TestScan:
     @pytest.mark.slow
     def test_zero_mean_oscillating_theta_pins(self):
         # zero reaction integral forbids nonzero speed at any period
-        coeff = pr.CoefficientProfile.from_curve(pr.ConstantCurve(1.0))
-        rx = pr.make_cubic(pr.CosineCurve(0.5, 0.2))
+        coeff = pr.CoefficientProfile.from_curve(pr.HarmonicCurve(1.0))
+        rx = pr.make_cubic(pr.HarmonicCurve(0.5, 0.2))
         pts = fr.scan_E(coeff, rx, [0.2], fr.FrontRunConfig(tail_floor=1e-6),
                         fr.Budget(500.0))
         assert pts[0].record.kind == fr.STATIONARY

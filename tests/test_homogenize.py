@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import pulsefront.fronts as fr
 import pulsefront.homogenize as hg
@@ -7,8 +8,7 @@ import pulsefront.profiles as pr
 
 
 def homog_for(theta=0.3, a_mean=1.0, a_amp=0.0):
-    curve = pr.CosineCurve(a_mean, a_amp) if a_amp else pr.ConstantCurve(a_mean)
-    coeff = pr.CoefficientProfile.from_curve(curve)
+    coeff = pr.CoefficientProfile.from_curve(pr.HarmonicCurve(a_mean, a_amp))
     return pr.homogenized_data(coeff, pr.make_cubic(theta))
 
 
@@ -102,17 +102,31 @@ class TestShooting:
         assert front.c0 == pytest.approx(-0.4 / np.sqrt(2.0), abs=1e-8)
 
     @pytest.mark.parametrize("theta, mean_theta, scale, a_curve, a_h", [
-        (0.25, 0.25, 1.0, pr.ConstantCurve(1.0), 1.0),
-        (0.7, 0.7, 1.0, pr.ConstantCurve(1.0), 1.0),
-        (pr.CosineCurve(0.35, 0.1), 0.35, 1.0, pr.ConstantCurve(1.0), 1.0),
-        (0.3, 0.3, 2.0, pr.ConstantCurve(1.0), 1.0),
-        (0.3, 0.3, 1.0, pr.CosineCurve(2.0, 1.0), np.sqrt(3.0)),
+        (0.25, 0.25, 1.0, pr.HarmonicCurve(1.0), 1.0),
+        (0.7, 0.7, 1.0, pr.HarmonicCurve(1.0), 1.0),
+        (pr.HarmonicCurve(0.35, 0.1), 0.35, 1.0, pr.HarmonicCurve(1.0), 1.0),
+        (0.3, 0.3, 2.0, pr.HarmonicCurve(1.0), 1.0),
+        (0.3, 0.3, 1.0, pr.HarmonicCurve(2.0, 1.0), np.sqrt(3.0)),
     ])
     def test_cubic_family_closed_form_speed(self, theta, mean_theta, scale, a_curve, a_h):
         # fbar = scale u (1 - u) (u - <theta>) exactly
         hd = pr.homogenized_data(pr.CoefficientProfile.from_curve(a_curve),
                                  pr.make_cubic(theta, scale=scale))
         exact = np.sqrt(scale * a_h / 2.0) * (1.0 - 2.0 * mean_theta)
+        assert abs(hg.solve_homogenized_front(hd).c0 - exact) < 1e-9
+
+    # a = a0 + c cos + s sin is a0 + r cos(2 pi y - phase), whose harmonic mean
+    # is sqrt(a0^2 - r^2); theta's cosine averages out of fbar
+    @given(st.floats(0.5, 3.0), st.floats(0.0, 0.79), st.floats(0.0, 2.0 * np.pi),
+           st.floats(0.2, 0.45), st.floats(-0.15, 0.15), st.floats(0.2, 4.0))
+    @settings(max_examples=10, deadline=None)
+    def test_harmonic_family_closed_form_speed(self, a0, rel_r, phase, theta0, theta_amp,
+                                               scale):
+        c, s = rel_r * a0 * np.cos(phase), rel_r * a0 * np.sin(phase)
+        hd = pr.homogenized_data(pr.CoefficientProfile.from_curve(pr.HarmonicCurve(a0, c, s)),
+                                 pr.make_cubic(pr.HarmonicCurve(theta0, theta_amp), scale=scale))
+        a_h = np.sqrt(a0 * a0 - (c * c + s * s))
+        exact = np.sqrt(scale * a_h / 2.0) * (1.0 - 2.0 * theta0)
         assert abs(hg.solve_homogenized_front(hd).c0 - exact) < 1e-9
 
     def test_quintic_settling_on_interior_zero_has_no_connection(self):
@@ -226,13 +240,13 @@ class TestAlignment:
 
 class TestSweepGuards:
     def test_zero_speed_refused(self):
-        coeff = pr.CoefficientProfile.from_curve(pr.ConstantCurve(1.0))
+        coeff = pr.CoefficientProfile.from_curve(pr.HarmonicCurve(1.0))
         rx = pr.make_cubic(0.5)
         with pytest.raises(ValueError):
             hg.homogenization_sweep(coeff, rx, [0.4, 0.2])
 
     def test_increasing_list_refused(self):
-        coeff = pr.CoefficientProfile.from_curve(pr.ConstantCurve(1.0))
+        coeff = pr.CoefficientProfile.from_curve(pr.HarmonicCurve(1.0))
         rx = pr.make_cubic(0.3)
         with pytest.raises(ValueError):
             hg.homogenization_sweep(coeff, rx, [0.2, 0.4])
@@ -241,7 +255,7 @@ class TestSweepGuards:
 class TestSweepFailures:
     @pytest.fixture(scope="class")
     def cubic(self):
-        return pr.CoefficientProfile.from_curve(pr.ConstantCurve(1.0)), pr.make_cubic(0.3)
+        return pr.CoefficientProfile.from_curve(pr.HarmonicCurve(1.0)), pr.make_cubic(0.3)
 
     def test_numerical_failure_recorded(self, cubic, monkeypatch):
         coeff, rx = cubic
@@ -265,7 +279,7 @@ class TestSweepFailures:
 
 def test_homogeneous_instance_sweep_matches_everywhere():
     # x-independent coefficients: c_L = c0 for every L, gaps at solver noise
-    coeff = pr.CoefficientProfile.from_curve(pr.ConstantCurve(1.0))
+    coeff = pr.CoefficientProfile.from_curve(pr.HarmonicCurve(1.0))
     rx = pr.make_cubic(0.3)
     import pulsefront.fronts as fr
     records, front0 = hg.homogenization_sweep(

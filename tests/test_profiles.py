@@ -8,11 +8,11 @@ import pulsefront.profiles as pr
 
 
 def const_coeff(d=1.0):
-    return pr.CoefficientProfile.from_curve(pr.ConstantCurve(d))
+    return pr.CoefficientProfile.from_curve(pr.HarmonicCurve(d))
 
 
 def cos_coeff(mean=2.0, amp=1.0):
-    return pr.CoefficientProfile.from_curve(pr.CosineCurve(mean, amp))
+    return pr.CoefficientProfile.from_curve(pr.HarmonicCurve(mean, amp))
 
 
 def locate_theta(reaction_f, y, delta):
@@ -118,7 +118,7 @@ class TestValidateHypotheses:
         zero = pr.ReactionProfile(
             f=lambda y, u: np.zeros_like(np.asarray(u, dtype=float)),
             df=lambda y, u: np.zeros_like(np.asarray(u, dtype=float)),
-            theta=pr.ConstantCurve(0.5), gamma=0.1, delta=0.1, lip_k=1.0)
+            theta=pr.HarmonicCurve(0.5), gamma=0.1, delta=0.1, lip_k=1.0)
         rep = validate_hypotheses(zero, n_samples=32)
         assert not rep.passed
 
@@ -126,7 +126,7 @@ class TestValidateHypotheses:
         nan = pr.ReactionProfile(
             f=lambda y, u: np.full_like(np.asarray(u, dtype=float), np.nan),
             df=lambda y, u: np.zeros_like(np.asarray(u, dtype=float)),
-            theta=pr.ConstantCurve(0.5), gamma=0.1, delta=0.1, lip_k=1.0)
+            theta=pr.HarmonicCurve(0.5), gamma=0.1, delta=0.1, lip_k=1.0)
         with pytest.raises(pr.ProfileError):
             validate_hypotheses(nan, n_samples=32)
 
@@ -170,6 +170,41 @@ class TestExtendReaction:
         assert d <= rx.lip_k * abs(u1 - u2) + 1e-12
 
 
+class TestHarmonicCurve:
+    """HarmonicCurve against the formulas of the constant, cosine and sine
+    curves it replaced, written out here as the reference."""
+
+    W = 2.0 * np.pi
+
+    def constant(self, value, y):
+        return np.full_like(y, value), np.zeros_like(y)
+
+    def cosine(self, mean, amp, y):
+        return mean + amp * np.cos(2.0 * np.pi * y), -amp * self.W * np.sin(self.W * y)
+
+    def sine(self, mean, amp, y):
+        return mean + amp * np.sin(2.0 * np.pi * y), amp * 2.0 * np.pi * np.cos(2.0 * np.pi * y)
+
+    @staticmethod
+    def assert_same_bits(got, want):
+        # bit for bit, except that a zero term may turn a -0.0 into +0.0
+        nonzero = want != 0.0
+        assert got[nonzero].tobytes() == want[nonzero].tobytes()
+        assert np.all(got[~nonzero] == 0.0)
+
+    @given(st.floats(0.01, 10.0), st.floats(-10.0, 10.0),
+           st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=20))
+    @settings(max_examples=10, deadline=None)
+    def test_bitwise_equal_to_the_three_curves(self, mean, amp, ys):
+        y = np.array(ys + [0.0, 0.25, 0.5, 0.75])
+        for curve, (value, deriv) in (
+                (pr.HarmonicCurve(mean), self.constant(mean, y)),
+                (pr.HarmonicCurve(mean, amp), self.cosine(mean, amp, y)),
+                (pr.HarmonicCurve(mean, sin_amp=amp), self.sine(mean, amp, y))):
+            self.assert_same_bits(curve(y), value)
+            self.assert_same_bits(curve.deriv(y), deriv)
+
+
 class TestHarmonicMean:
     def test_constant(self):
         assert pr.harmonic_mean(const_coeff(2.5)) == pytest.approx(2.5, rel=1e-12)
@@ -190,14 +225,14 @@ class TestHarmonicMean:
 
     def test_nonpositive_rejected(self):
         with pytest.raises(pr.ProfileError):
-            pr.CoefficientProfile.from_curve(pr.CosineCurve(0.5, 1.0))
+            pr.CoefficientProfile.from_curve(pr.HarmonicCurve(0.5, 1.0))
 
     @given(st.floats(0.1, 2.0), st.floats(0.0, 0.9))
     @settings(max_examples=30, deadline=None)
     def test_am_hm_inequality(self, mean_scale, rel_amp):
         mean = 1.0 + mean_scale
         amp = rel_amp * mean * 0.9
-        coeff = pr.CoefficientProfile.from_curve(pr.CosineCurve(mean, amp))
+        coeff = pr.CoefficientProfile.from_curve(pr.HarmonicCurve(mean, amp))
         hm = pr.harmonic_mean(coeff)
         am = float(np.mean(coeff.a(np.linspace(0, 1, 4097))))
         assert hm <= am + 1e-12
@@ -207,7 +242,7 @@ class TestHarmonicMean:
 
 class TestFbar:
     def test_scalar_bitwise_equals_array_call(self):
-        fbar, _ = pr.fbar_and_integral(pr.make_cubic(pr.CosineCurve(0.35, 0.1), scale=2.0))
+        fbar, _ = pr.fbar_and_integral(pr.make_cubic(pr.HarmonicCurve(0.35, 0.1), scale=2.0))
         u = np.concatenate([np.random.default_rng(5).uniform(-0.1, 1.1, 20000),
                             fbar.u_grid, [0.0, 1.0, -0.0]])
         fast = np.array([fbar.scalar(float(x)) for x in u])
@@ -223,7 +258,7 @@ class TestFbar:
         assert i_fbar == pytest.approx(1.0 / 30.0, rel=1e-10)
 
     def test_oscillating_theta_averages_out(self):
-        rx = pr.make_cubic(pr.CosineCurve(0.5, 0.2))
+        rx = pr.make_cubic(pr.HarmonicCurve(0.5, 0.2))
         fbar, i_fbar = pr.fbar_and_integral(rx)
         assert i_fbar == pytest.approx(0.0, abs=1e-12)
         u = np.linspace(0, 1, 101)
@@ -266,7 +301,7 @@ class TestCorrector:
     @given(st.floats(0.05, 0.45))
     @settings(max_examples=20, deadline=None)
     def test_flux_identity(self, rel_amp):
-        coeff = pr.CoefficientProfile.from_curve(pr.CosineCurve(1.0, rel_amp))
+        coeff = pr.CoefficientProfile.from_curve(pr.HarmonicCurve(1.0, rel_amp))
         a_h = pr.harmonic_mean(coeff)
         chi = pr.corrector_chi(coeff, a_h)
         y = np.linspace(0, 1, 513)
@@ -286,12 +321,12 @@ class TestMakeCubic:
         assert val == pytest.approx(0.3 * 0.7, rel=1e-12)
 
     def test_cosine_theta_midpoint(self):
-        rx = pr.make_cubic(pr.CosineCurve(0.5, 0.2))
+        rx = pr.make_cubic(pr.HarmonicCurve(0.5, 0.2))
         assert float(rx.theta(np.asarray(0.25))) == pytest.approx(0.5, abs=1e-12)
 
     def test_out_of_range_theta_rejected(self):
         with pytest.raises(pr.ProfileError):
-            pr.make_cubic(pr.CosineCurve(0.5, 0.6))
+            pr.make_cubic(pr.HarmonicCurve(0.5, 0.6))
 
     def test_margin_too_large_rejected(self):
         with pytest.raises(pr.ProfileError):
@@ -360,7 +395,7 @@ class TestTabulated:
             pr.TabulatedPeriodicCurve.from_file(path)
 
     def test_locate_theta_bisection(self):
-        rx = pr.make_cubic(pr.CosineCurve(0.45, 0.1))
+        rx = pr.make_cubic(pr.HarmonicCurve(0.45, 0.1))
         th = locate_theta(rx.f, 0.2, rx.delta)
         assert th == pytest.approx(float(rx.theta(np.asarray(0.2))), abs=1e-10)
 

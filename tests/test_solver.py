@@ -9,13 +9,13 @@ import pulsefront.stability as st
 
 @pytest.fixture(scope="module")
 def inst():
-    coeff = pr.CoefficientProfile.from_curve(pr.ConstantCurve(1.0))
+    coeff = pr.CoefficientProfile.from_curve(pr.HarmonicCurve(1.0))
     return pr.ProblemInstance(coeff=coeff, reaction=pr.make_cubic(0.3), L=1.0)
 
 
 @pytest.fixture(scope="module")
 def hetero_inst():
-    coeff = pr.CoefficientProfile.from_curve(pr.CosineCurve(2.0, 1.0))
+    coeff = pr.CoefficientProfile.from_curve(pr.HarmonicCurve(2.0, 1.0))
     return pr.ProblemInstance(coeff=coeff, reaction=pr.make_cubic(0.3), L=0.5)
 
 
@@ -67,11 +67,11 @@ class TestFixedPoints:
 
 def test_pure_diffusion_mass_conservation():
     # zero reaction; Gaussian far from the boundary loses no mass over 100 steps
-    coeff = pr.CoefficientProfile.from_curve(pr.ConstantCurve(1.0))
+    coeff = pr.CoefficientProfile.from_curve(pr.HarmonicCurve(1.0))
     zero_rx = pr.ReactionProfile(
         f=lambda y, u: np.zeros_like(np.asarray(u, dtype=float)),
         df=lambda y, u: np.zeros_like(np.asarray(u, dtype=float)),
-        theta=pr.ConstantCurve(0.5), gamma=0.1, delta=0.1, lip_k=1e-6)
+        theta=pr.HarmonicCurve(0.5), gamma=0.1, delta=0.1, lip_k=1e-6)
     inst = pr.ProblemInstance(coeff=coeff, reaction=zero_rx, L=1.0)
     g = sv.build_grid(inst, 12.0, 64)
     u0 = np.exp(-g.nodes**2)
@@ -93,7 +93,7 @@ class TestResidualStationary:
 
     def test_exact_steady_front_order_two(self):
         # the symmetric cubic's standing front: residual O(h^2), < 1e-3 at h=0.01
-        coeff = pr.CoefficientProfile.from_curve(pr.ConstantCurve(1.0))
+        coeff = pr.CoefficientProfile.from_curve(pr.HarmonicCurve(1.0))
         inst = pr.ProblemInstance(coeff=coeff, reaction=pr.make_cubic(0.5), L=1.0)
         resids = []
         for npp in (100, 200):
@@ -407,10 +407,10 @@ class TestBoundReaction:
         # takes the linear extension
         if kind == "xin":
             # the scaled cubic of make_xin_example(0.2, 1.0, 0.3)
-            rx, scale = pr.make_cubic(pr.ConstantCurve(0.5 - 0.2), scale=0.3 * 0.3), 0.3 * 0.3
+            rx, scale = pr.make_cubic(pr.HarmonicCurve(0.5 - 0.2), scale=0.3 * 0.3), 0.3 * 0.3
         else:
             theta = {"constant": lambda: 0.3,
-                     "cosine": lambda: pr.CosineCurve(0.45, 0.1),
+                     "cosine": lambda: pr.HarmonicCurve(0.45, 0.1),
                      "tabulated": self._tabulated}[kind]()
             rx, scale = pr.make_cubic(theta), 1.0
         rng = np.random.default_rng(3)
@@ -430,7 +430,7 @@ class TestBoundReaction:
         # the hot path builds u (1-u) (u - th) in two temporaries; only
         # commutative operands moved, so every bit of the product formula
         # stays, also for the (y, u) table that fbar_and_integral asks for
-        rx = pr.make_cubic(pr.CosineCurve(0.45, 0.1), scale=scale)
+        rx = pr.make_cubic(pr.HarmonicCurve(0.45, 0.1), scale=scale)
         y = np.linspace(0.0, 1.0, 33)
         u = np.random.default_rng(5).uniform(0.0, 1.0, 33)
         for yy, uu in ((y, u), (y[:, None], np.linspace(0.0, 1.0, 65)[None, :])):
@@ -442,7 +442,7 @@ class TestBoundReaction:
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_direct_call_broadcasts(self):
-        rx = pr.make_cubic(pr.CosineCurve(0.45, 0.1))
+        rx = pr.make_cubic(pr.HarmonicCurve(0.45, 0.1))
         y, u = np.linspace(0.0, 1.0, 5), np.linspace(-0.5, 1.5, 7)
         out = rx.f(y[:, None], u[None, :])
         assert out.shape == (5, 7)
@@ -500,10 +500,10 @@ class TestNonFinite:
             if len(calls) == step:
                 out[len(u) // 3] = bad
             return out
-        rx = pr.ReactionProfile(f=f, df=f, theta=pr.ConstantCurve(0.5), gamma=0.1,
+        rx = pr.ReactionProfile(f=f, df=f, theta=pr.HarmonicCurve(0.5), gamma=0.1,
                                 delta=0.1, lip_k=1e-6)
         inst = pr.ProblemInstance(coeff=pr.CoefficientProfile.from_curve(
-            pr.ConstantCurve(1.0)), reaction=rx, L=1.0)
+            pr.HarmonicCurve(1.0)), reaction=rx, L=1.0)
         g = sv.build_grid(inst, 4.0, 16)
         st = sv.Stepper(inst, g, sv.SolverConfig(dt=0.01))
         msg = rf"non-finite value at step {step} \(t={step * 0.01:.6g}\)"

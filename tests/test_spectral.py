@@ -8,9 +8,9 @@ import pulsefront.spectral as sp
 
 
 def make_inst(theta=0.3, a_amp=0.0, L=1.0, theta_amp=0.0):
-    curve = pr.CosineCurve(2.0, a_amp) if a_amp else pr.ConstantCurve(1.0)
+    curve = pr.HarmonicCurve(2.0, a_amp) if a_amp else pr.HarmonicCurve(1.0)
     coeff = pr.CoefficientProfile.from_curve(curve)
-    th = pr.CosineCurve(theta, theta_amp) if theta_amp else pr.ConstantCurve(theta)
+    th = pr.HarmonicCurve(theta, theta_amp)
     return pr.ProblemInstance(coeff=coeff, reaction=pr.make_cubic(th), L=L)
 
 
@@ -238,7 +238,7 @@ class TestDecayRoots:
 
 
 def make_inst_with_d(d, theta):
-    coeff = pr.CoefficientProfile.from_curve(pr.ConstantCurve(d))
+    coeff = pr.CoefficientProfile.from_curve(pr.HarmonicCurve(d))
     return pr.ProblemInstance(coeff=coeff, reaction=pr.make_cubic(theta), L=1.0)
 
 
