@@ -7,8 +7,7 @@ from .profiles import (CoefficientProfile, HarmonicCurve, HomogenizedData,
                        ProblemInstance, ProfileError, ReactionProfile,
                        TabulatedPeriodicCurve, corrector_chi, fbar_and_integral,
                        harmonic_mean, homogenized_data, make_cubic, make_xin_example)
-from .solver import (Grid1D, SolverConfig, Window, build_grid, front_initial_datum,
-                     residual_stationary)
+from .solver import Grid1D, Window, build_grid, front_initial_datum, residual_stationary
 from .fronts import (Budget, FrontNotConverged, FrontRunConfig, FrontSolution,
                      SpeedEstimate, classify_quenching, compute_pulsating_front,
                      extract_profile, measure_speed, scan_E,

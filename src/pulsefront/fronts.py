@@ -32,8 +32,8 @@ from scipy.optimize import minimize_scalar
 
 from .profiles import (HomogenizedData, ProblemInstance, characteristic_rates,
                        homogenized_data)
-from .solver import (Grid1D, SolverConfig, SolverError, Stepper, Window, build_grid,
-                     choose_dt, excursion, front_initial_datum, residual_stationary,
+from .solver import (Grid1D, SolverError, Stepper, Window, build_grid, choose_dt,
+                     excursion, front_initial_datum, residual_stationary,
                      steps_per_period)
 
 SETTLE_TIME = 10.0          # evolution chunk between checks
@@ -371,10 +371,10 @@ class _RunState(Window):
     """A front run's window with its level record, stepped in chunks at dt or
     by the period map, whole periods at T/n <= dt."""
 
-    def __init__(self, inst, grid, solver_cfg, rate):
-        super().__init__(Stepper(inst, grid, solver_cfg), front_initial_datum(
+    def __init__(self, inst, grid, dt, rate):
+        super().__init__(Stepper(inst, grid, dt), front_initial_datum(
             grid, interface=0.5 * (grid.x_min + grid.x_max), rate=rate))
-        self.dt = solver_cfg.dt
+        self.dt = dt
         self.level_t: list[float] = []
         self.level_x: list[float] = []
         # in chunks the level is recorded about every 0.05 time units
@@ -474,7 +474,7 @@ def compute_pulsating_front(inst: ProblemInstance, cfg: FrontRunConfig = FrontRu
     h = grid.h
     dt = choose_dt(inst.reaction.lip_k, h, speed_scale(homog))
     rate = limit_front_rate(homog)
-    state = _RunState(inst, grid, SolverConfig(dt=dt, u_left=1.0, u_right=0.0), rate)
+    state = _RunState(inst, grid, dt, rate)
     # the defect window stays clear of the Dirichlet boundary layers
     margin_nodes = max(grid.nodes_per_period + 4, int(DEFECT_MARGIN_FRAC * grid.n))
     c_floor = h / (10.0 * STAT_WINDOW)

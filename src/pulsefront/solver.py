@@ -1,15 +1,15 @@
 """Conservative finite differences and IMEX time stepping on a truncated line.
 
 The equation u_t = (a_L(x) u_x)_x + f_L(x, u) is discretized in flux form with
-face diffusivities evaluated analytically at cell midpoints, Dirichlet values
-pinned at both ends, backward Euler diffusion and explicit reaction.  The
+face diffusivities evaluated analytically at cell midpoints, the ends pinned
+to 1 (left) and 0 (right), backward Euler diffusion and explicit reaction.  The
 flux-form operator (a u')' is built in one place, `flux_stencil` (its three
 diagonals, Dirichlet or cyclic) and `flux_apply` (its flux-difference action);
 the spectral and stability modules use the same pair.  The interior of
 I - dt*D is symmetric positive definite and constant for one dt, so a Stepper
 factors it once per dt (`factor_spd`, LAPACK dpttrf) and each step is one
-solve against that factor (`solve_banded`, dpttrs), with the two Dirichlet
-couplings folded into the right-hand side.  The reaction is bound once to the
+solve against that factor (`solve_banded`, dpttrs), with the left end's
+coupling folded into the right-hand side.  The reaction is bound once to the
 node positions.  The implicit Euler/explicit reaction combination is
 order-preserving whenever dt * lip_k <= 1, which the configuration enforces
 with margin.  `choose_dt` is the one step rule, and `steps_per_period` the
@@ -23,7 +23,7 @@ the period map that the front runs and the spectrum iterate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -152,17 +152,6 @@ def build_grid(inst: ProblemInstance, halfwidth: float,
     return Grid1D(x_min=x_min, x_max=x_max, n=n, h=h, L=L, a_face=a_face)
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    dt: float
-    u_left: float = 1.0
-    u_right: float = 0.0
-
-    def __post_init__(self):
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
-
-
 def factor_spd(diag: np.ndarray, off: np.ndarray):
     """dpttrf factor (d, e) of the symmetric positive definite tridiagonal
     with main diagonal diag and off-diagonal off."""
@@ -189,13 +178,13 @@ def solve_banded(factor, rhs: np.ndarray) -> np.ndarray:
 
 class Stepper:
     """Factored diffusion matrix and bound reaction for repeated steps of one
-    instance on one grid."""
+    instance on one grid at step dt, with the ends pinned to the stable
+    states, 1 at the left and 0 at the right."""
 
-    def __init__(self, inst: ProblemInstance, grid: Grid1D, cfg: SolverConfig):
+    def __init__(self, inst: ProblemInstance, grid: Grid1D, dt: float):
         self.inst = inst
         self.grid = grid
-        self.cfg = cfg
-        self.retime(cfg.dt)
+        self.retime(dt)
         self._reaction = bind_reaction(inst.reaction.f, np.mod(grid.nodes / inst.L, 1.0))
         self.min_seen = math.inf
         self.max_seen = -math.inf
@@ -203,32 +192,32 @@ class Stepper:
     def retime(self, dt: float):
         """Step at dt from now on: I - dt*D is factored again, the bound
         reaction and the range seen are kept."""
+        if not (math.isfinite(dt) and dt > 0.0):
+            raise ValueError(f"dt must be positive and finite, got {dt!r}")
         if dt * self.inst.reaction.lip_k >= 0.5:
             raise SolverError(
                 f"dt*K = {dt * self.inst.reaction.lip_k:.3g} >= 0.5 breaks the "
                 "explicit reaction stability budget")
-        cfg = self.cfg = replace(self.cfg, dt=dt)
+        self.dt = dt
         n = self.grid.n
         lower, diag, upper = flux_stencil(self.grid.a_face, self.grid.h)
         # interior rows of I - dt*D: symmetric (upper[i] == lower[i+1]) and
-        # diagonally dominant, hence positive definite
+        # diagonally dominant, hence positive definite; the pinned 0 at the
+        # right end couples nothing into the last interior row
         self.factor = factor_spd(1.0 - dt * diag[1:n-1], -dt * upper[1:n-2])
-        self._couple_left = dt * lower[1] * cfg.u_left
-        self._couple_right = dt * upper[n-2] * cfg.u_right
+        self._couple_left = dt * lower[1]
 
     def reaction_at(self, u: np.ndarray, u_range=None) -> np.ndarray:
         return self._reaction(u, u_range)
 
     def step_values(self, u: np.ndarray, u_range=None) -> np.ndarray:
         """One step from u; u_range is (u.min(), u.max()) when known."""
-        cfg = self.cfg
         rhs = self.reaction_at(u, u_range)
-        rhs *= cfg.dt
+        rhs *= self.dt
         rhs += u
-        rhs[0] = cfg.u_left
-        rhs[-1] = cfg.u_right
+        rhs[0] = 1.0
+        rhs[-1] = 0.0
         rhs[1] += self._couple_left
-        rhs[-2] += self._couple_right
         rhs[1:-1] = solve_banded(self.factor, rhs[1:-1])
         return rhs
 
@@ -237,7 +226,7 @@ class Stepper:
             callback_every: int = 1) -> tuple[np.ndarray, float]:
         """Advance n_steps; on_step(k, t, u) fires every callback_every steps
         and on the final step."""
-        dt = self.cfg.dt
+        dt = self.dt
         # the range of each step's result is taken once and serves both the
         # checks below and the next step's reaction
         lo, hi = float(u.min()), float(u.max())
@@ -274,9 +263,8 @@ class Window:
         """Move the window p whole periods to the right (the state p periods
         to the left), an exact translation of the L-periodic medium; both ends
         stay pinned."""
-        cfg = self.stepper.cfg
-        u = shift_window(self.u, p, self.grid.nodes_per_period, cfg.u_left, cfg.u_right)
-        u[0], u[-1] = cfg.u_left, cfg.u_right
+        u = shift_window(self.u, p, self.grid.nodes_per_period, 1.0, 0.0)
+        u[0], u[-1] = 1.0, 0.0
         self.u = u
         self.x_offset += p * self.grid.L
 

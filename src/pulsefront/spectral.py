@@ -337,10 +337,10 @@ def find_periodic_steady_states(inst: ProblemInstance,
 # exponential decay-rate roots
 # ---------------------------------------------------------------------------
 
-def decay_eigenvalue(inst: ProblemInstance, c: float, mu: float,
-                     direction: str = "right", potential: str = "margin",
-                     n_nodes: int | None = None) -> float:
-    """Principal periodic eigenvalue of the tail operator at rate mu.
+def decay_eigenvalue(inst: ProblemInstance, c: float, mu: float, direction: str,
+                     potential: str, n_nodes: int) -> float:
+    """Principal periodic eigenvalue of the tail operator at rate mu, on
+    n_nodes nodes of one period.
 
     direction "right" tests supersolutions e^{-mu xi} psi(y) for the tail at
     0; "left" tests e^{+mu xi} psi(y) for the tail at 1.  The zeroth-order
@@ -350,8 +350,6 @@ def decay_eigenvalue(inst: ProblemInstance, c: float, mu: float,
     L = inst.L
     coeff = inst.coeff
     reaction = inst.reaction
-    if n_nodes is None:
-        n_nodes = max(128, int(math.ceil(6.0 * L * abs(mu) * coeff.a_max / coeff.a_min)))
     y = np.arange(n_nodes) / n_nodes
     h = 1.0 / n_nodes
     a = np.asarray(coeff.a(y), dtype=float)

@@ -27,8 +27,8 @@ import numpy as np
 
 from .fronts import Budget, FrontSolution, _golden_min, fit_line, level_position
 from .profiles import ProblemInstance
-from .solver import (Grid1D, SolverConfig, Stepper, Window, build_grid, choose_dt,
-                     shift_window, solve_banded, steps_per_period)
+from .solver import (Grid1D, Stepper, Window, build_grid, choose_dt, shift_window,
+                     solve_banded, steps_per_period)
 
 PROBE_DT = 1.0              # time between probes of the third difference
 TAU_SPAN_PERIODS = 5.0      # bounded Brent window of the phase fit, units of L/|c|
@@ -108,7 +108,7 @@ def _experiment_window(inst: ProblemInstance, front: FrontSolution, g) -> Window
         64, int(round(inst.L / (front.xi[1] - front.xi[0])))))
     u0 = np.asarray(g(grid.nodes), dtype=float)
     T, n = period_steps(inst, grid, front.speed)
-    return Window(Stepper(inst, grid, SolverConfig(dt=T / n, u_left=1.0, u_right=0.0)), u0)
+    return Window(Stepper(inst, grid, T / n), u0)
 
 
 def _track_phase(front: FrontSolution, win: Window, t_span: float) -> StabilityReport:
@@ -123,7 +123,7 @@ def _track_phase(front: FrontSolution, win: Window, t_span: float) -> StabilityR
     """
     grid = win.grid
     c = front.speed
-    dt = win.stepper.cfg.dt
+    dt = win.stepper.dt
     T = grid.L / abs(c)
     n = round(T / dt)
     q = max(1, min(n, round(T / PROBE_DT)))
@@ -211,7 +211,7 @@ def initialv2_experiment(inst: ProblemInstance, front: FrontSolution,
         if not (ok_left and ok_right):
             raise ValueError("datum does not satisfy the trapped-data condition "
                              "against the intermediate states")
-    chunk = max(1, int(round(1.0 / win.stepper.cfg.dt)))
+    chunk = max(1, int(round(1.0 / win.stepper.dt)))
     while win.t < 0.5 * budget.t_max:
         if check_front_like(win.u, inst.reaction.delta):
             break
@@ -247,9 +247,6 @@ class SuperSubSolution:
     defect_min: float
     defect_max: float
     w: Callable
-
-    def __call__(self, t, xi):
-        return self.w(t, xi)
 
 
 def _eta(z):
@@ -385,7 +382,7 @@ def poincare_spectrum(inst: ProblemInstance, front: FrontSolution,
     m = min(m, max(2, ((n_nodes - 1) // npp - 1) // 2))
     grid = build_grid(inst, (m - 0.5) * L, npp)
     T, n_steps = period_steps(inst, grid, c)
-    stepper = Stepper(inst, grid, SolverConfig(dt=T / n_steps))
+    stepper = Stepper(inst, grid, T / n_steps)
     # start on the attractor: the profile itself at t = 0
     u0 = front.interp(grid.nodes, grid.nodes / L)
     u0[0], u0[-1] = 1.0, 0.0
@@ -397,8 +394,7 @@ def poincare_spectrum(inst: ProblemInstance, front: FrontSolution,
             pots[k] = inst.df_L(grid.nodes, u)
 
     Window(stepper, u0).period(n_steps, 1 if c > 0 else -1, record)
-    P = linearized_period_map(stepper.factor, pots, grid, stepper.cfg.dt,
-                              1 if c > 0 else -1)
+    P = linearized_period_map(stepper.factor, pots, grid, stepper.dt, 1 if c > 0 else -1)
     vals, vecs = np.linalg.eig(P)
     order = np.argsort(-np.abs(vals))
     vals = vals[order]

@@ -12,7 +12,7 @@ import pulsefront.homogenize as hg
 import pulsefront.profiles as pr
 import pulsefront.spectral as spx
 import pulsefront.stability as st
-from pulsefront.solver import SolverConfig, Stepper, build_grid
+from pulsefront.solver import Stepper, build_grid
 
 C_EXACT = 0.4 / math.sqrt(2.0)          # (1 - 2*0.3)/sqrt(2)
 C0_HETERO = math.sqrt(2.0 * math.sqrt(3.0)) * 0.2
@@ -323,8 +323,7 @@ def test_12_quenching_trend(quench_records, acceptance_report):
 
 def test_13_discrete_comparison(homog_inst, acceptance_report):
     grid = build_grid(homog_inst, 6.0, 64)
-    cfg = SolverConfig(dt=0.05, u_left=1.0, u_right=0.0)
-    stepper = Stepper(homog_inst, grid, cfg)
+    stepper = Stepper(homog_inst, grid, 0.05)
     rng = np.random.default_rng(2024)
     worst = 0.0
     for _ in range(50):

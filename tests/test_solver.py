@@ -23,11 +23,21 @@ def make(inst, halfwidth=8.0, npp=64):
     return sv.build_grid(inst, halfwidth, npp)
 
 
-def evolve(inst, g, cfg, u, t_final):
+def evolve(inst, g, dt, u, t_final):
     """u stepped from t = 0 to t_final."""
-    out, _ = sv.Stepper(inst, g, cfg).run(np.array(u, dtype=float), 0.0,
-                                          int(round(t_final / cfg.dt)))
+    out, _ = sv.Stepper(inst, g, dt).run(np.array(u, dtype=float), 0.0,
+                                         int(round(t_final / dt)))
     return out
+
+
+def diffusion_inst(coeff_curve, L):
+    """The instance of coefficient coeff_curve and zero reaction."""
+    zero_rx = pr.ReactionProfile(
+        f=lambda y, u: np.zeros_like(np.asarray(u, dtype=float)),
+        df=lambda y, u: np.zeros_like(np.asarray(u, dtype=float)),
+        theta=pr.HarmonicCurve(0.5), gamma=0.1, delta=0.1, lip_k=1e-6)
+    return pr.ProblemInstance(coeff=pr.CoefficientProfile.from_curve(coeff_curve),
+                              reaction=zero_rx, L=L)
 
 
 class TestGrid:
@@ -50,36 +60,43 @@ class TestGrid:
             g.nodes[0] = 0.0
 
 
-class TestFixedPoints:
-    def test_zero_stays_zero(self, inst):
-        g = make(inst)
-        cfg = sv.SolverConfig(dt=0.05, u_left=0.0, u_right=0.0)
-        out = evolve(inst, g, cfg, np.zeros(g.n), 2.0)
-        assert np.max(np.abs(out)) == 0.0
+DIFFUSIONS = pytest.mark.parametrize(
+    "curve,L", [(pr.HarmonicCurve(1.0), 1.0), (pr.HarmonicCurve(2.0, 1.0), 0.5)],
+    ids=["constant", "cosine"])
 
-    def test_one_stays_one(self, inst):
-        g = make(inst)
-        cfg = sv.SolverConfig(dt=0.05, u_left=1.0, u_right=1.0)
-        out = evolve(inst, g, cfg, np.ones(g.n), 2.0)
+
+class TestPureDiffusion:
+    @DIFFUSIONS
+    def test_steady_state_between_pinned_ends_stays(self, curve, L):
+        # with no reaction the discrete steady state from the pinned 1 to the
+        # pinned 0 carries one flux through every face: its drops go as 1/a
+        inst = diffusion_inst(curve, L)
+        g = sv.build_grid(inst, 4.0, 64)
+        resistance = np.concatenate(([0.0], np.cumsum(1.0 / g.a_face)))
+        steady = 1.0 - resistance / resistance[-1]
+        assert steady[0] == 1.0 and steady[-1] == 0.0
+        out = evolve(inst, g, 0.05, steady, 2.0)
         # round-off of the banded solves, amplified by cond(I - dt A)
-        assert np.max(np.abs(out - 1.0)) < 5e-12
+        assert np.max(np.abs(out - steady)) < 5e-12
 
-
-def test_pure_diffusion_mass_conservation():
-    # zero reaction; Gaussian far from the boundary loses no mass over 100 steps
-    coeff = pr.CoefficientProfile.from_curve(pr.HarmonicCurve(1.0))
-    zero_rx = pr.ReactionProfile(
-        f=lambda y, u: np.zeros_like(np.asarray(u, dtype=float)),
-        df=lambda y, u: np.zeros_like(np.asarray(u, dtype=float)),
-        theta=pr.HarmonicCurve(0.5), gamma=0.1, delta=0.1, lip_k=1e-6)
-    inst = pr.ProblemInstance(coeff=coeff, reaction=zero_rx, L=1.0)
-    g = sv.build_grid(inst, 12.0, 64)
-    u0 = np.exp(-g.nodes**2)
-    cfg = sv.SolverConfig(dt=0.01, u_left=0.0, u_right=0.0)
-    mass0 = np.sum(u0) * g.h
-    out = evolve(inst, g, cfg, u0, 100 * cfg.dt)
-    mass1 = np.sum(out) * g.h
-    assert abs(mass1 - mass0) < 1e-10
+    @DIFFUSIONS
+    def test_flux_balance(self, curve, L):
+        # with no reaction a step changes the interior mass by exactly dt
+        # times the net flux a u_x through the two end faces at the new time
+        inst = diffusion_inst(curve, L)
+        g = sv.build_grid(inst, 12.0, 64)
+        dt = 0.01
+        st = sv.Stepper(inst, g, dt)
+        u = np.exp(-g.nodes**2)
+        for _ in range(100):
+            new = st.step_values(u)
+            change = g.h * np.sum(new[1:-1] - u[1:-1])
+            flux = (g.a_face[-1] * (new[-1] - new[-2])
+                    - g.a_face[0] * (new[1] - new[0])) / g.h
+            # the sum over some thousand nodes leaves a round-off of about 1e-12
+            assert change == pytest.approx(dt * flux, rel=1e-11)
+            u = new
+        assert u[0] == 1.0 and u[-1] == 0.0
 
 
 class TestResidualStationary:
@@ -108,9 +125,8 @@ class TestResidualStationary:
 class TestDeterminism:
     def test_split_evolution_is_bitwise(self, inst):
         g = make(inst)
-        cfg = sv.SolverConfig(dt=0.02, u_left=1.0, u_right=0.0)
         f0 = sv.front_initial_datum(g, rate=0.5 / g.h)
-        stepper = sv.Stepper(inst, g, cfg)
+        stepper = sv.Stepper(inst, g, 0.02)
         a, t = stepper.run(f0.copy(), 0.0, 50)
         a, _ = stepper.run(a, t, 75)
         b, _ = stepper.run(f0.copy(), 0.0, 125)
@@ -121,9 +137,8 @@ class TestComparison:
     def test_randomized_ordered_pairs(self, hetero_inst):
         # discrete order preservation for the implicit-diffusion scheme
         g = make(hetero_inst, 6.0)
-        cfg = sv.SolverConfig(dt=0.05, u_left=1.0, u_right=0.0)
         rng = np.random.default_rng(7)
-        st = sv.Stepper(hetero_inst, g, cfg)
+        st = sv.Stepper(hetero_inst, g, 0.05)
         for _ in range(10):
             base = np.clip(rng.random(g.n), 0.0, 1.0)
             upper = np.clip(base + 0.3 * rng.random(g.n), 0.0, 1.0)
@@ -135,8 +150,7 @@ class TestComparison:
 
     def test_front_run_stays_in_unit_interval(self, inst):
         g = make(inst, 10.0)
-        cfg = sv.SolverConfig(dt=0.05, u_left=1.0, u_right=0.0)
-        out = evolve(inst, g, cfg, sv.front_initial_datum(g, rate=0.5 / g.h), 10.0)
+        out = evolve(inst, g, 0.05, sv.front_initial_datum(g, rate=0.5 / g.h), 10.0)
         assert out.min() >= -1e-12
         assert out.max() <= 1.0 + 1e-12
 
@@ -150,7 +164,7 @@ class TestWindow:
         slack = max(L, sv.RECENTER_FRAC * 0.5 * (g.x_max - g.x_min))
         u0 = sv.front_initial_datum(g, interface=center + drift_periods * L,
                                     rate=0.5 / g.h)
-        win = sv.Window(sv.Stepper(hetero_inst, g, sv.SolverConfig(dt=0.005)), u0)
+        win = sv.Window(sv.Stepper(hetero_inst, g, 0.005), u0)
         win.run(20)
         pos = fr.level_position(g.nodes, win.u)
         assert abs(pos - center) >= slack
@@ -165,15 +179,16 @@ class TestWindow:
     @pytest.mark.parametrize("p", [2, -3])
     def test_slide_pins_both_ends(self, hetero_inst, p):
         g = make(hetero_inst, 4.0)
-        cfg = sv.SolverConfig(dt=0.005, u_left=0.9, u_right=0.2)
+        # the random datum's end values are not 1 and 0: the slide fills the
+        # vacated periods with 1 (left) or 0 (right) and pins both ends again
         u0 = np.random.default_rng(3).random(g.n)
-        win = sv.Window(sv.Stepper(hetero_inst, g, cfg), u0)
+        win = sv.Window(sv.Stepper(hetero_inst, g, 0.005), u0)
         win.slide(p)
         idx = np.arange(g.n) + p * g.nodes_per_period
         inside = (idx >= 0) & (idx < g.n)
-        expect = np.full(g.n, cfg.u_right if p > 0 else cfg.u_left)
+        expect = np.full(g.n, 0.0 if p > 0 else 1.0)
         expect[inside] = u0[idx[inside]]
-        expect[0], expect[-1] = cfg.u_left, cfg.u_right
+        expect[0], expect[-1] = 1.0, 0.0
         np.testing.assert_array_equal(win.u, expect)
         assert win.x_offset == p * g.L and win.t == 0.0
 
@@ -215,9 +230,17 @@ class TestInitialDatum:
 class TestConfigGuards:
     def test_reaction_step_budget(self, inst):
         g = make(inst)
-        cfg = sv.SolverConfig(dt=1.0, u_left=1.0, u_right=0.0)
         with pytest.raises(sv.SolverError):
-            sv.Stepper(inst, g, cfg)
+            sv.Stepper(inst, g, 1.0)
+
+    @pytest.mark.parametrize("dt", [np.nan, 0.0, -1.0])
+    def test_step_not_positive_finite_rejected(self, inst, dt, monkeypatch):
+        g = make(inst)
+        factored = []
+        monkeypatch.setattr(sv, "factor_spd", lambda *args: factored.append(args))
+        with pytest.raises(ValueError, match="dt"):
+            sv.Stepper(inst, g, dt)
+        assert factored == []
 
 
 def test_excursion_measure():
@@ -258,23 +281,23 @@ class TestChooseDt:
         assert rep.diagnostics["dt"].hex() == "0x1.c507a18ce7472p-7"
 
 
-def reference_step(inst, grid, cfg, u):
-    """One step through the full n-row banded matrix with identity Dirichlet rows."""
+def reference_step(inst, grid, dt, u):
+    """One step through the full n-row banded matrix with identity Dirichlet
+    rows that pin 1 and 0."""
     from scipy.linalg import solve_banded
     n, h, af = grid.n, grid.h, grid.a_face
-    k = cfg.dt
     lo = np.zeros(n)
     up = np.zeros(n)
     lo[1:-1] = af[:-1] / h**2
     up[1:-1] = af[1:] / h**2
     di = -(lo + up)
     y = np.mod(grid.nodes / inst.L, 1.0)
-    rhs = u + cfg.dt * inst.reaction.f(y, u)
-    rhs[0], rhs[-1] = cfg.u_left, cfg.u_right
+    rhs = u + dt * inst.reaction.f(y, u)
+    rhs[0], rhs[-1] = 1.0, 0.0
     ab = np.zeros((3, n))
-    ab[0, 2:] = -k * up[1:-1]
-    ab[1, :] = 1.0 - k * di
-    ab[2, :-2] = -k * lo[1:-1]
+    ab[0, 2:] = -dt * up[1:-1]
+    ab[1, :] = 1.0 - dt * di
+    ab[2, :-2] = -dt * lo[1:-1]
     return solve_banded((1, 1), ab, rhs)
 
 
@@ -283,12 +306,12 @@ class TestFactoredStep:
         g = make(hetero_inst, 4.0)
         # solver.choose_dt picks 0.0044 on this grid; the gap between two
         # direct solves scales with cond(I - dt*D), about 1 + 4*dt*a_max/h^2
-        cfg = sv.SolverConfig(dt=0.005, u_left=1.0, u_right=0.0)
+        dt = 0.005
         u = sv.front_initial_datum(g, rate=0.5 / g.h)
         u[1:-1] += 0.05 * np.sin(7.0 * g.nodes[1:-1])  # leave [0, 1] in places
-        st = sv.Stepper(hetero_inst, g, cfg)
+        st = sv.Stepper(hetero_inst, g, dt)
         for _ in range(5):
-            ref = reference_step(hetero_inst, g, cfg, u)
+            ref = reference_step(hetero_inst, g, dt, u)
             u = st.step_values(u)
             assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -296,17 +319,15 @@ class TestFactoredStep:
         # rhs = f(u); rhs *= dt; rhs += u keeps every bit of u + dt * f(u),
         # inside [0, 1] and on the linear extension outside it
         g = make(hetero_inst, 4.0)
-        cfg = sv.SolverConfig(dt=0.005, u_left=1.0, u_right=0.0)
-        st = sv.Stepper(hetero_inst, g, cfg)
+        st = sv.Stepper(hetero_inst, g, 0.005)
         u = sv.front_initial_datum(g, rate=0.5 / g.h)
         wobble = np.zeros(g.n)
         wobble[1:-1] = 0.05 * np.sin(7.0 * g.nodes[1:-1])
         for u in (u, u + wobble):
             for _ in range(3):
-                rhs = u + cfg.dt * st.reaction_at(u)
-                rhs[0], rhs[-1] = cfg.u_left, cfg.u_right
+                rhs = u + st.dt * st.reaction_at(u)
+                rhs[0], rhs[-1] = 1.0, 0.0
                 rhs[1] += st._couple_left
-                rhs[-2] += st._couple_right
                 rhs[1:-1] = sv.solve_banded(st.factor, rhs[1:-1])
                 u = st.step_values(u)
                 assert np.array_equal(u.view(np.uint64), rhs.view(np.uint64))
@@ -315,12 +336,12 @@ class TestFactoredStep:
         L = hetero_inst.L
         g = sv.Grid1D(x_min=0.0, x_max=L, n=3, h=L / 2, L=L,
                       a_face=np.asarray(hetero_inst.a_L(np.array([L / 4, 3 * L / 4]))))
-        cfg = sv.SolverConfig(dt=0.02, u_left=0.9, u_right=0.2)
+        # end values other than 1 and 0 in u are pinned back by the step
         u = np.array([0.9, 0.55, 0.2])
-        ref = reference_step(hetero_inst, g, cfg, u)
-        out = sv.Stepper(hetero_inst, g, cfg).step_values(u)
+        ref = reference_step(hetero_inst, g, 0.02, u)
+        out = sv.Stepper(hetero_inst, g, 0.02).step_values(u)
         assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
-        assert out[0] == 0.9 and out[-1] == 0.2
+        assert out[0] == 1.0 and out[-1] == 0.0
 
 
 class TestFluxOperator:
@@ -461,12 +482,11 @@ class TestCarriedRange:
         # Stepper.run hands each step's (min, max) to the next reaction; a
         # datum outside [0, 1] must still take the linear extension
         g = make(hetero_inst, 4.0)
-        cfg = sv.SolverConfig(dt=0.005, u_left=1.0, u_right=0.0)
         u0 = sv.front_initial_datum(g, rate=0.5 / g.h)
         u0[1:-1] += 0.3 * np.sin(7.0 * g.nodes[1:-1])
         assert u0.min() < 0.0 and u0.max() > 1.0
         y = np.mod(g.nodes / hetero_inst.L, 1.0)
-        stepper = sv.Stepper(hetero_inst, g, cfg)
+        stepper = sv.Stepper(hetero_inst, g, 0.005)
         bound = stepper._reaction
         ranges = []
 
@@ -482,7 +502,7 @@ class TestCarriedRange:
         assert len(ranges) == 40
         assert ranges[-1][0] < 0.0 or ranges[-1][1] > 1.0
         # steps whose reaction takes its own range
-        plain, u = sv.Stepper(hetero_inst, g, cfg), u0
+        plain, u = sv.Stepper(hetero_inst, g, 0.005), u0
         for _ in range(40):
             u = plain.step_values(u)
         assert np.array_equal(out, u)
@@ -505,7 +525,7 @@ class TestNonFinite:
         inst = pr.ProblemInstance(coeff=pr.CoefficientProfile.from_curve(
             pr.HarmonicCurve(1.0)), reaction=rx, L=1.0)
         g = sv.build_grid(inst, 4.0, 16)
-        st = sv.Stepper(inst, g, sv.SolverConfig(dt=0.01))
+        st = sv.Stepper(inst, g, 0.01)
         msg = rf"non-finite value at step {step} \(t={step * 0.01:.6g}\)"
         with pytest.raises(sv.SolverError, match=msg):
             st.run(np.zeros(g.n), 0.0, 10)

@@ -8,8 +8,7 @@ import pulsefront.fronts as fr
 import pulsefront.profiles as pr
 import pulsefront.spectral as spx
 import pulsefront.stability as st
-from pulsefront.solver import (SolverConfig, Stepper, Window, build_grid, choose_dt,
-                               shift_window)
+from pulsefront.solver import Stepper, Window, build_grid, choose_dt, shift_window
 
 
 @pytest.fixture(scope="module")
@@ -17,12 +16,11 @@ def grid(homog_inst):
     return build_grid(homog_inst, 22.0, 64)
 
 
-def period_stepper(inst, grid, c, u_left=1.0, u_right=0.0):
+def period_stepper(inst, grid, c):
     """A Stepper on grid whose dt, about 0.05, is T/n for the period T = L/|c|
     of a front of speed c, as the period map needs."""
     T = inst.L / abs(c)
-    return Stepper(inst, grid, SolverConfig(dt=T / math.ceil(T / 0.05),
-                                            u_left=u_left, u_right=u_right))
+    return Stepper(inst, grid, T / math.ceil(T / 0.05))
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +38,7 @@ def linear_decay_spectrum(inst, gamma, T, n_nodes=200):
     n_steps = max(1, int(math.ceil(T / 0.02)))
     dt = T / n_steps
     pots = np.full((n_steps, grid.n), -gamma)
-    factor = Stepper(inst, grid, SolverConfig(dt=dt)).factor
+    factor = Stepper(inst, grid, dt).factor
     P = st.linearized_period_map(factor, pots, grid, dt, 0)
     return np.sort(np.abs(np.linalg.eigvals(P)))[::-1]
 
@@ -57,7 +55,7 @@ def period_map(stepper, c, g, on_step=None):
     of stepper (dt = T/n) that cover T = L/|c|, then a slide by one period
     along the front."""
     win = Window(stepper, g)
-    win.period(round(stepper.grid.L / abs(c) / stepper.cfg.dt), 1 if c > 0 else -1,
+    win.period(round(stepper.grid.L / abs(c) / stepper.dt), 1 if c > 0 else -1,
                on_step)
     return win.u
 
@@ -86,10 +84,17 @@ class TestFrame:
             out = period_map(frame, homog_front.speed, g)
             assert np.max(np.abs(out - g)) < 1e-3
 
-    def test_zero_stays_zero(self, homog_inst, homog_front, grid):
-        stepper = period_stepper(homog_inst, grid, homog_front.speed, 0.0, 0.0)
-        out = period_map(stepper, homog_front.speed, np.zeros(grid.n))
-        assert np.max(np.abs(out)) < 1e-14
+    def test_stays_between_rest_states(self, homog_inst, homog_front, grid, frame):
+        # 0 and 1, the states the pinned ends hold, order every orbit of the
+        # map: data in [0, 1] stay in it, and the period each slide moves in
+        # ahead of the front (c > 0) is the rest state 0
+        c = homog_front.speed
+        assert c > 0.0
+        for tau in (-3.0, 0.0, 3.0):
+            g = np.clip(translate(homog_front, homog_inst.L, tau, grid.nodes), 0.0, 1.0)
+            out = period_map(frame, c, period_map(frame, c, g))
+            assert out.min() >= -1e-12 and out.max() <= 1.0 + 1e-12
+            assert out[0] == 1.0 and np.all(out[-grid.nodes_per_period:] == 0.0)
 
     def test_poincare_monotone(self, homog_inst, homog_front, grid, frame):
         g1 = translate(homog_front, homog_inst.L, 1.0, grid.nodes)   # lower translate
@@ -128,7 +133,7 @@ class TestFrame:
                 pots[k] = homog_inst.df_L(grid.nodes, u)
 
         base = period_map(stepper, c, u0, record)
-        P = st.linearized_period_map(stepper.factor, pots, grid, stepper.cfg.dt, 1)
+        P = st.linearized_period_map(stepper.factor, pots, grid, stepper.dt, 1)
         x = grid.nodes
         v = np.exp(-((x - 1.0) / 2.0) ** 2)
         v[0] = v[-1] = 0.0
@@ -225,7 +230,7 @@ class TestGlobalStability:
         c = homog_front.speed
         T = homog_inst.L / abs(c)
         n = math.ceil(T / choose_dt(homog_inst.reaction.lip_k, win.grid.h, c))
-        assert abs(n * win.stepper.cfg.dt - T) < 1e-12
+        assert abs(n * win.stepper.dt - T) < 1e-12
 
     def test_forced_recenter_clears_states(self, homog_inst, homog_front, monkeypatch):
         # a recenter at the end of period 5 empties the stored states: the
