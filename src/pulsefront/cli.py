@@ -2,7 +2,7 @@
 
 Each subcommand runs one scenario from a config file and writes its artifacts
 under --out.  Exit codes: 0 on success, 1 when a numerical record failed, 2
-for configuration errors (the offending key is named).
+for configuration errors (found at load, before --out is made; the key is named).
 """
 
 from __future__ import annotations
@@ -46,17 +46,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, args.scenario)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
         result = run_scenario(cfg, args.out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except Exception as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1

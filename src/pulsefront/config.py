@@ -3,11 +3,12 @@
 Every key has a documented default.  Unknown sections or keys, [run] and
 [numerics] keys the scenario never reads and [profile] keys the family never
 reads are rejected, so a typo cannot silently fall back to a default.  So are
-a [numerics], [run] or [experiment] value out of its range and an inline
-profile key (theta, theta_amp, a, a_amp) written beside the file (theta_file,
-a_file) that would override it.  The raw file bytes are hashed into
-every artifact header: reruns are byte-identical and artifacts traceable to
-their configuration.
+a non-finite number, a [numerics], [run] or [experiment] value out of its
+range, a scenario's family rule and an inline profile key (theta, theta_amp,
+a, a_amp) written beside the file (theta_file, a_file) that would override it.
+A config is judged once, here, before any run: the runners only map parsed
+values to runs.  The raw file bytes are hashed into every artifact header:
+reruns are byte-identical and artifacts traceable to their configuration.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import io
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -34,12 +36,31 @@ def _parse_bool(s: str) -> bool:
     raise ConfigError(f"not a boolean: {s!r}")
 
 
+def _parse_float(s: str) -> float:
+    if not math.isfinite(v := float(s)):
+        raise ValueError("must be finite")
+    return v
+
+
 def _parse_floats(s: str) -> tuple:
-    return tuple(float(tok) for tok in s.replace(",", " ").split())
+    return tuple(_parse_float(tok) for tok in s.replace(",", " ").split())
 
 
 def _parse_optional(s: str):
-    return None if s.strip().lower() in ("", "auto", "none") else float(s)
+    return None if s.strip().lower() in ("", "auto", "none") else _parse_float(s)
+
+
+def _parse_spec(fixed: dict, numbered: tuple):
+    """Parser of a case-insensitive `name` or `kind:<number>` to (kind, number,
+    text as written); fixed maps each name to its (kind, number)."""
+    def parse(s: str) -> tuple:
+        name, colon, num = s.strip().lower().partition(":")
+        if colon and name in numbered:
+            return name, _parse_float(num), s
+        if not colon and name in fixed:
+            return *fixed[name], s
+        raise ValueError("not one of " + " | ".join([*fixed] + [k + ":<v>" for k in numbered]))
+    return parse
 
 
 # key -> (default string, parser, help)
@@ -48,40 +69,44 @@ SCHEMA: dict[str, dict[str, tuple]] = {
         "workers": ("1", int, "worker processes for sweeps (1 = bit-reproducible baseline)"),
     },
     "profile": {
-        "family": ("cubic", str, "cubic | xin"),
-        "theta": ("0.3", float, "intermediate zero level (cubic family)"),
-        "theta_amp": ("0.0", float, "cosine modulation: theta + theta_amp*cos(2 pi y)"),
+        "family": ("cubic", str.lower, "cubic | xin (case-insensitive)"),
+        "theta": ("0.3", _parse_float, "intermediate zero level (cubic family)"),
+        "theta_amp": ("0.0", _parse_float, "cosine modulation: theta + theta_amp*cos(2 pi y)"),
         "theta_file": ("", str, "two-column (y, theta) file with '# period=1' header"),
-        "scale": ("1.0", float, "reaction amplitude multiplier"),
+        "scale": ("1.0", _parse_float, "reaction amplitude multiplier"),
         "gamma": ("auto", _parse_optional, "stability margin; auto derives a safe value"),
         "delta": ("auto", _parse_optional, "margin width in (0, 1/2); auto derives it"),
-        "a": ("1.0", float, "mean diffusivity"),
-        "a_amp": ("0.0", float, "cosine modulation: a + a_amp*cos(2 pi y)"),
+        "a": ("1.0", _parse_float, "mean diffusivity"),
+        "a_amp": ("0.0", _parse_float, "cosine modulation: a + a_amp*cos(2 pi y)"),
         "a_file": ("", str, "two-column (y, a) file with '# period=1' header"),
-        "xin_delta": ("0.2", float, "asymmetry of the oscillating-diffusivity family"),
-        "xin_lambda": ("1.0", float, "diffusivity oscillation amplitude factor"),
-        "xin_mu": ("1.0", float, "reaction scale mu (enters as mu^2)"),
+        "xin_delta": ("0.2", _parse_float, "asymmetry of the oscillating-diffusivity family"),
+        "xin_lambda": ("1.0", _parse_float, "diffusivity oscillation amplitude factor"),
+        "xin_mu": ("1.0", _parse_float, "reaction scale mu (enters as mu^2)"),
     },
     "numerics": {
-        "L": ("1.0", float, "spatial period of the instance"),
+        "L": ("1.0", _parse_float, "spatial period of the instance"),
         "nodes_per_period": ("64", int, "grid nodes per period"),
-        "tail_floor": ("1e-8", float, "target tail depth of extracted profiles"),
-        "budget": ("600.0", float, "maximum simulated time per run"),
+        "tail_floor": ("1e-8", _parse_float, "target tail depth of extracted profiles"),
+        "budget": ("600.0", _parse_float, "maximum simulated time per run"),
     },
     "run": {
         "L_grid": ("0.5 1.0 2.0", _parse_floats, "periods for scan-e (increasing)"),
         "L_list": ("0.8 0.4 0.2 0.1", _parse_floats, "periods for homogenize (decreasing)"),
         "lambda_grid": ("0 1 2 3 4", _parse_floats, "oscillation amplitudes for quench-scan"),
-        "ubar": ("zero", str, "linearization state: zero | one | theta | const:<v>"),
+        "ubar": ("zero", _parse_spec({"zero": ("const", 0.0), "one": ("const", 1.0),
+                                      "theta": ("theta", None)}, ("const",)),
+                 "linearization state: zero | one | theta | const:<v> (case-insensitive)"),
         "R_list": ("2 4 8 16", _parse_floats, "truncation radii for the eigenvalue trace"),
         "direction": ("right", str, "decay branch: right (state 0) | left (state 1)"),
         "potential": ("margin", str, "decay operator potential: margin | linearized"),
-        "c": ("0.0", float, "frame speed for the decay solve"),
-        "datum": ("step", str, "stability datum: step | shifted:<s> | bump:<amp>"),
+        "c": ("0.0", _parse_float, "frame speed for the decay solve"),
+        "datum": ("step", _parse_spec({"step": ("step", None)}, ("shifted", "bump")),
+                  "stability datum: step | shifted:<s> | bump:<amp> (case-insensitive)"),
         "spectrum": ("false", _parse_bool, "also compute the period-map spectrum"),
-        "seeds": ("", str, "extra constant seeds for the steady-state search"),
-        "stability_budget": ("150.0", float, "cap on simulated time for stability experiments; "
-                             "each stops sooner once its third difference is below FIT_FLOOR"),
+        "seeds": ("", _parse_floats, "extra constant steady-state seeds, each in (0, 1)"),
+        "stability_budget": ("150.0", _parse_float, "cap on simulated time for stability "
+                             "experiments; each stops sooner once its third difference is "
+                             "below FIT_FLOOR"),
     },
     "output": {
         "prefix": ("run", str, "file-name prefix for emitted artifacts"),
@@ -141,7 +166,7 @@ def parse_config(text: str, scenario: str) -> ExperimentConfig:
             except Exception as exc:
                 raise ConfigError(f"bad value for [{section}] {key} = {raw!r}: {exc}") from exc
         values[section] = out
-    family = values["profile"]["family"].lower()
+    family = values["profile"]["family"]
     if family not in PROFILE_KEYS:
         raise ConfigError(f"unknown profile family {family!r}")
     # quench-scan takes the xin amplitude from [run] lambda_grid
@@ -158,7 +183,8 @@ def parse_config(text: str, scenario: str) -> ExperimentConfig:
         if cp.has_option("profile", key) and values["profile"][file_key]:
             raise ConfigError(f"[profile] {key} and {file_key} are both set; "
                               "the file gives the whole profile")
-    num, run = values["numerics"], values["run"]
+    num, run, quench = values["numerics"], values["run"], scenario == "quench-scan"
+    delta = values["profile"]["xin_delta"]
 
     def periods(seq, step):   # non-empty, positive, strictly monotone in step's sign
         return bool(seq) and all(L > 0 for L in seq) and \
@@ -170,10 +196,18 @@ def parse_config(text: str, scenario: str) -> ExperimentConfig:
             ("numerics", "tail_floor", 0 < num["tail_floor"] < 1, "in (0, 1)"),
             ("run", "L_grid", periods(run["L_grid"], 1), "non-empty, > 0, strictly increasing"),
             ("run", "L_list", periods(run["L_list"], -1), "non-empty, > 0, strictly decreasing"),
-            ("run", "lambda_grid", len(run["lambda_grid"]) > 0, "non-empty"),
+            # make_xin_example's positivity rule, where lambda_grid is read
+            ("run", "lambda_grid", bool(run["lambda_grid"]) and not (quench and any(
+                abs(delta * lam) >= 1 for lam in run["lambda_grid"])),
+             f"non-empty, each |xin_delta * lambda| < 1 (xin_delta = {delta!r})"),
+            ("profile", "family", family == "xin" or not quench, "xin under quench-scan"),
             ("run", "R_list", len(run["R_list"]) >= 2 and all(R > 0 for R in run["R_list"]),
              "at least 2 radii, each > 0"),
             ("run", "stability_budget", run["stability_budget"] > 0, "> 0"),
+            ("run", "seeds", all(0 < v < 1 for v in run["seeds"]), "all in (0, 1)"),
+            ("run", "direction", run["direction"] in ("right", "left"), "right | left"),
+            ("run", "potential", run["potential"] in ("margin", "linearized"),
+             "margin | linearized"),
             ("experiment", "workers", values["experiment"]["workers"] >= 1, ">= 1")):
         if not ok:
             raise ConfigError(f"[{section}] {key} = {values[section][key]!r} must be {need}")
@@ -205,8 +239,7 @@ def describe_schema() -> str:
 def build_instance(cfg: ExperimentConfig) -> profiles.ProblemInstance:
     p = cfg["profile"]
     period = float(cfg["numerics"]["L"])
-    family = p["family"].lower()
-    if family == "xin":
+    if p["family"] == "xin":
         return profiles.make_xin_example(p["xin_delta"], p["xin_lambda"], p["xin_mu"],
                                          L=period)
 

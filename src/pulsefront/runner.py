@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, ExperimentConfig, build_instance, build_run_config
+from .config import ExperimentConfig, build_instance, build_run_config
 from . import fronts as fr
 from . import homogenize as hg
 from . import spectral as spx
@@ -31,11 +31,7 @@ class RunResult:
 
 
 def _fmt(x) -> str:
-    if x is None:
-        return "nan"
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
-    return f"{x:.10g}"
+    return "nan" if x is None else f"{x:.10g}"
 
 
 def _header(cfg: ExperimentConfig, extra: str = "") -> str:
@@ -87,11 +83,10 @@ def _report_json(report: st.StabilityReport) -> dict:
 # scenario implementations
 # ---------------------------------------------------------------------------
 
-def _run_front(cfg, out):
+def _run_front(cfg, prefix):
     inst = build_instance(cfg)
     rc, budget = build_run_config(cfg)
     rec = fr.classify_quenching(inst, rc, budget)
-    prefix = os.path.join(out, cfg["output"]["prefix"])
     rows = [fr.SweepPoint(L=inst.L, record=rec).csv_row()]
     emit_csv(prefix + "_front.csv", fr.SWEEP_CSV_HEADER, rows, cfg)
     arts = [prefix + "_front.csv"]
@@ -107,13 +102,12 @@ def _run_front(cfg, out):
     return RunResult([line], arts, failures)
 
 
-def _run_homogenize(cfg, out):
+def _run_homogenize(cfg, prefix):
     inst = build_instance(cfg)
     rc, budget = build_run_config(cfg)
     L_list = cfg["run"]["L_list"]
     records, front0 = hg.homogenization_sweep(inst.coeff, inst.reaction, L_list,
                                               rc, budget)
-    prefix = os.path.join(out, cfg["output"]["prefix"])
     rows, lines, failures = [], [], []
     lines.append(f"homogenize: c0={_fmt(front0.c0)} lambda1={_fmt(front0.lambda1)}"
                  f" lambda2={_fmt(front0.lambda2)}")
@@ -133,37 +127,28 @@ def _run_homogenize(cfg, out):
 
 
 def _ubar_of(cfg, inst):
-    spec = cfg["run"]["ubar"].strip().lower()
-    if spec == "zero":
-        return lambda x: np.zeros_like(np.asarray(x, dtype=float))
-    if spec == "one":
-        return lambda x: np.ones_like(np.asarray(x, dtype=float))
-    if spec == "theta":
+    kind, v, _ = cfg["run"]["ubar"]
+    if kind == "theta":
         return lambda x: np.asarray(inst.theta_L(x), dtype=float)
-    if spec.startswith("const:"):
-        v = float(spec.split(":", 1)[1])
-        return lambda x: np.full_like(np.asarray(x, dtype=float), v)
-    raise ConfigError(f"unknown ubar spec {spec!r}")
+    return lambda x: np.full_like(np.asarray(x, dtype=float), v)
 
 
-def _run_eigen(cfg, out):
+def _run_eigen(cfg, prefix):
     inst = build_instance(cfg)
     ubar = _ubar_of(cfg, inst)
     R_list = cfg["run"]["R_list"]
     lim = spx.stability_limit(inst, ubar, R_list)
-    prefix = os.path.join(out, cfg["output"]["prefix"])
     rows = [f"{r:.10g},{l:.10g}" for r, l in zip(lim.R_list, lim.lambdas)]
     emit_csv(prefix + "_eigen.csv", "R,lambda_1R", rows, cfg)
-    line = (f"eigen: ubar={cfg['run']['ubar']} trace=[{', '.join(_fmt(l) for l in lim.lambdas)}]"
+    trace = ", ".join(_fmt(l) for l in lim.lambdas)
+    line = (f"eigen: ubar={cfg['run']['ubar'][2]} trace=[{trace}]"
             f" lambda1={_fmt(lim.periodic_value)} class={lim.cls}")
     return RunResult([line], [prefix + "_eigen.csv"], [])
 
 
-def _run_steady(cfg, out):
+def _run_steady(cfg, prefix):
     inst = build_instance(cfg)
-    seeds = [float(s) for s in cfg["run"]["seeds"].split()] if cfg["run"]["seeds"] else None
-    states = spx.find_periodic_steady_states(inst, seeds=seeds)
-    prefix = os.path.join(out, cfg["output"]["prefix"])
+    states = spx.find_periodic_steady_states(inst, seeds=cfg["run"]["seeds"])
     arts, lines = [], []
     for k, s in enumerate(states):
         path = f"{prefix}_steady_{k}.txt"
@@ -178,12 +163,11 @@ def _run_steady(cfg, out):
     return RunResult(lines, arts, [])
 
 
-def _run_scan_e(cfg, out):
+def _run_scan_e(cfg, prefix):
     inst = build_instance(cfg)
     rc, budget = build_run_config(cfg)
     pts = fr.scan_E(inst.coeff, inst.reaction, cfg["run"]["L_grid"], rc, budget,
                     workers=cfg["experiment"]["workers"])
-    prefix = os.path.join(out, cfg["output"]["prefix"])
     emit_csv(prefix + "_scan.csv", fr.SWEEP_CSV_HEADER, [p.csv_row() for p in pts], cfg)
     lines = [f"scan-e: L={_fmt(p.L)} {p.record.kind} c={_fmt(p.record.c)}" for p in pts]
     failures = [f"L={_fmt(p.L)} inconclusive" for p in pts
@@ -191,15 +175,12 @@ def _run_scan_e(cfg, out):
     return RunResult(lines, [prefix + "_scan.csv"], failures)
 
 
-def _run_quench_scan(cfg, out):
+def _run_quench_scan(cfg, prefix):
     p = cfg["profile"]
-    if p["family"].lower() != "xin":
-        raise ConfigError("quench-scan needs the xin profile family")
     rc, budget = build_run_config(cfg)
     delta, mu = p["xin_delta"], p["xin_mu"]
     lams = sorted(cfg["run"]["lambda_grid"])
-    rows, lines, failures = [], [], []
-    speeds, recs = [], []
+    rows, lines, failures, recs = [], [], [], []
     from .profiles import make_xin_example
     for lam in lams:
         inst = make_xin_example(delta, lam, mu, L=cfg["numerics"]["L"])
@@ -209,12 +190,9 @@ def _run_quench_scan(cfg, out):
         lines.append(f"quench: lambda={_fmt(lam)} {rec.kind} c={_fmt(rec.c)}")
         if rec.kind == fr.INCONCLUSIVE:
             failures.append(f"lambda={_fmt(lam)} inconclusive")
-            speeds.append(None)
-        else:
-            speeds.append(abs(rec.c))
-    known = [s for s in speeds if s is not None]
-    monotone = all(b <= a + 1e-3 * max(known) for a, b in zip(known, known[1:])) \
-        if len(known) > 1 else True
+    known = [abs(rec.c) for rec in recs if rec.kind != fr.INCONCLUSIVE]
+    monotone = len(known) < 2 or all(b <= a + 1e-3 * max(known)
+                                      for a, b in zip(known, known[1:]))
     lines.append(f"quench: |c| non-increasing along lambda: {monotone}")
     pinned = [f"{lam:.10g}" for (lam, rec) in zip(lams, recs)
               if rec.kind == fr.STATIONARY
@@ -222,35 +200,29 @@ def _run_quench_scan(cfg, out):
                   and rec.evidence.get("displacement", math.inf) < 1.0)]
     lines.append("quench: pinning evidence at lambda = "
                  + (", ".join(pinned) if pinned else "none"))
-    prefix = os.path.join(out, cfg["output"]["prefix"])
     emit_csv(prefix + "_quench.csv", "lambda" + fr.SWEEP_CSV_HEADER.removeprefix("L"),
              rows, cfg)
     return RunResult(lines, [prefix + "_quench.csv"], failures)
 
 
-def _run_stability(cfg, out):
+def _run_stability(cfg, prefix):
     inst = build_instance(cfg)
     rc, budget = build_run_config(cfg)
     front = fr.compute_pulsating_front(inst, rc, budget)
-    datum_spec = cfg["run"]["datum"].strip().lower()
+    kind, v, _ = cfg["run"]["datum"]
     L = inst.L
-    if datum_spec == "step":
+    if kind == "step":
         datum = lambda x: np.where(x < 0.0, 1.0, 0.0)
-    elif datum_spec.startswith("shifted:"):
-        s = float(datum_spec.split(":", 1)[1])
-        datum = lambda x: front.interp(x - s, x / L)
-    elif datum_spec.startswith("bump:"):
-        amp = float(datum_spec.split(":", 1)[1])
+    elif kind == "shifted":
+        datum = lambda x: front.interp(x - v, x / L)
+    else:   # bump of amplitude v
         datum = lambda x: np.clip(front.interp(x, x / L)
-                                  + amp * np.exp(-(x / 2.0) ** 2), 0.0, 1.0)
-    else:
-        raise ConfigError(f"unknown datum spec {datum_spec!r}")
+                                  + v * np.exp(-(x / 2.0) ** 2), 0.0, 1.0)
     rep = st.global_stability_experiment(inst, front, datum,
                                          fr.Budget(cfg["run"]["stability_budget"]))
     if cfg["run"]["spectrum"]:
         spec = st.poincare_spectrum(inst, front)
         rep = replace(rep, spectrum=tuple(spec.eigenvalues))
-    prefix = os.path.join(out, cfg["output"]["prefix"])
     with open(prefix + "_stability.json", "w") as fh:
         json.dump(_report_json(rep), fh, indent=1)
     emit_sup_errors(prefix + "_sup_errors.txt", rep, cfg)
@@ -262,11 +234,10 @@ def _run_stability(cfg, out):
                               prefix + "_sup_errors.txt"], failures)
 
 
-def _run_decay(cfg, out):
+def _run_decay(cfg, prefix):
     inst = build_instance(cfg)
     r = cfg["run"]
     mu = spx.decay_root_mu(inst, r["c"], r["direction"], r["potential"])
-    prefix = os.path.join(out, cfg["output"]["prefix"])
     _write(prefix + "_decay.txt",
            [_header(cfg, f"direction={r['direction']} potential={r['potential']}"
                     f" c={_fmt(r['c'])}"),
@@ -291,4 +262,4 @@ def run_scenario(cfg: ExperimentConfig, out_dir: str) -> RunResult:
     """Dispatch to the scenario pipeline; artifacts land in out_dir."""
     os.makedirs(out_dir, exist_ok=True)
     runner = _SCENARIO_RUNNERS[cfg.scenario]
-    return runner(cfg, out_dir)
+    return runner(cfg, os.path.join(out_dir, cfg["output"]["prefix"]))

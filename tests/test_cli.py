@@ -249,9 +249,20 @@ class TestCliRuns:
         assert rc == 2
         assert "not_a_key" in capsys.readouterr().err
 
-    # a value its parser refuses names its key, the boolean's too
+    # a value its parser refuses names its key, the boolean's too; a non-finite
+    # number used to pass and fail the run (exit 1) once the output existed,
+    # and a datum's number only after the whole reference front
     @pytest.mark.parametrize("scenario,section,key,value", [
         ("stability", "run", "spectrum", "maybe"), ("front", "numerics", "L", "abc"),
+        pytest.param("eigen", "run", "ubar", "foo", id="ubar-typo"),
+        pytest.param("stability", "run", "datum", "wiggle", id="datum-unknown-kind"),
+        pytest.param("stability", "run", "datum", "shifted:abc", id="datum-bad-number"),
+        pytest.param("steady", "run", "seeds", "abc", id="seeds-unparsable"),
+        pytest.param("decay", "run", "c", "nan", id="c-nan"),
+        pytest.param("decay", "numerics", "L", "inf", id="L-inf"),
+        pytest.param("eigen", "run", "R_list", "2 inf", id="R_list-inf"),
+        pytest.param("stability", "run", "stability_budget", "inf", id="stability_budget-inf"),
+        pytest.param("scan-e", "run", "L_grid", "0.5 inf", id="L_grid-inf"),
     ])
     def test_unparsable_value_exit_2(self, tmp_path, capsys, scenario, section, key, value):
         p = tmp_path / "bad.cfg"
@@ -278,7 +289,10 @@ class TestCliRuns:
 
     # each used to run: scan-e and homogenize failed (exit 1) or wrote a
     # header-only CSV (exit 0), eigen failed in the trace, a zero stability
-    # budget failed after the whole front run, and workers = -3 was taken
+    # budget failed after the whole front run, workers = -3 was taken, decay
+    # failed on a bad direction or potential, steady dropped seeds outside
+    # (0, 1), quench-scan on the cubic family failed once the output existed,
+    # and a lambda with |xin_delta * lambda| >= 1 failed with no CSV written
     @pytest.mark.parametrize("scenario,section,key,value", [
         pytest.param("scan-e", "run", "L_grid", "2 1", id="L_grid-decreasing"),
         pytest.param("scan-e", "run", "L_grid", "-1 1", id="L_grid-negative"),
@@ -290,11 +304,17 @@ class TestCliRuns:
         pytest.param("eigen", "run", "R_list", "-2 4", id="R_list-negative"),
         pytest.param("stability", "run", "stability_budget", "0", id="stability_budget-zero"),
         pytest.param("eigen", "experiment", "workers", "-3", id="workers-negative"),
+        pytest.param("decay", "run", "direction", "sideways", id="direction-typo"),
+        pytest.param("decay", "run", "potential", "foo", id="potential-typo"),
+        pytest.param("steady", "run", "seeds", "1.5 -2", id="seeds-outside"),
+        pytest.param("quench-scan", "profile", "family", "cubic", id="quench-scan-cubic"),
+        pytest.param("quench-scan", "run", "lambda_grid", "0 6", id="lambda_grid-positivity"),
     ])
     def test_out_of_range_run_exit_2(self, tmp_path, capsys, scenario, section, key, value):
         family = "xin" if scenario == "quench-scan" else "cubic"
+        head = "" if section == "profile" else f"[profile]\nfamily = {family}\n\n"
         p = tmp_path / "range.cfg"
-        p.write_text(f"[profile]\nfamily = {family}\n\n[{section}]\n{key} = {value}\n")
+        p.write_text(f"{head}[{section}]\n{key} = {value}\n")
         rc = cli.main([scenario, "--config", str(p), "--out", str(tmp_path)])
         assert rc == 2
         err = capsys.readouterr().err
