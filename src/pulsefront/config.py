@@ -4,8 +4,11 @@ Every key has a documented default.  Unknown sections or keys, [run] and
 [numerics] keys the scenario never reads and [profile] keys the family never
 reads are rejected, so a typo cannot silently fall back to a default.  So are
 a non-finite number, a [numerics], [run] or [experiment] value out of its
-range, a scenario's family rule and an inline profile key (theta, theta_amp,
-a, a_amp) written beside the file (theta_file, a_file) that would override it.
+range, a scenario's family rule, an inline profile key (theta, theta_amp,
+a, a_amp) written beside the file (theta_file, a_file) that would override it,
+and a [profile] value the family's constructor would refuse (theta +-
+|theta_amp| outside (0, 1), a <= |a_amp|, delta or xin_delta outside
+(0, 1/2), a profile file that does not exist).
 A config is judged once, here, before any run: the runners only map parsed
 values to runs.  The raw file bytes are hashed into every artifact header:
 reruns are byte-identical and artifacts traceable to their configuration.
@@ -17,6 +20,7 @@ import configparser
 import hashlib
 import io
 import math
+import os
 from dataclasses import dataclass
 from typing import Any
 
@@ -86,7 +90,7 @@ SCHEMA: dict[str, dict[str, tuple]] = {
     "numerics": {
         "L": ("1.0", _parse_float, "spatial period of the instance"),
         "nodes_per_period": ("64", int, "grid nodes per period"),
-        "tail_floor": ("1e-8", _parse_float, "target tail depth of extracted profiles"),
+        "tail_floor": ("1e-3", _parse_float, "depth of the front's slower tail at the window's ends"),
         "budget": ("600.0", _parse_float, "maximum simulated time per run"),
     },
     "run": {
@@ -184,7 +188,8 @@ def parse_config(text: str, scenario: str) -> ExperimentConfig:
             raise ConfigError(f"[profile] {key} and {file_key} are both set; "
                               "the file gives the whole profile")
     num, run, quench = values["numerics"], values["run"], scenario == "quench-scan"
-    delta = values["profile"]["xin_delta"]
+    prof, cubic = values["profile"], family == "cubic"
+    delta = prof["xin_delta"]
 
     def periods(seq, step):   # non-empty, positive, strictly monotone in step's sign
         return bool(seq) and all(L > 0 for L in seq) and \
@@ -194,6 +199,20 @@ def parse_config(text: str, scenario: str) -> ExperimentConfig:
             ("numerics", "budget", num["budget"] > 0, "> 0"),
             ("numerics", "nodes_per_period", num["nodes_per_period"] >= 1, ">= 1"),
             ("numerics", "tail_floor", 0 < num["tail_floor"] < 1, "in (0, 1)"),
+            # the profile constructors' rules, for the family's keys
+            ("profile", "theta", not cubic or bool(prof["theta_file"]) or (
+                0 < prof["theta"] - abs(prof["theta_amp"])
+                and prof["theta"] + abs(prof["theta_amp"]) < 1),
+             "such that theta +- |theta_amp| lies in (0, 1)"),
+            ("profile", "a", not cubic or bool(prof["a_file"]) or prof["a"] - abs(prof["a_amp"]) > 0,
+             "greater than |a_amp|"),
+            ("profile", "delta", not cubic or prof["delta"] is None or 0 < prof["delta"] < 0.5,
+             "in (0, 1/2)"),
+            ("profile", "xin_delta", cubic or 0 < delta < 0.5, "in (0, 1/2)"),
+            ("profile", "theta_file", not (cubic and prof["theta_file"])
+             or os.path.isfile(prof["theta_file"]), "an existing file"),
+            ("profile", "a_file", not (cubic and prof["a_file"]) or os.path.isfile(prof["a_file"]),
+             "an existing file"),
             ("run", "L_grid", periods(run["L_grid"], 1), "non-empty, > 0, strictly increasing"),
             ("run", "L_list", periods(run["L_list"], -1), "non-empty, > 0, strictly decreasing"),
             # make_xin_example's positivity rule, where lambda_grid is read

@@ -18,6 +18,12 @@ silently a front).  Speeds are measured two ways: L/T of the accepted
 period, and the slope of the half-level position's means over the two
 accepted periods.  The profile phi(xi, y) is read from the stored period:
 node x shows phi(xi, x/L) at t = (x - xi)/c, which is a stored row.
+The window ends where the front's slower tail is tail_floor deep, and each
+end obeys the front's linear tail there (window_tails: the decay pair of the
+linearized tail operator on the window's own cells, solver.Tail), so no
+Dirichlet boundary layer bends the tails and the lattice keeps only one
+period and 4 nodes from each end; FrontSolution.interp continues the lattice
+past its ends by the same tails.
 """
 
 from __future__ import annotations
@@ -32,9 +38,10 @@ from scipy.optimize import minimize_scalar
 
 from .profiles import (HomogenizedData, ProblemInstance, characteristic_rates,
                        homogenized_data)
-from .solver import (Grid1D, SolverError, Stepper, Window, build_grid, choose_dt,
+from .solver import (Grid1D, SolverError, Stepper, Tail, Window, build_grid, choose_dt,
                      excursion, front_initial_datum, residual_stationary,
                      steps_per_period)
+from .spectral import decay_eigenvalue, decay_pair
 
 SETTLE_TIME = 10.0          # evolution chunk between checks
 STAT_WINDOW = 100.0         # pinning detection window
@@ -43,7 +50,6 @@ MIN_LEVEL_SAMPLES = 20      # level samples behind a level-speed fit
 MIN_TAIL_EFOLDS = 3.0       # depth a tail fit must span
 SPEED_WINDOW = 2.0 * SETTLE_TIME   # shortest level record behind the speed estimate c_hat
 TOL_PULS = 1e-5             # acceptance tolerance on the pulsating defect
-DEFECT_MARGIN_FRAC = 0.15   # per-side exclusion of the defect window
 
 
 # The closed set of failure reasons.  A FrontNotConverged or an Inconclusive
@@ -71,7 +77,7 @@ class Budget:
 @dataclass(frozen=True)
 class FrontRunConfig:
     nodes_per_period: int = 64
-    tail_floor: float = 1e-8
+    tail_floor: float = 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +87,7 @@ class FrontRunConfig:
 def level_position(x: np.ndarray, u: np.ndarray):
     """Outermost crossing of the half-level (largest x with u >= 1/2), with
     sub-grid linear interpolation, or None when the level is not attained."""
-    above = np.flatnonzero(u >= 0.5)
+    above = (u >= 0.5).nonzero()[0]
     if above.size == 0 or above.size == len(u):
         return None
     i = int(above[-1])
@@ -118,9 +124,10 @@ class SnapshotSeries:
         return self.U[-1, there] - self.U[0, here]
 
     def time_monotonicity_defect(self) -> float:
-        """How far the period is from being nondecreasing in t (0 if monotone)."""
-        d = np.diff(self.U, axis=0)
-        return float(max(0.0, -float(d.min())))
+        """How far the period is from being nondecreasing in t (0 if monotone);
+        row by row, without a copy of the period."""
+        drop = min(float((b - a).min()) for a, b in zip(self.U[:-1], self.U[1:]))
+        return max(0.0, -drop)
 
 
 def _golden_min(f: Callable[[float], float], lo: float, hi: float, tol: float):
@@ -226,15 +233,22 @@ class FrontSolution:
     mu2_fit: float | None
     speed_estimate: SpeedEstimate | None
     diagnostics: dict
+    # (mu1, mu2): the rates of the linear tails toward 0 (right) and 1 (left)
+    # that the run's window ends imposed
+    tail_mu: tuple | None = None
 
     @property
     def stationary(self) -> bool:
         return self.speed == 0.0
 
     def interp(self, xi, y):
-        """Bilinear interpolation of the lattice, periodic in y, clamped in xi;
-        xi and y broadcast, and the four lattice values are gathered from the
-        flattened lattice at i*m + j."""
+        """Bilinear interpolation of the lattice, periodic in y; xi and y
+        broadcast, and the four lattice values are gathered from the flattened
+        lattice at i*m + j.  Past either end of the lattice the front
+        continues by its tails, k whole periods at a time (the lattice's m
+        points in xi): phi(xi + kL, y) = e^(-mu1 kL) phi(xi, y) on the right
+        and 1 - phi(xi - kL, y) = e^(-mu2 kL) (1 - phi(xi, y)) on the left;
+        without tail_mu the lattice is clamped in xi."""
         y = np.mod(np.asarray(y, dtype=float), 1.0)
         m = len(self.y)
         sy = y * m
@@ -243,15 +257,26 @@ class FrontSolution:
         vj = 1 - wj
         dj = (j + 1) % m - j
         xi0 = self.xi[0]
-        s = np.clip((np.asarray(xi, dtype=float) - xi0) / (self.xi[1] - xi0),
-                    0.0, len(self.xi) - 1 - 1e-12)
+        top = len(self.xi) - 1
+        s = (np.asarray(xi, dtype=float) - xi0) / (self.xi[1] - xi0)
+        if self.tail_mu is not None:
+            k_right = np.ceil(np.maximum(s - top, 0.0) / m)
+            k_left = np.ceil(np.maximum(-s, 0.0) / m)
+            s = s - m * (k_right - k_left)
+        s = np.clip(s, 0.0, top - 1e-12)
         i = s.astype(int)
         wi = s - i
         flat = self.phi.ravel()
         k = i * m + j
         k1 = k + m
-        return ((1 - wi) * (vj * flat.take(k) + wj * flat.take(k + dj))
-                + wi * (vj * flat.take(k1) + wj * flat.take(k1 + dj)))
+        v = ((1 - wi) * (vj * flat.take(k) + wj * flat.take(k + dj))
+             + wi * (vj * flat.take(k1) + wj * flat.take(k1 + dj)))
+        if self.tail_mu is not None:
+            L = m * float(self.xi[1] - xi0)
+            mu1, mu2 = self.tail_mu
+            v = np.where(k_right > 0, v * np.exp(-mu1 * L * k_right), v)
+            v = np.where(k_left > 0, 1.0 - np.exp(-mu2 * L * k_left) * (1.0 - v), v)
+        return v
 
 
 def extract_profile(snaps: SnapshotSeries, c: float, margin_nodes: int):
@@ -357,10 +382,35 @@ def limit_front_rate(homog: HomogenizedData) -> float:
 
 
 def default_halfwidth(homog: HomogenizedData, tail_floor: float) -> float:
-    """Domain half-extent over which the slowest tail falls to tail_floor."""
+    """Domain half-extent over which the slowest tail falls to tail_floor, the
+    depth of the window's ends."""
     mu = max(decay_scale(homog, speed_scale(homog)), 1e-3)
     w = math.log(1.0 / tail_floor) / mu + 4.0
     return float(min(max(w, 8.0), 150.0))
+
+
+def window_tails(inst: ProblemInstance, homog: HomogenizedData, c: float, m0: int,
+                 solve: bool = True) -> tuple[Tail, Tail]:
+    """The (left, right) window ends of a front of speed about c on m0 nodes
+    per period: the homogenized characteristic rates at c with the decay
+    eigenvectors there on the window's own cells, or, when solve, the rates
+    that spectral.decay_pair finds from them.  A SolverError when the cells
+    are too coarse for the tail operator (it loses its M-matrix sign pattern
+    once about mu L/m0 > 1)."""
+    l1, l2 = characteristic_rates(homog.a_h, c, homog.slope0, homog.slope1)
+    ends = []
+    for mu, slope, direction in ((l2, 2.0 * homog.a_h * l2 + c, "left"),
+                                 (l1, 2.0 * homog.a_h * l1 - c, "right")):
+        try:
+            if solve:
+                mu, psi = decay_pair(inst, c, direction, m0, mu, slope)
+            else:
+                psi = decay_eigenvalue(inst, c, mu, direction, "linearized", m0).psi
+        except ValueError as exc:
+            raise SolverError(f"no {direction} window tail on {m0} nodes per period: "
+                              f"{exc}") from exc
+        ends.append(Tail(mu, psi))
+    return ends[0], ends[1]
 
 
 # ---------------------------------------------------------------------------
@@ -371,8 +421,8 @@ class _RunState(Window):
     """A front run's window with its level record, stepped in chunks at dt or
     by the period map, whole periods at T/n <= dt."""
 
-    def __init__(self, inst, grid, dt, rate):
-        super().__init__(Stepper(inst, grid, dt), front_initial_datum(
+    def __init__(self, inst, grid, dt, rate, tails):
+        super().__init__(Stepper(inst, grid, dt, tails), front_initial_datum(
             grid, interface=0.5 * (grid.x_min + grid.x_max), rate=rate))
         self.dt = dt
         self.level_t: list[float] = []
@@ -436,7 +486,7 @@ class _RunState(Window):
         return float(xx.max() - xx.min())
 
 
-def _front_from_lattice(speed, xi, ys, phi, defect, est, diagnostics):
+def _front_from_lattice(speed, xi, ys, phi, defect, est, diagnostics, tails):
     prof = phi.mean(axis=1)
     pos = level_position(xi, prof)
     xi = xi - (pos if pos is not None else 0.0)
@@ -445,9 +495,10 @@ def _front_from_lattice(speed, xi, ys, phi, defect, est, diagnostics):
         mu1, mu2 = fit_tail_rates(xi, prof)
     except ValueError as exc:
         diagnostics["decay_fit"] = str(exc)
+    left, right = tails
     return FrontSolution(speed=speed, xi=xi, y=ys, phi=phi, pulsating_error=defect,
                          mu1_fit=mu1, mu2_fit=mu2, speed_estimate=est,
-                         diagnostics=diagnostics)
+                         diagnostics=diagnostics, tail_mu=(right.mu, left.mu))
 
 
 def compute_pulsating_front(inst: ProblemInstance, cfg: FrontRunConfig = FrontRunConfig(),
@@ -465,6 +516,8 @@ def compute_pulsating_front(inst: ProblemInstance, cfg: FrontRunConfig = FrontRu
     slope of the level's means over the two periods.
     A period that would overrun the budget is skipped for a chunk, not the
     run, so the pinning test can still fire.
+    The window's ends obey the linear tails (window_tails) at the speed
+    scale, and from the first period map on at the c_hat it starts from.
     """
     if homog is None:
         homog = homogenized_data(inst.coeff, inst.reaction)
@@ -472,11 +525,13 @@ def compute_pulsating_front(inst: ProblemInstance, cfg: FrontRunConfig = FrontRu
     halfwidth = max(default_halfwidth(homog, cfg.tail_floor), 1.5 * inst.L)
     grid = build_grid(inst, halfwidth, cfg.nodes_per_period)
     h = grid.h
-    dt = choose_dt(inst.reaction.lip_k, h, speed_scale(homog))
+    m0 = grid.nodes_per_period
+    c_scale = speed_scale(homog)
+    dt = choose_dt(inst.reaction.lip_k, h, c_scale)
     rate = limit_front_rate(homog)
-    state = _RunState(inst, grid, dt, rate)
-    # the defect window stays clear of the Dirichlet boundary layers
-    margin_nodes = max(grid.nodes_per_period + 4, int(DEFECT_MARGIN_FRAC * grid.n))
+    # the defect window and the lattice keep one period and 4 nodes from each
+    # end; with the tails imposed there is no boundary layer to keep clear of
+    margin_nodes = m0 + 4
     c_floor = h / (10.0 * STAT_WINDOW)
     settled = None          # start of the last period if its defect was under TOL_PULS
     periodic = False        # c_hat came from the last period: step the next one at once
@@ -484,9 +539,13 @@ def compute_pulsating_front(inst: ProblemInstance, cfg: FrontRunConfig = FrontRu
     diagnostics: dict = {"L": inst.L, "h": h, "dt": dt, "halfwidth": halfwidth,
                          "n_nodes": grid.n, "datum_rate": rate, "last_defect": None,
                          "period_defects": []}
-    if grid.n - 2 * margin_nodes <= grid.nodes_per_period:
+    if grid.n - 2 * margin_nodes <= m0:
         diagnostics.update(t_final=0.0, reason="coverage", message="no defect window")
         raise FrontNotConverged("domain too small for the defect window", diagnostics)
+    # the speed scale is a guess of c: its tails are not solved further
+    state = _RunState(inst, grid, dt, rate, window_tails(
+        inst, homog, math.copysign(c_scale, homog.i_fbar), m0, solve=False))
+    tails_at_c_hat = False
 
     while state.t < budget.t_max:
         if not periodic:
@@ -504,18 +563,19 @@ def compute_pulsating_front(inst: ProblemInstance, cfg: FrontRunConfig = FrontRu
                 est = None
                 if len(state.level_t) >= MIN_LEVEL_SAMPLES:
                     est = measure_speed(state.level_t[-200:], state.level_x[-200:])
-                m = grid.nodes_per_period
-                margin = m + 4
-                xi = grid.nodes[margin:-margin]
-                prof = state.u[margin:-margin]
-                phi = np.repeat(prof[:, None], m, axis=1)
-                return _front_from_lattice(0.0, xi, np.arange(m) / m, phi, resid,
-                                           est, diagnostics)
+                xi = grid.nodes[margin_nodes:-margin_nodes]
+                prof = state.u[margin_nodes:-margin_nodes]
+                phi = np.repeat(prof[:, None], m0, axis=1)
+                return _front_from_lattice(0.0, xi, np.arange(m0) / m0, phi, resid,
+                                           est, diagnostics, state.stepper.tails)
         if c_hat is None or abs(c_hat) < c_floor:
             continue
         T = inst.L / abs(c_hat)
         if state.t + T > budget.t_max:
             continue                # keep evolving: the stationary test may fire
+        if not tails_at_c_hat:
+            state.stepper.set_tails(window_tails(inst, homog, c_hat, m0))
+            tails_at_c_hat = True
         sgn = 1 if c_hat > 0 else -1
         snaps = state.step_period(T, sgn)
         T_star, defect, width = min_shift_defect(snaps, margin_nodes, sgn)
@@ -542,7 +602,8 @@ def compute_pulsating_front(inst: ProblemInstance, cfg: FrontRunConfig = FrontRu
             diagnostics["range_seen"] = (state.stepper.min_seen,
                                          state.stepper.max_seen)
             diagnostics["time_monotonicity_defect"] = snaps.time_monotonicity_defect()
-            return _front_from_lattice(c_period, xi, ys, phi, defect, est, diagnostics)
+            return _front_from_lattice(c_period, xi, ys, phi, defect, est, diagnostics,
+                                       state.stepper.tails)
         settled = snaps.t0 if defect < TOL_PULS else None
         periodic = T_star > 0.0
         if periodic:

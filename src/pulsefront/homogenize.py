@@ -184,7 +184,8 @@ def align_profiles(xi: np.ndarray, phi: np.ndarray, phi0):
     callable phi0 once and reads no lattice."""
     xi = np.asarray(xi, dtype=float)
     mean = phi.mean(axis=1)
-    spread = np.trapezoid(np.mean((phi - mean[:, None]) ** 2, axis=1), x=xi)
+    dev = phi - mean[:, None]
+    spread = np.trapezoid(np.mean(np.square(dev, out=dev), axis=1), x=xi)  # one temporary
     pos_l = level_position(xi, mean)
     pos_0 = level_position(xi, phi0(xi))
     guess = (pos_l - pos_0) if (pos_l is not None and pos_0 is not None) else 0.0

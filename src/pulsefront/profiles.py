@@ -379,12 +379,25 @@ class FbarCurve:
 
 def fbar_and_integral(reaction: ReactionProfile, quad_n: int = QUAD_N):
     """Return (fbar curve, integral of fbar over [0, 1]) by Simpson quadrature
-    with an even number quad_n of intervals in y."""
+    with an even number quad_n of intervals in y.
+
+    The y-sum runs over blocks of nu + 1 rows with the running sum added to
+    each block's first row, so it is the one sequential sum over all rows of
+    _simpson without the (quad_n + 1) x (nu + 1) array and its weighted copy."""
     y = np.linspace(0.0, 1.0, quad_n + 1)
     nu = 512
     u = np.linspace(0.0, 1.0, nu + 1)
-    F = np.asarray(reaction.f(y[:, None], u[None, :]), dtype=float)
-    fbar_vals = _simpson(F, 1.0 / quad_n, axis=0)
+    w = np.ones(quad_n + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    total = None
+    for k in range(0, quad_n + 1, nu + 1):
+        block = np.multiply(reaction.f(y[k:k + nu + 1, None], u[None, :]),
+                            w[k:k + nu + 1, None], dtype=float)
+        if total is not None:
+            block[0] += total
+        total = np.sum(block, axis=0)
+    fbar_vals = total * (1.0 / quad_n / 3.0)
     slope0 = float(_simpson(np.asarray(reaction.df(y, 0.0), dtype=float), 1.0 / quad_n))
     slope1 = float(_simpson(np.asarray(reaction.df(y, 1.0), dtype=float), 1.0 / quad_n))
     fbar = FbarCurve(u, fbar_vals, slope0, slope1)

@@ -1,23 +1,30 @@
 """Conservative finite differences and IMEX time stepping on a truncated line.
 
 The equation u_t = (a_L(x) u_x)_x + f_L(x, u) is discretized in flux form with
-face diffusivities evaluated analytically at cell midpoints, the ends pinned
-to 1 (left) and 0 (right), backward Euler diffusion and explicit reaction.  The
-flux-form operator (a u')' is built in one place, `flux_stencil` (its three
-diagonals, Dirichlet or cyclic) and `flux_apply` (its flux-difference action);
-the spectral and stability modules use the same pair.  The interior of
-I - dt*D is symmetric positive definite and constant for one dt, so a Stepper
-factors it once per dt (`factor_spd`, LAPACK dpttrf) and each step is one
-solve against that factor (`solve_banded`, dpttrs), with the left end's
-coupling folded into the right-hand side.  The reaction is bound once to the
-node positions.  The implicit Euler/explicit reaction combination is
-order-preserving whenever dt * lip_k <= 1, which the configuration enforces
-with margin.  `choose_dt` is the one step rule, and `steps_per_period` the
-one period rule: a whole period T in n steps of T/n.  A `Window` owns one
-lab-frame run (its Stepper, state, time and x_offset) and is the one place
-the window slides: by whole periods (`shift_window`), an exact translation of
-the L-periodic medium.  `Window.period`, n steps then a one-period slide, is
-the period map that the front runs and the spectrum iterate.
+face diffusivities evaluated analytically at cell midpoints, backward Euler
+diffusion and explicit reaction.  Each end of the window obeys a linear tail
+toward its stable state, 1 at the left and 0 at the right (`Tail`): the end
+node's distance to that state is r times its neighbour's, r = 0 pinning it,
+so a window may end where the front is linear rather than where it is within
+round-off of 1 and 0 (Beyn, IMA J. Numer. Anal. 10 (1990); Lentini and
+Keller, SIAM J. Numer. Anal. 17 (1980)).  The flux-form operator (a u')' is
+built in one place, `flux_stencil` (its three diagonals, Dirichlet or cyclic)
+and `flux_apply` (its flux-difference action); the spectral and stability
+modules use the same pair.  With the end nodes eliminated (r enters only the
+first and last diagonal entries), the interior of I - dt*D is symmetric
+positive definite and constant for one dt, so a Stepper factors it once per
+dt (`factor_spd`, LAPACK dpttrf) and each step is one solve against that
+factor (`solve_banded`, dpttrs), with the left end's coupling folded into the
+right-hand side.  The reaction is bound once to the node positions.  The
+implicit Euler/explicit reaction combination is order-preserving whenever
+dt * lip_k <= 1, which the configuration enforces with margin.  `choose_dt`
+is the one step rule, and `steps_per_period` the one period rule: a whole
+period T in n steps of T/n.  A `Window` owns one lab-frame run (its Stepper,
+state, time and x_offset) and is the one place the window slides: by whole
+periods (`shift_window`), an exact translation of the L-periodic medium whose
+vacated periods continue each end's tail.  `Window.period`, n steps then a
+one-period slide, is the period map that the front runs and the spectrum
+iterate.
 """
 
 from __future__ import annotations
@@ -118,18 +125,26 @@ def flux_apply(a_face: np.ndarray, h: float, u: np.ndarray,
     return (a_face[1:] * (u[2:] - u[1:-1]) - a_face[:-1] * (u[1:-1] - u[:-2])) / h**2
 
 
-def shift_window(u: np.ndarray, p: int, m0: int, left: float, right: float) -> np.ndarray:
+def shift_window(u: np.ndarray, p: int, m0: int, left: float, right: float,
+                 q_left: float = 0.0, q_right: float = 0.0) -> np.ndarray:
     """The window moved p whole periods (m0 nodes each) to the right along the
-    first axis: out[i] = u[i + p*m0], the vacated end filled with left (p < 0)
-    or right (p > 0)."""
+    first axis: out[i] = u[i + p*m0].  Each vacated period continues the one
+    beside it toward that end's state, left (p < 0) or right (p > 0): it is
+    state + q * (its neighbour - state), with q = q_left or q_right, so q = 0
+    fills the state itself."""
     s = p * m0
+    n = len(u)
+    if abs(s) > n - 1 - m0:
+        raise ValueError("the slide must keep at least one period of the window")
     out = np.empty_like(u)
     if s >= 0:
-        out[:len(u) - s] = u[s:]
-        out[len(u) - s:] = right
+        out[:n - s] = u[s:]
+        for i in range(n - s, n, m0):
+            out[i:i + m0] = right + q_right * (out[i - m0:i] - right)
     else:
         out[-s:] = u[:s]
-        out[:-s] = left
+        for i in range(-s, 0, -m0):
+            out[i - m0:i] = left + q_left * (out[i:i + m0] - left)
     return out
 
 
@@ -176,14 +191,37 @@ def solve_banded(factor, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
+@dataclass(frozen=True)
+class Tail:
+    """The linear tail at one end of a window: the distance to the end's
+    stable state is e^(-mu d) psi(y) at depth d, psi positive and periodic,
+    sampled at the cells j/len(psi) of one period (the window's nodes per
+    period, or one value for a tail that does not vary in y)."""
+
+    mu: float
+    psi: np.ndarray
+
+    def ratio(self, h: float, end: int, nxt: int) -> float:
+        """r = e^(-mu h) psi(y_end)/psi(y_next) for the end node and its
+        neighbour at grid indices end and nxt: distance(end) = r distance(nxt)."""
+        m = len(self.psi)
+        return math.exp(-self.mu * h) * float(self.psi[end % m] / self.psi[nxt % m])
+
+
+PINNED = Tail(math.inf, np.ones(1))   # r = 0: the end holds its stable state
+
+
 class Stepper:
     """Factored diffusion matrix and bound reaction for repeated steps of one
-    instance on one grid at step dt, with the ends pinned to the stable
-    states, 1 at the left and 0 at the right."""
+    instance on one grid at step dt.  tails = (left, right) are the end
+    conditions toward the stable states, 1 at the left and 0 at the right;
+    both are pinned unless given."""
 
-    def __init__(self, inst: ProblemInstance, grid: Grid1D, dt: float):
+    def __init__(self, inst: ProblemInstance, grid: Grid1D, dt: float,
+                 tails: tuple[Tail, Tail] = (PINNED, PINNED)):
         self.inst = inst
         self.grid = grid
+        self.tails = tails
         self.retime(dt)
         self._reaction = bind_reaction(inst.reaction.f, np.mod(grid.nodes / inst.L, 1.0))
         self.min_seen = math.inf
@@ -199,13 +237,32 @@ class Stepper:
                 f"dt*K = {dt * self.inst.reaction.lip_k:.3g} >= 0.5 breaks the "
                 "explicit reaction stability budget")
         self.dt = dt
-        n = self.grid.n
-        lower, diag, upper = flux_stencil(self.grid.a_face, self.grid.h)
-        # interior rows of I - dt*D: symmetric (upper[i] == lower[i+1]) and
-        # diagonally dominant, hence positive definite; the pinned 0 at the
-        # right end couples nothing into the last interior row
-        self.factor = factor_spd(1.0 - dt * diag[1:n-1], -dt * upper[1:n-2])
-        self._couple_left = dt * lower[1]
+        g = self.grid
+        n = g.n
+        left, right = self.tails
+        # 1 - u_0 = r_left (1 - u_1) and u_{n-1} = r_right u_{n-2}
+        self.r_left = left.ratio(g.h, 0, 1)
+        self.r_right = right.ratio(g.h, n - 1, n - 2)
+        lower, diag, upper = flux_stencil(g.a_face, g.h)
+        # interior rows of I - dt*D with the end nodes eliminated: symmetric
+        # (upper[i] == lower[i+1]) and, as r < 1 enters the diagonal only,
+        # diagonally dominant, hence positive definite
+        d = diag[1:n-1].copy()
+        d[0] += self.r_left * lower[1]
+        d[-1] += self.r_right * upper[n-2]
+        self.factor = factor_spd(1.0 - dt * d, -dt * upper[1:n-2])
+        self._couple_left = dt * lower[1] * (1.0 - self.r_left)
+
+    def set_tails(self, tails: tuple[Tail, Tail]):
+        """Impose other end conditions from the next step on; factors again."""
+        self.tails = tails
+        self.retime(self.dt)
+
+    def impose_ends(self, u: np.ndarray):
+        """Write the end nodes from their neighbours, in place (1 and 0 when
+        pinned; the + 0.0 keeps a pinned right end at +0.0)."""
+        u[0] = 1.0 - self.r_left * (1.0 - u.item(1))
+        u[-1] = self.r_right * u.item(-2) + 0.0
 
     def reaction_at(self, u: np.ndarray, u_range=None) -> np.ndarray:
         return self._reaction(u, u_range)
@@ -215,10 +272,9 @@ class Stepper:
         rhs = self.reaction_at(u, u_range)
         rhs *= self.dt
         rhs += u
-        rhs[0] = 1.0
-        rhs[-1] = 0.0
         rhs[1] += self._couple_left
         rhs[1:-1] = solve_banded(self.factor, rhs[1:-1])
+        self.impose_ends(rhs)
         return rhs
 
     def run(self, u: np.ndarray, t0: float, n_steps: int,
@@ -228,17 +284,21 @@ class Stepper:
         and on the final step."""
         dt = self.dt
         # the range of each step's result is taken once and serves both the
-        # checks below and the next step's reaction
-        lo, hi = float(u.min()), float(u.max())
+        # checks below and the next step's reaction (ufunc reductions: no
+        # method wrappers in the loop)
+        lowest, highest = np.minimum.reduce, np.maximum.reduce
+        lo, hi = float(lowest(u)), float(highest(u))
         for k in range(1, n_steps + 1):
             u = self.step_values(u, (lo, hi))
             # NaN and +-inf propagate through min and max
-            lo = float(u.min())
-            hi = float(u.max())
+            lo = float(lowest(u))
+            hi = float(highest(u))
             if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise SolverError(f"non-finite value at step {k} (t={t0 + k * dt:.6g})")
-            self.min_seen = min(self.min_seen, lo)
-            self.max_seen = max(self.max_seen, hi)
+            if lo < self.min_seen:
+                self.min_seen = lo
+            if hi > self.max_seen:
+                self.max_seen = hi
             if on_step is not None and (k % callback_every == 0 or k == n_steps):
                 on_step(k, t0 + k * dt, u)
         return u, t0 + n_steps * dt
@@ -261,12 +321,17 @@ class Window:
 
     def slide(self, p: int):
         """Move the window p whole periods to the right (the state p periods
-        to the left), an exact translation of the L-periodic medium; both ends
-        stay pinned."""
-        u = shift_window(self.u, p, self.grid.nodes_per_period, 1.0, 0.0)
-        u[0], u[-1] = 1.0, 0.0
+        to the left), an exact translation of the L-periodic medium: each
+        vacated period is the one before it times e^(-mu L) of that end's
+        tail, in the distance to the end's state, and the ends obey their
+        tails again."""
+        g = self.grid
+        left, right = self.stepper.tails
+        u = shift_window(self.u, p, g.nodes_per_period, 1.0, 0.0,
+                         math.exp(-left.mu * g.L), math.exp(-right.mu * g.L))
+        self.stepper.impose_ends(u)
         self.u = u
-        self.x_offset += p * self.grid.L
+        self.x_offset += p * g.L
 
     def period(self, n_steps: int, p: int, on_step: Callable | None = None, every: int = 1):
         """The period map: n_steps steps covering one period L/|c|, then a slide

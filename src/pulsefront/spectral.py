@@ -338,9 +338,9 @@ def find_periodic_steady_states(inst: ProblemInstance,
 # ---------------------------------------------------------------------------
 
 def decay_eigenvalue(inst: ProblemInstance, c: float, mu: float, direction: str,
-                     potential: str, n_nodes: int) -> float:
-    """Principal periodic eigenvalue of the tail operator at rate mu, on
-    n_nodes nodes of one period.
+                     potential: str, n_nodes: int) -> EigenPair:
+    """Principal periodic pair of the tail operator at rate mu, on n_nodes
+    nodes y = j/n_nodes of one period (EigenPair.x holds y, psi > 0 with max 1).
 
     direction "right" tests supersolutions e^{-mu xi} psi(y) for the tail at
     0; "left" tests e^{+mu xi} psi(y) for the tail at 1.  The zeroth-order
@@ -372,9 +372,31 @@ def decay_eigenvalue(inst: ProblemInstance, c: float, mu: float, direction: str,
     # centered first derivative keeps order 2; grid chosen so the matrix stays
     # an M-matrix
     lower, main, upper = flux_stencil(af, L * h, periodic=True)
-    lam, _, _, _ = _principal_cyclic(main + zer, lower - adv / (2.0 * h),
-                                     upper + adv / (2.0 * h))
-    return lam
+    lam, psi, resid, it = _principal_cyclic(main + zer, lower - adv / (2.0 * h),
+                                            upper + adv / (2.0 * h))
+    return EigenPair(value=lam, x=y, psi=psi, residual=resid, iterations=it)
+
+
+def decay_pair(inst: ProblemInstance, c: float, direction: str, n_nodes: int,
+               mu: float, slope: float) -> tuple[float, np.ndarray]:
+    """The linearized tail near rate mu: (mu, psi) where the principal
+    eigenvalue of the tail operator (potential "linearized", n_nodes nodes
+    per period) vanishes, with its eigenvector.
+
+    Secant steps start from mu, the first along slope, an estimate of
+    d lambda/d mu there, and stop at the first step below mu / n_nodes^2, the
+    size of the operator's own second-order error in y; the pair returned is
+    the last one evaluated.
+    """
+    pair = decay_eigenvalue(inst, c, mu, direction, "linearized", n_nodes)
+    for _ in range(NEWTON_MAX_ITER):
+        step = pair.value / slope
+        if abs(step) <= mu / n_nodes**2:
+            return mu, pair.psi
+        nxt = decay_eigenvalue(inst, c, mu - step, direction, "linearized", n_nodes)
+        slope = (pair.value - nxt.value) / step
+        mu, pair = mu - step, nxt
+    raise EigenIterationError(f"no tail rate near mu = {mu:.6g} ({direction})")
 
 
 def decay_root_mu(inst: ProblemInstance, c: float, direction: str = "right",
@@ -389,7 +411,7 @@ def decay_root_mu(inst: ProblemInstance, c: float, direction: str = "right",
 
     @functools.cache                  # brentq evaluates the bracket ends again
     def lam(mu):
-        return decay_eigenvalue(inst, c, mu, direction, potential, n_nodes)
+        return decay_eigenvalue(inst, c, mu, direction, potential, n_nodes).value
 
     lam0 = lam(0.0)
     if lam0 >= 0.0:

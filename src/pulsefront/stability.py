@@ -25,8 +25,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fronts import Budget, FrontSolution, _golden_min, fit_line, level_position
-from .profiles import ProblemInstance
+from .fronts import (Budget, FrontSolution, _golden_min, default_halfwidth, fit_line,
+                     level_position)
+from .profiles import ProblemInstance, homogenized_data
 from .solver import (Grid1D, Stepper, Window, build_grid, choose_dt, shift_window,
                      solve_banded, steps_per_period)
 
@@ -34,8 +35,16 @@ PROBE_DT = 1.0              # time between probes of the third difference
 TAU_SPAN_PERIODS = 5.0      # bounded Brent window of the phase fit, units of L/|c|
 FIT_FLOOR = 1e-10           # the rate is fitted on the record above this level
 MIN_FIT_POINTS = 8
+WINDOW_DEPTH = 1e-6         # depth of the front's slower tail at a pinned window's ends
 N_MODES = 12                # eigenvalues kept in a SpectrumSummary, at least
 ESS_MARGIN = 0.05           # tolerance above the essential radius
+
+
+def pinned_halfwidth(inst: ProblemInstance) -> float:
+    """Half-extent of the experiments' pinned windows, from the instance (the
+    front's own window ends where its tails are linear, which says nothing of
+    a perturbation's tails): where the slower tail falls to WINDOW_DEPTH."""
+    return default_halfwidth(homogenized_data(inst.coeff, inst.reaction), WINDOW_DEPTH)
 
 
 def period_steps(inst: ProblemInstance, grid: Grid1D, c: float) -> tuple[float, int]:
@@ -98,13 +107,12 @@ def global_stability_experiment(inst: ProblemInstance, front: FrontSolution,
 
 
 def _experiment_window(inst: ProblemInstance, front: FrontSolution, g) -> Window:
-    """The experiment's run: g(x) sampled on a front-sized grid at the front's
-    resolution, stepped at dt = T/n, the period rule of poincare_spectrum."""
+    """The experiment's run: g(x) sampled on the pinned window of
+    pinned_halfwidth at the front's resolution, stepped at dt = T/n, the
+    period rule of poincare_spectrum."""
     if front.stationary:
         raise ValueError("stability experiments need a non-stationary front")
-    span = float(front.xi[-1] - front.xi[0])
-    halfwidth = max(0.55 * span, 10.0)
-    grid = build_grid(inst, halfwidth, max(
+    grid = build_grid(inst, pinned_halfwidth(inst), max(
         64, int(round(inst.L / (front.xi[1] - front.xi[0])))))
     u0 = np.asarray(g(grid.nodes), dtype=float)
     T, n = period_steps(inst, grid, front.speed)
@@ -374,9 +382,11 @@ def poincare_spectrum(inst: ProblemInstance, front: FrontSolution,
     c = front.speed
     L = inst.L
     # m periods each side of the cell (as build_grid counts them) cover the
-    # front; its own resolution is coarsened to the node budget, and only then
-    # is m trimmed (not below 2), so the front's tails stay on the grid
-    m = max(1, math.ceil(0.5 * float(front.xi[-1] - front.xi[0]) / L))
+    # front, a tenth inside the experiments' window (which holds data offset
+    # from the front); the front's own resolution is coarsened to the node
+    # budget, and only then is m trimmed (not below 2), so the front's tails
+    # stay on the grid
+    m = max(1, math.ceil(pinned_halfwidth(inst) / (1.1 * L)))
     npp = max(4, min(round(L / float(front.xi[1] - front.xi[0])),
                      (n_nodes - 1) // (2 * m + 1)))
     m = min(m, max(2, ((n_nodes - 1) // npp - 1) // 2))

@@ -53,7 +53,7 @@ class TestConfigParsing:
         cfg = parse_config(FRONT_CFG, "front")
         assert cfg["numerics"]["nodes_per_period"] == 64
         assert cfg["experiment"]["workers"] == 1
-        assert cfg["numerics"]["tail_floor"] == 1e-8
+        assert cfg["numerics"]["tail_floor"] == 1e-3
 
     def test_numerics_keys(self):
         assert list(SCHEMA["numerics"]) == ["L", "nodes_per_period", "tail_floor",
@@ -292,7 +292,9 @@ class TestCliRuns:
     # budget failed after the whole front run, workers = -3 was taken, decay
     # failed on a bad direction or potential, steady dropped seeds outside
     # (0, 1), quench-scan on the cubic family failed once the output existed,
-    # and a lambda with |xin_delta * lambda| >= 1 failed with no CSV written
+    # a lambda with |xin_delta * lambda| >= 1 failed with no CSV written, and
+    # a [profile] value that its constructor refuses (theta, a, delta,
+    # xin_delta, a missing file) failed at run time once the output existed
     @pytest.mark.parametrize("scenario,section,key,value", [
         pytest.param("scan-e", "run", "L_grid", "2 1", id="L_grid-decreasing"),
         pytest.param("scan-e", "run", "L_grid", "-1 1", id="L_grid-negative"),
@@ -309,12 +311,21 @@ class TestCliRuns:
         pytest.param("steady", "run", "seeds", "1.5 -2", id="seeds-outside"),
         pytest.param("quench-scan", "profile", "family", "cubic", id="quench-scan-cubic"),
         pytest.param("quench-scan", "run", "lambda_grid", "0 6", id="lambda_grid-positivity"),
+        pytest.param("steady", "profile", "theta", "1.5", id="theta-outside"),
+        pytest.param("steady", "profile", "a", "-1", id="a-not-positive"),
+        pytest.param("steady", "profile", "delta", "0.7", id="delta-outside"),
+        pytest.param("steady", "profile", "xin_delta", "0.7", id="xin_delta-outside"),
+        pytest.param("steady", "profile", "theta_file", "missing_theta.txt", id="theta_file-missing"),
+        pytest.param("steady", "profile", "a_file", "missing_a.txt", id="a_file-missing"),
     ])
     def test_out_of_range_run_exit_2(self, tmp_path, capsys, scenario, section, key, value):
-        family = "xin" if scenario == "quench-scan" else "cubic"
-        head = "" if section == "profile" else f"[profile]\nfamily = {family}\n\n"
+        family = "xin" if scenario == "quench-scan" or key.startswith("xin") else "cubic"
+        # one [profile] section: a [profile] key's line goes under the family's
+        text = "[profile]\n" + (f"family = {family}\n" if key != "family" else "")
+        if section != "profile":
+            text += f"\n[{section}]\n"
         p = tmp_path / "range.cfg"
-        p.write_text(f"{head}[{section}]\n{key} = {value}\n")
+        p.write_text(f"{text}{key} = {value}\n")
         rc = cli.main([scenario, "--config", str(p), "--out", str(tmp_path)])
         assert rc == 2
         err = capsys.readouterr().err

@@ -446,6 +446,87 @@ class TestDecayFits:
             fr.fit_tail_rates(homog_front.xi[keep], homog_front.phi.mean(axis=1)[keep])
 
 
+class TestWindowTails:
+    """The window's ends impose the linear tails; the front carries them past
+    its lattice, and the tail fits still measure them."""
+
+    def test_interp_unchanged_inside_lattice(self, homog_front):
+        # bitwise the lattice interpolation of the same front without tails
+        # (clamped in xi) at every point of the lattice's span
+        clamped = dataclasses.replace(homog_front, tail_mu=None)
+        xi = np.linspace(homog_front.xi[0], homog_front.xi[-1], 1001)[:, None]
+        y = np.linspace(-1.25, 2.0, 37)[None, :]
+        a, b = homog_front.interp(xi, y), clamped.interp(xi, y)
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_interp_continues_by_whole_periods(self, homog_front, k):
+        # phi(xi + kL, y) = e^(-mu1 kL) phi(xi, y) past the right end and
+        # 1 - phi(xi - kL, y) = e^(-mu2 kL) (1 - phi(xi, y)) past the left
+        f = homog_front
+        h = f.xi[1] - f.xi[0]
+        L = len(f.y) * h
+        mu1, mu2 = f.tail_mu
+        y = np.linspace(0.0, 1.0, 23)
+        right = f.xi[-1] - 0.37 * h
+        left = f.xi[0] + 0.37 * h
+        assert f.interp(right + k * L, y) == pytest.approx(
+            np.exp(-mu1 * k * L) * f.interp(right, y), rel=1e-9)
+        assert 1.0 - f.interp(left - k * L, y) == pytest.approx(
+            np.exp(-mu2 * k * L) * (1.0 - f.interp(left, y)), rel=1e-9)
+
+    def test_tail_fit_reads_one_period_inside_the_window(self, homog_inst, monkeypatch):
+        # the lattice the fit reads, and every node each lattice point is
+        # read from, lie a period or more inside the window's ends
+        seen = {}
+        extract, fit = fr.extract_profile, fr.fit_tail_rates
+
+        def spy_extract(snaps, c, margin_nodes):
+            out = extract(snaps, c, margin_nodes)
+            seen.update(grid=snaps.grid, xi=out[0], sgn=1 if c > 0 else -1)
+            return out
+
+        def spy_fit(xi, prof):
+            seen["fit_points"] = len(xi)
+            return fit(xi, prof)
+
+        monkeypatch.setattr(fr, "extract_profile", spy_extract)
+        monkeypatch.setattr(fr, "fit_tail_rates", spy_fit)
+        front = fr.compute_pulsating_front(homog_inst, fr.FrontRunConfig(), fr.Budget(300.0))
+        g, xi, L = seen["grid"], seen["xi"], homog_inst.L
+        assert seen["sgn"] == 1 and seen["fit_points"] == len(xi) == len(front.xi)
+        # lattice point p is read at the nodes p to p + one period
+        assert xi[0] >= g.x_min + L and xi[-1] + L <= g.x_max - L
+        assert front.mu1_fit is not None and front.mu2_fit is not None
+
+    def test_wrong_end_rate_moves_the_fit(self, homog_inst, homog_front, monkeypatch):
+        # ends imposing 0.8 mu move each fitted rate by more than the correct
+        # run's fit deviates from the closed-form root at its speed: the fit
+        # measures the front, not the rate the ends impose
+        def closed_form(front):
+            c = front.speed
+            return (c + math.sqrt(c * c + 4 * 0.3)) / 2, (-c + math.sqrt(c * c + 4 * 0.7)) / 2
+
+        tails = fr.window_tails
+        monkeypatch.setattr(fr, "window_tails", lambda *args, **kwargs: tuple(
+            dataclasses.replace(t, mu=0.8 * t.mu) for t in tails(*args, **kwargs)))
+        wrong = fr.compute_pulsating_front(homog_inst, fr.FrontRunConfig(), fr.Budget(300.0))
+        assert wrong.tail_mu == pytest.approx(tuple(0.8 * m for m in homog_front.tail_mu))
+        for fit, fit_wrong, root in zip((homog_front.mu1_fit, homog_front.mu2_fit),
+                                        (wrong.mu1_fit, wrong.mu2_fit), closed_form(homog_front)):
+            assert abs(fit_wrong - fit) > abs(fit - root)
+
+    def test_coarse_cells_are_inconclusive(self, unit_coeff, cubic03):
+        # L = 40 on 16 nodes per period: the tail operator is no M-matrix on
+        # the window's cells, so the run is Inconclusive with reason "solver"
+        # before its first step (a scan goes on past it)
+        inst = pr.ProblemInstance(coeff=unit_coeff, reaction=cubic03, L=40.0)
+        rec = fr.classify_quenching(inst, fr.FrontRunConfig(nodes_per_period=16),
+                                    fr.Budget(900.0))
+        assert rec.kind == fr.INCONCLUSIVE and rec.evidence["reason"] == "solver"
+        assert "window tail" in rec.evidence["message"]
+
+
 class TestSpeedIdentity:
     def test_homogeneous_mismatch(self, homog_front, homog_inst):
         hd = pr.homogenized_data(homog_inst.coeff, homog_inst.reaction)

@@ -193,6 +193,32 @@ class TestWindow:
         assert win.x_offset == p * g.L and win.t == 0.0
 
 
+    @pytest.mark.parametrize("p", [2, -3])
+    def test_slide_continues_the_tails(self, hetero_inst, p):
+        # each vacated period is the one beside it times e^(-mu L) in the
+        # distance to that end's state, and the ends obey their ratios
+        g = make(hetero_inst, 4.0)
+        m0 = g.nodes_per_period
+        tails = (sv.Tail(0.6, 1.0 + 0.3 * np.cos(2 * np.pi * np.arange(m0) / m0) ** 2),
+                 sv.Tail(0.9, np.linspace(1.0, 1.4, m0)))
+        st = sv.Stepper(hetero_inst, g, 0.005, tails)
+        u0 = np.random.default_rng(3).random(g.n)
+        win = sv.Window(st, u0)
+        win.slide(p)
+        s = p * m0
+        u = win.u
+        if p > 0:
+            assert np.array_equal(u[1:g.n - s], u0[s + 1:])
+            q = np.exp(-0.9 * g.L)
+            np.testing.assert_allclose(u[g.n - s:-1], q * u[g.n - s - m0:-1 - m0], rtol=1e-14)
+        else:
+            assert np.array_equal(u[-s:-1], u0[:s - 1])
+            q = np.exp(-0.6 * g.L)
+            np.testing.assert_allclose(1.0 - u[1:-s], q * (1.0 - u[1 + m0:-s + m0]), rtol=1e-14)
+        assert u[0] == 1.0 - st.r_left * (1.0 - u[1])
+        assert u[-1] == st.r_right * u[-2]
+
+
 class TestInitialDatum:
     def test_monotone_and_endpoints(self, inst):
         g = make(inst)
@@ -278,7 +304,7 @@ class TestChooseDt:
         rep = st.global_stability_experiment(
             homog_inst, homog_front, lambda x: homog_front.interp(x - 3.0 * L, x / L),
             fr.Budget(3.0))
-        assert rep.diagnostics["dt"].hex() == "0x1.c507a18ce7472p-7"
+        assert rep.diagnostics["dt"].hex() == "0x1.c507a27470bc5p-7"
 
 
 def reference_step(inst, grid, dt, u):
@@ -301,19 +327,104 @@ def reference_step(inst, grid, dt, u):
     return solve_banded((1, 1), ab, rhs)
 
 
+def eliminated_step(inst, grid, dt, u, r_left, r_right):
+    """One step through the dense interior matrix with the end nodes
+    eliminated by 1 - u_0 = r_left (1 - u_1) and u_{n-1} = r_right u_{n-2},
+    the ends then written from those relations."""
+    n, h, af = grid.n, grid.h, grid.a_face
+    lo, up = af[:-1] / h**2, af[1:] / h**2      # of the interior nodes 1..n-2
+    A = np.diag(1.0 + dt * (lo + up))
+    A[np.arange(n - 3), np.arange(1, n - 2)] = -dt * up[:-1]
+    A[np.arange(1, n - 2), np.arange(n - 3)] = -dt * lo[1:]
+    A[0, 0] -= dt * r_left * lo[0]
+    A[-1, -1] -= dt * r_right * up[-1]
+    y = np.mod(grid.nodes / inst.L, 1.0)
+    rhs = (u + dt * inst.reaction.f(y, u))[1:-1]
+    rhs[0] += dt * lo[0] * (1.0 - r_left)
+    inner = np.linalg.solve(A, rhs)
+    return np.concatenate([[1.0 - r_left * (1.0 - inner[0])], inner,
+                           [r_right * inner[-1]]])
+
+
 class TestFactoredStep:
     def test_matches_full_matrix_solve(self, hetero_inst):
         g = make(hetero_inst, 4.0)
         # solver.choose_dt picks 0.0044 on this grid; the gap between two
         # direct solves scales with cond(I - dt*D), about 1 + 4*dt*a_max/h^2
         dt = 0.005
-        u = sv.front_initial_datum(g, rate=0.5 / g.h)
-        u[1:-1] += 0.05 * np.sin(7.0 * g.nodes[1:-1])  # leave [0, 1] in places
+        u0 = sv.front_initial_datum(g, rate=0.5 / g.h)
+        u0[1:-1] += 0.05 * np.sin(7.0 * g.nodes[1:-1])  # leave [0, 1] in places
         st = sv.Stepper(hetero_inst, g, dt)
+        u = u0
         for _ in range(5):
             ref = reference_step(hetero_inst, g, dt, u)
             u = st.step_values(u)
             assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref))
+        # tail ends whose ratios r lie in (0, 1), against the same system
+        # with the end nodes eliminated, solved as a dense matrix
+        m0 = g.nodes_per_period
+        tails = (sv.Tail(0.6, 1.0 + 0.3 * np.sin(2 * np.pi * np.arange(m0) / m0) ** 2),
+                 sv.Tail(0.9, np.linspace(1.0, 1.4, m0)))
+        st = sv.Stepper(hetero_inst, g, dt, tails)
+        # r = e^(-mu h) psi(y_end)/psi(y_next): node 0 is cell 0 and node 1
+        # cell 1; node n-1 is cell 0 and node n-2 cell m0 - 1
+        left, right = tails
+        assert st.r_left == pytest.approx(np.exp(-0.6 * g.h) * left.psi[0] / left.psi[1],
+                                          rel=1e-15)
+        assert st.r_right == pytest.approx(np.exp(-0.9 * g.h) * right.psi[0] / right.psi[-1],
+                                           rel=1e-15)
+        assert 0.0 < st.r_left < 1.0 and 0.0 < st.r_right < 1.0
+        u = u0
+        for _ in range(5):
+            ref = eliminated_step(hetero_inst, g, dt, u, st.r_left, st.r_right)
+            u = st.step_values(u)
+            assert np.max(np.abs(u - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_pinned_ends_are_the_pinned_step_bitwise(self, hetero_inst):
+        # r = 0 is the step with the ends pinned to 1 and 0, bit for bit: its
+        # factor, its left coupling dt * lower[1], the written ends (+0.0 on
+        # the right even below 0) and the slide's fill of 1 and 0
+        g = make(hetero_inst, 4.0)
+        dt, n = 0.005, g.n
+        st = sv.Stepper(hetero_inst, g, dt)
+        assert st.r_left == 0.0 and st.r_right == 0.0
+        lower, diag, upper = sv.flux_stencil(g.a_face, g.h)
+        factor = sv.factor_spd(1.0 - dt * diag[1:n-1], -dt * upper[1:n-2])
+        assert all(np.array_equal(a.view(np.uint64), b.view(np.uint64))
+                   for a, b in zip(st.factor, factor))
+        u = sv.front_initial_datum(g, rate=0.5 / g.h)
+        u[1:-1] -= 0.05 * np.abs(np.sin(7.0 * g.nodes[1:-1]))   # below 0 at the right end
+        for _ in range(3):
+            rhs = u + dt * st.reaction_at(u)
+            rhs[0], rhs[-1] = 1.0, 0.0
+            rhs[1] += dt * lower[1]
+            rhs[1:-1] = sv.solve_banded(factor, rhs[1:-1])
+            u = st.step_values(u)
+            assert np.array_equal(u.view(np.uint64), rhs.view(np.uint64))
+        u0 = np.random.default_rng(5).uniform(-0.2, 1.2, n)
+        for p in (2, -3):
+            win = sv.Window(st, u0)
+            win.slide(p)
+            s = p * g.nodes_per_period
+            expect = np.full(n, 0.0 if p > 0 else 1.0)
+            if p > 0:
+                expect[:n - s] = u0[s:]
+            else:
+                expect[-s:] = u0[:s]
+            expect[0], expect[-1] = 1.0, 0.0
+            assert np.array_equal(win.u.view(np.uint64), expect.view(np.uint64))
+
+    def test_reference_tails_are_the_closed_form(self, inst):
+        # a = 1, theta = 0.3: the tail operators have constant coefficients,
+        # so psi is constant and mu is the root of mu^2 -+ c mu + f_u = 0
+        homog = pr.homogenized_data(inst.coeff, inst.reaction)
+        c = 0.4 / np.sqrt(2.0)
+        for solve in (False, True):
+            left, right = fr.window_tails(inst, homog, c, 64, solve)
+            assert abs(right.mu - (c + np.sqrt(c * c + 4 * 0.3)) / 2) < 1e-10
+            assert abs(left.mu - (-c + np.sqrt(c * c + 4 * 0.7)) / 2) < 1e-10
+            for tail in (left, right):
+                assert len(tail.psi) == 64 and np.ptp(tail.psi) < 1e-12
 
     def test_in_place_update_bitwise_equal(self, hetero_inst):
         # rhs = f(u); rhs *= dt; rhs += u keeps every bit of u + dt * f(u),

@@ -218,10 +218,10 @@ class TestDecayRoots:
     def test_curve_starts_at_minus_gamma_and_grows(self):
         inst = make_inst(0.3, a_amp=1.0, L=0.5)
         g = inst.reaction.gamma
-        lam0 = sp.decay_eigenvalue(inst, 0.1, 0.0, "right", "margin", n_nodes=128)
+        lam0 = sp.decay_eigenvalue(inst, 0.1, 0.0, "right", "margin", n_nodes=128).value
         assert lam0 == pytest.approx(-g, abs=1e-8)
         mus = np.linspace(0.0, 8.0, 9)
-        lams = [sp.decay_eigenvalue(inst, 0.1, m, "right", "margin", n_nodes=512)
+        lams = [sp.decay_eigenvalue(inst, 0.1, m, "right", "margin", n_nodes=512).value
                 for m in mus]
         assert all(np.isfinite(lams))
         # quadratic growth floor at large rates

@@ -357,10 +357,11 @@ class TestInitialv2:
 
 def node_budget_grid(inst, front, n_nodes):
     """The grid by search: the front's resolution coarsened one node per
-    period at a time, then its extent trimmed one period at a time."""
+    period at a time, then its extent (a tenth inside the experiments'
+    pinned window) trimmed one period at a time."""
     L = inst.L
     npp = max(4, round(L / (front.xi[1] - front.xi[0])))
-    halfwidth = 0.5 * (front.xi[-1] - front.xi[0])
+    halfwidth = st.pinned_halfwidth(inst) / 1.1
     grid = build_grid(inst, halfwidth, npp)
     while grid.n > n_nodes and npp > 4:
         npp -= 1
@@ -430,21 +431,35 @@ class TestSpectrum:
 
 
 def interp_reference(front, xi, y):
-    """The bilinear lattice interpolation written with 2-D fancy indexing."""
+    """The bilinear lattice interpolation written with 2-D fancy indexing;
+    a front with tail rates continues past the lattice in whole periods
+    (m lattice points) by its tails, as FrontSolution.interp documents."""
     xi = np.asarray(xi, dtype=float)
     y = np.mod(np.asarray(y, dtype=float), 1.0)
     h = front.xi[1] - front.xi[0]
-    s = np.clip((xi - front.xi[0]) / h, 0.0, len(front.xi) - 1 - 1e-12)
+    m = len(front.y)
+    top = len(front.xi) - 1
+    s = (xi - front.xi[0]) / h
+    if front.tail_mu is not None:
+        k_right = np.ceil(np.maximum(s - top, 0.0) / m)
+        k_left = np.ceil(np.maximum(-s, 0.0) / m)
+        s = s - m * (k_right - k_left)
+    s = np.clip(s, 0.0, top - 1e-12)
     i = s.astype(int)
     wi = s - i
-    m = len(front.y)
     sy = y * m
     j = np.minimum(sy.astype(int), m - 1)
     wj = sy - j
     jp = (j + 1) % m
     p = front.phi
-    return ((1 - wi) * ((1 - wj) * p[i, j] + wj * p[i, jp])
-            + wi * ((1 - wj) * p[i + 1, j] + wj * p[i + 1, jp]))
+    v = ((1 - wi) * ((1 - wj) * p[i, j] + wj * p[i, jp])
+         + wi * ((1 - wj) * p[i + 1, j] + wj * p[i + 1, jp]))
+    if front.tail_mu is None:
+        return v
+    mu1, mu2 = front.tail_mu
+    L = m * h
+    v = np.where(k_right > 0, v * np.exp(-mu1 * L * k_right), v)
+    return np.where(k_left > 0, 1.0 - np.exp(-mu2 * L * k_left) * (1.0 - v), v)
 
 
 def same_bits(a, b):
