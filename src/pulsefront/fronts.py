@@ -235,7 +235,8 @@ class FrontSolution:
     diagnostics: dict
     # (mu1, mu2): the rates of the linear tails toward 0 (right) and 1 (left)
     # that the run's window ends imposed
-    tail_mu: tuple | None = None
+    tail_mu: tuple
+    homog: HomogenizedData        # the averaged data the run was sized from
 
     @property
     def stationary(self) -> bool:
@@ -247,8 +248,7 @@ class FrontSolution:
         lattice at i*m + j.  Past either end of the lattice the front
         continues by its tails, k whole periods at a time (the lattice's m
         points in xi): phi(xi + kL, y) = e^(-mu1 kL) phi(xi, y) on the right
-        and 1 - phi(xi - kL, y) = e^(-mu2 kL) (1 - phi(xi, y)) on the left;
-        without tail_mu the lattice is clamped in xi."""
+        and 1 - phi(xi - kL, y) = e^(-mu2 kL) (1 - phi(xi, y)) on the left."""
         y = np.mod(np.asarray(y, dtype=float), 1.0)
         m = len(self.y)
         sy = y * m
@@ -259,10 +259,9 @@ class FrontSolution:
         xi0 = self.xi[0]
         top = len(self.xi) - 1
         s = (np.asarray(xi, dtype=float) - xi0) / (self.xi[1] - xi0)
-        if self.tail_mu is not None:
-            k_right = np.ceil(np.maximum(s - top, 0.0) / m)
-            k_left = np.ceil(np.maximum(-s, 0.0) / m)
-            s = s - m * (k_right - k_left)
+        k_right = np.ceil(np.maximum(s - top, 0.0) / m)
+        k_left = np.ceil(np.maximum(-s, 0.0) / m)
+        s = s - m * (k_right - k_left)
         s = np.clip(s, 0.0, top - 1e-12)
         i = s.astype(int)
         wi = s - i
@@ -271,12 +270,10 @@ class FrontSolution:
         k1 = k + m
         v = ((1 - wi) * (vj * flat.take(k) + wj * flat.take(k + dj))
              + wi * (vj * flat.take(k1) + wj * flat.take(k1 + dj)))
-        if self.tail_mu is not None:
-            L = m * float(self.xi[1] - xi0)
-            mu1, mu2 = self.tail_mu
-            v = np.where(k_right > 0, v * np.exp(-mu1 * L * k_right), v)
-            v = np.where(k_left > 0, 1.0 - np.exp(-mu2 * L * k_left) * (1.0 - v), v)
-        return v
+        L = m * float(self.xi[1] - xi0)
+        mu1, mu2 = self.tail_mu
+        v = np.where(k_right > 0, v * np.exp(-mu1 * L * k_right), v)
+        return np.where(k_left > 0, 1.0 - np.exp(-mu2 * L * k_left) * (1.0 - v), v)
 
 
 def extract_profile(snaps: SnapshotSeries, c: float, margin_nodes: int):
@@ -403,7 +400,7 @@ def window_tails(inst: ProblemInstance, homog: HomogenizedData, c: float, m0: in
                                  (l1, 2.0 * homog.a_h * l1 - c, "right")):
         try:
             if solve:
-                mu, psi = decay_pair(inst, c, direction, m0, mu, slope)
+                mu, psi = decay_pair(inst, c, direction, "linearized", m0, mu, slope)
             else:
                 psi = decay_eigenvalue(inst, c, mu, direction, "linearized", m0).psi
         except ValueError as exc:
@@ -486,7 +483,7 @@ class _RunState(Window):
         return float(xx.max() - xx.min())
 
 
-def _front_from_lattice(speed, xi, ys, phi, defect, est, diagnostics, tails):
+def _front_from_lattice(speed, xi, ys, phi, defect, est, diagnostics, tails, homog):
     prof = phi.mean(axis=1)
     pos = level_position(xi, prof)
     xi = xi - (pos if pos is not None else 0.0)
@@ -498,7 +495,8 @@ def _front_from_lattice(speed, xi, ys, phi, defect, est, diagnostics, tails):
     left, right = tails
     return FrontSolution(speed=speed, xi=xi, y=ys, phi=phi, pulsating_error=defect,
                          mu1_fit=mu1, mu2_fit=mu2, speed_estimate=est,
-                         diagnostics=diagnostics, tail_mu=(right.mu, left.mu))
+                         diagnostics=diagnostics, tail_mu=(right.mu, left.mu),
+                         homog=homog)
 
 
 def compute_pulsating_front(inst: ProblemInstance, cfg: FrontRunConfig = FrontRunConfig(),
@@ -567,7 +565,7 @@ def compute_pulsating_front(inst: ProblemInstance, cfg: FrontRunConfig = FrontRu
                 prof = state.u[margin_nodes:-margin_nodes]
                 phi = np.repeat(prof[:, None], m0, axis=1)
                 return _front_from_lattice(0.0, xi, np.arange(m0) / m0, phi, resid,
-                                           est, diagnostics, state.stepper.tails)
+                                           est, diagnostics, state.stepper.tails, homog)
         if c_hat is None or abs(c_hat) < c_floor:
             continue
         T = inst.L / abs(c_hat)
@@ -603,7 +601,7 @@ def compute_pulsating_front(inst: ProblemInstance, cfg: FrontRunConfig = FrontRu
                                          state.stepper.max_seen)
             diagnostics["time_monotonicity_defect"] = snaps.time_monotonicity_defect()
             return _front_from_lattice(c_period, xi, ys, phi, defect, est, diagnostics,
-                                       state.stepper.tails)
+                                       state.stepper.tails, homog)
         settled = snaps.t0 if defect < TOL_PULS else None
         periodic = T_star > 0.0
         if periodic:

@@ -9,11 +9,12 @@ in O(n).  Periodic problems (cyclic and, for decay rates, nonsymmetric) use
 shifted inverse power iteration on a sparse LU: with the shift above the
 Gershgorin right edge, (shift*I - A) is an M-matrix, its inverse is positive,
 and the iteration converges to the eigenvalue with the positive eigenfunction.
+Every decay rate, the window ends' and decay_root_mu's, is the zero of that
+eigenvalue in mu found by the one secant of decay_pair.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -21,10 +22,9 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
-from scipy.optimize import brentq
 from scipy.sparse.linalg import splu
 
-from .profiles import ProblemInstance
+from .profiles import ProblemInstance, characteristic_rates, harmonic_mean
 from .solver import flux_apply, flux_stencil
 
 MAX_POWER_ITER = 10_000
@@ -36,7 +36,7 @@ NEWTON_MAX_ITER = 60
 NEWTON_MAX_HALVINGS = 30
 DEDUPE_FACTOR = 10.0        # roots closer than this many residuals are one state
 TRIVIAL_TOL = 1e-4          # states within this of 0 or 1 are trivial
-DECAY_MU_MAX = 50.0         # decay_root_mu scans mu up to this
+DECAY_MU_MAX = 50.0         # the largest rate decay_root_mu's grid resolves
 
 
 class EigenIterationError(RuntimeError):
@@ -377,23 +377,23 @@ def decay_eigenvalue(inst: ProblemInstance, c: float, mu: float, direction: str,
     return EigenPair(value=lam, x=y, psi=psi, residual=resid, iterations=it)
 
 
-def decay_pair(inst: ProblemInstance, c: float, direction: str, n_nodes: int,
-               mu: float, slope: float) -> tuple[float, np.ndarray]:
-    """The linearized tail near rate mu: (mu, psi) where the principal
-    eigenvalue of the tail operator (potential "linearized", n_nodes nodes
-    per period) vanishes, with its eigenvector.
+def decay_pair(inst: ProblemInstance, c: float, direction: str, potential: str,
+               n_nodes: int, mu: float, slope: float) -> tuple[float, np.ndarray]:
+    """The tail near rate mu: (mu, psi) where the principal eigenvalue of the
+    tail operator (decay_eigenvalue's potential, n_nodes nodes per period)
+    vanishes, with its eigenvector.
 
     Secant steps start from mu, the first along slope, an estimate of
     d lambda/d mu there, and stop at the first step below mu / n_nodes^2, the
     size of the operator's own second-order error in y; the pair returned is
-    the last one evaluated.
+    the last one evaluated, or EigenIterationError after NEWTON_MAX_ITER.
     """
-    pair = decay_eigenvalue(inst, c, mu, direction, "linearized", n_nodes)
+    pair = decay_eigenvalue(inst, c, mu, direction, potential, n_nodes)
     for _ in range(NEWTON_MAX_ITER):
         step = pair.value / slope
         if abs(step) <= mu / n_nodes**2:
             return mu, pair.psi
-        nxt = decay_eigenvalue(inst, c, mu - step, direction, "linearized", n_nodes)
+        nxt = decay_eigenvalue(inst, c, mu - step, direction, potential, n_nodes)
         slope = (pair.value - nxt.value) / step
         mu, pair = mu - step, nxt
     raise EigenIterationError(f"no tail rate near mu = {mu:.6g} ({direction})")
@@ -401,30 +401,17 @@ def decay_pair(inst: ProblemInstance, c: float, direction: str, n_nodes: int,
 
 def decay_root_mu(inst: ProblemInstance, c: float, direction: str = "right",
                   potential: str = "margin") -> float:
-    """Rate mu1 > 0 with vanishing principal eigenvalue of the tail operator.
-
-    lambda1(0) < 0 by the stability margins and lambda1 grows quadratically,
-    so a sign change is bracketed by scanning and then solved by Brent's method.
-    """
+    """Rate mu1 > 0 where the tail operator's principal eigenvalue vanishes:
+    decay_pair on a grid resolving rates up to DECAY_MU_MAX, seeded at the root
+    of a_H mu^2 -+ c mu + p, p the period mean of the potential (the root when
+    a and p are constant)."""
     n_nodes = max(128, int(math.ceil(
         6.0 * inst.L * DECAY_MU_MAX * inst.coeff.a_max / inst.coeff.a_min)))
-
-    @functools.cache                  # brentq evaluates the bracket ends again
-    def lam(mu):
-        return decay_eigenvalue(inst, c, mu, direction, potential, n_nodes).value
-
-    lam0 = lam(0.0)
-    if lam0 >= 0.0:
-        raise RuntimeError(f"tail operator not negative at mu=0 (lambda={lam0:.3g})")
-    lo = 0.0
-    hi = None
-    mu = min(0.25, DECAY_MU_MAX)
-    while mu <= DECAY_MU_MAX * (1 + 1e-12):
-        if lam(mu) > 0.0:
-            hi = mu
-            break
-        lo = mu
-        mu *= 2.0
-    if hi is None:
-        raise RuntimeError(f"no decay-rate sign change below DECAY_MU_MAX={DECAY_MU_MAX}")
-    return brentq(lam, lo, hi, xtol=1e-12 * max(1.0, hi))
+    p0 = p1 = -inst.reaction.gamma
+    if potential == "linearized":
+        y = np.arange(n_nodes) / n_nodes
+        p0, p1 = (float(np.mean(inst.reaction.df(y, u))) for u in (0.0, 1.0))
+    a_h = harmonic_mean(inst.coeff)
+    l1, l2 = characteristic_rates(a_h, c, p0, p1)
+    mu, slope = (l1, 2.0 * a_h * l1 - c) if direction == "right" else (l2, 2.0 * a_h * l2 + c)
+    return decay_pair(inst, c, direction, potential, n_nodes, mu, slope)[0]

@@ -27,7 +27,7 @@ import numpy as np
 
 from .fronts import (Budget, FrontSolution, _golden_min, default_halfwidth, fit_line,
                      level_position)
-from .profiles import ProblemInstance, homogenized_data
+from .profiles import ProblemInstance
 from .solver import (Grid1D, Stepper, Window, build_grid, choose_dt, shift_window,
                      solve_banded, steps_per_period)
 
@@ -40,11 +40,11 @@ N_MODES = 12                # eigenvalues kept in a SpectrumSummary, at least
 ESS_MARGIN = 0.05           # tolerance above the essential radius
 
 
-def pinned_halfwidth(inst: ProblemInstance) -> float:
-    """Half-extent of the experiments' pinned windows, from the instance (the
-    front's own window ends where its tails are linear, which says nothing of
-    a perturbation's tails): where the slower tail falls to WINDOW_DEPTH."""
-    return default_halfwidth(homogenized_data(inst.coeff, inst.reaction), WINDOW_DEPTH)
+def pinned_halfwidth(front: FrontSolution) -> float:
+    """Half-extent of the experiments' pinned windows: where the slower tail of
+    the front's averaged data falls to WINDOW_DEPTH (the front's own window ends
+    where its tails are linear, which says nothing of a perturbation's)."""
+    return default_halfwidth(front.homog, WINDOW_DEPTH)
 
 
 def period_steps(inst: ProblemInstance, grid: Grid1D, c: float) -> tuple[float, int]:
@@ -112,7 +112,7 @@ def _experiment_window(inst: ProblemInstance, front: FrontSolution, g) -> Window
     period rule of poincare_spectrum."""
     if front.stationary:
         raise ValueError("stability experiments need a non-stationary front")
-    grid = build_grid(inst, pinned_halfwidth(inst), max(
+    grid = build_grid(inst, pinned_halfwidth(front), max(
         64, int(round(inst.L / (front.xi[1] - front.xi[0])))))
     u0 = np.asarray(g(grid.nodes), dtype=float)
     T, n = period_steps(inst, grid, front.speed)
@@ -386,7 +386,7 @@ def poincare_spectrum(inst: ProblemInstance, front: FrontSolution,
     # from the front); the front's own resolution is coarsened to the node
     # budget, and only then is m trimmed (not below 2), so the front's tails
     # stay on the grid
-    m = max(1, math.ceil(pinned_halfwidth(inst) / (1.1 * L)))
+    m = max(1, math.ceil(pinned_halfwidth(front) / (1.1 * L)))
     npp = max(4, min(round(L / float(front.xi[1] - front.xi[0])),
                      (n_nodes - 1) // (2 * m + 1)))
     m = min(m, max(2, ((n_nodes - 1) // npp - 1) // 2))

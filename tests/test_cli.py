@@ -225,7 +225,7 @@ def test_emit_profile_npz_is_exact(tmp_path):
     phi[0, :3] = (0.0, -0.0, 1.0)
     front = fr.FrontSolution(speed=0.25, xi=xi, y=y, phi=phi, pulsating_error=1e-7,
                              mu1_fit=None, mu2_fit=None, speed_estimate=None,
-                             diagnostics={"L": 0.5})
+                             diagnostics={"L": 0.5}, tail_mu=(0.5, 0.8), homog=None)
     cfg = parse_config(FRONT_CFG, "front")
     path = tmp_path / "run_profile.npz"
     runner.emit_profile(str(path), front, cfg)

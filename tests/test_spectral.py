@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hyp
 from scipy.linalg import solve_banded
+from scipy.optimize import brentq
 
 import pulsefront.profiles as pr
 import pulsefront.spectral as sp
@@ -230,10 +231,40 @@ class TestDecayRoots:
         assert alpha > 0
         assert all(l >= alpha * m * m - beta - 1e-8 for m, l in zip(mus, lams))
 
-    def test_no_root_below_cap_errors(self, monkeypatch):
+    @pytest.mark.parametrize("direction", ["right", "left"])
+    @pytest.mark.parametrize("potential", ["margin", "linearized"])
+    def test_constant_coefficients_give_the_closed_form(self, direction, potential):
+        # a = 1 and a constant potential p: mu^2 -+ c mu + p = 0
         inst = make_inst(0.3)
-        monkeypatch.setattr(sp, "DECAY_MU_MAX", 0.05)
-        with pytest.raises(RuntimeError):
+        c = 0.28
+        p = {"margin": (-inst.reaction.gamma,) * 2, "linearized": (-0.3, -0.7)}[potential]
+        sgn, q = (1.0, p[0]) if direction == "right" else (-1.0, p[1])
+        mu = sp.decay_root_mu(inst, c, direction, potential)
+        assert mu == pytest.approx((sgn * c + np.sqrt(c * c - 4 * q)) / 2, abs=1e-12)
+
+    @pytest.mark.parametrize("L", [0.5, 1.0, 2.0])
+    def test_variable_diffusivity_within_discretization_error(self, L):
+        # a = 2 + cos 2 pi y: within mu / n^2 of the root that Brent's method
+        # finds on the same n nodes per period
+        inst = make_inst(0.3, a_amp=1.0, L=L)
+        coeff = inst.coeff
+        n = max(128, int(np.ceil(6.0 * L * sp.DECAY_MU_MAX * coeff.a_max / coeff.a_min)))
+        for c in (0.0, 0.28, -0.2):
+            for direction in ("right", "left"):
+                for potential in ("margin", "linearized"):
+                    def lam(mu):
+                        return sp.decay_eigenvalue(inst, c, mu, direction, potential,
+                                                   n).value
+                    ref = brentq(lam, 0.0, 5.0, xtol=1e-14)
+                    mu = sp.decay_root_mu(inst, c, direction, potential)
+                    assert abs(mu - ref) <= mu / n**2, (c, direction, potential)
+
+    def test_unsettled_secant_errors(self, monkeypatch):
+        # the seed is not the root once a varies, so one secant step is not
+        # enough
+        inst = make_inst(0.3, a_amp=1.0)
+        monkeypatch.setattr(sp, "NEWTON_MAX_ITER", 1)
+        with pytest.raises(sp.EigenIterationError):
             sp.decay_root_mu(inst, 0.0, "right", "margin")
 
 

@@ -361,7 +361,7 @@ def node_budget_grid(inst, front, n_nodes):
     pinned window) trimmed one period at a time."""
     L = inst.L
     npp = max(4, round(L / (front.xi[1] - front.xi[0])))
-    halfwidth = st.pinned_halfwidth(inst) / 1.1
+    halfwidth = st.pinned_halfwidth(front) / 1.1
     grid = build_grid(inst, halfwidth, npp)
     while grid.n > n_nodes and npp > 4:
         npp -= 1
@@ -370,6 +370,30 @@ def node_budget_grid(inst, front, n_nodes):
         halfwidth -= L
         grid = build_grid(inst, halfwidth, npp)
     return grid
+
+
+def test_pinned_windows_read_the_fronts_homogenized_data(homog_inst, homog_front,
+                                                         homog_spectrum, monkeypatch):
+    # the experiments and the spectrum size their pinned windows from the
+    # averaged data the front's run used: none is recomputed, and the grids
+    # keep 3,521 and 393 nodes
+    def refuse(*args, **kwargs):
+        raise AssertionError("homogenized data recomputed")
+
+    for mod in (pr, fr, st):
+        monkeypatch.setattr(mod, "homogenized_data", refuse, raising=False)
+    grids = []
+    build = st.build_grid
+
+    def recorded(*args):
+        grids.append(build(*args))
+        return grids[-1]
+    monkeypatch.setattr(st, "build_grid", recorded)
+    st.global_stability_experiment(homog_inst, homog_front,
+                                   lambda x: np.where(x < 0.0, 1.0, 0.0), fr.Budget(3.0))
+    spec = st.poincare_spectrum(homog_inst, homog_front, n_nodes=400)
+    assert [g.n for g in grids] == [3521, 393]
+    assert np.array_equal(spec.eigenvalues, homog_spectrum.eigenvalues)
 
 
 class TestSpectrum:
@@ -431,19 +455,18 @@ class TestSpectrum:
 
 
 def interp_reference(front, xi, y):
-    """The bilinear lattice interpolation written with 2-D fancy indexing;
-    a front with tail rates continues past the lattice in whole periods
-    (m lattice points) by its tails, as FrontSolution.interp documents."""
+    """The bilinear lattice interpolation written with 2-D fancy indexing,
+    continued past the lattice in whole periods (m lattice points) by the
+    front's tails, as FrontSolution.interp documents."""
     xi = np.asarray(xi, dtype=float)
     y = np.mod(np.asarray(y, dtype=float), 1.0)
     h = front.xi[1] - front.xi[0]
     m = len(front.y)
     top = len(front.xi) - 1
     s = (xi - front.xi[0]) / h
-    if front.tail_mu is not None:
-        k_right = np.ceil(np.maximum(s - top, 0.0) / m)
-        k_left = np.ceil(np.maximum(-s, 0.0) / m)
-        s = s - m * (k_right - k_left)
+    k_right = np.ceil(np.maximum(s - top, 0.0) / m)
+    k_left = np.ceil(np.maximum(-s, 0.0) / m)
+    s = s - m * (k_right - k_left)
     s = np.clip(s, 0.0, top - 1e-12)
     i = s.astype(int)
     wi = s - i
@@ -454,8 +477,6 @@ def interp_reference(front, xi, y):
     p = front.phi
     v = ((1 - wi) * ((1 - wj) * p[i, j] + wj * p[i, jp])
          + wi * ((1 - wj) * p[i + 1, j] + wj * p[i + 1, jp]))
-    if front.tail_mu is None:
-        return v
     mu1, mu2 = front.tail_mu
     L = m * h
     v = np.where(k_right > 0, v * np.exp(-mu1 * L * k_right), v)
@@ -469,14 +490,17 @@ def same_bits(a, b):
 
 
 class TestBoundFront:
-    # a lattice with genuine y-dependence: xi in [-5, 5], 8 columns in y
+    # a lattice with genuine y-dependence: xi in [-5, 5], 8 columns in y (a
+    # period of 2), with tails past both ends; no run made it, so no
+    # homogenized data
     LATTICE = fr.FrontSolution(
         speed=0.3, xi=np.linspace(-5.0, 5.0, 41), y=np.arange(8) / 8,
         phi=np.random.default_rng(11).uniform(0.0, 1.0, (41, 8)),
         pulsating_error=0.0, mu1_fit=None, mu2_fit=None, speed_estimate=None,
-        diagnostics={})
-    # past both clamped ends of xi and across the periodic wrap of y, with the
-    # end nodes, 1 - ulp and the exact period ends among the drawn values
+        diagnostics={}, tail_mu=(0.6, 0.9), homog=None)
+    # past both ends of xi (up to two periods of tail) and across the periodic
+    # wrap of y, with the end nodes, 1 - ulp and the exact period ends among
+    # the drawn values
     XI = hyp.one_of(hyp.floats(-8.0, 8.0), hyp.sampled_from([-5.0, 5.0, 4.999999999999]))
     Y = hyp.one_of(hyp.floats(-3.0, 3.0),
                    hyp.sampled_from([0.0, -0.0, 1.0, -1.0, 1.0 - 2**-53, -2**-60, 2.0]))
