@@ -8,7 +8,8 @@ range, a scenario's family rule, an inline profile key (theta, theta_amp,
 a, a_amp) written beside the file (theta_file, a_file) that would override it,
 and a [profile] value the family's constructor would refuse (theta +-
 |theta_amp| outside (0, 1), a <= |a_amp|, delta or xin_delta outside
-(0, 1/2), a profile file that does not exist).
+(0, 1/2), |xin_delta * xin_lambda| >= 1, a profile file that does not
+exist), and a period whose grid would have more than MAX_NODES nodes.
 A config is judged once, here, before any run: the runners only map parsed
 values to runs.  The raw file bytes are hashed into every artifact header:
 reruns are byte-identical and artifacts traceable to their configuration.
@@ -24,7 +25,13 @@ import os
 from dataclasses import dataclass
 from typing import Any
 
-from . import profiles
+import numpy as np
+
+from . import profiles, spectral
+from .fronts import MAX_HALFWIDTH, Budget, FrontRunConfig
+
+
+MAX_NODES = 1_000_000       # the most nodes a run's grid may have
 
 
 class ConfigError(ValueError):
@@ -209,6 +216,9 @@ def parse_config(text: str, scenario: str) -> ExperimentConfig:
             ("profile", "delta", not cubic or prof["delta"] is None or 0 < prof["delta"] < 0.5,
              "in (0, 1/2)"),
             ("profile", "xin_delta", cubic or 0 < delta < 0.5, "in (0, 1/2)"),
+            # quench-scan checks lambda_grid in its place
+            ("profile", "xin_lambda", cubic or quench or abs(delta * prof["xin_lambda"]) < 1,
+             f"such that |xin_delta * xin_lambda| < 1 (xin_delta = {delta!r})"),
             ("profile", "theta_file", not (cubic and prof["theta_file"])
              or os.path.isfile(prof["theta_file"]), "an existing file"),
             ("profile", "a_file", not (cubic and prof["a_file"]) or os.path.isfile(prof["a_file"]),
@@ -230,9 +240,45 @@ def parse_config(text: str, scenario: str) -> ExperimentConfig:
             ("experiment", "workers", values["experiment"]["workers"] >= 1, ">= 1")):
         if not ok:
             raise ConfigError(f"[{section}] {key} = {values[section][key]!r} must be {need}")
+    section, key, nodes = _largest_grid(scenario, values)
+    if nodes > MAX_NODES:
+        raise ConfigError(f"[{section}] {key} = {values[section][key]!r} must be such that "
+                          f"the run's grid has at most {MAX_NODES:,} nodes (it asks for "
+                          f"{nodes:.3g})")
     digest = hashlib.sha256(text.encode()).hexdigest()[:12]
     return ExperimentConfig(scenario=scenario, values=values, config_hash=digest,
                             raw_text=text)
+
+
+def _front_nodes(L: float, npp: int) -> float:
+    """The most nodes a front run's window on period L can have: whole periods
+    on each side of the cell over a half-extent of at most
+    max(MAX_HALFWIDTH, 1.5 L), as fronts.compute_pulsating_front sizes it
+    (a float, inf past the float range)."""
+    return (2.0 * np.ceil(max(MAX_HALFWIDTH, 1.5 * L) / L) + 1.0) * npp + 1.0
+
+
+def _largest_grid(scenario: str, values: dict) -> tuple:
+    """(section, key, nodes): the period key that sizes the scenario's
+    largest grid and that grid's node count (0 when no grid grows with L)."""
+    num, run = values["numerics"], values["run"]
+    if scenario == "decay":
+        try:
+            coeff = _diffusivity(values["profile"], num["L"])
+        except ValueError as exc:
+            raise ConfigError(f"bad diffusivity for [profile]: {exc}") from exc
+        try:    # the root and its check on twice the nodes
+            nodes = 2.0 * spectral.decay_nodes(num["L"], coeff.a_max, coeff.a_min)
+        except OverflowError:
+            nodes = math.inf
+        return "numerics", "L", nodes
+    npp = num["nodes_per_period"]
+    if scenario in ("scan-e", "homogenize"):
+        key = "L_grid" if scenario == "scan-e" else "L_list"
+        return "run", key, max(_front_nodes(L, npp) for L in run[key])
+    if scenario in ("eigen", "steady"):
+        return "numerics", "L", 0
+    return "numerics", "L", _front_nodes(num["L"], npp)
 
 
 def load_config(path, scenario: str) -> ExperimentConfig:
@@ -255,25 +301,33 @@ def describe_schema() -> str:
 # realizing profile blocks
 # ---------------------------------------------------------------------------
 
+def _curve(p: dict, key: str):
+    if p[key + "_file"]:
+        return profiles.TabulatedPeriodicCurve.from_file(p[key + "_file"])
+    return profiles.HarmonicCurve(p[key], p[key + "_amp"])
+
+
+def _diffusivity(p: dict, period: float) -> profiles.CoefficientProfile:
+    """The diffusivity that the [profile] block p builds."""
+    if p["family"] == "xin":
+        return profiles.make_xin_example(p["xin_delta"], p["xin_lambda"], p["xin_mu"],
+                                         L=period).coeff
+    return profiles.CoefficientProfile.from_curve(_curve(p, "a"))
+
+
 def build_instance(cfg: ExperimentConfig) -> profiles.ProblemInstance:
     p = cfg["profile"]
     period = float(cfg["numerics"]["L"])
     if p["family"] == "xin":
         return profiles.make_xin_example(p["xin_delta"], p["xin_lambda"], p["xin_mu"],
                                          L=period)
-
-    def curve(key):
-        if p[key + "_file"]:
-            return profiles.TabulatedPeriodicCurve.from_file(p[key + "_file"])
-        return profiles.HarmonicCurve(p[key], p[key + "_amp"])
-    reaction = profiles.make_cubic(curve("theta"), gamma=p["gamma"], delta=p["delta"],
+    reaction = profiles.make_cubic(_curve(p, "theta"), gamma=p["gamma"], delta=p["delta"],
                                    scale=p["scale"])
-    coeff = profiles.CoefficientProfile.from_curve(curve("a"))
-    return profiles.ProblemInstance(coeff=coeff, reaction=reaction, L=period)
+    return profiles.ProblemInstance(coeff=_diffusivity(p, period), reaction=reaction,
+                                    L=period)
 
 
 def build_run_config(cfg: ExperimentConfig):
-    from .fronts import Budget, FrontRunConfig
     n = cfg["numerics"]
     rc = FrontRunConfig(nodes_per_period=n["nodes_per_period"], tail_floor=n["tail_floor"])
     return rc, Budget(n["budget"])

@@ -12,12 +12,14 @@ by one period.  The front, tails included, is an attracting fixed point of
 that map, and u(t + L/c, x + L) = u(t, x) is an exact one-period difference
 whose projection on u_t gives the period T* for the next c_hat (Tuckerman
 and Barkley, "Bifurcation analysis for timesteppers", 2000).  The run stops
-when two periods in a row meet TOL_PULS, when the interface demonstrably
-pins (stationary branch), or when the budget runs out (inconclusive, never
-silently a front).  Speeds are measured two ways: L/T of the accepted
-period, and the slope of the half-level position's means over the two
-accepted periods.  The profile phi(xi, y) is read from the stored period:
-node x shows phi(xi, x/L) at t = (x - xi)/c, which is a stored row.
+when two periods in a row meet TOL_PULS, when a Newton solve on the
+window's own discrete steady problem certifies the front pinned (tried once
+|c_hat| < PIN_FLOOR * h; a slow propagating front stalls far above its
+round-off floor), or when the budget runs out (inconclusive, never silently
+a front).  Speeds are measured two ways: L/T of the accepted period, and
+the slope of the half-level position's means over the two accepted
+periods.  The profile phi(xi, y) is read from the stored period: node x
+shows phi(xi, x/L) at t = (x - xi)/c, which is a stored row.
 The window ends where the front's slower tail is tail_floor deep, and each
 end obeys the front's linear tail there (window_tails: the decay pair of the
 linearized tail operator on the window's own cells, solver.Tail), so no
@@ -34,22 +36,24 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.interpolate import CubicSpline
+from scipy.linalg.lapack import dgtsv
 from scipy.optimize import minimize_scalar
 
 from .profiles import (HomogenizedData, ProblemInstance, characteristic_rates,
                        homogenized_data)
 from .solver import (Grid1D, SolverError, Stepper, Tail, Window, build_grid, choose_dt,
-                     excursion, front_initial_datum, residual_stationary,
+                     excursion, flux_apply, front_initial_datum, residual_stationary,
                      steps_per_period)
-from .spectral import decay_eigenvalue, decay_pair
+from .spectral import (_principal_banded, damped_newton, decay_eigenvalue, decay_pair,
+                       newton_floor)
 
 SETTLE_TIME = 10.0          # evolution chunk between checks
-STAT_WINDOW = 100.0         # pinning detection window
-STAT_DISP_FRAC = 0.1        # pinned: displacement below 0.1 h over STAT_WINDOW
+PIN_FLOOR = 1e-3            # |c_hat| below PIN_FLOOR * h: try to certify a pinned front
 MIN_LEVEL_SAMPLES = 20      # level samples behind a level-speed fit
 MIN_TAIL_EFOLDS = 3.0       # depth a tail fit must span
 SPEED_WINDOW = 2.0 * SETTLE_TIME   # shortest level record behind the speed estimate c_hat
 TOL_PULS = 1e-5             # acceptance tolerance on the pulsating defect
+MAX_HALFWIDTH = 150.0       # cap on default_halfwidth
 
 
 # The closed set of failure reasons.  A FrontNotConverged or an Inconclusive
@@ -383,7 +387,7 @@ def default_halfwidth(homog: HomogenizedData, tail_floor: float) -> float:
     depth of the window's ends."""
     mu = max(decay_scale(homog, speed_scale(homog)), 1e-3)
     w = math.log(1.0 / tail_floor) / mu + 4.0
-    return float(min(max(w, 8.0), 150.0))
+    return float(min(max(w, 8.0), MAX_HALFWIDTH))
 
 
 def window_tails(inst: ProblemInstance, homog: HomogenizedData, c: float, m0: int,
@@ -471,16 +475,45 @@ class _RunState(Window):
             return None
         return fit_line(t[keep], x[keep])[0]
 
-    def displacement(self, window: float):
-        t = np.asarray(self.level_t)
-        x = np.asarray(self.level_x)
-        if len(t) < 2:
-            return None
-        keep = t >= t[-1] - window
-        if np.count_nonzero(keep) < 2 or (t[-1] - t[keep][0]) < 0.9 * window:
-            return None
-        xx = x[keep]
-        return float(xx.max() - xx.min())
+    def pinned_state(self):
+        """Damped Newton from u on the window's own steady problem: the
+        Stepper's interior operator (end rows eliminated by the tails) plus f.
+        Returns (v, record), v the steady state on every node when its sup
+        residual is below newton_floor, its half-level within one period of
+        u's and lambda1, the Jacobian's principal eigenvalue at v, at most
+        that floor (the translation mode of a pinned front is neutral to
+        round-off, a few eps times the norm 4 max(a)/h^2), else None.  record
+        holds newton_residual, newton_iterations and lambda1 (None unless the
+        residual is below the floor)."""
+        st, g = self.stepper, self.grid
+        diag, off, _ = st.interior_operator()
+        x = g.nodes[1:-1]
+        full = self.u.copy()
+
+        def residual(v):
+            full[1:-1] = v
+            st.impose_ends(full)
+            return flux_apply(g.a_face, g.h, full) + st.reaction_at(full)[1:-1]
+
+        def jacobian(v):
+            return diag + np.asarray(st.inst.df_L(x, v), dtype=float)
+
+        def step(v, F):
+            *_, delta, info = dgtsv(off, jacobian(v), off, -F)
+            if info != 0:
+                raise SolverError(f"singular Newton matrix (info={info})")
+            return delta
+
+        tol = newton_floor(g.a_face, g.h)
+        v, norm, its = damped_newton(residual, step, self.u[1:-1].copy(), tol)
+        record = {"newton_residual": norm, "newton_iterations": its, "lambda1": None}
+        if norm >= tol:
+            return None, record
+        residual(v)         # full now holds v with its end nodes
+        record["lambda1"] = lam = _principal_banded(jacobian(v), off)[0]
+        here, there = level_position(g.nodes, self.u), level_position(g.nodes, full)
+        near = here is not None and there is not None and abs(there - here) <= g.L
+        return (full if near and lam <= tol else None), record
 
 
 def _front_from_lattice(speed, xi, ys, phi, defect, est, diagnostics, tails, homog):
@@ -512,8 +545,13 @@ def compute_pulsating_front(inst: ProblemInstance, cfg: FrontRunConfig = FrontRu
     accepted at the second period in a row whose one-period difference is
     below TOL_PULS, with c_period = +-L/T of that period and c_level the
     slope of the level's means over the two periods.
+    Once |c_hat| falls below PIN_FLOOR * h, each chunk ends with an attempt
+    to certify the front pinned (_RunState.pinned_state): Newton's steady
+    state is returned as the stationary front, and a refused attempt lets
+    the run go on stepping chunks; the record keeps the last attempt's
+    newton_residual, newton_iterations and lambda1.
     A period that would overrun the budget is skipped for a chunk, not the
-    run, so the pinning test can still fire.
+    run.
     The window's ends obey the linear tails (window_tails) at the speed
     scale, and from the first period map on at the c_hat it starts from.
     """
@@ -530,7 +568,6 @@ def compute_pulsating_front(inst: ProblemInstance, cfg: FrontRunConfig = FrontRu
     # the defect window and the lattice keep one period and 4 nodes from each
     # end; with the tails imposed there is no boundary layer to keep clear of
     margin_nodes = m0 + 4
-    c_floor = h / (10.0 * STAT_WINDOW)
     settled = None          # start of the last period if its defect was under TOL_PULS
     periodic = False        # c_hat came from the last period: step the next one at once
     c_hat = None
@@ -545,32 +582,35 @@ def compute_pulsating_front(inst: ProblemInstance, cfg: FrontRunConfig = FrontRu
         inst, homog, math.copysign(c_scale, homog.i_fbar), m0, solve=False))
     tails_at_c_hat = False
 
+    def close():
+        lo, hi = state.stepper.min_seen, state.stepper.max_seen
+        diagnostics.update(t_final=state.t, excursion=excursion(lo, hi), range_seen=(lo, hi))
+
     while state.t < budget.t_max:
         if not periodic:
             state.advance(min(SETTLE_TIME, budget.t_max - state.t))
             state.recenter(level_position(grid.nodes, state.u))
             c_hat = state.recent_speed(c_hat)
         periodic = False
-        disp = state.displacement(STAT_WINDOW)
-        if disp is not None and disp < STAT_DISP_FRAC * h:
-            resid = residual_stationary(grid, state.u, inst)
-            diagnostics["stationary_residual"] = resid
-            diagnostics["displacement"] = disp
-            diagnostics["t_final"] = state.t
-            if resid < 1e-6:        # stationary-branch residual tolerance
-                est = None
-                if len(state.level_t) >= MIN_LEVEL_SAMPLES:
-                    est = measure_speed(state.level_t[-200:], state.level_x[-200:])
-                xi = grid.nodes[margin_nodes:-margin_nodes]
-                prof = state.u[margin_nodes:-margin_nodes]
-                phi = np.repeat(prof[:, None], m0, axis=1)
-                return _front_from_lattice(0.0, xi, np.arange(m0) / m0, phi, resid,
-                                           est, diagnostics, state.stepper.tails, homog)
-        if c_hat is None or abs(c_hat) < c_floor:
+        if c_hat is None:
             continue
+        if abs(c_hat) < PIN_FLOOR * h:
+            v, newton = state.pinned_state()
+            diagnostics.update(newton)
+            if v is None:
+                continue            # not certified: keep stepping chunks
+            close()
+            diagnostics["stationary_residual"] = resid = newton["newton_residual"]
+            est = None
+            if len(state.level_t) >= MIN_LEVEL_SAMPLES:
+                est = measure_speed(state.level_t[-200:], state.level_x[-200:])
+            xi = grid.nodes[margin_nodes:-margin_nodes]
+            phi = np.repeat(v[margin_nodes:-margin_nodes, None], m0, axis=1)
+            return _front_from_lattice(0.0, xi, np.arange(m0) / m0, phi, resid,
+                                       est, diagnostics, state.stepper.tails, homog)
         T = inst.L / abs(c_hat)
         if state.t + T > budget.t_max:
-            continue                # keep evolving: the stationary test may fire
+            continue                # keep evolving: the front may still pin
         if not tails_at_c_hat:
             state.stepper.set_tails(window_tails(inst, homog, c_hat, m0))
             tails_at_c_hat = True
@@ -594,11 +634,7 @@ def compute_pulsating_front(inst: ProblemInstance, cfg: FrontRunConfig = FrontRu
                 diagnostics.update(t_final=state.t, reason="coverage", message=str(exc))
                 raise FrontNotConverged(f"profile extraction failed at t={state.t:.4g}: "
                                         f"{exc}", diagnostics) from exc
-            diagnostics["t_final"] = state.t
-            diagnostics["excursion"] = excursion(state.stepper.min_seen,
-                                                 state.stepper.max_seen)
-            diagnostics["range_seen"] = (state.stepper.min_seen,
-                                         state.stepper.max_seen)
+            close()
             diagnostics["time_monotonicity_defect"] = snaps.time_monotonicity_defect()
             return _front_from_lattice(c_period, xi, ys, phi, defect, est, diagnostics,
                                        state.stepper.tails, homog)
@@ -610,8 +646,7 @@ def compute_pulsating_front(inst: ProblemInstance, cfg: FrontRunConfig = FrontRu
     diagnostics["reason"] = "budget"
     diagnostics["t_final"] = state.t
     diagnostics["c_hat"] = state.recent_speed(c_hat)
-    if "stationary_residual" not in diagnostics:
-        diagnostics["stationary_residual"] = residual_stationary(grid, state.u, inst)
+    diagnostics["stationary_residual"] = residual_stationary(grid, state.u, inst)
     raise FrontNotConverged(
         f"budget t_max={budget.t_max} exhausted at t={state.t:.4g} without meeting "
         "the pulsating or stationary criterion", diagnostics)

@@ -194,10 +194,11 @@ def _run_quench_scan(cfg, prefix):
     monotone = len(known) < 2 or all(b <= a + 1e-3 * max(known)
                                       for a, b in zip(known, known[1:]))
     lines.append(f"quench: |c| non-increasing along lambda: {monotone}")
+    # an inconclusive run that tried to certify a pinned front had |c_hat|
+    # below the pinning floor
     pinned = [f"{lam:.10g}" for (lam, rec) in zip(lams, recs)
               if rec.kind == fr.STATIONARY
-              or (rec.kind == fr.INCONCLUSIVE
-                  and rec.evidence.get("displacement", math.inf) < 1.0)]
+              or (rec.kind == fr.INCONCLUSIVE and "newton_residual" in rec.evidence)]
     lines.append("quench: pinning evidence at lambda = "
                  + (", ".join(pinned) if pinned else "none"))
     emit_csv(prefix + "_quench.csv", "lambda" + fr.SWEEP_CSV_HEADER.removeprefix("L"),
@@ -237,12 +238,15 @@ def _run_stability(cfg, prefix):
 def _run_decay(cfg, prefix):
     inst = build_instance(cfg)
     r = cfg["run"]
-    mu = spx.decay_root_mu(inst, r["c"], r["direction"], r["potential"])
+    mu, mu_2n = (spx.decay_root_mu(inst, r["c"], r["direction"], r["potential"], refine)
+                 for refine in (1, 2))
+    # the root's discretization error, against the grid of twice the nodes
+    mu_err = abs(mu - mu_2n)
     _write(prefix + "_decay.txt",
            [_header(cfg, f"direction={r['direction']} potential={r['potential']}"
                     f" c={_fmt(r['c'])}"),
-            f"mu {_fmt(mu)}"])
-    return RunResult([f"decay: direction={r['direction']} mu={_fmt(mu)}"],
+            f"mu {_fmt(mu)}", f"mu_err {_fmt(mu_err)}"])
+    return RunResult([f"decay: direction={r['direction']} mu={_fmt(mu)} mu_err={_fmt(mu_err)}"],
                      [prefix + "_decay.txt"], [])
 
 

@@ -243,15 +243,24 @@ class Stepper:
         # 1 - u_0 = r_left (1 - u_1) and u_{n-1} = r_right u_{n-2}
         self.r_left = left.ratio(g.h, 0, 1)
         self.r_right = right.ratio(g.h, n - 1, n - 2)
-        lower, diag, upper = flux_stencil(g.a_face, g.h)
-        # interior rows of I - dt*D with the end nodes eliminated: symmetric
-        # (upper[i] == lower[i+1]) and, as r < 1 enters the diagonal only,
+        # I - dt*D on the interior: as r < 1 enters the diagonal only,
         # diagonally dominant, hence positive definite
+        d, off, couple = self.interior_operator()
+        self.factor = factor_spd(1.0 - dt * d, -dt * off)
+        self._couple_left = dt * couple * (1.0 - self.r_left)
+
+    def interior_operator(self):
+        """The flux stencil D on the interior nodes with the end nodes
+        eliminated by the tails: the symmetric (upper[i] == lower[i+1])
+        tridiagonal (diag, off) and the left coupling lower[1], so that D u is
+        (diag, off) times u[1:-1] plus lower[1] (1 - r_left) in its first row."""
+        g = self.grid
+        n = g.n
+        lower, diag, upper = flux_stencil(g.a_face, g.h)
         d = diag[1:n-1].copy()
         d[0] += self.r_left * lower[1]
         d[-1] += self.r_right * upper[n-2]
-        self.factor = factor_spd(1.0 - dt * d, -dt * upper[1:n-2])
-        self._couple_left = dt * lower[1] * (1.0 - self.r_left)
+        return d, upper[1:n-2], lower[1]
 
     def set_tails(self, tails: tuple[Tail, Tail]):
         """Impose other end conditions from the next step on; factors again."""

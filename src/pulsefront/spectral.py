@@ -228,6 +228,42 @@ def _steady_residual(inst, x, af, h, u):
     return flux_apply(af, h, u, periodic=True) + np.asarray(inst.f_L(x, u), dtype=float)
 
 
+def newton_floor(a_face: np.ndarray, h: float) -> float:
+    """Residual tolerance of a Newton solve on the flux stencil: NEWTON_TOL,
+    or the stencil's own rounding floor 8 eps max(a)/h^2 when that is larger
+    (it cannot resolve residuals below it)."""
+    return max(NEWTON_TOL, 8.0 * np.finfo(float).eps * float(np.max(a_face)) / h**2)
+
+
+def damped_newton(residual, step, u: np.ndarray, tol: float):
+    """Damped Newton from u: step(u, F) is the full step -J(u)^-1 F, halved
+    until the sup residual falls, at most NEWTON_MAX_HALVINGS times.  Returns
+    (u, sup residual, iterations) at the first iterate below tol, or at the
+    last one when the iterations, the halvings or the linear solve (a
+    RuntimeError) give out first."""
+    F = residual(u)
+    norm = float(np.max(np.abs(F)))
+    for it in range(NEWTON_MAX_ITER):
+        if norm < tol:
+            return u, norm, it
+        try:
+            delta = step(u, F)
+        except RuntimeError:
+            return u, norm, it
+        s = 1.0
+        for _ in range(NEWTON_MAX_HALVINGS):
+            u_try = u + s * delta
+            F_try = residual(u_try)
+            norm_try = float(np.max(np.abs(F_try)))
+            if norm_try < norm:
+                u, F, norm = u_try, F_try, norm_try
+                break
+            s *= 0.5
+        else:
+            return u, norm, it
+    return u, norm, NEWTON_MAX_ITER
+
+
 def _newton_periodic(inst: ProblemInstance, u0: np.ndarray):
     L = inst.L
     n = NEWTON_NODES
@@ -235,31 +271,14 @@ def _newton_periodic(inst: ProblemInstance, u0: np.ndarray):
     h = L / n
     af = np.asarray(inst.a_L(x + 0.5 * h), dtype=float)
     lower, main, upper = flux_stencil(af, h, periodic=True)
-    u = np.array(u0, dtype=float)
-    F = _steady_residual(inst, x, af, h, u)
-    norm = float(np.max(np.abs(F)))
-    # the flux stencil cannot resolve residuals below its rounding floor
-    tol = max(NEWTON_TOL, 8.0 * np.finfo(float).eps * float(np.max(af)) / h**2)
-    for _ in range(NEWTON_MAX_ITER):
-        if norm < tol:
-            return x, u, norm
+
+    def step(u, F):
         dq = np.asarray(inst.df_L(x, u), dtype=float)
-        J = _cyclic_matrix(main + dq, lower, upper)
-        try:
-            delta = splu(J).solve(-F)
-        except RuntimeError:
-            return None
-        s = 1.0
-        for _ in range(NEWTON_MAX_HALVINGS):
-            u_try = u + s * delta
-            F_try = _steady_residual(inst, x, af, h, u_try)
-            norm_try = float(np.max(np.abs(F_try)))
-            if norm_try < norm:
-                u, F, norm = u_try, F_try, norm_try
-                break
-            s *= 0.5
-        else:
-            return None
+        return splu(_cyclic_matrix(main + dq, lower, upper)).solve(-F)
+
+    tol = newton_floor(af, h)
+    u, norm, _ = damped_newton(lambda u: _steady_residual(inst, x, af, h, u), step,
+                               np.array(u0, dtype=float), tol)
     return (x, u, norm) if norm < tol else None
 
 
@@ -399,14 +418,19 @@ def decay_pair(inst: ProblemInstance, c: float, direction: str, potential: str,
     raise EigenIterationError(f"no tail rate near mu = {mu:.6g} ({direction})")
 
 
+def decay_nodes(L: float, a_max: float, a_min: float) -> int:
+    """Nodes per period of decay_root_mu's grid, which resolves rates up to
+    DECAY_MU_MAX."""
+    return max(128, int(math.ceil(6.0 * L * DECAY_MU_MAX * a_max / a_min)))
+
+
 def decay_root_mu(inst: ProblemInstance, c: float, direction: str = "right",
-                  potential: str = "margin") -> float:
+                  potential: str = "margin", refine: int = 1) -> float:
     """Rate mu1 > 0 where the tail operator's principal eigenvalue vanishes:
-    decay_pair on a grid resolving rates up to DECAY_MU_MAX, seeded at the root
-    of a_H mu^2 -+ c mu + p, p the period mean of the potential (the root when
-    a and p are constant)."""
-    n_nodes = max(128, int(math.ceil(
-        6.0 * inst.L * DECAY_MU_MAX * inst.coeff.a_max / inst.coeff.a_min)))
+    decay_pair on refine times the grid resolving rates up to DECAY_MU_MAX,
+    seeded at the root of a_H mu^2 -+ c mu + p, p the period mean of the
+    potential (the root when a and p are constant)."""
+    n_nodes = refine * decay_nodes(inst.L, inst.coeff.a_max, inst.coeff.a_min)
     p0 = p1 = -inst.reaction.gamma
     if potential == "linearized":
         y = np.arange(n_nodes) / n_nodes

@@ -274,11 +274,12 @@ class TestCliRuns:
 
     @pytest.mark.parametrize("key,value", [
         ("nodes_per_period", "0"), ("L", "-1"), ("L", "nan"), ("tail_floor", "2"),
-        ("tail_floor", "0"), ("budget", "-5"),
+        ("tail_floor", "0"), ("budget", "-5"), ("L", "1e-300"),
     ])
     def test_out_of_range_numerics_exit_2(self, tmp_path, capsys, key, value):
         # each used to run: a division by zero, a failed instance, a clamped
-        # halfwidth or an Inconclusive row at t = 0
+        # halfwidth, an Inconclusive row at t = 0 or a window of more than
+        # MAX_NODES nodes
         p = tmp_path / "range.cfg"
         p.write_text(f"[profile]\nfamily = cubic\n\n[numerics]\n{key} = {value}\n")
         rc = cli.main(["front", "--config", str(p), "--out", str(tmp_path)])
@@ -294,7 +295,8 @@ class TestCliRuns:
     # (0, 1), quench-scan on the cubic family failed once the output existed,
     # a lambda with |xin_delta * lambda| >= 1 failed with no CSV written, and
     # a [profile] value that its constructor refuses (theta, a, delta,
-    # xin_delta, a missing file) failed at run time once the output existed
+    # xin_delta, xin_lambda, a missing file) failed at run time once the output
+    # existed, and decay at L = 1e300 asked numpy for more than it can allocate
     @pytest.mark.parametrize("scenario,section,key,value", [
         pytest.param("scan-e", "run", "L_grid", "2 1", id="L_grid-decreasing"),
         pytest.param("scan-e", "run", "L_grid", "-1 1", id="L_grid-negative"),
@@ -317,6 +319,9 @@ class TestCliRuns:
         pytest.param("steady", "profile", "xin_delta", "0.7", id="xin_delta-outside"),
         pytest.param("steady", "profile", "theta_file", "missing_theta.txt", id="theta_file-missing"),
         pytest.param("steady", "profile", "a_file", "missing_a.txt", id="a_file-missing"),
+        pytest.param("steady", "profile", "xin_lambda", "6", id="xin_lambda-positivity"),
+        pytest.param("decay", "numerics", "L", "1e300", id="L-decay-grid"),
+        pytest.param("scan-e", "run", "L_grid", "1e-300 1", id="L_grid-window-grid"),
     ])
     def test_out_of_range_run_exit_2(self, tmp_path, capsys, scenario, section, key, value):
         family = "xin" if scenario == "quench-scan" or key.startswith("xin") else "cubic"
@@ -361,10 +366,27 @@ class TestCliRuns:
         rc = cli.main(["decay", "--config", str(p), "--out", str(tmp_path)])
         assert rc == 0
         text = (tmp_path / "run_decay.txt").read_text()
-        mu = float(text.splitlines()[1].split()[1])
+        rows = [line.split() for line in text.splitlines()[1:]]
+        mu = float(rows[0][1])
         # margin-mode root at c=0 is sqrt(gamma)
         from pulsefront.profiles import make_cubic
         assert mu == pytest.approx(np.sqrt(make_cubic(0.3).gamma), abs=1e-6)
+        # a = 1: the seed is the root on every grid
+        assert rows[1][0] == "mu_err" and float(rows[1][1]) < 1e-12
+        assert f"mu_err={rows[1][1]}" in capsys.readouterr().out
+
+    def test_decay_error_is_the_grid_doubling_gap(self, tmp_path, capsys):
+        p = tmp_path / "decay.cfg"
+        p.write_text("[profile]\na = 2\na_amp = 1\n\n[numerics]\nL = 2\n\n[run]\nc = 0.28\n")
+        assert cli.main(["decay", "--config", str(p), "--out", str(tmp_path)]) == 0
+        rows = [line.split() for line in (tmp_path / "run_decay.txt").read_text().splitlines()[1:]]
+        from pulsefront.spectral import decay_root_mu
+        inst = build_instance(parse_config(p.read_text(), "decay"))
+        mu, mu_2n = (decay_root_mu(inst, 0.28, refine=k) for k in (1, 2))
+        assert [r[0] for r in rows] == ["mu", "mu_err"]
+        assert float(rows[0][1]) == float(f"{mu:.10g}")
+        assert float(rows[1][1]) == float(f"{abs(mu - mu_2n):.10g}")
+        assert 1e-9 < abs(mu - mu_2n) < 1e-6
 
     def test_steady_scenario(self, tmp_path, capsys):
         p = tmp_path / "steady.cfg"
@@ -475,6 +497,23 @@ lambda_grid = 0 2
         lines = (tmp_path / "run_quench.csv").read_text().splitlines()
         assert lines[1].startswith("lambda,classification")
         assert len(lines) == 4
+
+
+def test_quench_scan_lists_newton_attempts_as_pinning_evidence(tmp_path, monkeypatch):
+    # an Inconclusive run that tried the pinning certification (its |c_hat|
+    # fell below the floor) is evidence; one that never did is not
+    attempted = fr.ClassificationRecord(
+        kind=fr.INCONCLUSIVE, c=None, evidence={"reason": "budget", "t_final": 900.0,
+                                                "newton_residual": 2e-3,
+                                                "newton_iterations": 12})
+    plain = fr.ClassificationRecord(kind=fr.INCONCLUSIVE, c=None,
+                                    evidence={"reason": "budget", "t_final": 900.0})
+    recs = iter([plain, attempted])
+    monkeypatch.setattr(runner.fr, "classify_quenching", lambda *args: next(recs))
+    cfg = parse_config("[profile]\nfamily = xin\n\n[run]\nlambda_grid = 1 4\n",
+                       "quench-scan")
+    res = runner.run_scenario(cfg, str(tmp_path))
+    assert "quench: pinning evidence at lambda = 4" in res.summary_lines
 
 
 def test_help_lists_scenarios(capsys):

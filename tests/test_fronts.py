@@ -7,6 +7,7 @@ import pytest
 import pulsefront.fronts as fr
 import pulsefront.homogenize as hg
 import pulsefront.profiles as pr
+import pulsefront.spectral as spx
 from pulsefront.solver import build_grid
 
 
@@ -253,6 +254,86 @@ class TestComputeFront:
         assert "t_final" in err.value.diagnostics
         assert err.value.diagnostics["reason"] == "budget"
         assert err.value.diagnostics["reason"] in fr.REASONS
+
+
+def _one_chunk(inst, cfg=fr.FrontRunConfig()):
+    """A front run's window after its first SETTLE_TIME chunk and recenter."""
+    hd = pr.homogenized_data(inst.coeff, inst.reaction)
+    grid = build_grid(inst, max(fr.default_halfwidth(hd, cfg.tail_floor), 1.5 * inst.L),
+                      cfg.nodes_per_period)
+    c = fr.speed_scale(hd)
+    state = fr._RunState(inst, grid, fr.choose_dt(inst.reaction.lip_k, grid.h, c),
+                         fr.limit_front_rate(hd),
+                         fr.window_tails(inst, hd, math.copysign(c, hd.i_fbar),
+                                         grid.nodes_per_period, solve=False))
+    state.advance(fr.SETTLE_TIME)
+    state.recenter(fr.level_position(grid.nodes, state.u))
+    return state
+
+
+class TestPinnedCertification:
+    """A front whose speed estimate falls below the pinning floor is called
+    Stationary by a Newton solve on the run's own window, not by waiting."""
+
+    @pytest.mark.parametrize("a", [pr.HarmonicCurve(1.0), pr.HarmonicCurve(2.0, 1.0)],
+                             ids=["a=1", "a=2+cos"])
+    def test_criterion_2_pinned_fronts_certified_early(self, a):
+        # the sign matrix's theta = 0.5 fronts used to wait 100 time units
+        coeff = pr.CoefficientProfile.from_curve(a)
+        inst = pr.ProblemInstance(coeff=coeff, reaction=pr.make_cubic(0.5), L=0.5)
+        front = fr.compute_pulsating_front(inst, fr.FrontRunConfig(tail_floor=1e-6),
+                                           fr.Budget(500.0))
+        d = front.diagnostics
+        floor = spx.newton_floor(build_grid(inst, d["halfwidth"]).a_face, d["h"])
+        assert front.stationary
+        assert d["t_final"] <= 20.0
+        assert d["stationary_residual"] == d["newton_residual"] < floor
+        assert d["lambda1"] <= floor
+        assert d["newton_iterations"] >= 0 and d["excursion"] == 0.0
+        assert len(d["range_seen"]) == 2
+
+    @pytest.mark.parametrize("theta", [0.3, 0.49])
+    def test_slow_propagating_state_refused(self, theta):
+        # the damped Newton stalls far above the floor on a moving front
+        coeff = pr.CoefficientProfile.from_curve(pr.HarmonicCurve(1.0))
+        inst = pr.ProblemInstance(coeff=coeff, reaction=pr.make_cubic(theta), L=1.0)
+        state = _one_chunk(inst)
+        u = state.u.copy()
+        v, rec = state.pinned_state()
+        assert v is None
+        assert rec["newton_residual"] > 1e-3
+        assert rec["lambda1"] is None
+        np.testing.assert_array_equal(state.u, u)
+
+    @pytest.fixture
+    def pinned_inst(self):
+        coeff = pr.CoefficientProfile.from_curve(pr.HarmonicCurve(1.0))
+        return pr.ProblemInstance(coeff=coeff, reaction=pr.make_cubic(0.5), L=1.0)
+
+    def test_positive_lambda1_stays_non_stationary(self, pinned_inst, monkeypatch):
+        real = fr._principal_banded
+        monkeypatch.setattr(fr, "_principal_banded",
+                            lambda d, off: (1e-6,) + real(d, off)[1:])
+        with pytest.raises(fr.FrontNotConverged) as err:
+            fr.compute_pulsating_front(pinned_inst, fr.FrontRunConfig(), fr.Budget(30.0))
+        d = err.value.diagnostics
+        assert d["reason"] == "budget"
+        assert d["lambda1"] == 1e-6
+        assert d["newton_residual"] < 1e-10
+
+    def test_state_beyond_one_period_stays_non_stationary(self, pinned_inst, monkeypatch):
+        # a converged state whose half-level lies two periods from the run's
+        real = fr.damped_newton
+
+        def far(residual, step, u, tol):
+            v, norm, its = real(residual, step, u, tol)
+            return np.concatenate([v[128:], np.zeros(128)]), norm, its
+        monkeypatch.setattr(fr, "damped_newton", far)
+        with pytest.raises(fr.FrontNotConverged) as err:
+            fr.compute_pulsating_front(pinned_inst, fr.FrontRunConfig(), fr.Budget(30.0))
+        d = err.value.diagnostics
+        assert d["reason"] == "budget"
+        assert d["newton_residual"] < 1e-10 and d["lambda1"] <= 1e-10
 
 
 class TestLimitFrontDatum:
