@@ -9,7 +9,7 @@ a, a_amp) written beside the file (theta_file, a_file) that would override it,
 and a [profile] value the family's constructor would refuse (theta +-
 |theta_amp| outside (0, 1), a <= |a_amp|, delta or xin_delta outside
 (0, 1/2), |xin_delta * xin_lambda| >= 1, a profile file that does not
-exist), and a period whose grid would have more than MAX_NODES nodes.
+exist), and a period whose grid would have over MAX_NODES nodes or h^2 overflowing.
 A config is judged once, here, before any run: the runners only map parsed
 values to runs.  The raw file bytes are hashed into every artifact header:
 reruns are byte-identical and artifacts traceable to their configuration.
@@ -240,11 +240,11 @@ def parse_config(text: str, scenario: str) -> ExperimentConfig:
             ("experiment", "workers", values["experiment"]["workers"] >= 1, ">= 1")):
         if not ok:
             raise ConfigError(f"[{section}] {key} = {values[section][key]!r} must be {need}")
-    section, key, nodes = _largest_grid(scenario, values)
-    if nodes > MAX_NODES:
+    section, key, nodes, h = _largest_grid(scenario, values)
+    if nodes > MAX_NODES or not math.isfinite(h * h):   # the stencils divide by h^2
         raise ConfigError(f"[{section}] {key} = {values[section][key]!r} must be such that "
-                          f"the run's grid has at most {MAX_NODES:,} nodes (it asks for "
-                          f"{nodes:.3g})")
+                          f"the run's grid has at most {MAX_NODES:,} nodes and a finite h^2 "
+                          f"(it asks for {nodes:.3g} nodes of spacing h = {h:.3g})")
     digest = hashlib.sha256(text.encode()).hexdigest()[:12]
     return ExperimentConfig(scenario=scenario, values=values, config_hash=digest,
                             raw_text=text)
@@ -259,8 +259,8 @@ def _front_nodes(L: float, npp: int) -> float:
 
 
 def _largest_grid(scenario: str, values: dict) -> tuple:
-    """(section, key, nodes): the period key that sizes the scenario's
-    largest grid and that grid's node count (0 when no grid grows with L)."""
+    """(section, key, nodes, h): the period key that sizes the scenario's
+    largest grid, its node count and largest spacing (0 if none grows with L)."""
     num, run = values["numerics"], values["run"]
     if scenario == "decay":
         try:
@@ -268,17 +268,17 @@ def _largest_grid(scenario: str, values: dict) -> tuple:
         except ValueError as exc:
             raise ConfigError(f"bad diffusivity for [profile]: {exc}") from exc
         try:    # the root and its check on twice the nodes
-            nodes = 2.0 * spectral.decay_nodes(num["L"], coeff.a_max, coeff.a_min)
+            npp = spectral.decay_nodes(num["L"], coeff.a_max, coeff.a_min)
         except OverflowError:
-            nodes = math.inf
-        return "numerics", "L", nodes
+            npp = math.inf
+        return "numerics", "L", 2.0 * npp, num["L"] / npp
     npp = num["nodes_per_period"]
     if scenario in ("scan-e", "homogenize"):
         key = "L_grid" if scenario == "scan-e" else "L_list"
-        return "run", key, max(_front_nodes(L, npp) for L in run[key])
+        return "run", key, max(_front_nodes(L, npp) for L in run[key]), max(run[key]) / npp
     if scenario in ("eigen", "steady"):
-        return "numerics", "L", 0
-    return "numerics", "L", _front_nodes(num["L"], npp)
+        return "numerics", "L", 0, 0.0
+    return "numerics", "L", _front_nodes(num["L"], npp), num["L"] / npp
 
 
 def load_config(path, scenario: str) -> ExperimentConfig:

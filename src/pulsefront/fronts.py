@@ -13,13 +13,13 @@ that map, and u(t + L/c, x + L) = u(t, x) is an exact one-period difference
 whose projection on u_t gives the period T* for the next c_hat (Tuckerman
 and Barkley, "Bifurcation analysis for timesteppers", 2000).  The run stops
 when two periods in a row meet TOL_PULS, when a Newton solve on the
-window's own discrete steady problem certifies the front pinned (tried once
-|c_hat| < PIN_FLOOR * h; a slow propagating front stalls far above its
-round-off floor), or when the budget runs out (inconclusive, never silently
-a front).  Speeds are measured two ways: L/T of the accepted period, and
-the slope of the half-level position's means over the two accepted
-periods.  The profile phi(xi, y) is read from the stored period: node x
-shows phi(xi, x/L) at t = (x - xi)/c, which is a stored row.
+window's own discrete steady problem certifies the front pinned (tried after
+a chunk whose half-level moved less than one node; a slow propagating front
+stalls far above its round-off floor), or when the budget runs out
+(inconclusive, never silently a front).  Speeds are measured two ways: L/T
+of the accepted period, and the slope of the half-level position's means
+over the two accepted periods.  The profile phi(xi, y) is read from the
+stored period: node x shows phi(xi, x/L) at t = (x - xi)/c, a stored row.
 The window ends where the front's slower tail is tail_floor deep, and each
 end obeys the front's linear tail there (window_tails: the decay pair of the
 linearized tail operator on the window's own cells, solver.Tail), so no
@@ -48,7 +48,6 @@ from .spectral import (_principal_banded, damped_newton, decay_eigenvalue, decay
                        newton_floor)
 
 SETTLE_TIME = 10.0          # evolution chunk between checks
-PIN_FLOOR = 1e-3            # |c_hat| below PIN_FLOOR * h: try to certify a pinned front
 MIN_LEVEL_SAMPLES = 20      # level samples behind a level-speed fit
 MIN_TAIL_EFOLDS = 3.0       # depth a tail fit must span
 SPEED_WINDOW = 2.0 * SETTLE_TIME   # shortest level record behind the speed estimate c_hat
@@ -154,8 +153,10 @@ def min_shift_defect(snaps: SnapshotSeries, margin_nodes: int, shift: int = 1):
     d = snaps.shift_defect(margin_nodes, shift)
     there = snaps.defect_nodes(margin_nodes, shift)[1]
     u_t = (snaps.U[-1, there] - snaps.U[-2, there]) / snaps.dt_snap
-    T_star = T - float(np.dot(d, u_t) / np.dot(u_t, u_t))
     defect = float(np.max(np.abs(d)))
+    if not (norm := float(np.dot(u_t, u_t))):
+        return math.nan, defect, math.inf
+    T_star = T - float(np.dot(d, u_t)) / norm
     return T_star, defect, abs(T_star - T) + defect / float(np.max(np.abs(u_t)))
 
 
@@ -538,22 +539,21 @@ def compute_pulsating_front(inst: ProblemInstance, cfg: FrontRunConfig = FrontRu
     """Evolve a front-like datum until it is a pulsating front, a pinned
     stationary front (speed 0), or the budget is spent (FrontNotConverged).
 
-    The run steps SETTLE_TIME chunks, each followed by a recenter, until the
-    level record gives a speed estimate c_hat, then period maps of
-    T = L/|c_hat| back to back, each matched by one projection
-    (min_shift_defect) whose T* sets c_hat = +-L/T* for the next.  It is
-    accepted at the second period in a row whose one-period difference is
-    below TOL_PULS, with c_period = +-L/T of that period and c_level the
-    slope of the level's means over the two periods.
-    Once |c_hat| falls below PIN_FLOOR * h, each chunk ends with an attempt
-    to certify the front pinned (_RunState.pinned_state): Newton's steady
-    state is returned as the stationary front, and a refused attempt lets
-    the run go on stepping chunks; the record keeps the last attempt's
+    The run alternates SETTLE_TIME chunks, each followed by a recenter and
+    a level-fit speed c_hat, with period maps of T = L/|c_hat| back to back
+    for as long as one fits the budget, each matched by one projection
+    (min_shift_defect) whose T* sets c_hat = +-L/T* for the next; a
+    projection that finds no period (T* <= 0, or nan where the front stopped)
+    returns the run to chunks.  The maps start with the window's ends on the
+    linear tails (window_tails) at their first c_hat, the chunks before them
+    at the speed scale.  The run is accepted at the second period in a row
+    whose one-period difference is below TOL_PULS, with c_period = +-L/T of
+    that period and c_level the slope of the level's means over the two
+    periods.  After a chunk whose half-level moved less than one node h, the
+    run tries to certify the front pinned (_RunState.pinned_state), and
+    returns Newton's steady state as the stationary front; a refused attempt
+    changes nothing, and the record keeps the last attempt's
     newton_residual, newton_iterations and lambda1.
-    A period that would overrun the budget is skipped for a chunk, not the
-    run.
-    The window's ends obey the linear tails (window_tails) at the speed
-    scale, and from the first period map on at the c_hat it starts from.
     """
     if homog is None:
         homog = homogenized_data(inst.coeff, inst.reaction)
@@ -568,8 +568,6 @@ def compute_pulsating_front(inst: ProblemInstance, cfg: FrontRunConfig = FrontRu
     # the defect window and the lattice keep one period and 4 nodes from each
     # end; with the tails imposed there is no boundary layer to keep clear of
     margin_nodes = m0 + 4
-    settled = None          # start of the last period if its defect was under TOL_PULS
-    periodic = False        # c_hat came from the last period: step the next one at once
     c_hat = None
     diagnostics: dict = {"L": inst.L, "h": h, "dt": dt, "halfwidth": halfwidth,
                          "n_nodes": grid.n, "datum_rate": rate, "last_defect": None,
@@ -580,67 +578,66 @@ def compute_pulsating_front(inst: ProblemInstance, cfg: FrontRunConfig = FrontRu
     # the speed scale is a guess of c: its tails are not solved further
     state = _RunState(inst, grid, dt, rate, window_tails(
         inst, homog, math.copysign(c_scale, homog.i_fbar), m0, solve=False))
-    tails_at_c_hat = False
 
     def close():
         lo, hi = state.stepper.min_seen, state.stepper.max_seen
         diagnostics.update(t_final=state.t, excursion=excursion(lo, hi), range_seen=(lo, hi))
 
+    def fits(c):            # a whole period L/|c| fits the remaining budget
+        return c is not None and abs(c) * (budget.t_max - state.t) >= inst.L
+
     while state.t < budget.t_max:
-        if not periodic:
-            state.advance(min(SETTLE_TIME, budget.t_max - state.t))
-            state.recenter(level_position(grid.nodes, state.u))
-            c_hat = state.recent_speed(c_hat)
-        periodic = False
-        if c_hat is None:
-            continue
-        if abs(c_hat) < PIN_FLOOR * h:
+        # the chunk's level record, from the last sample before it
+        first = max(len(state.level_x) - 1, 0)
+        state.advance(min(SETTLE_TIME, budget.t_max - state.t))
+        state.recenter(level_position(grid.nodes, state.u))
+        seen = state.level_x[first:]
+        if seen and max(seen) - min(seen) < h:
             v, newton = state.pinned_state()
             diagnostics.update(newton)
-            if v is None:
-                continue            # not certified: keep stepping chunks
-            close()
-            diagnostics["stationary_residual"] = resid = newton["newton_residual"]
-            est = None
-            if len(state.level_t) >= MIN_LEVEL_SAMPLES:
-                est = measure_speed(state.level_t[-200:], state.level_x[-200:])
-            xi = grid.nodes[margin_nodes:-margin_nodes]
-            phi = np.repeat(v[margin_nodes:-margin_nodes, None], m0, axis=1)
-            return _front_from_lattice(0.0, xi, np.arange(m0) / m0, phi, resid,
-                                       est, diagnostics, state.stepper.tails, homog)
-        T = inst.L / abs(c_hat)
-        if state.t + T > budget.t_max:
-            continue                # keep evolving: the front may still pin
-        if not tails_at_c_hat:
+            if v is not None:
+                close()
+                diagnostics["stationary_residual"] = resid = newton["newton_residual"]
+                est = None
+                if len(state.level_t) >= MIN_LEVEL_SAMPLES:
+                    est = measure_speed(state.level_t[-200:], state.level_x[-200:])
+                xi = grid.nodes[margin_nodes:-margin_nodes]
+                phi = np.repeat(v[margin_nodes:-margin_nodes, None], m0, axis=1)
+                return _front_from_lattice(0.0, xi, np.arange(m0) / m0, phi, resid,
+                                           est, diagnostics, state.stepper.tails, homog)
+        c_hat = state.recent_speed(c_hat)
+        if fits(c_hat):
             state.stepper.set_tails(window_tails(inst, homog, c_hat, m0))
-            tails_at_c_hat = True
-        sgn = 1 if c_hat > 0 else -1
-        snaps = state.step_period(T, sgn)
-        T_star, defect, width = min_shift_defect(snaps, margin_nodes, sgn)
-        diagnostics["last_defect"] = defect
-        diagnostics["period_defects"].append(defect)
-        if defect < TOL_PULS and settled is not None:
-            c_period = sgn * inst.L / T
-            times = np.asarray(state.level_t)
-            xs = np.asarray(state.level_x)
-            keep = times >= min(settled, times[-MIN_LEVEL_SAMPLES])
-            # the two periods' mean length: the record since settled holds
-            # exactly two of them
-            base = measure_speed(times[keep], xs[keep], 0.5 * (times[-1] - settled))
-            est = replace(base, c_period=c_period, unc_period=abs(inst.L) * width / T**2)
-            try:
-                xi, ys, phi = extract_profile(snaps, c_period, margin_nodes)
-            except ValueError as exc:
-                diagnostics.update(t_final=state.t, reason="coverage", message=str(exc))
-                raise FrontNotConverged(f"profile extraction failed at t={state.t:.4g}: "
-                                        f"{exc}", diagnostics) from exc
-            close()
-            diagnostics["time_monotonicity_defect"] = snaps.time_monotonicity_defect()
-            return _front_from_lattice(c_period, xi, ys, phi, defect, est, diagnostics,
-                                       state.stepper.tails, homog)
-        settled = snaps.t0 if defect < TOL_PULS else None
-        periodic = T_star > 0.0
-        if periodic:
+        settled = None      # start of the last period if its defect was under TOL_PULS
+        while fits(c_hat):
+            T = inst.L / abs(c_hat)
+            sgn = 1 if c_hat > 0 else -1
+            snaps = state.step_period(T, sgn)
+            T_star, defect, width = min_shift_defect(snaps, margin_nodes, sgn)
+            diagnostics["last_defect"] = defect
+            diagnostics["period_defects"].append(defect)
+            if defect < TOL_PULS and settled is not None:
+                c_period = sgn * inst.L / T
+                times = np.asarray(state.level_t)
+                xs = np.asarray(state.level_x)
+                keep = times >= min(settled, times[-MIN_LEVEL_SAMPLES])
+                # the two periods' mean length: the record since settled holds
+                # exactly two of them
+                base = measure_speed(times[keep], xs[keep], 0.5 * (times[-1] - settled))
+                est = replace(base, c_period=c_period, unc_period=abs(inst.L) * width / T**2)
+                try:
+                    xi, ys, phi = extract_profile(snaps, c_period, margin_nodes)
+                except ValueError as exc:
+                    diagnostics.update(t_final=state.t, reason="coverage", message=str(exc))
+                    raise FrontNotConverged(f"profile extraction failed at t={state.t:.4g}: "
+                                            f"{exc}", diagnostics) from exc
+                close()
+                diagnostics["time_monotonicity_defect"] = snaps.time_monotonicity_defect()
+                return _front_from_lattice(c_period, xi, ys, phi, defect, est, diagnostics,
+                                           state.stepper.tails, homog)
+            settled = snaps.t0 if defect < TOL_PULS else None
+            if not T_star > 0.0:
+                break       # no period (T* <= 0, or nan where u_t vanished): chunks again
             c_hat = sgn * inst.L / T_star
 
     diagnostics["reason"] = "budget"

@@ -194,8 +194,8 @@ def _run_quench_scan(cfg, prefix):
     monotone = len(known) < 2 or all(b <= a + 1e-3 * max(known)
                                       for a, b in zip(known, known[1:]))
     lines.append(f"quench: |c| non-increasing along lambda: {monotone}")
-    # an inconclusive run that tried to certify a pinned front had |c_hat|
-    # below the pinning floor
+    # an inconclusive run that tried to certify a pinned front had a chunk
+    # whose half-level moved less than one node
     pinned = [f"{lam:.10g}" for (lam, rec) in zip(lams, recs)
               if rec.kind == fr.STATIONARY
               or (rec.kind == fr.INCONCLUSIVE and "newton_residual" in rec.evidence)]

@@ -274,12 +274,13 @@ class TestCliRuns:
 
     @pytest.mark.parametrize("key,value", [
         ("nodes_per_period", "0"), ("L", "-1"), ("L", "nan"), ("tail_floor", "2"),
-        ("tail_floor", "0"), ("budget", "-5"), ("L", "1e-300"),
+        ("tail_floor", "0"), ("budget", "-5"), ("L", "1e-300"), ("L", "1e300"),
     ])
     def test_out_of_range_numerics_exit_2(self, tmp_path, capsys, key, value):
         # each used to run: a division by zero, a failed instance, a clamped
-        # halfwidth, an Inconclusive row at t = 0 or a window of more than
-        # MAX_NODES nodes
+        # halfwidth, an Inconclusive row at t = 0, a window of more than
+        # MAX_NODES nodes or a spacing whose square overflowed (exit 1 once
+        # the output existed)
         p = tmp_path / "range.cfg"
         p.write_text(f"[profile]\nfamily = cubic\n\n[numerics]\n{key} = {value}\n")
         rc = cli.main(["front", "--config", str(p), "--out", str(tmp_path)])

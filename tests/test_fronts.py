@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -152,6 +153,17 @@ class TestWholePeriodMatching:
         assert defect < 1e-12
         assert abs(T_star - T) < 1e-10 * T
 
+    def test_stopped_front_has_no_period(self, homog_inst):
+        # a front that stopped leaves u_t = 0 at the end of the period: the
+        # projection finds no period instead of dividing by zero
+        snaps = pulsating_period(homog_inst, 0.25, 4.0)
+        snaps.U[-1] = snaps.U[-2]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            T_star, defect, width = fr.min_shift_defect(snaps, 68, 1)
+        assert math.isnan(T_star) and width == math.inf
+        assert defect == np.max(np.abs(snaps.shift_defect(68, 1)))
+
 
 def replica_loop_extract(snaps, c, margin_nodes):
     """The per-column replica loop that fronts.extract_profile replaced: for
@@ -272,8 +284,9 @@ def _one_chunk(inst, cfg=fr.FrontRunConfig()):
 
 
 class TestPinnedCertification:
-    """A front whose speed estimate falls below the pinning floor is called
-    Stationary by a Newton solve on the run's own window, not by waiting."""
+    """A front whose half-level moved less than one node over a chunk is
+    called Stationary by a Newton solve on the run's own window, not by
+    waiting."""
 
     @pytest.mark.parametrize("a", [pr.HarmonicCurve(1.0), pr.HarmonicCurve(2.0, 1.0)],
                              ids=["a=1", "a=2+cos"])
@@ -334,6 +347,42 @@ class TestPinnedCertification:
         d = err.value.diagnostics
         assert d["reason"] == "budget"
         assert d["newton_residual"] < 1e-10 and d["lambda1"] <= 1e-10
+
+
+class TestPinnedWithPositiveReactionIntegral:
+    """theta(y) = 0.45 + 0.2 cos 2 pi y on a = 1: int fbar = 1/120 > 0, yet
+    the front pins from L = 6 on, with a strictly stable pinned front."""
+
+    @pytest.fixture(scope="class")
+    def coeff(self):
+        return pr.CoefficientProfile.from_curve(pr.HarmonicCurve(1.0))
+
+    @pytest.fixture(scope="class")
+    def reaction(self):
+        return pr.make_cubic(pr.HarmonicCurve(0.45, 0.2))
+
+    def test_scan_propagates_then_pins(self, coeff, reaction):
+        # the L = 10 front stopped inside a period map, whose projection
+        # divided by u_t = 0 and crashed the whole scan
+        points = fr.scan_E(coeff, reaction, [1.0, 4.0, 6.0, 10.0], fr.FrontRunConfig(),
+                           fr.Budget(900.0))
+        kinds = [p.record.kind for p in points]
+        assert kinds == [fr.PROPAGATING] * 2 + [fr.STATIONARY] * 2
+        for p in points[2:]:
+            assert p.record.evidence["lambda1"] < 0.0
+            assert p.record.evidence["t_final"] <= 150.0
+
+    def test_large_period_certified_early(self, coeff, reaction):
+        # it used to wait for two period maps, until t = 476
+        inst = pr.ProblemInstance(coeff=coeff, reaction=reaction, L=20.0)
+        rec = fr.classify_quenching(inst, fr.FrontRunConfig(), fr.Budget(900.0))
+        assert rec.kind == fr.STATIONARY
+        assert rec.evidence["lambda1"] < 0.0
+        assert rec.evidence["t_final"] <= 150.0
+
+    def test_moving_front_tries_no_certificate(self, homog_front):
+        # the reference front's level moves by chunks, never less than a node
+        assert "newton_residual" not in homog_front.diagnostics
 
 
 class TestLimitFrontDatum:
