@@ -4,8 +4,9 @@ The datum is the limit front of the averaged equation, the logistic
 1/(1 + exp(kappa (x - x0))) with kappa from `limit_front_rate` (exact for the
 cubic class).  A pulsating front at small L stays close to it, and a run
 forgets its datum only at the exponential rate of the front's spectral gap,
-so starting near the front leaves little to forget.  Once the level record
-gives a speed estimate c_hat, the run iterates the period map
+so starting near the front leaves little to forget.  Once the half-level
+record has advanced a whole period L, in a time T, it gives the speed
+estimate c_hat = +-L/T, and the run iterates the period map
 `solver.Window.period`: a whole period T = L/|c_hat| in a multiple of the
 nodes per period of steps, storing the state every h/|c_hat|, then a slide
 by one period.  The front, tails included, is an attracting fixed point of
@@ -50,7 +51,6 @@ from .spectral import (_principal_banded, damped_newton, decay_eigenvalue, decay
 SETTLE_TIME = 10.0          # evolution chunk between checks
 MIN_LEVEL_SAMPLES = 20      # level samples behind a level-speed fit
 MIN_TAIL_EFOLDS = 3.0       # depth a tail fit must span
-SPEED_WINDOW = 2.0 * SETTLE_TIME   # shortest level record behind the speed estimate c_hat
 TOL_PULS = 1e-5             # acceptance tolerance on the pulsating defect
 MAX_HALFWIDTH = 150.0       # cap on default_halfwidth
 
@@ -462,19 +462,19 @@ class _RunState(Window):
         self.period(n, sgn, on_step, m)
         return SnapshotSeries(t0=t0, dt_snap=T / m0, U=U, grid=self.grid)
 
-    def recent_speed(self, c_prev: float | None):
-        """Level-fit speed over the last SPEED_WINDOW time units, or over two
-        periods L/|c_prev| of the previous estimate when they are longer; None
-        with fewer than 5 samples there."""
-        t = np.asarray(self.level_t)
-        x = np.asarray(self.level_x)
-        if len(t) < 5:
+    def recent_speed(self):
+        """+-L over the time the half-level record took to advance its last
+        whole period L, the crossing of x_end -+ L interpolated linearly
+        between the two samples around it, the sign the direction of advance;
+        None until the record has advanced a whole period."""
+        t, x, L = self.level_t, self.level_x, self.grid.L
+        behind = np.flatnonzero(np.abs(np.subtract(x, x[-1])) >= L) if x else ()
+        if len(behind) == 0:
             return None
-        window = max(SPEED_WINDOW, 2.0 * self.grid.L / abs(c_prev)) if c_prev else SPEED_WINDOW
-        keep = t >= t[-1] - window
-        if np.count_nonzero(keep) < 5:
-            return None
-        return fit_line(t[keep], x[keep])[0]
+        i = int(behind[-1])
+        sgn = 1.0 if x[-1] > x[i] else -1.0
+        t_cross = t[i] + (t[i + 1] - t[i]) * (x[-1] - sgn * L - x[i]) / (x[i + 1] - x[i])
+        return sgn * L / (t[-1] - t_cross)
 
     def pinned_state(self):
         """Damped Newton from u on the window's own steady problem: the
@@ -540,8 +540,10 @@ def compute_pulsating_front(inst: ProblemInstance, cfg: FrontRunConfig = FrontRu
     stationary front (speed 0), or the budget is spent (FrontNotConverged).
 
     The run alternates SETTLE_TIME chunks, each followed by a recenter and
-    a level-fit speed c_hat, with period maps of T = L/|c_hat| back to back
-    for as long as one fits the budget, each matched by one projection
+    the speed c_hat = +-L/T of the half-level record's last whole period
+    (_RunState.recent_speed; None, and another chunk, until the record has
+    advanced one), with period maps of T = L/|c_hat| back to back for as
+    long as one fits the budget, each matched by one projection
     (min_shift_defect) whose T* sets c_hat = +-L/T* for the next; a
     projection that finds no period (T* <= 0, or nan where the front stopped)
     returns the run to chunks.  The maps start with the window's ends on the
@@ -551,9 +553,9 @@ def compute_pulsating_front(inst: ProblemInstance, cfg: FrontRunConfig = FrontRu
     that period and c_level the slope of the level's means over the two
     periods.  After a chunk whose half-level moved less than one node h, the
     run tries to certify the front pinned (_RunState.pinned_state), and
-    returns Newton's steady state as the stationary front; a refused attempt
-    changes nothing, and the record keeps the last attempt's
-    newton_residual, newton_iterations and lambda1.
+    returns Newton's steady state as the stationary front, with no speed
+    estimate; a refused attempt changes nothing, and the record keeps the
+    last attempt's newton_residual, newton_iterations and lambda1.
     """
     if homog is None:
         homog = homogenized_data(inst.coeff, inst.reaction)
@@ -568,7 +570,6 @@ def compute_pulsating_front(inst: ProblemInstance, cfg: FrontRunConfig = FrontRu
     # the defect window and the lattice keep one period and 4 nodes from each
     # end; with the tails imposed there is no boundary layer to keep clear of
     margin_nodes = m0 + 4
-    c_hat = None
     diagnostics: dict = {"L": inst.L, "h": h, "dt": dt, "halfwidth": halfwidth,
                          "n_nodes": grid.n, "datum_rate": rate, "last_defect": None,
                          "period_defects": []}
@@ -598,14 +599,11 @@ def compute_pulsating_front(inst: ProblemInstance, cfg: FrontRunConfig = FrontRu
             if v is not None:
                 close()
                 diagnostics["stationary_residual"] = resid = newton["newton_residual"]
-                est = None
-                if len(state.level_t) >= MIN_LEVEL_SAMPLES:
-                    est = measure_speed(state.level_t[-200:], state.level_x[-200:])
                 xi = grid.nodes[margin_nodes:-margin_nodes]
                 phi = np.repeat(v[margin_nodes:-margin_nodes, None], m0, axis=1)
                 return _front_from_lattice(0.0, xi, np.arange(m0) / m0, phi, resid,
-                                           est, diagnostics, state.stepper.tails, homog)
-        c_hat = state.recent_speed(c_hat)
+                                           None, diagnostics, state.stepper.tails, homog)
+        c_hat = state.recent_speed()
         if fits(c_hat):
             state.stepper.set_tails(window_tails(inst, homog, c_hat, m0))
         settled = None      # start of the last period if its defect was under TOL_PULS
@@ -642,7 +640,7 @@ def compute_pulsating_front(inst: ProblemInstance, cfg: FrontRunConfig = FrontRu
 
     diagnostics["reason"] = "budget"
     diagnostics["t_final"] = state.t
-    diagnostics["c_hat"] = state.recent_speed(c_hat)
+    diagnostics["c_hat"] = state.recent_speed()
     diagnostics["stationary_residual"] = residual_stationary(grid, state.u, inst)
     raise FrontNotConverged(
         f"budget t_max={budget.t_max} exhausted at t={state.t:.4g} without meeting "
@@ -716,10 +714,8 @@ def classify_quenching(inst: ProblemInstance, cfg: FrontRunConfig = FrontRunConf
                                     evidence=dict(front.diagnostics), front=front)
     ev = dict(front.diagnostics)
     ev["pulsating_defect"] = front.pulsating_error
-    est = front.speed_estimate
-    if est is not None:
-        ev["c_level"] = est.c_level
-        ev["uncertainty"] = est.uncertainty
+    ev["c_level"] = front.speed_estimate.c_level
+    ev["uncertainty"] = front.speed_estimate.uncertainty
     return ClassificationRecord(kind=PROPAGATING, c=front.speed, evidence=ev,
                                 front=front)
 
@@ -733,7 +729,7 @@ class SweepPoint:
         rec = self.record
         est = rec.front.speed_estimate if rec.front is not None else None
         c_level = est.c_level if est is not None else math.nan
-        c_period = (est.c_period if est is not None and est.c_period is not None
+        c_period = (est.c_period if est is not None
                     else (0.0 if rec.kind == STATIONARY else math.nan))
         unc = est.uncertainty if est is not None else math.nan
         defect = rec.front.pulsating_error if rec.front is not None else math.nan

@@ -283,6 +283,10 @@ def _one_chunk(inst, cfg=fr.FrontRunConfig()):
     return state
 
 
+def _csv_fields(point):
+    return dict(zip(fr.SWEEP_CSV_HEADER.split(","), point.csv_row().split(",")))
+
+
 class TestPinnedCertification:
     """A front whose half-level moved less than one node over a chunk is
     called Stationary by a Newton solve on the run's own window, not by
@@ -322,6 +326,13 @@ class TestPinnedCertification:
     def pinned_inst(self):
         coeff = pr.CoefficientProfile.from_curve(pr.HarmonicCurve(1.0))
         return pr.ProblemInstance(coeff=coeff, reaction=pr.make_cubic(0.5), L=1.0)
+
+    def test_stationary_row_has_no_level_speed(self, pinned_inst):
+        rec = fr.classify_quenching(pinned_inst, fr.FrontRunConfig(), fr.Budget(300.0))
+        row = _csv_fields(fr.SweepPoint(L=pinned_inst.L, record=rec))
+        assert row["classification"] == fr.STATIONARY
+        assert float(row["c_period"]) == 0.0
+        assert math.isnan(float(row["c_level"])) and math.isnan(float(row["uncertainty"]))
 
     def test_positive_lambda1_stays_non_stationary(self, pinned_inst, monkeypatch):
         real = fr._principal_banded
@@ -378,7 +389,36 @@ class TestPinnedWithPositiveReactionIntegral:
         rec = fr.classify_quenching(inst, fr.FrontRunConfig(), fr.Budget(900.0))
         assert rec.kind == fr.STATIONARY
         assert rec.evidence["lambda1"] < 0.0
-        assert rec.evidence["t_final"] <= 150.0
+        assert rec.evidence["t_final"] <= 60.0
+
+    @pytest.mark.parametrize("L, c", [(5.0, 0.0523421), (5.5, 0.0339120)])
+    def test_stick_slip_front_accepted(self, coeff, reaction, L, c):
+        # the front sticks and slips within each period; a least-squares
+        # level fit over 10-20 units of that motion read c_hat from 0.02 to
+        # 0.12, and the run spent its budget
+        inst = pr.ProblemInstance(coeff=coeff, reaction=reaction, L=L)
+        rec = fr.classify_quenching(inst, fr.FrontRunConfig(), fr.Budget(900.0))
+        assert rec.kind == fr.PROPAGATING
+        assert abs(rec.c - c) < 1e-6
+
+    @pytest.mark.parametrize("L", [6.0, 10.0, 40.0])
+    def test_pinned_front_certified_by_t60(self, coeff, reaction, L):
+        # the first c_hat is the record's whole-period advance, so no period
+        # map runs at a speed read off the front's creep (t = 71 to 143)
+        inst = pr.ProblemInstance(coeff=coeff, reaction=reaction, L=L)
+        rec = fr.classify_quenching(inst, fr.FrontRunConfig(), fr.Budget(900.0))
+        assert rec.kind == fr.STATIONARY
+        assert rec.evidence["lambda1"] < 0.0
+        assert rec.evidence["t_final"] <= 60.0
+
+    def test_stationary_row_has_no_level_speed(self, coeff, reaction):
+        # the level's creep into its pinned position printed c_level 0.0028
+        # with uncertainty 1e-5 beside c_period 0
+        row = _csv_fields(fr.scan_E(coeff, reaction, [6.0], fr.FrontRunConfig(),
+                                    fr.Budget(900.0))[0])
+        assert row["classification"] == fr.STATIONARY
+        assert float(row["c_period"]) == 0.0
+        assert math.isnan(float(row["c_level"])) and math.isnan(float(row["uncertainty"]))
 
     def test_moving_front_tries_no_certificate(self, homog_front):
         # the reference front's level moves by chunks, never less than a node
@@ -473,16 +513,16 @@ class TestStoppingRule:
         assert abs(est.c_level - est.c_period) <= est.uncertainty
 
     def test_speed_fit_spans_two_periods(self, cos_coeff, monkeypatch):
-        # T = L/|c| is about 31 here, longer than SPEED_WINDOW: fitted over
-        # SPEED_WINDOW alone, c_hat swung with the front's phase (T^ from 26 to
-        # 63) and, from the steep datum of rate 0.5/h, the run spent its budget
+        # T = L/|c| is about 31 here, longer than SETTLE_TIME: a level fit
+        # over 20 time units swung with the front's phase (T^ from 26 to 63)
+        # and, from the steep datum of rate 0.5/h, the run spent its budget
         inst = pr.ProblemInstance(coeff=cos_coeff, reaction=pr.make_cubic(
             pr.HarmonicCurve(0.35, 0.1)), L=8.0)
         cfg = fr.FrontRunConfig(nodes_per_period=32)
         monkeypatch.setattr(fr, "limit_front_rate",
                             lambda homog: 0.5 * cfg.nodes_per_period / inst.L)
         front = fr.compute_pulsating_front(inst, cfg, fr.Budget(900.0))
-        assert 2.0 * inst.L / abs(front.speed) > fr.SPEED_WINDOW
+        assert inst.L / abs(front.speed) > fr.SETTLE_TIME
         assert front.pulsating_error < fr.TOL_PULS
         assert front.diagnostics["datum_rate"] == 2.0
 

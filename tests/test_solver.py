@@ -304,7 +304,7 @@ class TestChooseDt:
         rep = st.global_stability_experiment(
             homog_inst, homog_front, lambda x: homog_front.interp(x - 3.0 * L, x / L),
             fr.Budget(3.0))
-        assert rep.diagnostics["dt"].hex() == "0x1.c507a27470bc5p-7"
+        assert rep.diagnostics["dt"].hex() == "0x1.c507a2970a281p-7"
 
 
 def reference_step(inst, grid, dt, u):
