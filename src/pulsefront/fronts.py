@@ -26,7 +26,8 @@ end obeys the front's linear tail there (window_tails: the decay pair of the
 linearized tail operator on the window's own cells, solver.Tail), so no
 Dirichlet boundary layer bends the tails and the lattice keeps only one
 period and 4 nodes from each end; FrontSolution.interp continues the lattice
-past its ends by the same tails.
+past its ends by the same tails.  A front run reads fbar at its knots and
+integrates its level spline itself, so it loads no scipy.interpolate.
 """
 
 from __future__ import annotations
@@ -36,9 +37,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.linalg.lapack import dgtsv
-from scipy.optimize import minimize_scalar
 
 from .profiles import (HomogenizedData, ProblemInstance, characteristic_rates,
                        homogenized_data)
@@ -136,6 +135,7 @@ class SnapshotSeries:
 def _golden_min(f: Callable[[float], float], lo: float, hi: float, tol: float):
     """(x, f(x)) at the minimum of a unimodal f on [lo, hi] by bounded Brent
     (golden section with parabolic steps), x to within tol + 2 sqrt(eps) |x|."""
+    from scipy.optimize import minimize_scalar
     res = minimize_scalar(f, bounds=(lo, hi), method="bounded", options={"xatol": tol})
     return float(res.x), float(res.fun)
 
@@ -169,10 +169,7 @@ class SpeedEstimate:
 
     @property
     def uncertainty(self) -> float:
-        u = self.unc_level
-        if self.unc_period is not None:
-            u += self.unc_period
-        return u
+        return self.unc_level + (self.unc_period or 0.0)
 
 
 def fit_line(x: np.ndarray, y: np.ndarray):
@@ -190,17 +187,33 @@ def fit_line(x: np.ndarray, y: np.ndarray):
     return c, stderr
 
 
+def spline_integral(t: np.ndarray, x: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Integral from t[0] to each end of SciPy's not-a-knot CubicSpline
+    through at least 4 samples (t, x), its node slopes s by one dgtsv."""
+    h, m = np.diff(t), np.diff(x) / np.diff(t)
+    d0, d1 = t[2] - t[0], t[-1] - t[-3]
+    b = np.r_[((h[0] + 2 * d0) * h[1] * m[0] + h[0] ** 2 * m[1]) / d0,
+              3 * (h[1:] * m[:-1] + h[:-1] * m[1:]),
+              (h[-1] ** 2 * m[-2] + (2 * d1 + h[-1]) * h[-2] * m[-1]) / d1]
+    s = dgtsv(np.r_[h[1:], d1], np.r_[h[1], 2 * (h[:-1] + h[1:]), h[-2]], np.r_[d0, h[:-1]], b)[3]
+    q = (s[:-1] + s[1:] - 2 * m) / h      # on [t_i, t_i+1]: x_i + s_i r + c2 r^2 + c3 r^3
+    c2, c3 = (m - s[:-1]) / h - q, q / h
+    piece = lambda i, r: r * (x[i] + r * (s[i] / 2 + r * (c2[i] / 3 + r * c3[i] / 4)))
+    i = np.clip(np.searchsorted(t, ends, "right") - 1, 0, len(h) - 1)
+    return np.r_[0.0, np.cumsum(piece(np.arange(len(h)), h))][i] + piece(i, ends - t[i])
+
+
 def period_mean_slope(times: np.ndarray, positions: np.ndarray, period: float):
     """Least-squares slope of the means of the position over the k whole
     periods that end at the last sample, or None when the record holds fewer
     than two.  A pulsating position c t + p(t), p of that period, has the mean
     c t_mid + const over every period, so the slope is c up to sampling error.
-    Each mean integrates the cubic spline through the samples."""
+    Each mean integrates the cubic spline through the samples (spline_integral)."""
     k = int((times[-1] - times[0]) // period)
     if k < 2:
         return None
     ends = times[-1] - period * np.arange(k, -1, -1)
-    means = np.diff(CubicSpline(times, positions).antiderivative()(ends)) / period
+    means = np.diff(spline_integral(times, positions, ends)) / period
     return fit_line(ends[:-1] + 0.5 * period, means)[0]
 
 
@@ -215,11 +228,8 @@ def measure_speed(times: Sequence[float], positions: Sequence[float],
     if len(times) < MIN_LEVEL_SAMPLES:
         raise ValueError(f"need at least {MIN_LEVEL_SAMPLES} level samples, got {len(times)}")
     c_level, stderr = fit_line(times, positions)
-    if period is not None:
-        c_means = period_mean_slope(times, positions, period)
-        if c_means is not None:
-            c_level = c_means
-    return SpeedEstimate(c_level=c_level, c_period=None,
+    c_means = None if period is None else period_mean_slope(times, positions, period)
+    return SpeedEstimate(c_level=c_level if c_means is None else c_means, c_period=None,
                          unc_level=stderr + 1e-12, unc_period=None)
 
 
@@ -351,12 +361,11 @@ def speed_scale(homog: HomogenizedData) -> float:
     The asymmetry ratio |int fbar| / int |fbar| is scale-free, so the estimate
     tracks reaction amplitude as sqrt(S) like the true speed does.
     """
-    u = np.linspace(0.0, 1.0, 513)
-    fv = np.abs(np.asarray(homog.fbar(u), dtype=float))
+    fv = np.abs(homog.fbar.values)
     s = float(np.max(fv))
     if s <= 0.0:
         return 0.0
-    total = float(np.trapezoid(fv, u))
+    total = float(np.trapezoid(fv, homog.fbar.u_grid))
     asym = abs(homog.i_fbar) / max(total, 1e-30)
     return math.sqrt(2.0 * homog.a_h * s) * min(asym, 1.0)
 
@@ -696,12 +705,13 @@ class ClassificationRecord:
 
 
 def classify_quenching(inst: ProblemInstance, cfg: FrontRunConfig = FrontRunConfig(),
-                       budget: Budget = Budget()) -> ClassificationRecord:
+                       budget: Budget = Budget(),
+                       homog: HomogenizedData | None = None) -> ClassificationRecord:
     """Three-way outcome of the front computation with the evidence attached.
 
     A solver failure becomes an Inconclusive record with reason "solver"."""
     try:
-        front = compute_pulsating_front(inst, cfg, budget)
+        front = compute_pulsating_front(inst, cfg, budget, homog=homog)
     except FrontNotConverged as exc:
         return ClassificationRecord(kind=INCONCLUSIVE, c=None,
                                     evidence=dict(exc.diagnostics), front=None)
@@ -746,20 +756,21 @@ SWEEP_CSV_HEADER = ("L,classification,c_level,c_period,uncertainty,"
 
 
 def _scan_one(args):
-    coeff, reaction, L, cfg, budget = args
+    coeff, reaction, L, cfg, budget, homog = args
     inst = ProblemInstance(coeff=coeff, reaction=reaction, L=L)
-    return SweepPoint(L=L, record=classify_quenching(inst, cfg, budget))
+    return SweepPoint(L=L, record=classify_quenching(inst, cfg, budget, homog))
 
 
 def scan_E(coeff, reaction, L_grid: Sequence[float],
            cfg: FrontRunConfig = FrontRunConfig(), budget: Budget = Budget(),
            workers: int = 1) -> list[SweepPoint]:
     """Classify each period in the increasing L grid; per-point failures become
-    Inconclusive records and the scan continues."""
+    Inconclusive records and the scan continues; all read one HomogenizedData."""
     Ls = list(L_grid)
     if any(l2 <= l1 for l1, l2 in zip(Ls, Ls[1:])):
         raise ValueError("L grid must be strictly increasing")
-    jobs = [(coeff, reaction, L, cfg, budget) for L in Ls]
+    homog = homogenized_data(coeff, reaction)
+    jobs = [(coeff, reaction, L, cfg, budget, homog) for L in Ls]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -15,12 +15,9 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
 
 from .profiles import HomogenizedData, ProblemInstance, characteristic_rates
 from .fronts import (Budget, FrontNotConverged, FrontRunConfig, FrontSolution,
@@ -50,7 +47,7 @@ class HomogenizedFront:
     lambda2: float
     A1: float
     A2: float
-    _spline: CubicSpline
+    _spline: Callable
 
     def __call__(self, xi):
         """Profile sampler with analytic exponential tails outside the core."""
@@ -60,6 +57,13 @@ class HomogenizedFront:
         right = self.A1 * np.exp(-self.lambda1 * xi)
         return np.where(xi < self.xi[0], left,
                         np.where(xi > self.xi[-1], right, inner))
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported at the call, as every CLI run imports
+    this module; the shooting calls this global, which the benchmark wraps."""
+    from scipy.integrate import solve_ivp
+    return solve_ivp(*args, **kwargs)
 
 
 def _saddle_orbit(homog: HomogenizedData, c: float, xi_max: float, level: float,
@@ -98,6 +102,7 @@ def solve_homogenized_front(homog: HomogenizedData) -> HomogenizedFront:
     The profile is normalized by phi0(0) = 1/2; repeated solves are bitwise
     identical.
     """
+    from scipy.optimize import brentq
     if not (homog.slope0 < 0.0 and homog.slope1 < 0.0):
         raise ValueError("need fbar'(0) < 0 and fbar'(1) < 0")
     if len(homog.theta_bar) == 0:
@@ -143,6 +148,8 @@ def solve_homogenized_front(homog: HomogenizedData) -> HomogenizedFront:
 
 
 def _assemble_front(homog: HomogenizedData, c0: float, sol) -> HomogenizedFront:
+    from scipy.interpolate import CubicSpline
+    from scipy.optimize import brentq
     l1, l2 = characteristic_rates(homog.a_h, c0, homog.slope0, homog.slope1)
     # keep the trajectory while it still heads monotonically from 1 to 0
     t_end = sol.t[-1]
@@ -161,9 +168,7 @@ def _assemble_front(homog: HomogenizedData, c0: float, sol) -> HomogenizedFront:
     # normalize phi(0) = 1/2
     i_half = int(np.argmin(np.abs(phi - 0.5)))
     spl = CubicSpline(ts, phi - 0.5)
-    lo = max(0, i_half - 5)
-    hi = min(len(ts) - 1, i_half + 5)
-    shift = brentq(spl, ts[lo], ts[hi])
+    shift = brentq(spl, ts[max(0, i_half - 5)], ts[min(len(ts) - 1, i_half + 5)])
     xi = ts - shift
     A1 = float(phi[-1] * math.exp(l1 * xi[-1]))
     A2 = float((1.0 - phi[0]) * math.exp(-l2 * xi[0]))

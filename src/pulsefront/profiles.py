@@ -17,13 +17,13 @@ the reaction, its integral over [0, 1], and the periodic corrector chi solving
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 
 class ProfileError(ValueError):
@@ -66,6 +66,7 @@ class TabulatedPeriodicCurve:
         # close the period so the spline sees matching endpoint values
         yy = np.concatenate([y, [y[0] + 1.0]])
         vv = np.concatenate([values, [values[0]]])
+        from scipy.interpolate import CubicSpline
         self._spline = CubicSpline(yy, vv, bc_type="periodic")
         self._dspline = self._spline.derivative()
 
@@ -334,16 +335,22 @@ def harmonic_mean(coeff: CoefficientProfile) -> float:
 
 
 class FbarCurve:
-    """x-average of the reaction as a function of u, linear outside [0, 1]."""
+    """x-average of the reaction as a function of u, linear outside [0, 1]; its
+    spline is built at the first call, as a front run reads only the values."""
 
     def __init__(self, u_grid, values, slope0, slope1):
         self.u_grid = np.asarray(u_grid, dtype=float)
         self.values = np.asarray(values, dtype=float)
         self.slope0 = float(slope0)
         self.slope1 = float(slope1)
-        self._spline = CubicSpline(self.u_grid, self.values)
         self._knots = self.u_grid.tolist()
-        self._coefs = self._spline.c.T.tolist()
+
+    @functools.cached_property
+    def _spline(self):
+        from scipy.interpolate import CubicSpline
+        return CubicSpline(self.u_grid, self.values)
+
+    _coefs = functools.cached_property(lambda self: self._spline.c.T.tolist())
 
     def __call__(self, u):
         u = np.asarray(u, dtype=float)
@@ -381,8 +388,8 @@ def fbar_and_integral(reaction: ReactionProfile, quad_n: int = QUAD_N):
     """Return (fbar curve, integral of fbar over [0, 1]) by Simpson quadrature
     with an even number quad_n of intervals in y.
 
-    The y-sum runs over blocks of nu + 1 rows with the running sum added to
-    each block's first row, so it is the one sequential sum over all rows of
+    The y-sum runs over blocks of 128 rows (0.5 MB) with the running sum added
+    to each block's first row, so it is the one sequential sum over all rows of
     _simpson without the (quad_n + 1) x (nu + 1) array and its weighted copy."""
     y = np.linspace(0.0, 1.0, quad_n + 1)
     nu = 512
@@ -391,9 +398,9 @@ def fbar_and_integral(reaction: ReactionProfile, quad_n: int = QUAD_N):
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     total = None
-    for k in range(0, quad_n + 1, nu + 1):
-        block = np.multiply(reaction.f(y[k:k + nu + 1, None], u[None, :]),
-                            w[k:k + nu + 1, None], dtype=float)
+    for k in range(0, quad_n + 1, 128):
+        block = np.multiply(reaction.f(y[k:k + 128, None], u[None, :]),
+                            w[k:k + 128, None], dtype=float)
         if total is not None:
             block[0] += total
         total = np.sum(block, axis=0)
@@ -405,7 +412,7 @@ def fbar_and_integral(reaction: ReactionProfile, quad_n: int = QUAD_N):
     return fbar, i_fbar
 
 
-class CorrectorCurve:
+class CorrectorCurve(TabulatedPeriodicCurve):
     """Periodic corrector chi with chi(0) = 0 and chi'(y) = a_H / a(y) - 1."""
 
     def __init__(self, coeff: CoefficientProfile, a_h: float):
@@ -416,10 +423,7 @@ class CorrectorCurve:
         from scipy.integrate import cumulative_simpson
         chi = np.concatenate([[0.0], cumulative_simpson(dchi, x=y)])
         chi = chi - chi[-1] * y  # remove the tiny quadrature drift so chi is 1-periodic
-        self._spline = CubicSpline(y, chi, bc_type="periodic")
-
-    def __call__(self, y):
-        return self._spline(np.mod(y, 1.0))
+        super().__init__(y[:-1], chi[:-1])   # the periodic spline through (y, chi)
 
     def deriv(self, y):
         return self._a_h / np.asarray(self._coeff.a(y), dtype=float) - 1.0
@@ -432,12 +436,13 @@ def corrector_chi(coeff: CoefficientProfile, a_h: float) -> CorrectorCurve:
 
 @dataclass(frozen=True)
 class HomogenizedData:
-    """Averaged quantities of an instance: a_H, fbar, its integral and zeros."""
+    """Averaged quantities of an instance: a_H, fbar, its integral and its
+    zeros theta_bar, found when first read (only the shooting solve reads them)."""
 
     a_h: float
     fbar: FbarCurve
     i_fbar: float
-    theta_bar: tuple
+    theta_bar = functools.cached_property(lambda self: self.fbar.zeros_inside())
 
     @property
     def slope0(self) -> float:
@@ -453,8 +458,7 @@ def homogenized_data(coeff: CoefficientProfile, reaction: ReactionProfile) -> Ho
     fbar, i_fbar = fbar_and_integral(reaction)
     if not (fbar.slope0 < 0.0 and fbar.slope1 < 0.0):
         raise ProfileError("averaged reaction must have negative slopes at 0 and 1")
-    return HomogenizedData(a_h=a_h, fbar=fbar, i_fbar=i_fbar,
-                           theta_bar=fbar.zeros_inside())
+    return HomogenizedData(a_h=a_h, fbar=fbar, i_fbar=i_fbar)
 
 
 def characteristic_rates(a_h: float, c: float, slope0: float, slope1: float):

@@ -1,6 +1,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -515,6 +517,26 @@ def test_quench_scan_lists_newton_attempts_as_pinning_evidence(tmp_path, monkeyp
                        "quench-scan")
     res = runner.run_scenario(cfg, str(tmp_path))
     assert "quench: pinning evidence at lambda = 4" in res.summary_lines
+
+
+def test_front_path_loads_no_interpolate_optimize_integrate(tmp_path):
+    # a front run reads fbar only at its knots and takes the level's period
+    # means without a spline; eigen and decay read no fbar at all
+    code = ("import json, sys\n"
+            "from pulsefront import cli\n"
+            "for args in json.loads(sys.argv[1]):\n"
+            "    assert cli.main(args) == 0, args\n"
+            "print(sorted(m for m in ('scipy.interpolate', 'scipy.optimize',"
+            " 'scipy.integrate') if m in sys.modules))\n")
+    runs = [[name, "--config", os.path.join(REPO, "configs", cfg), "--out", str(tmp_path / name)]
+            for name, cfg in (("front", "front_homogeneous.cfg"),
+                              ("eigen", "eigen_trace.cfg"), ("decay", "front_homogeneous.cfg"))]
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src") + (os.pathsep + path if path else ""))
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(runs)], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_help_lists_scenarios(capsys):

@@ -115,6 +115,25 @@ class TestMeasureSpeed:
         assert fr.period_mean_slope(t, x, 1.0) is None
         assert fr.measure_speed(t, x, 1.0).c_level == fr.fit_line(t, x)[0]
 
+    @pytest.mark.parametrize("jitter", [0.0, 0.2], ids=["aligned", "off-sample"])
+    def test_period_means_are_the_spline_means(self, jitter):
+        # the period means integrate scipy's not-a-knot spline through the
+        # samples, whether the period ends fall on samples (a period of 40
+        # steps) or between jittered ones
+        from scipy.interpolate import CubicSpline
+        dt, T = 0.05, 2.0
+        t = dt * (np.arange(170) + np.random.default_rng(3).uniform(-jitter, jitter, 170))
+        x = 0.3 * t + 0.1 * np.sin(2 * np.pi * t / T)
+        k = int((t[-1] - t[0]) // T)
+        ends = t[-1] - T * np.arange(k, -1, -1)
+        gaps = np.abs(ends[:, None] - t).min(axis=1)
+        assert np.all(gaps < 1e-12) if not jitter else np.all(gaps[:-1] > 1e-3)
+        new = np.diff(fr.spline_integral(t, x, ends)) / T
+        ref = np.diff(CubicSpline(t, x).antiderivative()(ends)) / T
+        assert np.max(np.abs(new - ref)) < 1e-12
+        slope = fr.fit_line(ends[:-1] + 0.5 * T, ref)[0]
+        assert abs(fr.period_mean_slope(t, x, T) - slope) < 1e-12
+
 
 
 def pulsating_period(inst, c, T_hat, m0=64):
@@ -795,6 +814,19 @@ class TestScan:
         assert all(p.record.kind == fr.INCONCLUSIVE for p in pts)
         assert all(p.record.evidence["reason"] == "coverage" for p in pts)
         assert all("coverage" in p.record.evidence["message"] for p in pts)
+
+    def test_homogenized_data_computed_once(self, homog_inst, monkeypatch):
+        # the homogenized data do not depend on L: a 3-period scan computes
+        # them once, and its rows are those of the periods run one by one
+        grid, cfg, budget = [0.5, 1.0, 2.0], fr.FrontRunConfig(), fr.Budget(300.0)
+        alone = [fr.SweepPoint(L=L, record=fr.classify_quenching(
+                     dataclasses.replace(homog_inst, L=L), cfg, budget)).csv_row()
+                 for L in grid]
+        calls, hd = [], fr.homogenized_data
+        monkeypatch.setattr(fr, "homogenized_data", lambda *a: calls.append(a) or hd(*a))
+        pts = fr.scan_E(homog_inst.coeff, homog_inst.reaction, grid, cfg, budget)
+        assert len(calls) == 1
+        assert [p.csv_row() for p in pts] == alone
 
     def test_empty_grid(self, homog_inst):
         assert fr.scan_E(homog_inst.coeff, homog_inst.reaction, [],

@@ -18,8 +18,7 @@ def quintic_homog(zeros):
     u = np.linspace(0.0, 1.0, 513)
     fbar = pr.FbarCurve(u, f(u), f.deriv()(0.0), f.deriv()(1.0))
     return pr.HomogenizedData(a_h=1.0, fbar=fbar,
-                              i_fbar=float(f.integ()(1.0) - f.integ()(0.0)),
-                              theta_bar=fbar.zeros_inside())
+                              i_fbar=float(f.integ()(1.0) - f.integ()(0.0)))
 
 
 def homogenized_decay_rates(front, homog):
@@ -62,8 +61,7 @@ class TestShooting:
         u = np.linspace(0.0, 1.0, 513)
         fbar = pr.FbarCurve(u, f(u), f.deriv()(0.0), f.deriv()(1.0))
         F = f.integ()
-        hd = pr.HomogenizedData(a_h=1.0, fbar=fbar, i_fbar=float(F(1.0) - F(0.0)),
-                                theta_bar=fbar.zeros_inside())
+        hd = pr.HomogenizedData(a_h=1.0, fbar=fbar, i_fbar=float(F(1.0) - F(0.0)))
         front = hg.solve_homogenized_front(hd)
         assert front.c0 == 0.0
         assert np.all(np.diff(front.phi) < 0.0)

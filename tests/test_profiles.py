@@ -275,6 +275,18 @@ class TestFbar:
         assert len(zeros) == 1
         assert zeros[0] == pytest.approx(0.3, abs=1e-9)
 
+    @pytest.mark.parametrize("theta", [0.3, pr.HarmonicCurve(0.45, 0.2)],
+                             ids=["constant", "cosine"])
+    def test_block_sum_is_the_whole_table_simpson(self, theta):
+        # the blocked running sum adds the rows in the order of _simpson's
+        # one sum over the whole (y, u) table, so the values are bitwise equal
+        rx = pr.make_cubic(theta)
+        fbar, _ = pr.fbar_and_integral(rx)
+        y = np.linspace(0.0, 1.0, pr.QUAD_N + 1)
+        table = rx.f(y[:, None], fbar.u_grid[None, :])
+        whole = pr._simpson(table, 1.0 / pr.QUAD_N, axis=0)
+        assert np.array_equal(fbar.values.view(np.uint64), whole.view(np.uint64))
+
 
 class TestCorrector:
     def test_constant_coefficient_gives_zero(self):
