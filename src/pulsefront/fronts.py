@@ -18,22 +18,23 @@ window's own discrete steady problem certifies the front pinned (tried after
 a chunk whose half-level moved less than one node; a slow propagating front
 stalls far above its round-off floor), or when the budget runs out
 (inconclusive, never silently a front).  Speeds are measured two ways: L/T
-of the accepted period, and the slope of the half-level position's means
-over the two accepted periods.  The profile phi(xi, y) is read from the
-stored period: node x shows phi(xi, x/L) at t = (x - xi)/c, a stored row.
+of the accepted period, and L over the time the half-level took to advance
+its last whole period (measure_speed, the rule of the first c_hat).  The
+profile phi(xi, y) is read from the stored period: node x shows
+phi(xi, x/L) at t = (x - xi)/c, a stored row.
 The window ends where the front's slower tail is tail_floor deep, and each
 end obeys the front's linear tail there (window_tails: the decay pair of the
 linearized tail operator on the window's own cells, solver.Tail), so no
 Dirichlet boundary layer bends the tails and the lattice keeps only one
 period and 4 nodes from each end; FrontSolution.interp continues the lattice
-past its ends by the same tails.  A front run reads fbar at its knots and
-integrates its level spline itself, so it loads no scipy.interpolate.
+past its ends by the same tails.  A front run reads fbar only at its
+knots, so it loads no scipy.interpolate.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -48,7 +49,7 @@ from .spectral import (_principal_banded, damped_newton, decay_eigenvalue, decay
                        newton_floor)
 
 SETTLE_TIME = 10.0          # evolution chunk between checks
-MIN_LEVEL_SAMPLES = 20      # level samples behind a level-speed fit
+MIN_LEVEL_SAMPLES = 20      # fewest level samples behind unc_level's line fit
 MIN_TAIL_EFOLDS = 3.0       # depth a tail fit must span
 TOL_PULS = 1e-5             # acceptance tolerance on the pulsating defect
 MAX_HALFWIDTH = 150.0       # cap on default_halfwidth
@@ -163,13 +164,13 @@ def min_shift_defect(snaps: SnapshotSeries, margin_nodes: int, shift: int = 1):
 @dataclass(frozen=True)
 class SpeedEstimate:
     c_level: float
-    c_period: float | None
+    c_period: float
     unc_level: float
-    unc_period: float | None
+    unc_period: float
 
     @property
     def uncertainty(self) -> float:
-        return self.unc_level + (self.unc_period or 0.0)
+        return self.unc_level + self.unc_period
 
 
 def fit_line(x: np.ndarray, y: np.ndarray):
@@ -187,50 +188,21 @@ def fit_line(x: np.ndarray, y: np.ndarray):
     return c, stderr
 
 
-def spline_integral(t: np.ndarray, x: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Integral from t[0] to each end of SciPy's not-a-knot CubicSpline
-    through at least 4 samples (t, x), its node slopes s by one dgtsv."""
-    h, m = np.diff(t), np.diff(x) / np.diff(t)
-    d0, d1 = t[2] - t[0], t[-1] - t[-3]
-    b = np.r_[((h[0] + 2 * d0) * h[1] * m[0] + h[0] ** 2 * m[1]) / d0,
-              3 * (h[1:] * m[:-1] + h[:-1] * m[1:]),
-              (h[-1] ** 2 * m[-2] + (2 * d1 + h[-1]) * h[-2] * m[-1]) / d1]
-    s = dgtsv(np.r_[h[1:], d1], np.r_[h[1], 2 * (h[:-1] + h[1:]), h[-2]], np.r_[d0, h[:-1]], b)[3]
-    q = (s[:-1] + s[1:] - 2 * m) / h      # on [t_i, t_i+1]: x_i + s_i r + c2 r^2 + c3 r^3
-    c2, c3 = (m - s[:-1]) / h - q, q / h
-    piece = lambda i, r: r * (x[i] + r * (s[i] / 2 + r * (c2[i] / 3 + r * c3[i] / 4)))
-    i = np.clip(np.searchsorted(t, ends, "right") - 1, 0, len(h) - 1)
-    return np.r_[0.0, np.cumsum(piece(np.arange(len(h)), h))][i] + piece(i, ends - t[i])
-
-
-def period_mean_slope(times: np.ndarray, positions: np.ndarray, period: float):
-    """Least-squares slope of the means of the position over the k whole
-    periods that end at the last sample, or None when the record holds fewer
-    than two.  A pulsating position c t + p(t), p of that period, has the mean
-    c t_mid + const over every period, so the slope is c up to sampling error.
-    Each mean integrates the cubic spline through the samples (spline_integral)."""
-    k = int((times[-1] - times[0]) // period)
-    if k < 2:
+def measure_speed(times: Sequence[float], positions: Sequence[float], L: float):
+    """+-L over the time the level record took to advance its last whole
+    period L, the crossing of x_end -+ L interpolated linearly between the
+    two samples around it, the sign the direction of advance; None until the
+    record has advanced a whole period.  A pulsating position c t + p(t), p
+    of period T = L/|c|, crosses x_end -+ L exactly T before the end, so
+    this is c up to the interpolation over that one gap."""
+    t, x = np.asarray(times, dtype=float), np.asarray(positions, dtype=float)
+    behind = np.flatnonzero(np.abs(x - x[-1]) >= L) if x.size else ()
+    if len(behind) == 0:
         return None
-    ends = times[-1] - period * np.arange(k, -1, -1)
-    means = np.diff(spline_integral(times, positions, ends)) / period
-    return fit_line(ends[:-1] + 0.5 * period, means)[0]
-
-
-def measure_speed(times: Sequence[float], positions: Sequence[float],
-                  period: float | None = None) -> SpeedEstimate:
-    """Speed from the level trajectory: the slope of its period means when a
-    period is given and the record spans two of them, else the least-squares
-    slope.  The uncertainty is the least-squares standard error either way.
-    The period estimate is added by the front run from its last period."""
-    times = np.asarray(times, dtype=float)
-    positions = np.asarray(positions, dtype=float)
-    if len(times) < MIN_LEVEL_SAMPLES:
-        raise ValueError(f"need at least {MIN_LEVEL_SAMPLES} level samples, got {len(times)}")
-    c_level, stderr = fit_line(times, positions)
-    c_means = None if period is None else period_mean_slope(times, positions, period)
-    return SpeedEstimate(c_level=c_level if c_means is None else c_means, c_period=None,
-                         unc_level=stderr + 1e-12, unc_period=None)
+    i = int(behind[-1])
+    sgn = 1.0 if x[-1] > x[i] else -1.0
+    t_cross = t[i] + (t[i + 1] - t[i]) * (x[-1] - sgn * L - x[i]) / (x[i + 1] - x[i])
+    return float(sgn * L / (t[-1] - t_cross))
 
 
 # ---------------------------------------------------------------------------
@@ -471,20 +443,6 @@ class _RunState(Window):
         self.period(n, sgn, on_step, m)
         return SnapshotSeries(t0=t0, dt_snap=T / m0, U=U, grid=self.grid)
 
-    def recent_speed(self):
-        """+-L over the time the half-level record took to advance its last
-        whole period L, the crossing of x_end -+ L interpolated linearly
-        between the two samples around it, the sign the direction of advance;
-        None until the record has advanced a whole period."""
-        t, x, L = self.level_t, self.level_x, self.grid.L
-        behind = np.flatnonzero(np.abs(np.subtract(x, x[-1])) >= L) if x else ()
-        if len(behind) == 0:
-            return None
-        i = int(behind[-1])
-        sgn = 1.0 if x[-1] > x[i] else -1.0
-        t_cross = t[i] + (t[i + 1] - t[i]) * (x[-1] - sgn * L - x[i]) / (x[i + 1] - x[i])
-        return sgn * L / (t[-1] - t_cross)
-
     def pinned_state(self):
         """Damped Newton from u on the window's own steady problem: the
         Stepper's interior operator (end rows eliminated by the tails) plus f.
@@ -550,8 +508,8 @@ def compute_pulsating_front(inst: ProblemInstance, cfg: FrontRunConfig = FrontRu
 
     The run alternates SETTLE_TIME chunks, each followed by a recenter and
     the speed c_hat = +-L/T of the half-level record's last whole period
-    (_RunState.recent_speed; None, and another chunk, until the record has
-    advanced one), with period maps of T = L/|c_hat| back to back for as
+    (measure_speed; None, and another chunk, until the record has advanced
+    one), with period maps of T = L/|c_hat| back to back for as
     long as one fits the budget, each matched by one projection
     (min_shift_defect) whose T* sets c_hat = +-L/T* for the next; a
     projection that finds no period (T* <= 0, or nan where the front stopped)
@@ -559,9 +517,11 @@ def compute_pulsating_front(inst: ProblemInstance, cfg: FrontRunConfig = FrontRu
     linear tails (window_tails) at their first c_hat, the chunks before them
     at the speed scale.  The run is accepted at the second period in a row
     whose one-period difference is below TOL_PULS, with c_period = +-L/T of
-    that period and c_level the slope of the level's means over the two
-    periods.  After a chunk whose half-level moved less than one node h, the
-    run tries to certify the front pinned (_RunState.pinned_state), and
+    that period and c_level the record's last whole-period speed, the c_hat
+    rule; unc_level is the standard error of the level's line fit since the
+    two periods began (at least MIN_LEVEL_SAMPLES samples).  After a chunk
+    whose half-level moved less than one node h, the run tries to certify
+    the front pinned (_RunState.pinned_state), and
     returns Newton's steady state as the stationary front, with no speed
     estimate; a refused attempt changes nothing, and the record keeps the
     last attempt's newton_residual, newton_iterations and lambda1.
@@ -612,7 +572,7 @@ def compute_pulsating_front(inst: ProblemInstance, cfg: FrontRunConfig = FrontRu
                 phi = np.repeat(v[margin_nodes:-margin_nodes, None], m0, axis=1)
                 return _front_from_lattice(0.0, xi, np.arange(m0) / m0, phi, resid,
                                            None, diagnostics, state.stepper.tails, homog)
-        c_hat = state.recent_speed()
+        c_hat = measure_speed(state.level_t, state.level_x, inst.L)
         if fits(c_hat):
             state.stepper.set_tails(window_tails(inst, homog, c_hat, m0))
         settled = None      # start of the last period if its defect was under TOL_PULS
@@ -625,13 +585,11 @@ def compute_pulsating_front(inst: ProblemInstance, cfg: FrontRunConfig = FrontRu
             diagnostics["period_defects"].append(defect)
             if defect < TOL_PULS and settled is not None:
                 c_period = sgn * inst.L / T
-                times = np.asarray(state.level_t)
-                xs = np.asarray(state.level_x)
+                times, xs = np.asarray(state.level_t), np.asarray(state.level_x)
                 keep = times >= min(settled, times[-MIN_LEVEL_SAMPLES])
-                # the two periods' mean length: the record since settled holds
-                # exactly two of them
-                base = measure_speed(times[keep], xs[keep], 0.5 * (times[-1] - settled))
-                est = replace(base, c_period=c_period, unc_period=abs(inst.L) * width / T**2)
+                est = SpeedEstimate(c_level=measure_speed(times, xs, inst.L), c_period=c_period,
+                                    unc_level=fit_line(times[keep], xs[keep])[1] + 1e-12,
+                                    unc_period=abs(inst.L) * width / T**2)
                 try:
                     xi, ys, phi = extract_profile(snaps, c_period, margin_nodes)
                 except ValueError as exc:
@@ -649,7 +607,7 @@ def compute_pulsating_front(inst: ProblemInstance, cfg: FrontRunConfig = FrontRu
 
     diagnostics["reason"] = "budget"
     diagnostics["t_final"] = state.t
-    diagnostics["c_hat"] = state.recent_speed()
+    diagnostics["c_hat"] = measure_speed(state.level_t, state.level_x, inst.L)
     diagnostics["stationary_residual"] = residual_stationary(grid, state.u, inst)
     raise FrontNotConverged(
         f"budget t_max={budget.t_max} exhausted at t={state.t:.4g} without meeting "
@@ -724,8 +682,6 @@ def classify_quenching(inst: ProblemInstance, cfg: FrontRunConfig = FrontRunConf
                                     evidence=dict(front.diagnostics), front=front)
     ev = dict(front.diagnostics)
     ev["pulsating_defect"] = front.pulsating_error
-    ev["c_level"] = front.speed_estimate.c_level
-    ev["uncertainty"] = front.speed_estimate.uncertainty
     return ClassificationRecord(kind=PROPAGATING, c=front.speed, evidence=ev,
                                 front=front)
 
