@@ -27,8 +27,8 @@ end obeys the front's linear tail there (window_tails: the decay pair of the
 linearized tail operator on the window's own cells, solver.Tail), so no
 Dirichlet boundary layer bends the tails and the lattice keeps only one
 period and 4 nodes from each end; FrontSolution.interp continues the lattice
-past its ends by the same tails.  A front run reads fbar only at its
-knots, so it loads no scipy.interpolate.
+past its ends by the same tails.  fbar is the polynomial of the averaged
+cubic, so a front run loads no scipy.interpolate.
 """
 
 from __future__ import annotations
@@ -333,11 +333,12 @@ def speed_scale(homog: HomogenizedData) -> float:
     The asymmetry ratio |int fbar| / int |fbar| is scale-free, so the estimate
     tracks reaction amplitude as sqrt(S) like the true speed does.
     """
-    fv = np.abs(homog.fbar.values)
+    u = np.linspace(0.0, 1.0, 513)
+    fv = np.abs(homog.fbar(u))
     s = float(np.max(fv))
     if s <= 0.0:
         return 0.0
-    total = float(np.trapezoid(fv, homog.fbar.u_grid))
+    total = float(np.trapezoid(fv, u))
     asym = abs(homog.i_fbar) / max(total, 1e-30)
     return math.sqrt(2.0 * homog.a_h * s) * min(asym, 1.0)
 
@@ -357,9 +358,8 @@ def limit_front_rate(homog: HomogenizedData) -> float:
     """Steepness kappa of the limit front 1/(1 + exp(kappa xi)) of the averaged
     equation, kappa^2 = (|fbar'(0)| + |fbar'(1)|) / (2 a_H).
 
-    Exact for every cubic fbar = s u (1-u) (u - theta_bar), where both tail
-    rates of the limit front equal kappa; for another fbar it is a front-like
-    steepness of the same scale.
+    Exact for the cubic fbar = s u (1-u) (u - theta_bar) of every reaction,
+    where both tail rates of the limit front equal kappa.
     """
     return math.sqrt((abs(homog.slope0) + abs(homog.slope1)) / (2.0 * homog.a_h))
 
@@ -501,8 +501,7 @@ def _front_from_lattice(speed, xi, ys, phi, defect, est, diagnostics, tails, hom
 
 
 def compute_pulsating_front(inst: ProblemInstance, cfg: FrontRunConfig = FrontRunConfig(),
-                            budget: Budget = Budget(),
-                            homog: HomogenizedData | None = None) -> FrontSolution:
+                            budget: Budget = Budget()) -> FrontSolution:
     """Evolve a front-like datum until it is a pulsating front, a pinned
     stationary front (speed 0), or the budget is spent (FrontNotConverged).
 
@@ -526,8 +525,7 @@ def compute_pulsating_front(inst: ProblemInstance, cfg: FrontRunConfig = FrontRu
     estimate; a refused attempt changes nothing, and the record keeps the
     last attempt's newton_residual, newton_iterations and lambda1.
     """
-    if homog is None:
-        homog = homogenized_data(inst.coeff, inst.reaction)
+    homog = homogenized_data(inst.coeff, inst.reaction)
     # two periods or more on each side of the cell hold the defect window
     halfwidth = max(default_halfwidth(homog, cfg.tail_floor), 1.5 * inst.L)
     grid = build_grid(inst, halfwidth, cfg.nodes_per_period)
@@ -663,13 +661,12 @@ class ClassificationRecord:
 
 
 def classify_quenching(inst: ProblemInstance, cfg: FrontRunConfig = FrontRunConfig(),
-                       budget: Budget = Budget(),
-                       homog: HomogenizedData | None = None) -> ClassificationRecord:
+                       budget: Budget = Budget()) -> ClassificationRecord:
     """Three-way outcome of the front computation with the evidence attached.
 
     A solver failure becomes an Inconclusive record with reason "solver"."""
     try:
-        front = compute_pulsating_front(inst, cfg, budget, homog=homog)
+        front = compute_pulsating_front(inst, cfg, budget)
     except FrontNotConverged as exc:
         return ClassificationRecord(kind=INCONCLUSIVE, c=None,
                                     evidence=dict(exc.diagnostics), front=None)
@@ -712,21 +709,20 @@ SWEEP_CSV_HEADER = ("L,classification,c_level,c_period,uncertainty,"
 
 
 def _scan_one(args):
-    coeff, reaction, L, cfg, budget, homog = args
+    coeff, reaction, L, cfg, budget = args
     inst = ProblemInstance(coeff=coeff, reaction=reaction, L=L)
-    return SweepPoint(L=L, record=classify_quenching(inst, cfg, budget, homog))
+    return SweepPoint(L=L, record=classify_quenching(inst, cfg, budget))
 
 
 def scan_E(coeff, reaction, L_grid: Sequence[float],
            cfg: FrontRunConfig = FrontRunConfig(), budget: Budget = Budget(),
            workers: int = 1) -> list[SweepPoint]:
     """Classify each period in the increasing L grid; per-point failures become
-    Inconclusive records and the scan continues; all read one HomogenizedData."""
+    Inconclusive records and the scan continues."""
     Ls = list(L_grid)
     if any(l2 <= l1 for l1, l2 in zip(Ls, Ls[1:])):
         raise ValueError("L grid must be strictly increasing")
-    homog = homogenized_data(coeff, reaction)
-    jobs = [(coeff, reaction, L, cfg, budget, homog) for L in Ls]
+    jobs = [(coeff, reaction, L, cfg, budget) for L in Ls]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -242,7 +242,7 @@ def homogenization_sweep(coeff, reaction, L_list: Sequence[float],
     for L in L_list:
         inst = ProblemInstance(coeff=coeff, reaction=reaction, L=L)
         try:
-            front = compute_pulsating_front(inst, cfg, budget, homog=homog)
+            front = compute_pulsating_front(inst, cfg, budget)
         except (FrontNotConverged, SolverError, ValueError) as exc:
             records.append((L, exc))
             continue

@@ -11,15 +11,14 @@ above, and is uniformly stable at 0 and 1 with margins (gamma, delta):
 A problem instance scales the cell profiles to period L via a_L(x) = a(x/L),
 f_L(x, u) = f(x/L, u).  This module also computes the averaged quantities that
 drive the small-period limit: harmonic mean diffusivity, the x-average fbar of
-the reaction, its integral over [0, 1], and the periodic corrector chi solving
+the reaction (for the cubic family the cubic scale * u (1-u) (u - theta_bar),
+theta_bar the mean of theta), and the periodic corrector chi solving
 (a (chi' + 1))' = 0, equivalently a(y) (chi'(y) + 1) = a_H.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable
 
@@ -312,17 +311,15 @@ def make_xin_example(delta: float, lam: float, mu: float, L: float = 1.0) -> Pro
 QUAD_N = 2048      # Simpson intervals per period for the averaged quantities
 
 
-def _simpson(values: np.ndarray, h: float, axis: int = -1) -> np.ndarray:
+def _simpson(values: np.ndarray, h: float) -> float:
     """Composite Simpson rule on a uniform grid with an even interval count."""
-    n = values.shape[axis] - 1
+    n = values.size - 1
     if n % 2 != 0:
         raise ValueError("Simpson rule needs an even number of intervals")
     w = np.ones(n + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    shape = [1] * values.ndim
-    shape[axis] = n + 1
-    return np.sum(values * w.reshape(shape), axis=axis) * (h / 3.0)
+    return float(np.sum(values * w) * (h / 3.0))
 
 
 def harmonic_mean(coeff: CoefficientProfile) -> float:
@@ -331,85 +328,60 @@ def harmonic_mean(coeff: CoefficientProfile) -> float:
     vals = np.asarray(coeff.a(y), dtype=float)
     if np.min(vals) <= 0.0:
         raise ProfileError("diffusivity sampled non-positive in harmonic_mean")
-    return float(1.0 / _simpson(1.0 / vals, 1.0 / QUAD_N))
+    return 1.0 / _simpson(1.0 / vals, 1.0 / QUAD_N)
 
 
 class FbarCurve:
-    """x-average of the reaction as a function of u, linear outside [0, 1]; its
-    spline is built at the first call, as a front run reads only the values."""
+    """x-average of the reaction as the polynomial sum_k coefs[k] u^k on
+    [0, 1], continued linearly outside by its end slopes."""
 
-    def __init__(self, u_grid, values, slope0, slope1):
-        self.u_grid = np.asarray(u_grid, dtype=float)
-        self.values = np.asarray(values, dtype=float)
-        self.slope0 = float(slope0)
-        self.slope1 = float(slope1)
-        self._knots = self.u_grid.tolist()
+    def __init__(self, coefs):
+        poly = np.polynomial.Polynomial(coefs)
+        self.coefs = tuple(float(c) for c in poly.coef)
+        slope, antideriv = poly.deriv(), poly.integ()
+        self.slope0, self.slope1 = float(slope(0.0)), float(slope(1.0))
+        self.integral = float(antideriv(1.0) - antideriv(0.0))
 
-    @functools.cached_property
-    def _spline(self):
-        from scipy.interpolate import CubicSpline
-        return CubicSpline(self.u_grid, self.values)
-
-    _coefs = functools.cached_property(lambda self: self._spline.c.T.tolist())
+    def _horner(self, u):
+        # one expression for floats and arrays, so scalar(u) == float(self(u))
+        v = self.coefs[-1]
+        for c in self.coefs[-2::-1]:
+            v = v * u + c
+        return v
 
     def __call__(self, u):
         u = np.asarray(u, dtype=float)
-        inner = self._spline(np.clip(u, 0.0, 1.0))
         return np.where(u < 0.0, self.slope0 * u,
-                        np.where(u > 1.0, self.slope1 * (u - 1.0), inner))
+                        np.where(u > 1.0, self.slope1 * (u - 1.0), self._horner(u)))
 
     def scalar(self, u: float) -> float:
-        """fbar at one float, bitwise equal to float(self(u)): PPoly's interval
-        rule and power sum in pure Python, for scalar callers like solve_ivp."""
+        """fbar at one float, bitwise equal to float(self(u)), for scalar
+        callers like solve_ivp."""
         if u < 0.0:
             return self.slope0 * u
         if u > 1.0:
             return self.slope1 * (u - 1.0)
-        i = min(bisect_right(self._knots, u), len(self._coefs)) - 1
-        c3, c2, c1, c0 = self._coefs[i]
-        s = u - self._knots[i]
-        return 0.0 + c0 + c1 * s + c2 * (s * s) + c3 * (s * s * s)
+        return self._horner(u)
 
     def zeros_inside(self) -> tuple:
-        """Simple zeros of fbar strictly inside (0, 1)."""
-        u = self.u_grid
-        v = self.values
-        roots = []
-        for i in range(1, len(u) - 2):
-            if v[i] == 0.0 and u[i] > 0.0:
-                roots.append(u[i])
-            elif v[i] * v[i + 1] < 0.0:
-                from scipy.optimize import brentq
-                roots.append(brentq(self, u[i], u[i + 1]))
-        return tuple(r for r in roots if 1e-12 < r < 1.0 - 1e-12)
+        """Real zeros of fbar strictly inside (0, 1), increasing."""
+        roots = np.polynomial.polynomial.polyroots(self.coefs)
+        return tuple(sorted(float(r.real) for r in roots
+                            if r.imag == 0.0 and 1e-12 < r.real < 1.0 - 1e-12))
 
 
-def fbar_and_integral(reaction: ReactionProfile, quad_n: int = QUAD_N):
-    """Return (fbar curve, integral of fbar over [0, 1]) by Simpson quadrature
-    with an even number quad_n of intervals in y.
-
-    The y-sum runs over blocks of 128 rows (0.5 MB) with the running sum added
-    to each block's first row, so it is the one sequential sum over all rows of
-    _simpson without the (quad_n + 1) x (nu + 1) array and its weighted copy."""
-    y = np.linspace(0.0, 1.0, quad_n + 1)
-    nu = 512
-    u = np.linspace(0.0, 1.0, nu + 1)
-    w = np.ones(quad_n + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    total = None
-    for k in range(0, quad_n + 1, 128):
-        block = np.multiply(reaction.f(y[k:k + 128, None], u[None, :]),
-                            w[k:k + 128, None], dtype=float)
-        if total is not None:
-            block[0] += total
-        total = np.sum(block, axis=0)
-    fbar_vals = total * (1.0 / quad_n / 3.0)
-    slope0 = float(_simpson(np.asarray(reaction.df(y, 0.0), dtype=float), 1.0 / quad_n))
-    slope1 = float(_simpson(np.asarray(reaction.df(y, 1.0), dtype=float), 1.0 / quad_n))
-    fbar = FbarCurve(u, fbar_vals, slope0, slope1)
-    i_fbar = float(_simpson(fbar_vals, 1.0 / nu))
-    return fbar, i_fbar
+def fbar_and_integral(reaction: ReactionProfile):
+    """Return (fbar curve, integral of fbar over [0, 1]) of the cubic of
+    make_cubic: fbar = scale u (1-u) (u - theta_bar), with theta_bar the
+    Simpson mean of theta.  Any other reaction raises ProfileError."""
+    cubic = reaction.f
+    if not isinstance(cubic, _Cubic):
+        raise ProfileError("the averaged reaction needs the cubic of make_cubic")
+    y = np.linspace(0.0, 1.0, QUAD_N + 1)
+    th = _simpson(np.asarray(cubic.theta(y), dtype=float), 1.0 / QUAD_N)
+    s = cubic.scale
+    fbar = FbarCurve((0.0, -s * th, s * (1.0 + th), -s))
+    return fbar, fbar.integral
 
 
 class CorrectorCurve(TabulatedPeriodicCurve):
@@ -436,29 +408,23 @@ def corrector_chi(coeff: CoefficientProfile, a_h: float) -> CorrectorCurve:
 
 @dataclass(frozen=True)
 class HomogenizedData:
-    """Averaged quantities of an instance: a_H, fbar, its integral and its
-    zeros theta_bar, found when first read (only the shooting solve reads them)."""
+    """Averaged quantities of an instance: a_H and fbar, with fbar's integral,
+    interior zeros theta_bar and end slopes read from the polynomial."""
 
     a_h: float
     fbar: FbarCurve
-    i_fbar: float
-    theta_bar = functools.cached_property(lambda self: self.fbar.zeros_inside())
-
-    @property
-    def slope0(self) -> float:
-        return self.fbar.slope0
-
-    @property
-    def slope1(self) -> float:
-        return self.fbar.slope1
+    i_fbar = property(lambda self: self.fbar.integral)
+    theta_bar = property(lambda self: self.fbar.zeros_inside())
+    slope0 = property(lambda self: self.fbar.slope0)
+    slope1 = property(lambda self: self.fbar.slope1)
 
 
 def homogenized_data(coeff: CoefficientProfile, reaction: ReactionProfile) -> HomogenizedData:
     a_h = harmonic_mean(coeff)
-    fbar, i_fbar = fbar_and_integral(reaction)
+    fbar, _ = fbar_and_integral(reaction)
     if not (fbar.slope0 < 0.0 and fbar.slope1 < 0.0):
         raise ProfileError("averaged reaction must have negative slopes at 0 and 1")
-    return HomogenizedData(a_h=a_h, fbar=fbar, i_fbar=i_fbar)
+    return HomogenizedData(a_h=a_h, fbar=fbar)
 
 
 def characteristic_rates(a_h: float, c: float, slope0: float, slope1: float):

@@ -321,7 +321,7 @@ def find_periodic_steady_states(inst: ProblemInstance,
             seed_vecs.append(arr)
 
     from .profiles import fbar_and_integral
-    fbar, _ = fbar_and_integral(inst.reaction, 512)
+    fbar, _ = fbar_and_integral(inst.reaction)
     for z in fbar.zeros_inside():
         add_seed(z)
     add_seed(np.asarray(inst.theta_L(x), dtype=float))

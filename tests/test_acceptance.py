@@ -106,8 +106,7 @@ def test_03_homogenization_limit(hetero_sweep, acceptance_report):
 def hetero_half_front(cos_coeff, cubic03):
     inst = pr.ProblemInstance(coeff=cos_coeff, reaction=cubic03, L=0.5)
     hd = pr.homogenized_data(cos_coeff, cubic03)
-    front = fr.compute_pulsating_front(inst, fr.FrontRunConfig(),
-                                       fr.Budget(400.0), homog=hd)
+    front = fr.compute_pulsating_front(inst, fr.FrontRunConfig(), fr.Budget(400.0))
     return front, hd
 
 

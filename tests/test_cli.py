@@ -520,8 +520,8 @@ def test_quench_scan_lists_newton_attempts_as_pinning_evidence(tmp_path, monkeyp
 
 
 def test_front_path_loads_no_interpolate_optimize_integrate(tmp_path):
-    # a front run reads fbar only at its knots and takes the level's period
-    # means without a spline; eigen and decay read no fbar at all
+    # fbar is a polynomial, so neither a front run nor a steady-state run,
+    # which seeds Newton at its zeros, loads these; eigen and decay read no fbar
     code = ("import json, sys\n"
             "from pulsefront import cli\n"
             "for args in json.loads(sys.argv[1]):\n"
@@ -530,7 +530,8 @@ def test_front_path_loads_no_interpolate_optimize_integrate(tmp_path):
             " 'scipy.integrate') if m in sys.modules))\n")
     runs = [[name, "--config", os.path.join(REPO, "configs", cfg), "--out", str(tmp_path / name)]
             for name, cfg in (("front", "front_homogeneous.cfg"),
-                              ("eigen", "eigen_trace.cfg"), ("decay", "front_homogeneous.cfg"))]
+                              ("eigen", "eigen_trace.cfg"), ("decay", "front_homogeneous.cfg"),
+                              ("steady", "front_homogeneous.cfg"))]
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src") + (os.pathsep + path if path else ""))
     proc = subprocess.run([sys.executable, "-c", code, json.dumps(runs)], env=env, cwd=tmp_path,

@@ -818,17 +818,13 @@ class TestScan:
         assert all(p.record.evidence["reason"] == "coverage" for p in pts)
         assert all("coverage" in p.record.evidence["message"] for p in pts)
 
-    def test_homogenized_data_computed_once(self, homog_inst, monkeypatch):
-        # the homogenized data do not depend on L: a 3-period scan computes
-        # them once, and its rows are those of the periods run one by one
+    def test_rows_equal_the_periods_run_alone(self, homog_inst):
+        # a 3-period scan's rows are those of the periods run one by one
         grid, cfg, budget = [0.5, 1.0, 2.0], fr.FrontRunConfig(), fr.Budget(300.0)
         alone = [fr.SweepPoint(L=L, record=fr.classify_quenching(
                      dataclasses.replace(homog_inst, L=L), cfg, budget)).csv_row()
                  for L in grid]
-        calls, hd = [], fr.homogenized_data
-        monkeypatch.setattr(fr, "homogenized_data", lambda *a: calls.append(a) or hd(*a))
         pts = fr.scan_E(homog_inst.coeff, homog_inst.reaction, grid, cfg, budget)
-        assert len(calls) == 1
         assert [p.csv_row() for p in pts] == alone
 
     def test_empty_grid(self, homog_inst):

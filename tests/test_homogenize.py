@@ -15,10 +15,7 @@ def homog_for(theta=0.3, a_mean=1.0, a_amp=0.0):
 def quintic_homog(zeros):
     # fbar = u (1 - u) (u - z1) (u - z2) (u - z3): three interior zeros
     f = -np.polynomial.Polynomial.fromroots((0.0, 1.0) + tuple(zeros))
-    u = np.linspace(0.0, 1.0, 513)
-    fbar = pr.FbarCurve(u, f(u), f.deriv()(0.0), f.deriv()(1.0))
-    return pr.HomogenizedData(a_h=1.0, fbar=fbar,
-                              i_fbar=float(f.integ()(1.0) - f.integ()(0.0)))
+    return pr.HomogenizedData(a_h=1.0, fbar=pr.FbarCurve(f.coef))
 
 
 def homogenized_decay_rates(front, homog):
@@ -58,10 +55,8 @@ class TestShooting:
         # about 1/2: c0 is exactly 0 and the profile is the standing orbit,
         # a_H phi'^2 / 2 = int_phi^1 fbar
         f = -np.polynomial.Polynomial.fromroots((0.0, 1.0, 8.0 / 15.0, -1.0))
-        u = np.linspace(0.0, 1.0, 513)
-        fbar = pr.FbarCurve(u, f(u), f.deriv()(0.0), f.deriv()(1.0))
         F = f.integ()
-        hd = pr.HomogenizedData(a_h=1.0, fbar=fbar, i_fbar=float(F(1.0) - F(0.0)))
+        hd = pr.HomogenizedData(a_h=1.0, fbar=pr.FbarCurve(f.coef))
         front = hg.solve_homogenized_front(hd)
         assert front.c0 == 0.0
         assert np.all(np.diff(front.phi) < 0.0)

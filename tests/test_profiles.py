@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pulsefront.profiles as pr
+from test_solver import diffusion_inst
 
 
 def const_coeff(d=1.0):
@@ -240,14 +241,53 @@ class TestHarmonicMean:
             assert hm < am
 
 
+def simpson(values, n):
+    """Composite Simpson rule over the last axis, n intervals of [0, 1]."""
+    w = np.ones(n + 1)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return np.sum(values * w, axis=-1) * (1.0 / n / 3.0)
+
+
+def simpson_table_fbar(rx, u):
+    """The average of f over one period at the nodes u, and of its end slopes,
+    by Simpson's rule on the (u, y) table (a row per u, so numpy sums each
+    row pairwise)."""
+    y = np.linspace(0.0, 1.0, pr.QUAD_N + 1)
+    return (simpson(rx.f(y[None, :], u[:, None]), pr.QUAD_N),
+            simpson(rx.df(y, 0.0), pr.QUAD_N), simpson(rx.df(y, 1.0), pr.QUAD_N))
+
+
 class TestFbar:
     def test_scalar_bitwise_equals_array_call(self):
         fbar, _ = pr.fbar_and_integral(pr.make_cubic(pr.HarmonicCurve(0.35, 0.1), scale=2.0))
         u = np.concatenate([np.random.default_rng(5).uniform(-0.1, 1.1, 20000),
-                            fbar.u_grid, [0.0, 1.0, -0.0]])
+                            np.linspace(0.0, 1.0, 513), [0.0, 1.0, -0.0]])
         fast = np.array([fbar.scalar(float(x)) for x in u])
         slow = np.array([float(fbar(x)) for x in u])
         assert np.array_equal(fast.view(np.uint64), slow.view(np.uint64))
+
+    @pytest.mark.parametrize("theta, scale", [
+        (0.3, 1.0), (pr.HarmonicCurve(0.45, 0.2), 2.0),
+        (pr.TabulatedPeriodicCurve(np.linspace(0.0, 1.0, 8, endpoint=False),
+                                   0.4 + 0.1 * np.sin(np.arange(8.0))), 1.0)],
+        ids=["constant", "cosine-scale-2", "tabulated"])
+    def test_matches_the_simpson_table(self, theta, scale):
+        # the closed form is the y-average of the (y, u) table; Simpson's rule
+        # in u integrates the cubic exactly
+        rx = pr.make_cubic(theta, scale=scale)
+        fbar, i_fbar = pr.fbar_and_integral(rx)
+        u = np.linspace(0.0, 1.0, 513)
+        values, slope0, slope1 = simpson_table_fbar(rx, u)
+        np.testing.assert_allclose(fbar(u), values, rtol=0.0, atol=1e-15)
+        assert fbar.slope0 == pytest.approx(slope0, rel=0.0, abs=1e-15)
+        assert fbar.slope1 == pytest.approx(slope1, rel=0.0, abs=1e-15)
+        assert i_fbar == pytest.approx(simpson(values, 512), rel=0.0, abs=1e-15)
+
+    def test_non_cubic_reaction_rejected(self):
+        zero_rx = diffusion_inst(pr.HarmonicCurve(1.0), 1.0).reaction
+        with pytest.raises(pr.ProfileError):
+            pr.fbar_and_integral(zero_rx)
 
     def test_symmetric_integral_zero(self):
         _, i_fbar = pr.fbar_and_integral(pr.make_cubic(0.5))
@@ -275,17 +315,12 @@ class TestFbar:
         assert len(zeros) == 1
         assert zeros[0] == pytest.approx(0.3, abs=1e-9)
 
-    @pytest.mark.parametrize("theta", [0.3, pr.HarmonicCurve(0.45, 0.2)],
-                             ids=["constant", "cosine"])
-    def test_block_sum_is_the_whole_table_simpson(self, theta):
-        # the blocked running sum adds the rows in the order of _simpson's
-        # one sum over the whole (y, u) table, so the values are bitwise equal
-        rx = pr.make_cubic(theta)
-        fbar, _ = pr.fbar_and_integral(rx)
-        y = np.linspace(0.0, 1.0, pr.QUAD_N + 1)
-        table = rx.f(y[:, None], fbar.u_grid[None, :])
-        whole = pr._simpson(table, 1.0 / pr.QUAD_N, axis=0)
-        assert np.array_equal(fbar.values.view(np.uint64), whole.view(np.uint64))
+    def test_quintic_zeros_inside(self):
+        roots = (0.15, 0.45, 0.8)
+        f = -np.polynomial.Polynomial.fromroots((0.0, 1.0) + roots)
+        zeros = pr.FbarCurve(f.coef).zeros_inside()
+        assert len(zeros) == 3
+        np.testing.assert_allclose(zeros, roots, rtol=0.0, atol=1e-12)
 
 
 class TestCorrector:
