@@ -6,10 +6,9 @@ reads are rejected, so a typo cannot silently fall back to a default.  So are
 a non-finite number, a [numerics], [run] or [experiment] value out of its
 range, a scenario's family rule, an inline profile key (theta, theta_amp,
 a, a_amp) written beside the file (theta_file, a_file) that would override it,
-and a [profile] value the family's constructor would refuse (theta +-
-|theta_amp| outside (0, 1), a <= |a_amp|, delta or xin_delta outside
-(0, 1/2), |xin_delta * xin_lambda| >= 1, a profile file that does not
-exist), and a period whose grid would have over MAX_NODES nodes or h^2 overflowing.
+a [profile] block that its family's constructor refuses (under quench-scan,
+at any lambda_grid entry), and a period whose grid would have over MAX_NODES
+nodes or h^2 overflowing.
 A config is judged once, here, before any run: the runners only map parsed
 values to runs.  The raw file bytes are hashed into every artifact header:
 reruns are byte-identical and artifacts traceable to their configuration.
@@ -21,7 +20,6 @@ import configparser
 import hashlib
 import io
 import math
-import os
 from dataclasses import dataclass
 from typing import Any
 
@@ -195,8 +193,6 @@ def parse_config(text: str, scenario: str) -> ExperimentConfig:
             raise ConfigError(f"[profile] {key} and {file_key} are both set; "
                               "the file gives the whole profile")
     num, run, quench = values["numerics"], values["run"], scenario == "quench-scan"
-    prof, cubic = values["profile"], family == "cubic"
-    delta = prof["xin_delta"]
 
     def periods(seq, step):   # non-empty, positive, strictly monotone in step's sign
         return bool(seq) and all(L > 0 for L in seq) and \
@@ -206,29 +202,9 @@ def parse_config(text: str, scenario: str) -> ExperimentConfig:
             ("numerics", "budget", num["budget"] > 0, "> 0"),
             ("numerics", "nodes_per_period", num["nodes_per_period"] >= 1, ">= 1"),
             ("numerics", "tail_floor", 0 < num["tail_floor"] < 1, "in (0, 1)"),
-            # the profile constructors' rules, for the family's keys
-            ("profile", "theta", not cubic or bool(prof["theta_file"]) or (
-                0 < prof["theta"] - abs(prof["theta_amp"])
-                and prof["theta"] + abs(prof["theta_amp"]) < 1),
-             "such that theta +- |theta_amp| lies in (0, 1)"),
-            ("profile", "a", not cubic or bool(prof["a_file"]) or prof["a"] - abs(prof["a_amp"]) > 0,
-             "greater than |a_amp|"),
-            ("profile", "delta", not cubic or prof["delta"] is None or 0 < prof["delta"] < 0.5,
-             "in (0, 1/2)"),
-            ("profile", "xin_delta", cubic or 0 < delta < 0.5, "in (0, 1/2)"),
-            # quench-scan checks lambda_grid in its place
-            ("profile", "xin_lambda", cubic or quench or abs(delta * prof["xin_lambda"]) < 1,
-             f"such that |xin_delta * xin_lambda| < 1 (xin_delta = {delta!r})"),
-            ("profile", "theta_file", not (cubic and prof["theta_file"])
-             or os.path.isfile(prof["theta_file"]), "an existing file"),
-            ("profile", "a_file", not (cubic and prof["a_file"]) or os.path.isfile(prof["a_file"]),
-             "an existing file"),
             ("run", "L_grid", periods(run["L_grid"], 1), "non-empty, > 0, strictly increasing"),
             ("run", "L_list", periods(run["L_list"], -1), "non-empty, > 0, strictly decreasing"),
-            # make_xin_example's positivity rule, where lambda_grid is read
-            ("run", "lambda_grid", bool(run["lambda_grid"]) and not (quench and any(
-                abs(delta * lam) >= 1 for lam in run["lambda_grid"])),
-             f"non-empty, each |xin_delta * lambda| < 1 (xin_delta = {delta!r})"),
+            ("run", "lambda_grid", bool(run["lambda_grid"]), "non-empty"),
             ("profile", "family", family == "xin" or not quench, "xin under quench-scan"),
             ("run", "R_list", len(run["R_list"]) >= 2 and all(R > 0 for R in run["R_list"]),
              "at least 2 radii, each > 0"),
@@ -240,7 +216,19 @@ def parse_config(text: str, scenario: str) -> ExperimentConfig:
             ("experiment", "workers", values["experiment"]["workers"] >= 1, ">= 1")):
         if not ok:
             raise ConfigError(f"[{section}] {key} = {values[section][key]!r} must be {need}")
-    section, key, nodes, h = _largest_grid(scenario, values)
+    # the family's constructors judge the [profile] block, at each lambda_grid
+    # entry under quench-scan, where that replaces xin_lambda
+    prof = values["profile"]
+    for lam in run["lambda_grid"] if quench else (None,):
+        try:
+            coeff, _ = _profiles(prof, lam)
+        except (OSError, ValueError) as exc:
+            keys = [f"[profile] {k} = {prof[k]!r}" for k in
+                    (cp["profile"] if cp.has_section("profile") else ()) if k != "family"]
+            keys += [f"[run] lambda_grid = {run['lambda_grid']!r}"] if quench else []
+            raise ConfigError(f"{', '.join(keys)} must be such that the profile builds: "
+                              f"{exc}") from exc
+    section, key, nodes, h = _largest_grid(scenario, values, coeff)
     if nodes > MAX_NODES or not math.isfinite(h * h):   # the stencils divide by h^2
         raise ConfigError(f"[{section}] {key} = {values[section][key]!r} must be such that "
                           f"the run's grid has at most {MAX_NODES:,} nodes and a finite h^2 "
@@ -258,15 +246,12 @@ def _front_nodes(L: float, npp: int) -> float:
     return (2.0 * np.ceil(max(MAX_HALFWIDTH, 1.5 * L) / L) + 1.0) * npp + 1.0
 
 
-def _largest_grid(scenario: str, values: dict) -> tuple:
+def _largest_grid(scenario: str, values: dict, coeff: profiles.CoefficientProfile) -> tuple:
     """(section, key, nodes, h): the period key that sizes the scenario's
-    largest grid, its node count and largest spacing (0 if none grows with L)."""
+    largest grid, its node count and largest spacing (0 if none grows with L);
+    coeff is the [profile] block's diffusivity."""
     num, run = values["numerics"], values["run"]
     if scenario == "decay":
-        try:
-            coeff = _diffusivity(values["profile"], num["L"])
-        except ValueError as exc:
-            raise ConfigError(f"bad diffusivity for [profile]: {exc}") from exc
         try:    # the root and its check on twice the nodes
             npp = spectral.decay_nodes(num["L"], coeff.a_max, coeff.a_min)
         except OverflowError:
@@ -301,30 +286,22 @@ def describe_schema() -> str:
 # realizing profile blocks
 # ---------------------------------------------------------------------------
 
-def _curve(p: dict, key: str):
-    if p[key + "_file"]:
-        return profiles.TabulatedPeriodicCurve.from_file(p[key + "_file"])
-    return profiles.HarmonicCurve(p[key], p[key + "_amp"])
-
-
-def _diffusivity(p: dict, period: float) -> profiles.CoefficientProfile:
-    """The diffusivity that the [profile] block p builds."""
+def _profiles(p: dict, lam: float | None = None) -> tuple:
+    """(coeff, reaction) that the family's constructors build from the
+    [profile] block p; lam, if given, replaces its xin_lambda."""
     if p["family"] == "xin":
-        return profiles.make_xin_example(p["xin_delta"], p["xin_lambda"], p["xin_mu"],
-                                         L=period).coeff
-    return profiles.CoefficientProfile.from_curve(_curve(p, "a"))
+        inst = profiles.make_xin_example(p["xin_delta"], p["xin_lambda"] if lam is None else lam,
+                                         p["xin_mu"])
+        return inst.coeff, inst.reaction
+    theta, a = (profiles.TabulatedPeriodicCurve.from_file(p[k + "_file"]) if p[k + "_file"]
+                else profiles.HarmonicCurve(p[k], p[k + "_amp"]) for k in ("theta", "a"))
+    return (profiles.CoefficientProfile.from_curve(a),
+            profiles.make_cubic(theta, gamma=p["gamma"], delta=p["delta"], scale=p["scale"]))
 
 
-def build_instance(cfg: ExperimentConfig) -> profiles.ProblemInstance:
-    p = cfg["profile"]
-    period = float(cfg["numerics"]["L"])
-    if p["family"] == "xin":
-        return profiles.make_xin_example(p["xin_delta"], p["xin_lambda"], p["xin_mu"],
-                                         L=period)
-    reaction = profiles.make_cubic(_curve(p, "theta"), gamma=p["gamma"], delta=p["delta"],
-                                   scale=p["scale"])
-    return profiles.ProblemInstance(coeff=_diffusivity(p, period), reaction=reaction,
-                                    L=period)
+def build_instance(cfg: ExperimentConfig, lam: float | None = None) -> profiles.ProblemInstance:
+    """cfg's profile at period [numerics] L; lam, if given, replaces xin_lambda."""
+    return profiles.ProblemInstance(*_profiles(cfg["profile"], lam), float(cfg["numerics"]["L"]))
 
 
 def build_run_config(cfg: ExperimentConfig):

@@ -143,7 +143,9 @@ def solve_homogenized_front(homog: HomogenizedData) -> HomogenizedFront:
             f"neither saddle orbit reaches phi = 1/2 at c = {c0:.6g}: the zero "
             "mismatch there is no connection, the orbits settle on interior zeros "
             "of the averaged reaction")
-    sol = _saddle_orbit(homog, c0, xi_max, -1e-6)
+    # stopped at SADDLE_EPS: nearer 0 the orbit's end rides on round-off, and
+    # phi0 continues by its analytic tail A1 exp(-lambda1 xi)
+    sol = _saddle_orbit(homog, c0, xi_max, SADDLE_EPS)
     return _assemble_front(homog, c0, sol)
 
 

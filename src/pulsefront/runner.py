@@ -176,14 +176,11 @@ def _run_scan_e(cfg, prefix):
 
 
 def _run_quench_scan(cfg, prefix):
-    p = cfg["profile"]
     rc, budget = build_run_config(cfg)
-    delta, mu = p["xin_delta"], p["xin_mu"]
     lams = sorted(cfg["run"]["lambda_grid"])
     rows, lines, failures, recs = [], [], [], []
-    from .profiles import make_xin_example
     for lam in lams:
-        inst = make_xin_example(delta, lam, mu, L=cfg["numerics"]["L"])
+        inst = build_instance(cfg, lam)
         rec = fr.classify_quenching(inst, rc, budget)
         recs.append(rec)
         rows.append(fr.SweepPoint(L=lam, record=rec).csv_row())

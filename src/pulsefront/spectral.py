@@ -181,8 +181,8 @@ def periodic_principal_eigen(inst: ProblemInstance, ubar,
 class StabilityLimit:
     R_list: tuple
     lambdas: tuple
-    periodic_value: float | None
-    terminal_gap: float | None
+    periodic_value: float
+    terminal_gap: float
     cls: str
 
 
@@ -208,16 +208,9 @@ def stability_limit(inst: ProblemInstance, ubar, R_list: Sequence[float]) -> Sta
     if np.any(diffs < -1e-10):
         raise EigenIterationError(
             f"Dirichlet eigenvalue trace is not increasing in R: {lams}")
-    per_val = None
-    gap = None
-    try:
-        per_val = periodic_principal_eigen(inst, ubar).value
-        gap = abs(lams[-1] - per_val)
-    except (ValueError, TypeError):
-        pass
-    return StabilityLimit(R_list=tuple(Rs), lambdas=tuple(lams),
-                          periodic_value=per_val, terminal_gap=gap,
-                          cls=classify_lambda(per_val if per_val is not None else lams[-1]))
+    per_val = periodic_principal_eigen(inst, ubar).value
+    return StabilityLimit(R_list=tuple(Rs), lambdas=tuple(lams), periodic_value=per_val,
+                          terminal_gap=abs(lams[-1] - per_val), cls=classify_lambda(per_val))
 
 
 # ---------------------------------------------------------------------------

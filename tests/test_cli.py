@@ -297,9 +297,12 @@ class TestCliRuns:
     # failed on a bad direction or potential, steady dropped seeds outside
     # (0, 1), quench-scan on the cubic family failed once the output existed,
     # a lambda with |xin_delta * lambda| >= 1 failed with no CSV written, and
-    # a [profile] value that its constructor refuses (theta, a, delta,
-    # xin_delta, xin_lambda, a missing file) failed at run time once the output
-    # existed, and decay at L = 1e300 asked numpy for more than it can allocate
+    # a [profile] block that its family's constructor refuses (theta, a, delta,
+    # xin_delta, xin_lambda, scale, gamma, delta against theta, a missing file,
+    # a file without its header or with too few rows) failed at run time once
+    # the output existed, and decay at L = 1e300 asked numpy for more than it
+    # can allocate; a multi-line value is the contents of a file that the key
+    # names
     @pytest.mark.parametrize("scenario,section,key,value", [
         pytest.param("scan-e", "run", "L_grid", "2 1", id="L_grid-decreasing"),
         pytest.param("scan-e", "run", "L_grid", "-1 1", id="L_grid-negative"),
@@ -323,10 +326,22 @@ class TestCliRuns:
         pytest.param("steady", "profile", "theta_file", "missing_theta.txt", id="theta_file-missing"),
         pytest.param("steady", "profile", "a_file", "missing_a.txt", id="a_file-missing"),
         pytest.param("steady", "profile", "xin_lambda", "6", id="xin_lambda-positivity"),
+        pytest.param("steady", "profile", "scale", "-1", id="scale-not-positive"),
+        pytest.param("steady", "profile", "gamma", "0.5", id="gamma-above-margin"),
+        pytest.param("steady", "profile", "delta", "0.35", id="delta-above-theta"),  # theta = 0.3
+        pytest.param("steady", "profile", "theta_file", "0.0 0.3\n0.25 0.4\n0.5 0.3\n0.75 0.2\n",
+                     id="theta_file-no-header"),
+        pytest.param("steady", "profile", "a_file", "# period=1\n0.0 1.0\n0.25 1.5\n0.5 2.0\n",
+                     id="a_file-too-few-rows"),
         pytest.param("decay", "numerics", "L", "1e300", id="L-decay-grid"),
         pytest.param("scan-e", "run", "L_grid", "1e-300 1", id="L_grid-window-grid"),
     ])
-    def test_out_of_range_run_exit_2(self, tmp_path, capsys, scenario, section, key, value):
+    def test_out_of_range_run_exit_2(self, tmp_path, tmp_path_factory, capsys, scenario, section,
+                                     key, value):
+        if key.endswith("_file") and "\n" in value:
+            data = tmp_path_factory.mktemp("data") / "curve.txt"
+            data.write_text(value)
+            value = str(data)
         family = "xin" if scenario == "quench-scan" or key.startswith("xin") else "cubic"
         # one [profile] section: a [profile] key's line goes under the family's
         text = "[profile]\n" + (f"family = {family}\n" if key != "family" else "")

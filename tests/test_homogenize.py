@@ -81,6 +81,18 @@ class TestShooting:
         assert a.c0 == b.c0
         assert np.array_equal(a.phi, b.phi)
 
+    def test_profile_end_is_well_conditioned(self):
+        # a 1-ulp change of one fbar coefficient once moved the end of the
+        # phi0 grid by 1.7e-2, when the orbit ran on toward the saddle 0 to
+        # where round-off decided its stop; it now stops at phi = SADDLE_EPS
+        hd = homog_for(0.3, 2.0, 1.0)
+        coefs = list(hd.fbar.coefs)
+        coefs[1] = float(np.nextafter(coefs[1], np.inf))
+        a = hg.solve_homogenized_front(hd)
+        b = hg.solve_homogenized_front(pr.HomogenizedData(a_h=hd.a_h, fbar=pr.FbarCurve(coefs)))
+        assert a.phi[-1] == pytest.approx(hg.SADDLE_EPS, rel=1e-6)
+        assert abs(a.xi[-1] - b.xi[-1]) < 1e-5
+
     def test_strictly_decreasing_profile(self):
         front = hg.solve_homogenized_front(homog_for(0.4))
         assert np.all(np.diff(front.phi) < 0.0)
