@@ -58,8 +58,8 @@ MAX_HALFWIDTH = 150.0       # cap on default_halfwidth
 # The closed set of failure reasons.  A FrontNotConverged or an Inconclusive
 # record carries one under diagnostics["reason"] ("budget", "coverage",
 # "solver"), as does a stability report that never became front-like
-# ("not-front-like"); homogenize.NoConnection carries "no-connection".
-REASONS = frozenset({"budget", "coverage", "solver", "no-connection", "not-front-like"})
+# ("not-front-like").
+REASONS = frozenset({"budget", "coverage", "solver", "not-front-like"})
 
 
 class FrontNotConverged(RuntimeError):
@@ -304,10 +304,11 @@ def extract_profile(snaps: SnapshotSeries, c: float, margin_nodes: int):
 
 def fit_tail_rates(xi: np.ndarray, prof: np.ndarray):
     """Log-linear decay rates of a front profile toward 0 (right) and 1 (left),
-    fitted where the distance to the end state lies in (1e-10, 1e-2)."""
+    fitted where the distance to the end state lies in (1e-8, 1e-2): below
+    1e-8 a profile's round-off, about 1e-12, moves the fit."""
     out = []
     for vals, sign in ((prof, -1.0), (1.0 - prof, +1.0)):
-        mask = (vals > 1e-10) & (vals < 1e-2)
+        mask = (vals > 1e-8) & (vals < 1e-2)
         if np.count_nonzero(mask) < 5:
             raise ValueError("tail too short for a decay fit; enlarge the xi window")
         lv = np.log(vals[mask])

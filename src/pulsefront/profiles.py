@@ -11,8 +11,8 @@ above, and is uniformly stable at 0 and 1 with margins (gamma, delta):
 A problem instance scales the cell profiles to period L via a_L(x) = a(x/L),
 f_L(x, u) = f(x/L, u).  This module also computes the averaged quantities that
 drive the small-period limit: harmonic mean diffusivity, the x-average fbar of
-the reaction (for the cubic family the cubic scale * u (1-u) (u - theta_bar),
-theta_bar the mean of theta), and the periodic corrector chi solving
+the reaction, the cubic scale * u (1-u) (u - theta_bar) with theta_bar the
+Simpson mean of theta, and the periodic corrector chi solving
 (a (chi' + 1))' = 0, equivalently a(y) (chi'(y) + 1) = a_H.
 """
 
@@ -332,42 +332,25 @@ def harmonic_mean(coeff: CoefficientProfile) -> float:
 
 
 class FbarCurve:
-    """x-average of the reaction as the polynomial sum_k coefs[k] u^k on
-    [0, 1], continued linearly outside by its end slopes."""
+    """The averaged reaction scale * u (1-u) (u - theta_bar) on [0, 1] as its
+    power-basis coefficients, continued linearly outside by its end slopes."""
 
-    def __init__(self, coefs):
-        poly = np.polynomial.Polynomial(coefs)
+    def __init__(self, scale: float, theta_bar: float):
+        s, th = float(scale), float(theta_bar)
+        self.theta_bar = th
+        poly = np.polynomial.Polynomial((0.0, -s * th, s * (1.0 + th), -s))
         self.coefs = tuple(float(c) for c in poly.coef)
         slope, antideriv = poly.deriv(), poly.integ()
         self.slope0, self.slope1 = float(slope(0.0)), float(slope(1.0))
         self.integral = float(antideriv(1.0) - antideriv(0.0))
 
-    def _horner(self, u):
-        # one expression for floats and arrays, so scalar(u) == float(self(u))
+    def __call__(self, u):
+        u = np.asarray(u, dtype=float)
         v = self.coefs[-1]
         for c in self.coefs[-2::-1]:
             v = v * u + c
-        return v
-
-    def __call__(self, u):
-        u = np.asarray(u, dtype=float)
         return np.where(u < 0.0, self.slope0 * u,
-                        np.where(u > 1.0, self.slope1 * (u - 1.0), self._horner(u)))
-
-    def scalar(self, u: float) -> float:
-        """fbar at one float, bitwise equal to float(self(u)), for scalar
-        callers like solve_ivp."""
-        if u < 0.0:
-            return self.slope0 * u
-        if u > 1.0:
-            return self.slope1 * (u - 1.0)
-        return self._horner(u)
-
-    def zeros_inside(self) -> tuple:
-        """Real zeros of fbar strictly inside (0, 1), increasing."""
-        roots = np.polynomial.polynomial.polyroots(self.coefs)
-        return tuple(sorted(float(r.real) for r in roots
-                            if r.imag == 0.0 and 1e-12 < r.real < 1.0 - 1e-12))
+                        np.where(u > 1.0, self.slope1 * (u - 1.0), v))
 
 
 def fbar_and_integral(reaction: ReactionProfile):
@@ -379,8 +362,7 @@ def fbar_and_integral(reaction: ReactionProfile):
         raise ProfileError("the averaged reaction needs the cubic of make_cubic")
     y = np.linspace(0.0, 1.0, QUAD_N + 1)
     th = _simpson(np.asarray(cubic.theta(y), dtype=float), 1.0 / QUAD_N)
-    s = cubic.scale
-    fbar = FbarCurve((0.0, -s * th, s * (1.0 + th), -s))
+    fbar = FbarCurve(cubic.scale, th)
     return fbar, fbar.integral
 
 
@@ -409,12 +391,12 @@ def corrector_chi(coeff: CoefficientProfile, a_h: float) -> CorrectorCurve:
 @dataclass(frozen=True)
 class HomogenizedData:
     """Averaged quantities of an instance: a_H and fbar, with fbar's integral,
-    interior zeros theta_bar and end slopes read from the polynomial."""
+    interior zero theta_bar and end slopes."""
 
     a_h: float
     fbar: FbarCurve
     i_fbar = property(lambda self: self.fbar.integral)
-    theta_bar = property(lambda self: self.fbar.zeros_inside())
+    theta_bar = property(lambda self: self.fbar.theta_bar)
     slope0 = property(lambda self: self.fbar.slope0)
     slope1 = property(lambda self: self.fbar.slope1)
 

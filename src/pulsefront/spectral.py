@@ -289,8 +289,8 @@ def find_periodic_steady_states(inst: ProblemInstance,
                                 seeds: Sequence | None = None) -> list[SteadyState]:
     """Damped Newton on the L-periodic steady problem from a fixed seed set.
 
-    Seeds always include the interior zeros of the averaged reaction as
-    constants and the map x -> theta(x/L); extra seeds may be constants in
+    Seeds always include the interior zero theta_bar of the averaged reaction
+    as a constant and the map x -> theta(x/L); extra seeds may be constants in
     (0, 1) or arrays on the Newton grid.  Converged roots are deduplicated up
     to period shifts, states touching 0 or 1 are dropped as trivial, and each
     survivor is classified by its periodic principal eigenvalue.
@@ -315,8 +315,7 @@ def find_periodic_steady_states(inst: ProblemInstance,
 
     from .profiles import fbar_and_integral
     fbar, _ = fbar_and_integral(inst.reaction)
-    for z in fbar.zeros_inside():
-        add_seed(z)
+    add_seed(fbar.theta_bar)
     add_seed(np.asarray(inst.theta_L(x), dtype=float))
     for s in (seeds or ()):
         add_seed(s)

@@ -32,13 +32,13 @@ def check(report, number, passed, detail):
 def test_01_homogeneous_speed_oracle(homog_front, homog_inst, acceptance_report):
     est = homog_front.speed_estimate
     hd = pr.homogenized_data(homog_inst.coeff, homog_inst.reaction)
-    shoot = hg.solve_homogenized_front(hd)
+    limit = hg.solve_homogenized_front(hd)
     ok = (abs(est.c_period - C_EXACT) < 1e-2
           and abs(est.c_level - C_EXACT) < 1e-2
-          and abs(shoot.c0 - C_EXACT) < 1e-3)
+          and abs(limit.c0 - C_EXACT) < 1e-3)
     check(acceptance_report, 1, ok,
           f"c_period={est.c_period:.5f} c_level={est.c_level:.5f} "
-          f"c0={shoot.c0:.5f} vs exact {C_EXACT:.5f}")
+          f"c0={limit.c0:.5f} vs exact {C_EXACT:.5f}")
 
 
 # -- 2 -----------------------------------------------------------------------

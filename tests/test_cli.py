@@ -534,25 +534,44 @@ def test_quench_scan_lists_newton_attempts_as_pinning_evidence(tmp_path, monkeyp
     assert "quench: pinning evidence at lambda = 4" in res.summary_lines
 
 
-def test_front_path_loads_no_interpolate_optimize_integrate(tmp_path):
-    # fbar is a polynomial, so neither a front run nor a steady-state run,
-    # which seeds Newton at its zeros, loads these; eigen and decay read no fbar
+def _scipy_modules_loaded(tmp_path, runs):
+    """The scipy.interpolate, scipy.optimize and scipy.integrate modules that
+    one fresh process loads while it runs each (scenario, config) of runs; a
+    config is a file name under configs/ or an absolute path."""
     code = ("import json, sys\n"
             "from pulsefront import cli\n"
             "for args in json.loads(sys.argv[1]):\n"
             "    assert cli.main(args) == 0, args\n"
-            "print(sorted(m for m in ('scipy.interpolate', 'scipy.optimize',"
-            " 'scipy.integrate') if m in sys.modules))\n")
-    runs = [[name, "--config", os.path.join(REPO, "configs", cfg), "--out", str(tmp_path / name)]
-            for name, cfg in (("front", "front_homogeneous.cfg"),
-                              ("eigen", "eigen_trace.cfg"), ("decay", "front_homogeneous.cfg"),
-                              ("steady", "front_homogeneous.cfg"))]
+            "print(json.dumps(sorted(m for m in ('scipy.interpolate', 'scipy.optimize',"
+            " 'scipy.integrate') if m in sys.modules)))\n")
+    argv = [[name, "--config", os.path.join(REPO, "configs", cfg), "--out", str(tmp_path / name)]
+            for name, cfg in runs]
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=os.path.join(REPO, "src") + (os.pathsep + path if path else ""))
-    proc = subprocess.run([sys.executable, "-c", code, json.dumps(runs)], env=env, cwd=tmp_path,
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(argv)], env=env, cwd=tmp_path,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_front_path_loads_no_interpolate_optimize_integrate(tmp_path):
+    # fbar is a polynomial, so neither a front run nor a steady-state run,
+    # which seeds Newton at theta_bar, loads these; eigen and decay read no fbar
+    assert _scipy_modules_loaded(tmp_path, (
+        ("front", "front_homogeneous.cfg"), ("eigen", "eigen_trace.cfg"),
+        ("decay", "front_homogeneous.cfg"), ("steady", "front_homogeneous.cfg"))) == []
+
+
+def test_homogenize_loads_no_interpolate_integrate(tmp_path):
+    # the limit front is the closed-form logistic; profile alignment's bounded
+    # Brent is the only scipy.optimize user.  The config's first period alone
+    # runs every step of the sweep in a ninth of the time
+    with open(os.path.join(REPO, "configs", "homogenize_cos.cfg")) as fh:
+        text = fh.read()
+    cfg = tmp_path / "homogenize_cos.cfg"
+    cfg.write_text(text.replace("L_list = 0.8 0.4 0.2 0.1", "L_list = 0.8"))
+    loaded = _scipy_modules_loaded(tmp_path, (("homogenize", str(cfg)),))
+    assert "scipy.interpolate" not in loaded and "scipy.integrate" not in loaded
 
 
 def test_help_lists_scenarios(capsys):

@@ -625,6 +625,18 @@ class TestDecayFits:
         assert mu1 == pytest.approx(2.0, abs=1e-3)
         assert mu2 == pytest.approx(2.0, abs=1e-3)
 
+    def test_fit_stays_above_round_off(self):
+        # a profile's last digits, 1e-12 noise on the logistic, move the
+        # fitted rates by far less than the window's own discretization
+        xi = np.arange(-60.0, 60.0, 1.0 / 64.0)
+        prof = 0.5 * (1.0 - np.tanh(0.5 * xi / np.sqrt(2.0)))
+        clean = np.array(fr.fit_tail_rates(xi, prof))
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            noisy = prof + 1e-12 * rng.standard_normal(xi.size)
+            move = np.abs(np.array(fr.fit_tail_rates(xi, noisy)) / clean - 1.0)
+            assert move.max() < 2e-6
+
     def test_front_tails_match_characteristic_roots(self, homog_front):
         c = homog_front.speed
         lam1 = (c + np.sqrt(c * c + 4 * 0.3)) / 2

@@ -259,14 +259,6 @@ def simpson_table_fbar(rx, u):
 
 
 class TestFbar:
-    def test_scalar_bitwise_equals_array_call(self):
-        fbar, _ = pr.fbar_and_integral(pr.make_cubic(pr.HarmonicCurve(0.35, 0.1), scale=2.0))
-        u = np.concatenate([np.random.default_rng(5).uniform(-0.1, 1.1, 20000),
-                            np.linspace(0.0, 1.0, 513), [0.0, 1.0, -0.0]])
-        fast = np.array([fbar.scalar(float(x)) for x in u])
-        slow = np.array([float(fbar(x)) for x in u])
-        assert np.array_equal(fast.view(np.uint64), slow.view(np.uint64))
-
     @pytest.mark.parametrize("theta, scale", [
         (0.3, 1.0), (pr.HarmonicCurve(0.45, 0.2), 2.0),
         (pr.TabulatedPeriodicCurve(np.linspace(0.0, 1.0, 8, endpoint=False),
@@ -310,17 +302,11 @@ class TestFbar:
         assert fbar.slope1 == pytest.approx(-0.7, rel=1e-10)
 
     def test_zeros_inside(self):
+        # the interior zero is the theta_bar the cubic was built from
         fbar, _ = pr.fbar_and_integral(pr.make_cubic(0.3))
-        zeros = fbar.zeros_inside()
-        assert len(zeros) == 1
-        assert zeros[0] == pytest.approx(0.3, abs=1e-9)
-
-    def test_quintic_zeros_inside(self):
-        roots = (0.15, 0.45, 0.8)
-        f = -np.polynomial.Polynomial.fromroots((0.0, 1.0) + roots)
-        zeros = pr.FbarCurve(f.coef).zeros_inside()
-        assert len(zeros) == 3
-        np.testing.assert_allclose(zeros, roots, rtol=0.0, atol=1e-12)
+        assert fbar.theta_bar == pytest.approx(0.3, abs=1e-9)
+        assert abs(float(fbar(fbar.theta_bar))) < 1e-16
+        assert fbar(fbar.theta_bar - 1e-3) < 0.0 < fbar(fbar.theta_bar + 1e-3)
 
 
 class TestCorrector:
@@ -451,5 +437,6 @@ def test_homogenized_data_bundle():
     hd = pr.homogenized_data(cos_coeff(), pr.make_cubic(0.3))
     assert hd.a_h == pytest.approx(np.sqrt(3.0), rel=1e-10)
     assert hd.i_fbar == pytest.approx(1 / 30, rel=1e-9)
-    assert hd.theta_bar[0] == pytest.approx(0.3, abs=1e-9)
+    assert isinstance(hd.theta_bar, float)
+    assert hd.theta_bar == pytest.approx(0.3, abs=1e-9)
     assert hd.slope0 < 0 and hd.slope1 < 0
